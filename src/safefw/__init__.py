@@ -14,7 +14,7 @@ from .estimator import (
 )
 from .harness import ExperimentConfig, compare_sfw_ro, run_experiment
 from .lp import LpProblem, LpSolution, enumerate_vertices, solve
-from .oracle import ConstraintOracle, MeasurementBatch, NoiseModel, cross_pattern
+from .oracle import ConstraintOracle, NoiseModel, cross_pattern
 from .problem import (
     GeometryConstants,
     Objective,
@@ -54,7 +54,6 @@ __all__ = [
     "GeometryConstants",
     "LpProblem",
     "LpSolution",
-    "MeasurementBatch",
     "NoiseModel",
     "Objective",
     "Polytope",

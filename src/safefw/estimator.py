@@ -74,7 +74,6 @@ class ConstraintEstimator:
         self.G = np.zeros((k, m))
         self.P: np.ndarray | None = None
         self.beta_hat: np.ndarray | None = None
-        self.rows: list[tuple[np.ndarray, int, np.ndarray]] = []  # (point, count, value sum)
         self.rebuilds = 0
 
     @property
@@ -122,7 +121,6 @@ class ConstraintEstimator:
         if value_sum.shape != (self.m,):
             raise ValueError(f"value sum must have length {self.m}")
         v = np.append(x, -1.0)
-        self.rows.append((x.copy(), int(count), value_sum.copy()))
         self.N += count
         self.sum_x += count * x
         self.sum_outer += count * np.outer(x, x)
@@ -146,7 +144,7 @@ class ConstraintEstimator:
         self.beta_hat = self.P @ self.G
 
     def rebuild(self) -> None:
-        """Recompute P from the stored rows by a dense factorization."""
+        """Recompute P from the running sums by a dense factorization."""
         self.P = np.linalg.inv(self.xtx())
         self.P = 0.5 * (self.P + self.P.T)
         self.beta_hat = self.P @ self.G

@@ -8,8 +8,9 @@ drivers see it exclusively through the measurement oracle.
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from . import ro as ro_mod
 from . import sfw as sfw_mod
 from .estimator import ConstraintEstimator, confidence_membership_arrays
+from .lp import FEAS_TOL
 from .oracle import ConstraintOracle, NoiseModel
 from .problem import (
     GeometryConstants,
@@ -33,7 +35,6 @@ from .problem import (
 from .safety import SafetyConfig, cn_lower_bound, make_safety_config
 from .sfw import ProblemSetup, SfwConfig, TrajectoryRecord
 
-FEAS_TOL = 1e-9
 VARIANTS = ("prescribed", "adaptive", "ro", "fw-oracle")
 
 CSV_COLUMNS = [
@@ -84,28 +85,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         return cls(**raw)
 
-    def to_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "objective": self.objective,
-            "x0": self.x0,
-            "sigma": self.sigma,
-            "noise_kind": self.noise_kind,
-            "omega0": self.omega0,
-            "delta": self.delta,
-            "T": self.T,
-            "epsilon": self.epsilon,
-            "cn": self.cn,
-            "confidence_mode": self.confidence_mode,
-            "phi_delta_override": self.phi_delta_override,
-            "variant": self.variant,
-            "ro_total_measurements": self.ro_total_measurements,
-            "max_total_measurements": self.max_total_measurements,
-            "repetitions": self.repetitions,
-            "base_seed": self.base_seed,
-            "out_dir": self.out_dir,
-        }
-
 
 @dataclass
 class ResolvedExperiment:
@@ -126,7 +105,6 @@ class RepResult:
     seed: int
     status: str
     normalized: list[float] = field(default_factory=list)
-    f_gaps: list[float] = field(default_factory=list)
     iterate_violations: int = 0
     probe_violations: int = 0
     fact1_violations: int = 0
@@ -147,8 +125,28 @@ class RunSummary:
     failed_fraction: float
 
 
+def _check_types(cfg: ExperimentConfig) -> None:
+    """Reject non-finite reals and non-integer counts (bools included) before any arithmetic."""
+    reals = {"sigma": cfg.sigma, "omega0": cfg.omega0, "epsilon": cfg.epsilon, "delta": cfg.delta}
+    ints = {"T": cfg.T, "repetitions": cfg.repetitions, "base_seed": cfg.base_seed,
+            "max_total_measurements": cfg.max_total_measurements}
+    if cfg.phi_delta_override is not None:
+        reals["phi_delta_override"] = cfg.phi_delta_override
+    if cfg.ro_total_measurements is not None:
+        ints["ro_total_measurements"] = cfg.ro_total_measurements
+    if cfg.problem.get("type") == "box":
+        ints["problem.d"] = cfg.problem.get("d", 0)
+    for name, value in reals.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    for name, value in ints.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
     """Validate every referenced field and build the immutable run inputs."""
+    _check_types(cfg)
     if cfg.repetitions < 1:
         raise ConfigError("repetitions must be >= 1")
     if cfg.T < 3:
@@ -164,7 +162,7 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
 
     ptype = cfg.problem.get("type")
     if ptype == "box":
-        d = int(cfg.problem.get("d", 0))
+        d = cfg.problem.get("d", 0)
         half_width = float(cfg.problem.get("half_width", 1.0))
         if d < 1:
             raise ConfigError("box problem needs d >= 1")
@@ -264,14 +262,14 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
 
 def _annotate_ground_truth(res: ResolvedExperiment, rec: TrajectoryRecord) -> tuple[int, int]:
     """Fill feasibility flags and count iterate and conservativeness violations."""
-    rec.feasible = [res.polytope.max_violation(x) <= FEAS_TOL for x in rec.xs]
-    iterate_violations = sum(1 for ok in rec.feasible if not ok)
-    fact1_violations = 0
+    iterate_violations = fact1_violations = 0
     phi = res.safety.phi_delta / res.cfg.sigma if res.cfg.sigma > 0 else 0.0
-    for row, snap in enumerate(rec.snapshots):
-        if snap is None or rec.safe[row] is not True or rec.feasible[row]:
+    for row in rec.rows:
+        row.feasible = res.polytope.max_violation(row.x) <= FEAS_TOL
+        iterate_violations += not row.feasible
+        if row.feasible or row.snapshot is None or not row.verdict.safe:
             continue
-        beta_hat, xtx = snap
+        beta_hat, xtx = row.snapshot
         member = confidence_membership_arrays(beta_hat, xtx, res.cfg.sigma, phi, res.beta_true)
         if bool(np.all(member)):
             fact1_violations += 1
@@ -313,12 +311,10 @@ def run_single(
     h0 = res.objective.value(res.x0) - res.f_star
     if h0 <= 0:
         raise ConfigError("x0 is already optimal; normalized curves are undefined")
-    f_gaps = [f - res.f_star for f in rec.f_vals]
     rep = RepResult(
         seed=seed,
         status=rec.status,
-        normalized=[g / h0 for g in f_gaps],
-        f_gaps=f_gaps,
+        normalized=[(row.f - res.f_star) / h0 for row in rec.rows],
         iterate_violations=iterate_violations,
         probe_violations=oracle.out_of_reach_events,
         fact1_violations=fact1_violations,
@@ -364,7 +360,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunSumm
     mean_curve, std_curve = _aggregate(reps)
     ok = [r for r in reps if r.status != "failed"]
     summary = RunSummary(
-        config=cfg.to_dict(),
+        config=asdict(cfg),
         seeds=seeds,
         reps=reps,
         mean_curve=mean_curve,
@@ -411,7 +407,7 @@ def compare_sfw_ro(cfg: ExperimentConfig, out_dir: str | None = None) -> Compari
         budgets.append(budget)
     wins = sum(1 for a, b in zip(sfw_final, ro_final) if a <= b)
     report = ComparisonReport(
-        config=cfg.to_dict(),
+        config=asdict(cfg),
         seeds=seeds,
         sfw_final=sfw_final,
         ro_final=ro_final,
@@ -419,16 +415,8 @@ def compare_sfw_ro(cfg: ExperimentConfig, out_dir: str | None = None) -> Compari
         sfw_wins=wins,
         fraction_sfw_better=wins / len(seeds),
     )
-    payload = {
-        "config": report.config,
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "seeds": report.seeds,
-        "sfw_final": report.sfw_final,
-        "ro_final": report.ro_final,
-        "budgets": report.budgets,
-        "sfw_wins": report.sfw_wins,
-        "fraction_sfw_better": report.fraction_sfw_better,
-    }
+    fields = asdict(report)
+    payload = {"config": fields.pop("config"), "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"), **fields}
     (out / "comparison.json").write_text(json.dumps(payload, indent=2))
     return report
 
@@ -446,22 +434,23 @@ def _fmt(value) -> str:
 def write_trajectory_csv(rec: TrajectoryRecord, f_star: float, h0: float, path) -> None:
     """One row per iterate; deterministic bytes for a fixed record."""
     lines = [",".join(CSV_COLUMNS)]
-    for t in range(len(rec.xs)):
-        f_gap = rec.f_vals[t] - f_star
-        row = [
-            _fmt(t),
-            _fmt(f_gap),
-            _fmt(f_gap / h0),
-            _fmt(rec.ghat[t]),
-            _fmt(rec.et[t]),
-            _fmt(rec.n_realized[t]),
-            _fmt(rec.n_cum[t]),
-            _fmt(rec.lhs[t]),
-            _fmt(rec.min_margin[t]),
-            _fmt(rec.safe[t]),
-            _fmt(None if rec.feasible is None else rec.feasible[t]),
-        ]
-        lines.append(",".join(row))
+    for t, row in enumerate(rec.rows):
+        f_gap = row.f - f_star
+        v = row.verdict
+        cells = (
+            t,
+            f_gap,
+            f_gap / h0,
+            row.ghat,
+            row.et,
+            row.n_t,
+            row.N_t,
+            math.nan if v is None else v.lhs,
+            math.nan if v is None else v.min_margin,
+            None if v is None else v.safe,
+            row.feasible,
+        )
+        lines.append(",".join(_fmt(c) for c in cells))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -495,20 +484,7 @@ def write_summary_json(summary: RunSummary, path) -> None:
             "mean_n_total": summary.mean_n_total,
             "failed_fraction": summary.failed_fraction,
         },
-        "reps": [
-            {
-                "seed": r.seed,
-                "status": r.status,
-                "normalized": r.normalized,
-                "iterate_violations": r.iterate_violations,
-                "probe_violations": r.probe_violations,
-                "fact1_violations": r.fact1_violations,
-                "n_total": r.n_total,
-                "wall_time": r.wall_time,
-                "error": r.error,
-            }
-            for r in summary.reps
-        ],
+        "reps": [asdict(r) for r in summary.reps],
     }
     Path(path).write_text(json.dumps(payload, indent=2))
 

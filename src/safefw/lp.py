@@ -205,8 +205,25 @@ def solve(p: LpProblem, max_pivots: int = 20000) -> LpSolution:
     return LpSolution(x, float(p.c @ x), "optimal", active)
 
 
+def feasible_bases(A: np.ndarray, b: np.ndarray):
+    """Sweep every d-subset of the rows of A x <= b.
+
+    Yields (point, sigma_min) for each nonsingular subset whose intersection
+    point is feasible; a degenerate vertex appears once per basis.
+    """
+    m, d = A.shape
+    for subset in itertools.combinations(range(m), d):
+        sub = A[list(subset)]
+        svals = np.linalg.svd(sub, compute_uv=False)
+        if svals[-1] <= 1e-10 * max(1.0, svals[0]):
+            continue
+        v = np.linalg.solve(sub, b[list(subset)])
+        if np.all(A @ v - b <= FEAS_TOL):
+            yield v, float(svals[-1])
+
+
 def enumerate_vertices(p: LpProblem, cap_m: int = 16, cap_d: int = 6) -> list[np.ndarray]:
-    """All vertices of {x : A x <= b} by solving every nonsingular d-subset.
+    """All vertices of {x : A x <= b} from the feasible-basis sweep.
 
     Deduplicated at 1e-9. Intended for small instances and for testing the
     simplex path, hence the hard caps on m and d.
@@ -218,13 +235,7 @@ def enumerate_vertices(p: LpProblem, cap_m: int = 16, cap_d: int = 6) -> list[np
             "use the simplex solver or an analytic description for larger instances"
         )
     vertices: list[np.ndarray] = []
-    for subset in itertools.combinations(range(m), d):
-        sub = p.A[list(subset)]
-        svals = np.linalg.svd(sub, compute_uv=False)
-        if svals[-1] <= 1e-10 * max(1.0, svals[0]):
-            continue
-        v = np.linalg.solve(sub, p.b[list(subset)])
-        if np.all(p.A @ v - p.b <= FEAS_TOL):
-            if all(np.linalg.norm(v - u) > 1e-9 for u in vertices):
-                vertices.append(v)
+    for v, _ in feasible_bases(p.A, p.b):
+        if all(np.linalg.norm(v - u) > 1e-9 for u in vertices):
+            vertices.append(v)
     return vertices

@@ -40,20 +40,6 @@ class CrossPattern:
     total: int              # realized measurement count, 2d * multiplicity
 
 
-@dataclass
-class MeasurementBatch:
-    center: np.ndarray
-    points: np.ndarray      # n x d
-    values: np.ndarray      # n x m
-
-    def within_radius(self, omega0: float) -> bool:
-        """Every point offset from the center along one axis by at most omega0."""
-        offsets = self.points - self.center
-        linf = np.max(np.abs(offsets), axis=1)
-        support = np.count_nonzero(np.abs(offsets) > 1e-12, axis=1)
-        return bool(np.all(linf <= omega0 + 1e-12) and np.all(support <= 1))
-
-
 def cross_pattern(x: np.ndarray, omega0: float, n: int) -> CrossPattern:
     """2d probe points x +/- omega0 e_i, each measured ceil(n / 2d) times.
 
@@ -116,12 +102,6 @@ class ConstraintOracle:
         self.calls += 1
         self.measurements += 1
         return self._A @ x - self._b + self._draw(self.m)
-
-    def measure_batch(self, points: np.ndarray) -> MeasurementBatch:
-        """One measurement per row of points, bundled with a shared center."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        values = np.array([self.measure(p) for p in points])
-        return MeasurementBatch(center=points.mean(axis=0), points=points, values=values)
 
     def measure_repeated(self, x: np.ndarray, count: int) -> np.ndarray:
         """Componentwise sum of `count` independent measurements at x."""

@@ -12,8 +12,6 @@ import numpy as np
 
 from . import lp
 
-FEAS_TOL = 1e-9
-
 
 @dataclass
 class Polytope:
@@ -46,7 +44,7 @@ class Polytope:
     def max_violation(self, x: np.ndarray) -> float:
         return float(np.max(self.A @ np.asarray(x, dtype=float) - self.b))
 
-    def contains(self, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
+    def contains(self, x: np.ndarray, tol: float = lp.FEAS_TOL) -> bool:
         return self.max_violation(x) <= tol
 
 
@@ -143,28 +141,6 @@ def validate(p: Polytope) -> ValidationReport:
     return ValidationReport(True, None)
 
 
-def _feasible_basis_pass(p: Polytope, subset_cap: int):
-    """One sweep over d-subsets: feasible intersection points and their sigma_min."""
-    m, d = p.m, p.d
-    if math.comb(m, d) > subset_cap:
-        raise lp.EnumerationCapError(
-            f"{math.comb(m, d)} constraint subsets exceed the cap {subset_cap}; "
-            "supply analytic geometry (rho_min override) for this instance"
-        )
-    vertices: list[np.ndarray] = []
-    sigma_mins: list[float] = []
-    for subset in itertools.combinations(range(m), d):
-        sub = p.A[list(subset)]
-        svals = np.linalg.svd(sub, compute_uv=False)
-        if svals[-1] <= 1e-10 * max(1.0, svals[0]):
-            continue
-        v = np.linalg.solve(sub, p.b[list(subset)])
-        if np.all(p.A @ v - p.b <= FEAS_TOL):
-            vertices.append(v)
-            sigma_mins.append(float(svals[-1]))
-    return vertices, sigma_mins
-
-
 def geometry_constants(
     p: Polytope,
     obj: Objective,
@@ -182,14 +158,19 @@ def geometry_constants(
     if eps0 <= 0.0:
         raise ValueError("x0 must be strictly feasible")
     l_a = float(np.max(np.linalg.norm(p.A, axis=1)))
-    vertices, sigma_mins = _feasible_basis_pass(p, subset_cap)
-    if not vertices:
+    if math.comb(p.m, p.d) > subset_cap:
+        raise lp.EnumerationCapError(
+            f"{math.comb(p.m, p.d)} constraint subsets exceed the cap {subset_cap}; "
+            "supply analytic geometry (rho_min override) for this instance"
+        )
+    bases = list(lp.feasible_bases(p.A, p.b))
+    if not bases:
         raise ValueError("no vertices found; polytope is unbounded or empty")
-    V = np.array(vertices)
+    V = np.array([v for v, _ in bases])
     gamma0 = float(np.max(np.linalg.norm(V, axis=1)))
     diffs = V[:, None, :] - V[None, :, :]
     gamma = float(np.max(np.linalg.norm(diffs, axis=2)))
-    rho_min = float(min(sigma_mins)) if rho_min_override is None else float(rho_min_override)
+    rho_min = min(s for _, s in bases) if rho_min_override is None else float(rho_min_override)
     if rho_min <= 0.0:
         raise ValueError("rho_min must be positive for a valid polytope")
     return GeometryConstants(

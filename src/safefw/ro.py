@@ -17,7 +17,7 @@ from . import lp
 from .estimator import ConstraintEstimator
 from .oracle import ConstraintOracle, cross_pattern
 from .safety import SafetyConfig, fact2_check
-from .sfw import ProblemSetup, TrajectoryRecord, _pad_final_row, surrogate_gap
+from .sfw import ProblemSetup, TrajectoryRecord, dfs_problem, surrogate_gap
 
 
 @dataclass
@@ -76,9 +76,9 @@ def soc_linmin(
     c = np.asarray(c, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
     d = est.d
-    eye = np.eye(d)
-    rows = [np.vstack([est.a_hat().T, eye, -eye])]
-    rhs = [np.concatenate([est.b_hat(), np.full(2 * d, guard)])]
+    relaxation = dfs_problem(est, c, guard)
+    rows = [relaxation.A]
+    rhs = [relaxation.b]
     lp_values: list[float] = []
     point = anchor.copy()
     for cut in range(max_cuts + 1):
@@ -137,23 +137,19 @@ def ro_run(
 
     rec = TrajectoryRecord()
     x = setup.x0.copy()
-    rec._append_iterate(x, obj.value(x), fact2_check(est, scfg, x), est)
-    rec.total_measurements = est.N
-    if not rec.safe[0]:
+    verdict = fact2_check(est, scfg, x)
+    if not verdict.safe:
+        rec.add(x, obj.value(x), est.N, verdict, est)
         rec.status = "safety-set-empty"
-        _pad_final_row(rec, est.N)
         return rec
     for t in range(rcfg.T):
         grad = obj.gradient(x)
         res = soc_linmin(est, scfg, grad, setup.dfs_guard, site)
-        rec.ghat.append(surrogate_gap(grad, x, res.point))
-        rec.et.append(math.nan)
-        rec.n_realized.append(pattern.total if t == 0 else 0)
-        rec.n_cum.append(est.N)
-        rec.s_hats.append(res.point.copy())
-        rec.dfs_status.append("soc-warning" if res.warning else "soc-optimal")
-        rec.extra_batches.append(0)
+        gap = surrogate_gap(grad, x, res.point)
+        status = "soc-warning" if res.warning else "soc-optimal"
+        n_t = pattern.total if t == 0 else 0
+        rec.add(x, obj.value(x), est.N, verdict, est).record_step(res.point, gap, math.nan, n_t, est.N, status)
         x = x + (res.point - x) / (t + 2)
-        rec._append_iterate(x, obj.value(x), fact2_check(est, scfg, x), est)
-    _pad_final_row(rec, est.N)
+        verdict = fact2_check(est, scfg, x)
+    rec.add(x, obj.value(x), est.N, verdict, est)
     return rec

@@ -97,25 +97,22 @@ def margins(est: ConstraintEstimator, x: np.ndarray) -> np.ndarray:
     return est.b_hat() - x @ est.a_hat()
 
 
-def fact2_check(est: ConstraintEstimator, cfg: SafetyConfig, x: np.ndarray) -> SafetyVerdict:
-    """Scalar safety test: phi * sqrt(1/N + (x-xbar)^T R (x-xbar)) <= min margin.
-
-    Ties count as safe.
-    """
-    x = np.asarray(x, dtype=float)
-    xbar, R = est.block_quantities()
-    diff = x - xbar
-    lhs = cfg.phi_delta * math.sqrt(1.0 / est.N + float(diff @ R @ diff))
+def _verdict(est: ConstraintEstimator, x: np.ndarray, lhs: float) -> SafetyVerdict:
+    """Compare the uncertainty radius lhs with the smallest estimated margin at x; ties count as safe."""
     eps = margins(est, x)
     binding = int(np.argmin(eps))
     min_margin = float(eps[binding])
     return SafetyVerdict(
-        safe=lhs <= min_margin,
-        lhs=lhs,
-        min_margin=min_margin,
-        margins=eps,
-        binding_constraint=binding,
+        safe=lhs <= min_margin, lhs=lhs, min_margin=min_margin, margins=eps, binding_constraint=binding
     )
+
+
+def fact2_check(est: ConstraintEstimator, cfg: SafetyConfig, x: np.ndarray) -> SafetyVerdict:
+    """Scalar safety test: phi * sqrt(1/N + (x-xbar)^T R (x-xbar)) <= min margin."""
+    x = np.asarray(x, dtype=float)
+    xbar, R = est.block_quantities()
+    diff = x - xbar
+    return _verdict(est, x, cfg.phi_delta * math.sqrt(1.0 / est.N + float(diff @ R @ diff)))
 
 
 def soc_check(est: ConstraintEstimator, cfg: SafetyConfig, x: np.ndarray) -> SafetyVerdict:
@@ -128,17 +125,7 @@ def soc_check(est: ConstraintEstimator, cfg: SafetyConfig, x: np.ndarray) -> Saf
     x = np.asarray(x, dtype=float)
     z = np.append(x, -1.0)
     quad = float(z @ est.P @ z)
-    lhs = cfg.phi_delta * math.sqrt(max(quad, 0.0))
-    eps = margins(est, x)
-    binding = int(np.argmin(eps))
-    min_margin = float(eps[binding])
-    return SafetyVerdict(
-        safe=lhs <= min_margin,
-        lhs=lhs,
-        min_margin=min_margin,
-        margins=eps,
-        binding_constraint=binding,
-    )
+    return _verdict(est, x, cfg.phi_delta * math.sqrt(max(quad, 0.0)))
 
 
 def c_delta_constant(geo: GeometryConstants, phi_delta: float, omega0: float, d: int) -> float:

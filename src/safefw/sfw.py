@@ -63,59 +63,68 @@ class ProblemSetup:
 
 
 @dataclass
-class TrajectoryRecord:
-    """Per-iterate history of a run. Lists indexed by iterate; iteration-only
-    fields (directions, DFS statuses, extra batches) have one entry per step.
+class IterationRow:
+    """One iterate of a run and the Frank-Wolfe step taken from it.
 
-    feasible is filled by the harness against ground truth; the driver never
-    sees the true constraints.
+    An iterate that takes no step (the last one, unless the run stopped
+    early) keeps the step defaults: no s_hat, ghat = et = nan, n_t = 0, and
+    N_t is the run total. feasible is filled by the harness against ground
+    truth; the driver never sees the true constraints.
     """
 
-    xs: list[np.ndarray] = field(default_factory=list)
-    f_vals: list[float] = field(default_factory=list)
-    ghat: list[float] = field(default_factory=list)
-    et: list[float] = field(default_factory=list)
-    n_realized: list[int] = field(default_factory=list)
-    n_cum: list[int] = field(default_factory=list)
-    lhs: list[float] = field(default_factory=list)
-    min_margin: list[float] = field(default_factory=list)
-    safe: list[bool | None] = field(default_factory=list)
-    s_hats: list[np.ndarray] = field(default_factory=list)
-    dfs_status: list[str] = field(default_factory=list)
-    extra_batches: list[int] = field(default_factory=list)
-    lhs_decay_pairs: list[tuple[float, float]] = field(default_factory=list)
-    snapshots: list[tuple[np.ndarray, np.ndarray] | None] = field(default_factory=list)
+    x: np.ndarray
+    f: float
+    verdict: SafetyVerdict | None = None
+    snapshot: tuple[np.ndarray, np.ndarray] | None = None  # (beta_hat, xtx) behind the verdict
+    s_hat: np.ndarray | None = None
+    ghat: float = math.nan
+    et: float = math.nan
+    n_t: int = 0
+    N_t: int = 0
+    dfs_status: str | None = None
+    extras: int = 0
+    feasible: bool | None = None
+
+    def record_step(self, s_hat, ghat: float, et: float, n_t: int, N_t: int, dfs_status: str, extras: int = 0):
+        """Record the step taken from this iterate: direction, gap and bound, measurements."""
+        self.s_hat = np.asarray(s_hat, dtype=float).copy()
+        self.ghat, self.et, self.n_t, self.N_t = ghat, et, n_t, N_t
+        self.dfs_status, self.extras = dfs_status, extras
+
+
+def _snapshot(est: ConstraintEstimator) -> tuple[np.ndarray, np.ndarray]:
+    return est.beta_hat.copy(), est.xtx()
+
+
+@dataclass
+class TrajectoryRecord:
+    """Per-iterate history of a run: one IterationRow per iterate."""
+
+    rows: list[IterationRow] = field(default_factory=list)
     status: str = "completed"
     stopped_at: int | None = None
-    total_measurements: int = 0
-    feasible: list[bool] | None = None
+
+    def add(self, x, f: float, N_t: int, verdict: SafetyVerdict | None = None, est=None) -> IterationRow:
+        """Append the row of a new iterate; est is the estimate behind the verdict."""
+        snapshot = None if est is None else _snapshot(est)
+        row = IterationRow(np.asarray(x, dtype=float).copy(), float(f), verdict, snapshot, N_t=N_t)
+        self.rows.append(row)
+        return row
 
     @property
-    def final_x(self) -> np.ndarray:
-        return self.xs[-1]
+    def total_measurements(self) -> int:
+        return self.rows[-1].N_t if self.rows else 0
+
+    @property
+    def extra_batches(self) -> list[int]:
+        return [r.extras for r in self.rows if r.s_hat is not None]
+
+    @property
+    def dfs_status(self) -> list[str]:
+        return [r.dfs_status for r in self.rows if r.s_hat is not None]
 
     def steps(self) -> int:
-        return len(self.s_hats)
-
-    def _append_iterate(self, x, f, verdict: SafetyVerdict | None, est=None):
-        self.xs.append(np.asarray(x, dtype=float).copy())
-        self.f_vals.append(float(f))
-        self.snapshots.append(None if est is None else (est.beta_hat.copy(), est.xtx()))
-        if verdict is None:
-            self.lhs.append(math.nan)
-            self.min_margin.append(math.nan)
-            self.safe.append(None)
-        else:
-            self.lhs.append(verdict.lhs)
-            self.min_margin.append(verdict.min_margin)
-            self.safe.append(verdict.safe)
-
-    def _set_verdict(self, row: int, verdict: SafetyVerdict, est=None):
-        self.lhs[row] = verdict.lhs
-        self.min_margin[row] = verdict.min_margin
-        self.safe[row] = verdict.safe
-        if est is not None:
-            self.snapshots[row] = (est.beta_hat.copy(), est.xtx())
+        return sum(1 for r in self.rows if r.s_hat is not None)
 
 
 def surrogate_gap(grad: np.ndarray, x: np.ndarray, s_hat: np.ndarray) -> float:
@@ -137,17 +146,21 @@ def et_bound(cfg: SafetyConfig, geo: GeometryConstants, M: float, N: int, d: int
     return M * c_delta / math.sqrt(N)
 
 
-def solve_dfs(est: ConstraintEstimator, guard: float, grad: np.ndarray) -> lp.LpSolution:
-    """Linear minimization of <grad, s> over the estimated polytope.
+def dfs_problem(est: ConstraintEstimator, c: np.ndarray, guard: float) -> lp.LpProblem:
+    """min <c, s> over the estimated polytope inside the box |s_i| <= guard.
 
-    A box |s_i| <= guard keeps the LP bounded while estimates are rough; the
-    guard rows are inactive once the estimates are accurate.
+    The guard rows [I; -I] keep the LP bounded while estimates are rough;
+    they are inactive once the estimates are accurate.
     """
-    d = est.d
-    eye = np.eye(d)
+    eye = np.eye(est.d)
     A = np.vstack([est.a_hat().T, eye, -eye])
-    b = np.concatenate([est.b_hat(), np.full(2 * d, guard)])
-    return lp.solve(lp.LpProblem(np.asarray(grad, dtype=float), A, b))
+    b = np.concatenate([est.b_hat(), np.full(2 * est.d, guard)])
+    return lp.LpProblem(np.asarray(c, dtype=float), A, b)
+
+
+def solve_dfs(est: ConstraintEstimator, guard: float, grad: np.ndarray) -> lp.LpSolution:
+    """Linear minimization of <grad, s> over the guarded estimated polytope."""
+    return lp.solve(dfs_problem(est, grad, guard))
 
 
 def _absorb_cross(
@@ -202,38 +215,23 @@ def run(
 
 def _run_prescribed(setup, oracle, est, scfg, cfg) -> TrajectoryRecord:
     obj = setup.objective
-    d = setup.d
     rec = TrajectoryRecord()
     x = setup.x0.copy()
-    rec._append_iterate(x, obj.value(x), None)
-    total = 0
     for t in range(cfg.T):
-        n_req = max(nt_schedule(scfg.cn, t), 2 * d)
-        total += _absorb_cross(oracle, est, x, scfg.omega0, n_req)
-        rec._set_verdict(t, fact2_check(est, scfg, x), est)  # asserted, not enforced
+        n_t = _absorb_cross(oracle, est, x, scfg.omega0, max(nt_schedule(scfg.cn, t), 2 * setup.d))
+        row = rec.add(x, obj.value(x), est.N, fact2_check(est, scfg, x), est)  # asserted, not enforced
         grad = obj.gradient(x)
         s_hat, status, extra = _dfs_direction(est, oracle, setup, scfg, x, grad, remeasure=True)
-        total += extra
         gap = surrogate_gap(grad, x, s_hat)
-        bound = et_bound(scfg, setup.geometry, obj.M, est.N, d)
-        rec.ghat.append(gap)
-        rec.et.append(bound)
-        rec.n_realized.append(total - (rec.n_cum[-1] if rec.n_cum else 0))
-        rec.n_cum.append(total)
-        rec.s_hats.append(s_hat.copy())
-        rec.dfs_status.append(status)
-        rec.extra_batches.append(0)
+        bound = et_bound(scfg, setup.geometry, obj.M, est.N, setup.d)
+        row.record_step(s_hat, gap, bound, n_t + extra, est.N, status)
         if gap + bound <= cfg.epsilon:
             rec.status = "stopped-early"
             rec.stopped_at = t
-            break
+            return rec
         gamma = 1.0 / (t + 2)
         x = x + gamma * (s_hat - x)
-        rec._append_iterate(x, obj.value(x), None)
-    else:
-        rec._set_verdict(len(rec.xs) - 1, fact2_check(est, scfg, x), est)
-    _pad_final_row(rec, total)
-    rec.total_measurements = total
+    rec.add(x, obj.value(x), est.N, fact2_check(est, scfg, x), est)
     return rec
 
 
@@ -242,108 +240,68 @@ def adaptive_step(
     scfg: SafetyConfig,
     oracle: ConstraintOracle,
     setup: ProblemSetup,
-    x: np.ndarray,
+    rec: TrajectoryRecord,
     t: int,
     budget_left: int,
     epsilon: float = -math.inf,
-    rec: TrajectoryRecord | None = None,
-) -> tuple[np.ndarray | None, SafetyVerdict | None, dict]:
-    """One adaptive iteration at x = x_t.
+) -> IterationRow | str:
+    """One adaptive iteration from x_t, the iterate of rec's last row.
 
     Takes the 2d*t warm-up batch (one full cross at t = 0), solves the DFS and
     checks the stopping rule, then keeps adding single cross batches at x_t,
     re-estimating and re-solving, until the stepped candidate passes the
-    scalar safety test. The info dict flags early stopping and budget
-    exhaustion; extra safety batches never precede the stop check.
+    scalar safety test. Records the step on x_t's row and returns the row
+    appended for the certified candidate, or the run status "stopped-early"
+    or "budget-exhausted". Extra safety batches never precede the stop check.
     """
     d = setup.d
     obj = setup.objective
+    row = rec.rows[-1]
+    x = row.x
     gamma = 1.0 / (t + 2)
     taken = _absorb_cross(oracle, est, x, scfg.omega0, 2 * d * max(t, 1))
     grad = obj.gradient(x)
     extras = 0
-    first = True
     while True:
-        s_hat, status, extra = _dfs_direction(est, oracle, setup, scfg, x, grad, remeasure=False)
+        s_hat, status, _ = _dfs_direction(est, oracle, setup, scfg, x, grad, remeasure=False)
         candidate = x + gamma * (s_hat - x)
         verdict = fact2_check(est, scfg, candidate)
-        info = {
-            "taken": taken,
-            "extras": extras,
-            "s_hat": s_hat,
-            "dfs_status": status,
-            "ghat": surrogate_gap(grad, x, s_hat),
-            "et": et_bound(scfg, setup.geometry, obj.M, est.N, d),
-        }
-        if first and info["ghat"] + info["et"] <= epsilon:
-            info["stop"] = True
-            return None, None, info
-        first = False
+        if extras == 0:
+            ghat = surrogate_gap(grad, x, s_hat)
+            et = et_bound(scfg, setup.geometry, obj.M, est.N, d)
+            if ghat + et <= epsilon:
+                outcome = "stopped-early"
+                break
         if verdict.safe:
-            return candidate, verdict, info
+            outcome = rec.add(candidate, obj.value(candidate), est.N, verdict, est)
+            break
         if taken + 2 * d > budget_left:
-            info["budget_exhausted"] = True
-            return None, None, info
-        lhs_before = verdict.lhs
+            outcome = "budget-exhausted"
+            break
         taken += _absorb_cross(oracle, est, x, scfg.omega0, 2 * d)
-        info["taken"] = taken
         extras += 1
-        if rec is not None:
-            rec.lhs_decay_pairs.append((lhs_before, fact2_check(est, scfg, candidate).lhs))
+    if extras:
+        ghat = surrogate_gap(grad, x, s_hat)
+        et = et_bound(scfg, setup.geometry, obj.M, est.N, d)
+    row.record_step(s_hat, ghat, et, taken, est.N, status, extras)
+    return outcome
 
 
 def _run_adaptive(setup, oracle, est, scfg, cfg) -> TrajectoryRecord:
-    obj = setup.objective
     rec = TrajectoryRecord()
-    x = setup.x0.copy()
-    rec._append_iterate(x, obj.value(x), None)
+    first = rec.add(setup.x0, setup.objective.value(setup.x0), 0)
     for t in range(cfg.T):
-        warmup = 2 * setup.d * max(t, 1)
-        if t > 0 and est.N + warmup > cfg.max_total_measurements:
-            rec.status = "budget-exhausted"
-            rec.stopped_at = t
-            break
-        candidate, verdict, info = adaptive_step(
-            est,
-            scfg,
-            oracle,
-            setup,
-            x,
-            t,
-            cfg.max_total_measurements - est.N,
-            epsilon=cfg.epsilon,
-            rec=rec,
-        )
+        if t > 0 and est.N + 2 * setup.d * t > cfg.max_total_measurements:
+            outcome = "budget-exhausted"
+        else:
+            outcome = adaptive_step(est, scfg, oracle, setup, rec, t, cfg.max_total_measurements - est.N, cfg.epsilon)
         if t == 0:
-            rec._set_verdict(0, fact2_check(est, scfg, x), est)
-        rec.ghat.append(info["ghat"])
-        rec.et.append(info["et"])
-        rec.n_realized.append(info["taken"])
-        rec.n_cum.append(est.N)
-        rec.dfs_status.append(info["dfs_status"])
-        rec.extra_batches.append(info["extras"])
-        rec.s_hats.append(np.asarray(info["s_hat"], dtype=float).copy())
-        if candidate is None:
-            if info.get("stop"):
-                rec.status = "stopped-early"
-            else:
-                rec.status = "budget-exhausted"
+            first.verdict, first.snapshot = fact2_check(est, scfg, first.x), _snapshot(est)
+        if isinstance(outcome, str):
+            rec.status = outcome
             rec.stopped_at = t
             break
-        x = candidate
-        rec._append_iterate(x, obj.value(x), verdict, est)
-    _pad_final_row(rec, est.N)
-    rec.total_measurements = est.N
     return rec
-
-
-def _pad_final_row(rec: TrajectoryRecord, total: int) -> None:
-    """Align iteration lists with the iterate list (final iterate has no batch)."""
-    while len(rec.ghat) < len(rec.xs):
-        rec.ghat.append(math.nan)
-        rec.et.append(math.nan)
-        rec.n_realized.append(0)
-        rec.n_cum.append(total)
 
 
 def run_fw_reference(
@@ -359,25 +317,17 @@ def run_fw_reference(
     """
     rec = TrajectoryRecord()
     x = np.asarray(x0, dtype=float).copy()
-    rec._append_iterate(x, objective.value(x), None)
     for t in range(T):
         grad = objective.gradient(x)
         sol = lp.solve(lp.LpProblem(grad, polytope.A, polytope.b))
         if sol.status != "optimal":
             raise ValueError(f"linear subproblem over the true polytope is {sol.status}")
         gap = surrogate_gap(grad, x, sol.point)
-        rec.ghat.append(gap)
-        rec.et.append(0.0)
-        rec.n_realized.append(0)
-        rec.n_cum.append(0)
-        rec.s_hats.append(sol.point.copy())
-        rec.dfs_status.append("optimal")
-        rec.extra_batches.append(0)
+        rec.add(x, objective.value(x), 0).record_step(sol.point, gap, 0.0, 0, 0, "optimal")
         if epsilon is not None and gap <= epsilon:
             rec.status = "stopped-early"
             rec.stopped_at = t
-            break
+            return rec
         x = x + (sol.point - x) / (t + 2)
-        rec._append_iterate(x, objective.value(x), None)
-    _pad_final_row(rec, 0)
+    rec.add(x, objective.value(x), 0)
     return rec

@@ -29,11 +29,24 @@ def random_bounded_polytope(rng, d, m):
     return Polytope(A, b)
 
 
+class RecordingEstimator(ConstraintEstimator):
+    """Estimator that also keeps every absorbed (point, count, value sum) row,
+    so tests can re-solve the least-squares problem densely."""
+
+    def __init__(self, d, m):
+        super().__init__(d, m)
+        self.rows = []
+
+    def absorb_repeated(self, point, value_sum, count):
+        super().absorb_repeated(point, value_sum, count)
+        self.rows.append((np.array(point, dtype=float), int(count), np.array(value_sum, dtype=float)))
+
+
 def random_estimator(rng, d, m, n, spread=1.0, sigma=0.0, beta=None):
-    """An estimator fed n random probe rows; returns (estimator, beta_true)."""
+    """A recording estimator fed n random probe rows; returns (estimator, beta_true)."""
     if beta is None:
         beta = rng.normal(0.0, 1.0, (d + 1, m))
-    est = ConstraintEstimator(d, m)
+    est = RecordingEstimator(d, m)
     for _ in range(n):
         x = rng.uniform(-spread, spread, d)
         clean = x @ beta[:d, :] - beta[d, :]

@@ -120,16 +120,16 @@ def test_criterion_3_adaptive_measurement_totals(adaptive_sweep):
 def test_criterion_4_convergence_envelope(zero_noise_run):
     _, geo, rec = zero_noise_run
     f_star = 0.5
-    h0 = rec.f_vals[0] - f_star
+    h0 = rec.rows[0].f - f_star
     worst_slack = -math.inf
-    for t in range(len(rec.xs)):
-        h_t = rec.f_vals[t] - f_star
+    for t, row in enumerate(rec.rows):
+        h_t = row.f - f_star
         slack = h_t * (t + 2) - (h0 + math.log(t + 2) * geo.cf_bound / 2.0)
         worst_slack = max(worst_slack, slack)
     report(
         4,
         "zero-noise convergence envelope",
-        len(rec.xs) == 51 and worst_slack <= 1e-6,
+        len(rec.rows) == 51 and worst_slack <= 1e-6,
         f"max envelope slack {worst_slack:.3e} over t <= 50",
     )
 
@@ -143,13 +143,13 @@ def test_criterion_5_gap_error_bound():
     held = total = 0
     for seed in range(cfg.repetitions):
         rec, rep = run_single(res, seed)
-        for t in range(rec.steps()):
-            grad = res.objective.gradient(rec.xs[t])
+        for row in rec.rows[: rec.steps()]:
+            grad = res.objective.gradient(row.x)
             sol = lp.solve(lp.LpProblem(grad, res.polytope.A, res.polytope.b))
-            g_true = float(grad @ (rec.xs[t] - sol.point))
-            bound = M * c_delta / math.sqrt(rec.n_cum[t])
+            g_true = float(grad @ (row.x - sol.point))
+            bound = M * c_delta / math.sqrt(row.N_t)
             total += 1
-            held += abs(rec.ghat[t] - g_true) <= bound
+            held += abs(row.ghat - g_true) <= bound
     frac = held / total
     need = (1.0 - res.safety.delta_bar) - 0.02
     report(
@@ -288,8 +288,8 @@ def test_criterion_11_margin_decay(zero_noise_run):
     p, geo, rec = zero_noise_run
     worst = math.inf
     ok = True
-    for t, x in enumerate(rec.xs):
-        slack = float(np.min(p.margins(x))) - (geo.eps0 / (t + 2) - 1e-9)
+    for t, row in enumerate(rec.rows):
+        slack = float(np.min(p.margins(row.x))) - (geo.eps0 / (t + 2) - 1e-9)
         worst = min(worst, slack)
         ok = ok and slack >= 0.0
     report(11, "zero-noise margin decay", ok, f"min slack above eps0/(t+2) is {worst:.3e}")

@@ -16,7 +16,7 @@ from safefw.estimator import (
 from safefw.oracle import cross_pattern
 from safefw.problem import box_polytope
 
-from helpers import cross_fed_estimator, random_estimator
+from helpers import RecordingEstimator, cross_fed_estimator, random_estimator
 
 
 def dense_beta(rows):
@@ -51,7 +51,7 @@ def test_rank_one_matches_dense_solve():
 
 def test_rank_one_matches_dense_at_prefixes():
     rng = np.random.default_rng(1)
-    est = ConstraintEstimator(2, 3)
+    est = RecordingEstimator(2, 3)
     beta = rng.normal(0, 1, (3, 3))
     for k in range(60):
         x = rng.uniform(-1, 1, 2)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from safefw.oracle import ConstraintOracle, MeasurementBatch, NoiseModel, cross_pattern
+from safefw.oracle import ConstraintOracle, NoiseModel, cross_pattern
 from safefw.problem import box_polytope
 
 
@@ -122,26 +122,12 @@ def test_out_of_reach_accounting():
     assert o.out_of_reach_events == 1
 
 
-def test_measurement_batch_radius_invariant():
-    o = make_oracle()
-    pat = cross_pattern(np.array([0.2, -0.1]), 0.05, 4)
-    batch = MeasurementBatch(center=pat.center, points=pat.points, values=np.zeros((4, 4)))
-    assert batch.within_radius(0.05)
-    assert not batch.within_radius(0.04)
-    skew = MeasurementBatch(
-        center=pat.center,
-        points=pat.center + np.array([[0.03, 0.03]]),
-        values=np.zeros((1, 4)),
-    )
-    assert not skew.within_radius(0.05)  # off-axis offset
-
-
-def test_measure_batch_shapes():
-    o = make_oracle(sigma=0.0)
-    pat = cross_pattern(np.zeros(2), 0.01, 4)
-    batch = o.measure_batch(pat.points)
-    assert batch.values.shape == (4, 4)
-    assert np.allclose(batch.values.mean(axis=0), -1.0)
+def test_cross_pattern_radius_invariant():
+    for center, omega0, n in (([0.2, -0.1], 0.05, 4), ([0.0, 0.3, -0.7], 0.01, 13)):
+        pat = cross_pattern(np.array(center), omega0, n)
+        offsets = pat.points - pat.center
+        assert np.all(np.max(np.abs(offsets), axis=1) <= omega0 + 1e-12)
+        assert np.all(np.count_nonzero(np.abs(offsets) > 1e-12, axis=1) == 1)  # one axis each
 
 
 def test_noise_model_validation():

@@ -95,17 +95,17 @@ def test_zero_noise_run_matches_classical_fw():
     rec = ro_run(setup, oracle, est, scfg, RoConfig(total_measurements=40, T=15))
     ref = run_fw_reference(p, setup.objective, setup.x0, 15)
     assert rec.status == "completed"
-    for a, b in zip(rec.xs, ref.xs):
-        assert np.linalg.norm(a - b) <= 1e-8
+    for a, b in zip(rec.rows, ref.rows):
+        assert np.linalg.norm(a.x - b.x) <= 1e-8
 
 
 def test_run_iterates_stay_in_safety_set():
     p, setup, oracle, est, scfg = setup_d2(sigma=0.1, seed=5, omega0=0.01)
     rec = ro_run(setup, oracle, est, scfg, RoConfig(total_measurements=4000, T=15))
     assert rec.status == "completed"
-    for x in rec.xs:
-        assert soc_violation(est, scfg, x) <= 1e-6
-    assert all(p.max_violation(x) <= 1e-9 for x in rec.xs)
+    for row in rec.rows:
+        assert soc_violation(est, scfg, row.x) <= 1e-6
+    assert all(p.max_violation(row.x) <= 1e-9 for row in rec.rows)
     assert rec.total_measurements >= 4000
 
 
@@ -116,7 +116,7 @@ def test_small_budget_hurts_final_value():
         for seed in range(6):
             p, setup, oracle, est, scfg = setup_d2(sigma=0.1, seed=seed, omega0=0.01)
             rec = ro_run(setup, oracle, est, scfg, RoConfig(total_measurements=budget, T=15))
-            gaps.append(rec.f_vals[-1] - 0.5)
+            gaps.append(rec.rows[-1].f - 0.5)
         finals[budget] = float(np.mean(gaps))
     assert finals[6] >= finals[2000] - 1e-9
 
@@ -125,7 +125,7 @@ def test_empty_safety_set_is_reported():
     p, setup, oracle, est, scfg = setup_d2(sigma=0.1, seed=6, omega0=0.01, phi_override=1e6)
     rec = ro_run(setup, oracle, est, scfg, RoConfig(total_measurements=100, T=15))
     assert rec.status == "safety-set-empty"
-    assert len(rec.xs) == 1
+    assert len(rec.rows) == 1
 
 
 def test_budget_validation():

@@ -76,22 +76,27 @@ def test_fact2_matches_soc_everywhere():
 
 
 def test_lhs_non_increasing_with_new_batches():
+    """Each extra cross batch at x_t shrinks the uncertainty radius at x_t and at
+    the stepped candidates x_t + gamma (s - x_t) the adaptive loop tests."""
     from helpers import cross_fed_estimator
     from safefw.oracle import cross_pattern
 
     p = box_polytope(2)
-    est, oracle = cross_fed_estimator(p, 0.05, 3, 0.01, [np.zeros(2)], [4])
     cfg = config(0.5)
-    center = np.zeros(2)
-    probes = [center, np.array([0.4, 0.1])]  # batch center and an off-center point
-    prev = [fact2_check(est, cfg, x).lhs for x in probes]
-    for _ in range(6):
-        pat = cross_pattern(center, 0.01, 4)
-        for pt in pat.points:
-            est.absorb_repeated(pt, oracle.measure_repeated(pt, 1), 1)
-        cur = [fact2_check(est, cfg, x).lhs for x in probes]
-        assert all(c <= p_ + 1e-12 for c, p_ in zip(cur, prev))
-        prev = cur
+    vertices = [np.array(v, dtype=float) for v in ([1, 1], [1, -1], [-1, -1])]
+    for seed, center in enumerate(([0.0, 0.0], [0.4, 0.1], [-0.6, 0.5], [0.85, -0.8])):
+        center = np.array(center)
+        est, oracle = cross_fed_estimator(p, 0.05, 3 + seed, 0.01, [np.zeros(2), center], [4, 4 * (seed + 1)])
+        probes = [center, np.array([0.4, 0.1])]
+        probes += [center + gamma * (v - center) for v in vertices for gamma in (0.5, 1.0 / 7, 1.0 / 16)]
+        prev = [fact2_check(est, cfg, x).lhs for x in probes]
+        for _ in range(6):
+            pat = cross_pattern(center, 0.01, 4)
+            for pt in pat.points:
+                est.absorb_repeated(pt, oracle.measure_repeated(pt, 1), 1)
+            cur = [fact2_check(est, cfg, x).lhs for x in probes]
+            assert all(c <= p_ + 1e-12 for c, p_ in zip(cur, prev))
+            prev = cur
 
 
 def test_cn_lower_bound_quadratic_in_phi():

@@ -52,11 +52,11 @@ def test_gap_upper_bounds_suboptimality_zero_noise():
     p, setup, oracle, est, scfg = box_setup(sigma=0.0)
     rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, T=15, variant="adaptive"))
     f_star = 0.5
-    for t in range(rec.steps()):
-        grad = setup.objective.gradient(rec.xs[t])
+    for row in rec.rows[: rec.steps()]:
+        grad = setup.objective.gradient(row.x)
         true_sol = lp.solve(lp.LpProblem(grad, p.A, p.b))
-        true_gap = surrogate_gap(grad, rec.xs[t], true_sol.point)
-        assert rec.f_vals[t] - f_star <= true_gap + 1e-9
+        true_gap = surrogate_gap(grad, row.x, true_sol.point)
+        assert row.f - f_star <= true_gap + 1e-9
 
 
 def test_et_bound_scalings():
@@ -83,16 +83,16 @@ def test_zero_noise_matches_classical_fw():
         rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, T=15, variant=variant))
         ref = run_fw_reference(p, setup.objective, setup.x0, 15)
         assert rec.status == "completed"
-        assert len(rec.xs) == len(ref.xs)
-        for a, b in zip(rec.xs, ref.xs):
-            assert np.linalg.norm(a - b) <= 1e-9
+        assert len(rec.rows) == len(ref.rows)
+        for a, b in zip(rec.rows, ref.rows):
+            assert np.linalg.norm(a.x - b.x) <= 1e-9
 
 
 def test_zero_noise_margin_decay():
     p, setup, oracle, est, scfg = box_setup(sigma=0.0)
     rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, T=15, variant="adaptive"))
-    for t, x in enumerate(rec.xs):
-        assert float(np.min(p.margins(x))) >= 1.0 / (t + 2) - 1e-9
+    for t, row in enumerate(rec.rows):
+        assert float(np.min(p.margins(row.x))) >= 1.0 / (t + 2) - 1e-9
 
 
 def test_stop_immediately_with_infinite_target():
@@ -101,7 +101,7 @@ def test_stop_immediately_with_infinite_target():
         rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=math.inf, T=15, variant=variant))
         assert rec.status == "stopped-early"
         assert rec.stopped_at == 0
-        assert len(rec.xs) == 1
+        assert len(rec.rows) == 1
 
 
 def test_prescribed_total_matches_schedule_arithmetic():
@@ -112,7 +112,7 @@ def test_prescribed_total_matches_schedule_arithmetic():
         2 * d * math.ceil(max(nt_schedule(96.0, t), 2 * d) / (2 * d)) for t in range(15)
     )
     assert rec.total_measurements == expected
-    assert rec.n_cum[-1] == expected
+    assert rec.rows[-1].N_t == expected
     assert rec.status == "completed"
 
 
@@ -125,9 +125,9 @@ def test_prescribed_requires_positive_cn():
 def test_step_recurrence_exact():
     _, setup, oracle, est, scfg = box_setup(sigma=0.01, seed=5)
     rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, T=15, variant="adaptive"))
-    for t in range(len(rec.xs) - 1):
+    for t, (row, nxt) in enumerate(zip(rec.rows, rec.rows[1:])):
         gamma = 1.0 / (t + 2)
-        drift = rec.xs[t + 1] - rec.xs[t] - gamma * (rec.s_hats[t] - rec.xs[t])
+        drift = nxt.x - row.x - gamma * (row.s_hat - row.x)
         assert np.linalg.norm(drift) <= 1e-12
 
 
@@ -135,14 +135,6 @@ def test_adaptive_zero_noise_needs_no_extras():
     _, setup, oracle, est, scfg = box_setup(sigma=0.0)
     rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, T=15, variant="adaptive"))
     assert sum(rec.extra_batches) == 0
-
-
-def test_adaptive_lhs_decays_across_extra_batches():
-    _, setup, oracle, est, scfg = box_setup(sigma=0.01, seed=7)
-    rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, T=15, variant="adaptive"))
-    assert rec.lhs_decay_pairs  # the run needed at least one extra batch
-    for before, after in rec.lhs_decay_pairs:
-        assert after < before + 1e-12
 
 
 def test_adaptive_budget_exhaustion():
@@ -156,17 +148,16 @@ def test_adaptive_budget_exhaustion():
 def test_measurement_counts_strictly_increase():
     _, setup, oracle, est, scfg = box_setup(sigma=0.01, seed=9)
     rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, T=15, variant="adaptive"))
-    steps = rec.steps()
-    assert all(rec.n_cum[t] < rec.n_cum[t + 1] for t in range(steps - 1))
-    assert all(rec.n_realized[t] > 0 for t in range(steps))
+    stepped = rec.rows[: rec.steps()]
+    assert all(a.N_t < b.N_t for a, b in zip(stepped, stepped[1:]))
+    assert all(row.n_t > 0 for row in stepped)
 
 
 def test_safety_verdicts_recorded_per_iterate():
     _, setup, oracle, est, scfg = box_setup(sigma=0.01, seed=11)
     rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, T=15, variant="adaptive"))
-    assert len(rec.safe) == len(rec.xs) == len(rec.lhs) == len(rec.min_margin)
-    assert all(flag is True for flag in rec.safe)
-    assert all(rec.lhs[t] <= rec.min_margin[t] for t in range(len(rec.xs)))
+    assert all(row.verdict.safe is True for row in rec.rows)
+    assert all(row.verdict.lhs <= row.verdict.min_margin for row in rec.rows)
 
 
 def test_config_validation():
