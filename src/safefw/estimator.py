@@ -3,8 +3,8 @@
 Each probe point x with measurement row y (one value per constraint)
 contributes an extended regressor v = [x, -1], so the i-th column of the
 estimate stacks [a_i; b_i]. The normal-equation inverse P = (VtV)^-1 is
-maintained by rank-one updates; until the design spans R^(d+1) estimates fall
-back to a pseudo-inverse solve.
+maintained by rank-one updates and is the only inverse kept; until the design
+spans R^(d+1) estimates fall back to a pseudo-inverse solve.
 """
 
 from __future__ import annotations
@@ -151,14 +151,12 @@ class ConstraintEstimator:
         self.rebuilds += 1
 
     def block_quantities(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sample mean xbar and R = (sum (x_j - xbar)(x_j - xbar)^T)^-1."""
-        xbar = self.xbar
-        scatter = self.sum_outer - self.N * np.outer(xbar, xbar)
-        eigs = np.linalg.eigvalsh(0.5 * (scatter + scatter.T))
-        if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
+        """Sample mean xbar and R = (sum (x_j - xbar)(x_j - xbar)^T)^-1, a copy of P's
+        leading d x d block (Schur complement; absorbs update P in place). P exists
+        exactly when the centered scatter is nonsingular."""
+        if self.P is None:
             raise ScatterSingularError("centered probe scatter is singular")
-        R = np.linalg.inv(scatter)
-        return xbar, 0.5 * (R + R.T)
+        return self.xbar, self.P[: self.d, : self.d].copy()
 
     def covariance_sqrt_norm(self, sigma: float) -> float:
         """||Sigma^(1/2)|| = sigma * sqrt(largest eigenvalue of P)."""

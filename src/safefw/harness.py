@@ -10,16 +10,16 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import ro as ro_mod
 from . import sfw as sfw_mod
-from .estimator import ConstraintEstimator, confidence_membership_arrays
+from .estimator import CONFIDENCE_MODES, ConstraintEstimator, confidence_membership_arrays
 from .lp import FEAS_TOL
-from .oracle import ConstraintOracle, NoiseModel
+from .oracle import NOISE_KINDS, ConstraintOracle, NoiseModel
 from .problem import (
     GeometryConstants,
     Objective,
@@ -79,6 +79,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict) or "problem" not in raw:
+            raise ConfigError("config must be a JSON object with a 'problem' field")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:
@@ -126,7 +128,10 @@ class RunSummary:
 
 
 def _check_types(cfg: ExperimentConfig) -> None:
-    """Reject non-finite reals and non-integer counts (bools included) before any arithmetic."""
+    """Reject non-object sections, non-finite reals and non-integer counts (bools included)."""
+    for name, section in (("problem", cfg.problem), ("objective", cfg.objective)):
+        if not isinstance(section, dict):
+            raise ConfigError(f"{name} must be a JSON object, got {section!r}")
     reals = {"sigma": cfg.sigma, "omega0": cfg.omega0, "epsilon": cfg.epsilon, "delta": cfg.delta}
     ints = {"T": cfg.T, "repetitions": cfg.repetitions, "base_seed": cfg.base_seed,
             "max_total_measurements": cfg.max_total_measurements}
@@ -134,14 +139,27 @@ def _check_types(cfg: ExperimentConfig) -> None:
         reals["phi_delta_override"] = cfg.phi_delta_override
     if cfg.ro_total_measurements is not None:
         ints["ro_total_measurements"] = cfg.ro_total_measurements
+    if cfg.cn not in ("auto", None):
+        reals["cn"] = cfg.cn
     if cfg.problem.get("type") == "box":
         ints["problem.d"] = cfg.problem.get("d", 0)
+        reals["problem.half_width"] = cfg.problem.get("half_width", 1.0)
     for name, value in reals.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
             raise ConfigError(f"{name} must be a finite number, got {value!r}")
     for name, value in ints.items():
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _vector(name: str, value, d: int) -> np.ndarray:
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.shape != (d,) or not np.all(np.isfinite(out)):
+        raise ConfigError(f"{name} must be a list of {d} finite numbers, got {value!r}")
+    return out
 
 
 def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
@@ -157,21 +175,22 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         raise ConfigError("delta must lie in (0, 1)")
     if cfg.sigma < 0 or cfg.omega0 <= 0:
         raise ConfigError("need sigma >= 0 and omega0 > 0")
-    if cfg.variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {cfg.variant!r}; expected one of {VARIANTS}")
+    for name, allowed in (("variant", VARIANTS), ("noise_kind", NOISE_KINDS), ("confidence_mode", CONFIDENCE_MODES)):
+        if getattr(cfg, name) not in allowed:
+            raise ConfigError(f"unknown {name} {getattr(cfg, name)!r}; expected one of {allowed}")
 
     ptype = cfg.problem.get("type")
     if ptype == "box":
         d = cfg.problem.get("d", 0)
         half_width = float(cfg.problem.get("half_width", 1.0))
-        if d < 1:
-            raise ConfigError("box problem needs d >= 1")
+        if d < 1 or half_width <= 0:
+            raise ConfigError("box problem needs d >= 1 and half_width > 0")
         polytope = box_polytope(d, half_width)
         is_box = True
     elif ptype == "polytope":
         try:
             polytope = Polytope(np.array(cfg.problem["A"], dtype=float), np.array(cfg.problem["b"], dtype=float))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad polytope description: {exc}") from exc
         d = polytope.d
         is_box = False
@@ -181,9 +200,7 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
     else:
         raise ConfigError("problem.type must be 'box' or 'polytope'")
 
-    x0 = np.zeros(d) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
-    if x0.shape != (d,):
-        raise ConfigError(f"x0 must have length {d}")
+    x0 = np.zeros(d) if cfg.x0 is None else _vector("x0", cfg.x0, d)
     if np.min(polytope.margins(x0)) <= 0:
         raise ConfigError("x0 must be strictly feasible")
 
@@ -193,16 +210,13 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
     x_prime = cfg.objective.get("x_prime")
     if x_prime is None:
         x_prime = [2.0] + [0.5] * (d - 1)
-    x_prime = np.asarray(x_prime, dtype=float)
-    if x_prime.shape != (d,):
-        raise ConfigError(f"x_prime must have length {d}")
+    x_prime = _vector("x_prime", x_prime, d)
 
     if is_box:
-        hw = float(cfg.problem.get("half_width", 1.0))
-        M = box_quadratic_lipschitz(d, hw, x_prime)
+        M = box_quadratic_lipschitz(d, half_width, x_prime)
         objective = quadratic_objective(x_prime, M)
-        geometry = box_geometry_constants(d, hw, objective, x0)
-        x_star = np.clip(x_prime, -hw, hw)
+        geometry = box_geometry_constants(d, half_width, objective, x0)
+        x_star = np.clip(x_prime, -half_width, half_width)
         f_star = objective.value(x_star)
     else:
         from . import lp as lp_mod
@@ -212,6 +226,8 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         objective = quadratic_objective(x_prime, M)
         geometry = geometry_constants(polytope, objective, x0)
         x_star, f_star = minimize_quadratic(polytope, x_prime)
+    if objective.value(x0) - f_star <= 0:
+        raise ConfigError("x0 is already optimal; normalized curves are undefined")
 
     scfg = make_safety_config(
         delta=cfg.delta,
@@ -220,11 +236,9 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         d=d,
         sigma=cfg.sigma,
         omega0=cfg.omega0,
-        cn=0.0,
-        schedule="adaptive" if cfg.variant == "adaptive" else "prescribed",
         mode=cfg.confidence_mode,
         phi_delta_override=cfg.phi_delta_override,
-        n_ref=max(2 * d, 1) if cfg.confidence_mode == "subgaussian" else None,
+        n_ref=2 * d,
     )
     if cfg.cn == "auto" or cfg.cn is None:
         cn_value = cn_lower_bound(geometry, scfg, d, cfg.T)
@@ -232,15 +246,7 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         cn_value = float(cfg.cn)
         if cn_value < 0:
             raise ConfigError("cn must be non-negative")
-    scfg = SafetyConfig(
-        delta=scfg.delta,
-        T=scfg.T,
-        delta_bar=scfg.delta_bar,
-        omega0=scfg.omega0,
-        phi_delta=scfg.phi_delta,
-        cn=cn_value,
-        schedule=scfg.schedule,
-    )
+    scfg = replace(scfg, cn=cn_value)
     if cfg.variant == "ro" and cfg.ro_total_measurements is None:
         raise ConfigError("variant 'ro' needs ro_total_measurements")
 
@@ -309,8 +315,6 @@ def run_single(
 
     iterate_violations, fact1_violations = _annotate_ground_truth(res, rec)
     h0 = res.objective.value(res.x0) - res.f_star
-    if h0 <= 0:
-        raise ConfigError("x0 is already optimal; normalized curves are undefined")
     rep = RepResult(
         seed=seed,
         status=rec.status,
@@ -352,8 +356,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunSumm
         try:
             rec, rep = run_single(res, seed)
             write_trajectory_csv(rec, res.f_star, h0, out / f"trajectory_rep{i:03d}.csv")
-        except (ConfigError,) as exc:
-            raise
         except Exception as exc:  # recorded per repetition, experiment continues
             rep = RepResult(seed=seed, status="failed", error=f"{type(exc).__name__}: {exc}")
         reps.append(rep)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .problem import Polytope
 
-_NOISE_KINDS = ("gaussian", "bounded-uniform")
+NOISE_KINDS = ("gaussian", "bounded-uniform")
 _DRAW_CHUNK = 4_000_000  # bounds per-call memory for huge multiplicities
 
 
@@ -26,8 +26,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in _NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {_NOISE_KINDS}")
+        if self.kind not in NOISE_KINDS:
+            raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}")
         if self.sigma < 0.0:
             raise ValueError("sigma must be non-negative")
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import lp
 from .estimator import ConstraintEstimator
 from .oracle import ConstraintOracle, cross_pattern
-from .safety import SafetyConfig, fact2_check
+from .safety import SafetyConfig, cone_terms, fact2_check, soc_check
 from .sfw import ProblemSetup, TrajectoryRecord, dfs_problem, surrogate_gap
 
 
@@ -40,18 +40,10 @@ class SocLinminResult:
     lp_values: list[float] = field(default_factory=list)
 
 
-def _soc_terms(est: ConstraintEstimator, phi_delta: float, s: np.ndarray):
-    z = np.append(s, -1.0)
-    pz = est.P @ z
-    norm = math.sqrt(max(float(z @ pz), 0.0))
-    violations = (s @ est.a_hat() - est.b_hat()) + phi_delta * norm
-    return pz, norm, violations
-
-
 def soc_violation(est: ConstraintEstimator, cfg: SafetyConfig, s: np.ndarray) -> float:
     """Largest cone-constraint violation of s against the current safety set."""
-    _, _, violations = _soc_terms(est, cfg.phi_delta, np.asarray(s, dtype=float))
-    return float(np.max(violations))
+    verdict = soc_check(est, cfg, s)
+    return verdict.lhs - verdict.min_margin
 
 
 def soc_linmin(
@@ -87,12 +79,14 @@ def soc_linmin(
             return SocLinminResult(anchor.copy(), float(c @ anchor), cut, True, lp_values)
         point = sol.point
         lp_values.append(sol.value)
-        pz, norm, violations = _soc_terms(est, cfg.phi_delta, point)
+        verdict = soc_check(est, cfg, point)
+        violations = verdict.lhs - verdict.margins
         worst = int(np.argmax(violations))
         if violations[worst] <= tol:
             return SocLinminResult(point, float(c @ point), cut, False, lp_values)
         if cut == max_cuts:
             break
+        pz, norm = cone_terms(est, point)
         if norm <= 0.0:
             break  # cone term vanished; nothing differentiable to cut on
         grad_norm = pz[:d] / norm

@@ -16,30 +16,27 @@ import numpy as np
 from .estimator import ConstraintEstimator, phi_inverse
 from .problem import GeometryConstants
 
-SCHEDULES = ("prescribed", "adaptive")
-
 
 @dataclass(frozen=True)
 class SafetyConfig:
     delta: float          # total confidence budget over the run
     T: int                # iteration budget
-    delta_bar: float      # per-iteration budget, delta / T
     omega0: float         # probe radius
     phi_delta: float      # sigma * phi_inverse(delta_bar / m), possibly overridden
     cn: float             # schedule constant
-    schedule: str = "prescribed"
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if self.T < 3:
             raise ValueError("iteration budget must be at least 3 (ln ln T must be positive)")
-        if abs(self.delta_bar * self.T - self.delta) > 1e-12 * self.delta:
-            raise ValueError("delta_bar must equal delta / T")
-        if self.schedule not in SCHEDULES:
-            raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.phi_delta < 0.0 or self.omega0 <= 0.0:
             raise ValueError("phi_delta must be >= 0 and omega0 > 0")
+
+    @property
+    def delta_bar(self) -> float:
+        """Per-iteration confidence budget delta / T."""
+        return self.delta / self.T
 
 
 def make_safety_config(
@@ -50,34 +47,22 @@ def make_safety_config(
     sigma: float,
     omega0: float,
     cn: float = 0.0,
-    schedule: str = "prescribed",
     mode: str = "chisq",
     phi_delta_override: float | None = None,
     n_ref: int | None = None,
 ) -> SafetyConfig:
-    """Resolve the per-iteration budget and the confidence radius.
+    """Resolve the confidence radius sigma * phi_inverse(mode, ..., delta / T / m).
 
     The sub-Gaussian radius depends on the sample count, so mode="subgaussian"
     needs a reference count n_ref; the chisq default is count-free.
     """
-    delta_bar = delta / T
     if phi_delta_override is not None:
         phi_delta = float(phi_delta_override)
-    elif mode == "subgaussian":
-        if n_ref is None:
-            raise ValueError("subgaussian mode needs a reference sample count n_ref")
-        phi_delta = sigma * phi_inverse("subgaussian", n_ref, d, delta_bar / m)
+    elif mode == "subgaussian" and n_ref is None:
+        raise ValueError("subgaussian mode needs a reference sample count n_ref")
     else:
-        phi_delta = sigma * phi_inverse("chisq", 1, d, delta_bar / m)
-    return SafetyConfig(
-        delta=delta,
-        T=T,
-        delta_bar=delta_bar,
-        omega0=omega0,
-        phi_delta=phi_delta,
-        cn=cn,
-        schedule=schedule,
-    )
+        phi_delta = sigma * phi_inverse(mode, 1 if n_ref is None else n_ref, d, delta / T / m)
+    return SafetyConfig(delta=delta, T=T, omega0=omega0, phi_delta=phi_delta, cn=cn)
 
 
 @dataclass
@@ -115,17 +100,21 @@ def fact2_check(est: ConstraintEstimator, cfg: SafetyConfig, x: np.ndarray) -> S
     return _verdict(est, x, cfg.phi_delta * math.sqrt(1.0 / est.N + float(diff @ R @ diff)))
 
 
+def cone_terms(est: ConstraintEstimator, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """P z and ||Sigma^(1/2) z|| / sigma = sqrt(z^T P z) for z = [x; -1]."""
+    if est.P is None:
+        raise ValueError("design does not yet span R^(d+1)")
+    z = np.append(x, -1.0)
+    pz = est.P @ z
+    return pz, math.sqrt(max(float(z @ pz), 0.0))
+
+
 def soc_check(est: ConstraintEstimator, cfg: SafetyConfig, x: np.ndarray) -> SafetyVerdict:
     """Cone-form safety test: <a_hat_i, x> - b_hat_i + phi ||Sigma^(1/2) [x; -1]|| <= 0.
 
     Uses the full covariance factor; must agree with fact2_check.
     """
-    if est.P is None:
-        raise ValueError("design does not yet span R^(d+1)")
-    x = np.asarray(x, dtype=float)
-    z = np.append(x, -1.0)
-    quad = float(z @ est.P @ z)
-    return _verdict(est, x, cfg.phi_delta * math.sqrt(max(quad, 0.0)))
+    return _verdict(est, x, cfg.phi_delta * cone_terms(est, x)[1])
 
 
 def c_delta_constant(geo: GeometryConstants, phi_delta: float, omega0: float, d: int) -> float:

@@ -54,6 +54,13 @@ def random_estimator(rng, d, m, n, spread=1.0, sigma=0.0, beta=None):
     return est, beta
 
 
+def scatter_inverse(est):
+    """Dense reference for the block quantity R: the inverse of the centered
+    scatter sum x x^T - N xbar xbar^T, formed from the running sums."""
+    xbar = est.sum_x / est.N
+    return np.linalg.inv(est.sum_outer - est.N * np.outer(xbar, xbar))
+
+
 def cross_fed_estimator(polytope, sigma, seed, omega0, centers, n_per_center):
     """Estimator fed full cross batches at the given centers through an oracle."""
     oracle = ConstraintOracle(polytope, NoiseModel("gaussian", sigma, seed), omega0)

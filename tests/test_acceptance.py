@@ -23,7 +23,7 @@ from safefw.problem import (
 from safefw.safety import SafetyConfig, c_delta_constant, fact2_check, soc_check
 from safefw.sfw import ProblemSetup, SfwConfig, run
 
-from helpers import random_bounded_polytope, random_estimator
+from helpers import random_bounded_polytope, random_estimator, scatter_inverse
 
 REFERENCE_ADAPTIVE_TOTALS = {2: 519.0, 4: 1135.0, 10: 4275.0}
 
@@ -68,7 +68,7 @@ def zero_noise_run():
     xp = np.array([2.0, 0.5])
     obj = quadratic_objective(xp, box_quadratic_lipschitz(d, 1.0, xp))
     geo = box_geometry_constants(d, 1.0, obj, np.zeros(d))
-    scfg = SafetyConfig(delta=0.1, T=50, delta_bar=0.1 / 50, omega0=0.01, phi_delta=0.0, cn=0.0, schedule="adaptive")
+    scfg = SafetyConfig(delta=0.1, T=50, omega0=0.01, phi_delta=0.0, cn=0.0)
     oracle = ConstraintOracle(p, NoiseModel("gaussian", 0.0, 0), 0.01)
     est = ConstraintEstimator(d, 2 * d)
     setup = ProblemSetup(obj, np.zeros(d), geo, d, 2 * d)
@@ -167,7 +167,7 @@ def test_criterion_6_block_identity():
         d = int(rng.integers(1, 5))
         n = int(rng.integers(d + 2, 80))
         est, _ = random_estimator(rng, d, int(rng.integers(1, 4)), n, sigma=0.3)
-        xbar, R = est.block_quantities()
+        xbar, R = est.block_quantities()[0], scatter_inverse(est)
         rec = np.empty((d + 1, d + 1))
         rec[:d, :d] = R
         rec[:d, d] = R @ xbar
@@ -201,7 +201,7 @@ def test_criterion_7_rank_one_vs_direct():
 
 def test_criterion_8_scalar_test_matches_cone_form():
     rng = np.random.default_rng(88)
-    cfg = SafetyConfig(delta=0.1, T=15, delta_bar=0.1 / 15, omega0=0.01, phi_delta=0.5, cn=0.0)
+    cfg = SafetyConfig(delta=0.1, T=15, omega0=0.01, phi_delta=0.5, cn=0.0)
     disagreements = 0
     boundary_pairs = 0
     checked = 0

@@ -16,7 +16,7 @@ from safefw.estimator import (
 from safefw.oracle import cross_pattern
 from safefw.problem import box_polytope
 
-from helpers import RecordingEstimator, cross_fed_estimator, random_estimator
+from helpers import RecordingEstimator, cross_fed_estimator, random_estimator, scatter_inverse
 
 
 def dense_beta(rows):
@@ -127,7 +127,7 @@ def test_block_reconstruction_identity():
     for _ in range(25):
         d = int(rng.integers(1, 5))
         est, _ = random_estimator(rng, d, 2, int(rng.integers(d + 2, 50)), sigma=0.2)
-        xbar, R = est.block_quantities()
+        xbar, R = est.block_quantities()[0], scatter_inverse(est)
         rec = np.empty((d + 1, d + 1))
         rec[:d, :d] = R
         rec[:d, d] = R @ xbar

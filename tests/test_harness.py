@@ -70,8 +70,9 @@ def test_config_validation_errors():
     for overrides in cases:
         with pytest.raises(ConfigError):
             resolve(d2_config(**overrides))
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"problem": {"type": "box", "d": 2}, "bogus_field": 1})
+    for raw in ({"problem": {"type": "box", "d": 2}, "bogus_field": 1}, {}, 5):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(raw)
 
 
 def test_run_experiment_outputs(tmp_path):
@@ -220,8 +221,22 @@ def test_cli_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "overrides",
-    [{"sigma": math.nan}, {"T": "15"}, {"problem": {"type": "box", "d": 2.7}}],
-    ids=["nan-sigma", "string-T", "fractional-d"],
+    [
+        {"sigma": math.nan},
+        {"T": "15"},
+        {"problem": {"type": "box", "d": 2.7}},
+        {"problem": [2]},
+        {"objective": "quadratic"},
+        {"problem": {"type": "box", "d": 2, "half_width": None}},
+        {"x0": {"a": 1}},
+        {"confidence_mode": "bogus"},
+        {"noise_kind": "cauchy"},
+        {"objective": {"x_prime": [0, 0]}},
+    ],
+    ids=[
+        "nan-sigma", "string-T", "fractional-d", "list-problem", "string-objective", "null-half-width",
+        "dict-x0", "bogus-confidence-mode", "cauchy-noise", "optimal-x0",
+    ],
 )
 def test_validate_config_rejects_bad_values(tmp_path, capsys, overrides):
     path = tmp_path / "cfg.json"

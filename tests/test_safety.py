@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from safefw.estimator import phi_inverse
+from safefw.estimator import ConstraintEstimator, phi_inverse
+from safefw.oracle import cross_pattern
 from safefw.problem import box_geometry_constants, box_polytope, quadratic_objective
 from safefw.safety import (
     SafetyConfig,
@@ -22,9 +23,7 @@ from helpers import box_estimator_exact, random_estimator
 
 
 def config(phi_delta, omega0=0.01, cn=96.0, T=15, delta=0.1):
-    return SafetyConfig(
-        delta=delta, T=T, delta_bar=delta / T, omega0=omega0, phi_delta=phi_delta, cn=cn
-    )
+    return SafetyConfig(delta=delta, T=T, omega0=omega0, phi_delta=phi_delta, cn=cn)
 
 
 def test_margins_exact_box():
@@ -79,7 +78,6 @@ def test_lhs_non_increasing_with_new_batches():
     """Each extra cross batch at x_t shrinks the uncertainty radius at x_t and at
     the stepped candidates x_t + gamma (s - x_t) the adaptive loop tests."""
     from helpers import cross_fed_estimator
-    from safefw.oracle import cross_pattern
 
     p = box_polytope(2)
     cfg = config(0.5)
@@ -97,6 +95,38 @@ def test_lhs_non_increasing_with_new_batches():
             cur = [fact2_check(est, cfg, x).lhs for x in probes]
             assert all(c <= p_ + 1e-12 for c, p_ in zip(cur, prev))
             prev = cur
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="needs extended precision")
+def test_fact2_radius_matches_extended_precision_reference():
+    """d = 20, probes clustered near 0.9 * 1: the squared Fact-2 radius
+    1/N + (x - xbar)^T R (x - xbar) at nearby points against a long-double
+    reference from two-pass centred sums. An R formed by inverting the scatter
+    assembled from the running sums loses digits to cancellation (about 4e-9
+    relative on this design) and fails the bound; P's block does not."""
+    rng = np.random.default_rng(0)
+    d = 20
+    est = ConstraintEstimator(d, 1)
+    points = []
+    for _ in range(40):
+        pattern = cross_pattern(0.9 * np.ones(d) + rng.normal(0.0, 0.002, d), 0.01, 2 * d)
+        for pt in pattern.points:
+            est.absorb_repeated(pt, np.zeros(1), pattern.multiplicity)
+            points += [pt] * pattern.multiplicity
+    X = np.array(points, dtype=np.longdouble)
+    xbar = X.mean(axis=0)
+    scatter = (X - xbar).T @ (X - xbar)
+    scatter64 = scatter.astype(float)
+    worst = 0.0
+    for _ in range(20):
+        x = 0.9 * np.ones(d) + rng.normal(0.0, 0.01, d)
+        diff = x.astype(np.longdouble) - xbar
+        y = np.linalg.solve(scatter64, diff.astype(float)).astype(np.longdouble)
+        y += np.linalg.solve(scatter64, (diff - scatter @ y).astype(float))  # one refinement step
+        reference = 1 / np.longdouble(est.N) + diff @ y
+        got = fact2_check(est, config(1.0), x).lhs ** 2
+        worst = max(worst, float(abs(got - reference) / reference))
+    assert worst <= 5e-10, worst
 
 
 def test_cn_lower_bound_quadratic_in_phi():
@@ -150,14 +180,12 @@ def test_nt_schedule_monotone_and_degenerate():
 
 def test_safety_config_invariants():
     cfg = make_safety_config(delta=0.1, T=15, m=4, d=2, sigma=0.01, omega0=0.01)
-    assert cfg.delta_bar * cfg.T == pytest.approx(cfg.delta, rel=1e-12)
+    assert cfg.delta_bar == 0.1 / 15
     assert cfg.phi_delta == pytest.approx(0.01 * phi_inverse("chisq", 1, 2, 0.1 / 15 / 4), rel=1e-12)
     with pytest.raises(ValueError):
-        SafetyConfig(delta=0.1, T=15, delta_bar=0.05, omega0=0.01, phi_delta=1.0, cn=0.0)
+        SafetyConfig(delta=0.1, T=2, omega0=0.01, phi_delta=1.0, cn=0.0)
     with pytest.raises(ValueError):
-        SafetyConfig(delta=0.1, T=2, delta_bar=0.05, omega0=0.01, phi_delta=1.0, cn=0.0)
-    with pytest.raises(ValueError):
-        make_safety_config(delta=0.1, T=15, m=4, d=2, sigma=0.01, omega0=0.01, schedule="bogus")
+        make_safety_config(delta=0.1, T=15, m=4, d=2, sigma=0.01, omega0=0.01, mode="bogus")
 
 
 def test_safety_config_override_and_subgaussian():

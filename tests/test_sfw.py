@@ -26,16 +26,14 @@ from safefw.sfw import (
 )
 
 
-def box_setup(d=2, x_prime=None, sigma=0.01, seed=0, omega0=0.01, T=15, cn=0.0,
-              schedule="adaptive", phi_override=None):
+def box_setup(d=2, x_prime=None, sigma=0.01, seed=0, omega0=0.01, T=15, cn=0.0, phi_override=None):
     p = box_polytope(d)
     xp = np.array([2.0] + [0.5] * (d - 1)) if x_prime is None else np.asarray(x_prime, float)
     obj = quadratic_objective(xp, box_quadratic_lipschitz(d, 1.0, xp))
     x0 = np.zeros(d)
     geo = box_geometry_constants(d, 1.0, obj, x0)
     scfg = make_safety_config(
-        delta=0.1, T=T, m=2 * d, d=d, sigma=sigma, omega0=omega0, cn=cn,
-        schedule=schedule, phi_delta_override=phi_override,
+        delta=0.1, T=T, m=2 * d, d=d, sigma=sigma, omega0=omega0, cn=cn, phi_delta_override=phi_override,
     )
     oracle = ConstraintOracle(p, NoiseModel("gaussian", sigma, seed), omega0)
     est = ConstraintEstimator(d, 2 * d)
@@ -79,7 +77,7 @@ def test_et_bound_zero_uncertainty():
 def test_zero_noise_matches_classical_fw():
     # off-axis target so the direction LP has no ties
     for variant, cn in (("adaptive", 0.0), ("prescribed", 1.0)):
-        p, setup, oracle, est, scfg = box_setup(sigma=0.0, x_prime=[2.0, 0.37], cn=cn, schedule=variant)
+        p, setup, oracle, est, scfg = box_setup(sigma=0.0, x_prime=[2.0, 0.37], cn=cn)
         rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, T=15, variant=variant))
         ref = run_fw_reference(p, setup.objective, setup.x0, 15)
         assert rec.status == "completed"
@@ -97,7 +95,7 @@ def test_zero_noise_margin_decay():
 
 def test_stop_immediately_with_infinite_target():
     for variant, cn in (("adaptive", 0.0), ("prescribed", 96.0)):
-        _, setup, oracle, est, scfg = box_setup(sigma=0.01, cn=cn, schedule=variant)
+        _, setup, oracle, est, scfg = box_setup(sigma=0.01, cn=cn)
         rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=math.inf, T=15, variant=variant))
         assert rec.status == "stopped-early"
         assert rec.stopped_at == 0
@@ -106,7 +104,7 @@ def test_stop_immediately_with_infinite_target():
 
 def test_prescribed_total_matches_schedule_arithmetic():
     d = 2
-    _, setup, oracle, est, scfg = box_setup(sigma=0.01, cn=96.0, schedule="prescribed")
+    _, setup, oracle, est, scfg = box_setup(sigma=0.01, cn=96.0)
     rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, T=15, variant="prescribed"))
     expected = sum(
         2 * d * math.ceil(max(nt_schedule(96.0, t), 2 * d) / (2 * d)) for t in range(15)
@@ -117,7 +115,7 @@ def test_prescribed_total_matches_schedule_arithmetic():
 
 
 def test_prescribed_requires_positive_cn():
-    _, setup, oracle, est, scfg = box_setup(sigma=0.01, cn=0.0, schedule="prescribed")
+    _, setup, oracle, est, scfg = box_setup(sigma=0.01, cn=0.0)
     with pytest.raises(ValueError):
         run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, T=15, variant="prescribed"))
 
