@@ -2,9 +2,17 @@
 
 Each probe point x with measurement row y (one value per constraint)
 contributes an extended regressor v = [x, -1], so the i-th column of the
-estimate stacks [a_i; b_i]. The normal-equation inverse P = (VtV)^-1 is
-maintained by rank-one updates and is the only inverse kept; until the design
-spans R^(d+1) estimates fall back to a pseudo-inverse solve.
+estimate stacks [a_i; b_i]. The normal-equation inverse P = (VtV)^-1 is the
+only inverse kept. Absorbing a stack of n points (rows of V) measured `count`
+times each, a whole cross at once, applies one Woodbury update
+P -= P Vt (I/count + V P Vt)^-1 V P, evaluated through a Cholesky factor of
+the capacitance matrix; a single point is the case n = 1.
+
+Until the design spans R^(d+1), rows are taken one at a time and estimates
+fall back to a pseudo-inverse solve: P is formed by a dense inverse at the row
+where the design first spans, and the later rows of that call by rank-one
+updates, so a fresh estimator's first cross yields the same P, bit for bit, as
+absorbing its points one by one.
 """
 
 from __future__ import annotations
@@ -57,9 +65,10 @@ def covariance_sqrt_norm_bound(sigma: float, d: int, gamma0: float, omega0: floa
 class ConstraintEstimator:
     """Running least squares for m affine constraints in d variables.
 
-    Absorbing a probe row costs O(d^2 + d m) once the design spans R^(d+1).
-    Repeated measurements at one point are absorbed in aggregate: summing the
-    measurement rows leaves the normal equations unchanged.
+    Absorbing n probe points costs O(n d^2 + n^2 d + n^3 + n d m) once the
+    design spans R^(d+1). Repeated measurements at one point are absorbed in
+    aggregate: summing the measurement rows leaves the normal equations
+    unchanged.
     """
 
     def __init__(self, d: int, m: int):
@@ -74,7 +83,6 @@ class ConstraintEstimator:
         self.G = np.zeros((k, m))
         self.P: np.ndarray | None = None
         self.beta_hat: np.ndarray | None = None
-        self.rebuilds = 0
 
     @property
     def spanned(self) -> bool:
@@ -111,44 +119,54 @@ class ConstraintEstimator:
         self.absorb_repeated(point, values, 1)
 
     def absorb_repeated(self, point: np.ndarray, value_sum: np.ndarray, count: int) -> None:
-        """Absorb `count` identical probe rows whose measurements sum to value_sum."""
+        """Absorb `count` identical probe rows at each point, whose measurements
+        sum to value_sum: one point (d,) with sums (m,), or a stack (n, d) with
+        sums (n, m)."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        x = np.asarray(point, dtype=float)
-        value_sum = np.asarray(value_sum, dtype=float)
-        if x.shape != (self.d,):
-            raise ValueError(f"point must have length {self.d}")
-        if value_sum.shape != (self.m,):
-            raise ValueError(f"value sum must have length {self.m}")
-        v = np.append(x, -1.0)
-        self.N += count
-        self.sum_x += count * x
-        self.sum_outer += count * np.outer(x, x)
-        self.G += np.outer(v, value_sum)
+        X = np.asarray(point, dtype=float)
+        Y = np.asarray(value_sum, dtype=float)
+        if X.shape[-1:] != (self.d,) or X.ndim > 2:
+            raise ValueError(f"point must have length {self.d} or be a stack of such rows")
+        if Y.shape != X.shape[:-1] + (self.m,):
+            raise ValueError(f"value sum must have length {self.m} per point")
+        X, Y = np.atleast_2d(X), np.atleast_2d(Y)
+        V = np.hstack([X, -np.ones((X.shape[0], 1))])
         if self.P is None:
-            xtx = self.xtx()
-            if np.linalg.matrix_rank(xtx) == self.d + 1:
-                self.P = np.linalg.inv(xtx)
+            # Row by row, so the first cross gives the same P bit for bit as
+            # per-point absorbs: the RO baseline rests on that one cross, and
+            # its cutting planes turn a one-ulp change of P into another answer.
+            for i in range(X.shape[0]):
+                self._add_sums(X[i : i + 1], V[i : i + 1], Y[i : i + 1], count)
+                if self.P is not None:
+                    pv = self.P @ V[i]
+                    self.P -= (count / (1.0 + count * float(V[i] @ pv))) * np.outer(pv, pv)
+                elif np.linalg.matrix_rank(self.xtx()) == self.d + 1:
+                    self.P = np.linalg.inv(self.xtx())
+                else:
+                    continue
                 self.P = 0.5 * (self.P + self.P.T)
-            else:
-                self.beta_hat = np.linalg.lstsq(xtx, self.G, rcond=None)[0]
+            if self.P is None:
+                self.beta_hat = np.linalg.lstsq(self.xtx(), self.G, rcond=None)[0]
                 return
         else:
-            pv = self.P @ v
-            denom = 1.0 + count * float(v @ pv)
-            if denom <= 1e-12:
-                self.rebuild()
-            else:
-                self.P -= (count / denom) * np.outer(pv, pv)
-                self.P = 0.5 * (self.P + self.P.T)
+            self._add_sums(X, V, Y, count)
+            # Woodbury with W = sqrt(count) V: P -= P W^T (I + W P W^T)^-1 W P,
+            # the capacitance matrix factored as L L^T and the correction
+            # formed as U^T U with U = L^-1 W P
+            W = math.sqrt(count) * V
+            WP = W @ self.P
+            L = np.linalg.cholesky(np.eye(W.shape[0]) + WP @ W.T)
+            U = np.linalg.solve(L, WP)
+            self.P -= U.T @ U
+            self.P = 0.5 * (self.P + self.P.T)
         self.beta_hat = self.P @ self.G
 
-    def rebuild(self) -> None:
-        """Recompute P from the running sums by a dense factorization."""
-        self.P = np.linalg.inv(self.xtx())
-        self.P = 0.5 * (self.P + self.P.T)
-        self.beta_hat = self.P @ self.G
-        self.rebuilds += 1
+    def _add_sums(self, X: np.ndarray, V: np.ndarray, Y: np.ndarray, count: int) -> None:
+        self.N += count * X.shape[0]
+        self.sum_x += count * X.sum(axis=0)
+        self.sum_outer += count * (X.T @ X)
+        self.G += V.T @ Y
 
     def block_quantities(self) -> tuple[np.ndarray, np.ndarray]:
         """Sample mean xbar and R = (sum (x_j - xbar)(x_j - xbar)^T)^-1, a copy of P's

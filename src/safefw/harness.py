@@ -150,6 +150,8 @@ def _check_types(cfg: ExperimentConfig) -> None:
     for name, value in ints.items():
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if not isinstance(cfg.out_dir, str):
+        raise ConfigError(f"out_dir must be a string, got {cfg.out_dir!r}")
 
 
 def _vector(name: str, value, d: int) -> np.ndarray:
@@ -249,6 +251,8 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
     scfg = replace(scfg, cn=cn_value)
     if cfg.variant == "ro" and cfg.ro_total_measurements is None:
         raise ConfigError("variant 'ro' needs ro_total_measurements")
+    if cfg.ro_total_measurements is not None and cfg.ro_total_measurements < 2 * (d + 1):
+        raise ConfigError(f"ro_total_measurements must be at least 2(d+1) = {2 * (d + 1)}")
 
     setup = ProblemSetup(objective=objective, x0=x0, geometry=geometry, d=d, m=polytope.m)
     beta_true = np.vstack([polytope.A.T, polytope.b[None, :]])
@@ -375,6 +379,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunSumm
     return summary
 
 
+# Final normalized gaps this close count as a tie, which counts for SFW: at zero
+# noise both methods reach the same iterate and only rounding separates them.
+TIE_TOL = 1e-9
+
+
 @dataclass
 class ComparisonReport:
     config: dict
@@ -407,7 +416,7 @@ def compare_sfw_ro(cfg: ExperimentConfig, out_dir: str | None = None) -> Compari
         sfw_final.append(rep_sfw.normalized[-1])
         ro_final.append(rep_ro.normalized[-1])
         budgets.append(budget)
-    wins = sum(1 for a, b in zip(sfw_final, ro_final) if a <= b)
+    wins = sum(1 for a, b in zip(sfw_final, ro_final) if a <= b + TIE_TOL)
     report = ComparisonReport(
         config=asdict(cfg),
         seeds=seeds,

@@ -2,8 +2,12 @@
 
 Two-phase primal simplex on the split-variable standard form (x = u - v plus
 slacks), Bland's rule for anti-cycling, and a post-solve push to a vertex of
-the optimal face. A brute-force vertex enumerator for small instances doubles
-as an independent correctness oracle.
+the optimal face. A solve may be warm-started from a guessed basis (d rows,
+typically the active set of a previous solve of a nearby LP): the basis vertex
+is accepted only when it is verified to be the unique optimum, so a warm
+solve returns the vertex the simplex would, and any other basis falls back to
+the simplex. A brute-force vertex enumerator for small instances doubles as
+an independent correctness oracle.
 """
 
 from __future__ import annotations
@@ -134,12 +138,51 @@ def _push_to_vertex(p: LpProblem, x: np.ndarray, max_rounds: int | None = None) 
     return x
 
 
-def solve(p: LpProblem, max_pivots: int = 20000) -> LpSolution:
+def _active_rows(p: LpProblem, x: np.ndarray) -> list[int]:
+    resid = p.b - p.A @ x
+    scale = 1.0 + np.abs(p.b) + np.abs(p.A) @ np.abs(x)
+    return [int(i) for i in np.flatnonzero(resid <= 1e-8 * scale)]
+
+
+def _verified_basis_vertex(p: LpProblem, basis: list[int]) -> np.ndarray | None:
+    """The vertex of `basis` if it is provably the unique optimum, else None.
+
+    Accepted when the basis has exactly d rows, its d x d system is
+    nonsingular and well conditioned, every multiplier is strictly positive
+    (so the optimum is unique), and the vertex is feasible with exactly the
+    basis rows active.
+    """
+    d = p.A.shape[1]
+    if len(basis) != d:
+        return None
+    B = p.A[basis]
+    try:
+        B_inv = np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        return None
+    if np.abs(B).sum(axis=1).max() * np.abs(B_inv).sum(axis=1).max() > 1e8:
+        return None  # infinity-norm condition number: leave ill-conditioned bases to the simplex
+    multipliers = -(B_inv.T @ p.c)
+    if not np.all(multipliers > COST_TOL):
+        return None
+    x = B_inv @ p.b[basis]
+    if _active_rows(p, x) != sorted(basis):
+        return None
+    return x
+
+
+def solve(p: LpProblem, max_pivots: int = 20000, basis: list[int] | None = None) -> LpSolution:
     """Minimize <c, x> over {x : A x <= b}.
 
     Returns a vertex of the optimal face when the feasible set is bounded
-    around the optimum. Status reports infeasibility and unboundedness.
+    around the optimum. Status reports infeasibility and unboundedness. A
+    given basis is tried first and used only if its vertex is verified to be
+    the unique optimum; otherwise the simplex solves from scratch.
     """
+    if basis is not None:
+        x = _verified_basis_vertex(p, basis)
+        if x is not None:
+            return LpSolution(x, float(p.c @ x), "optimal", sorted(basis))
     m, d = p.A.shape
     A = p.A.copy()
     b = p.b.copy()
@@ -161,48 +204,45 @@ def solve(p: LpProblem, max_pivots: int = 20000) -> LpSolution:
         T[i, n_struct + m + k] = 1.0
     T[:m, -1] = b
 
-    basis = [0] * m
+    basic = [0] * m
     art_iter = iter(range(n_art))
     for i in range(m):
-        basis[i] = n_struct + m + next(art_iter) if flip[i] else n_struct + i
+        basic[i] = n_struct + m + next(art_iter) if flip[i] else n_struct + i
 
     if n_art:
         T[-1, :] = 0.0
         T[-1, n_struct + m:ncols] = 1.0
-        for i, bc in enumerate(basis):
+        for i, bc in enumerate(basic):
             if bc >= n_struct + m:
                 T[-1] -= T[i]
-        _simplex(T, basis, list(range(ncols)), max_pivots)
+        _simplex(T, basic, list(range(ncols)), max_pivots)
         if -T[-1, -1] > 1e-7 * (1.0 + float(np.abs(b).sum())):
             return LpSolution(None, math.inf, "infeasible")
         # drive surviving artificials out of the basis where possible
         for i in range(m):
-            if basis[i] >= n_struct + m:
+            if basic[i] >= n_struct + m:
                 piv = next(
                     (j for j in range(n_struct + m) if abs(T[i, j]) > 1e-9), None
                 )
                 if piv is not None:
-                    _pivot(T, basis, i, piv)
+                    _pivot(T, basic, i, piv)
 
     T[-1, :] = 0.0
     T[-1, :d] = p.c
     T[-1, d:n_struct] = -p.c
-    for i, bc in enumerate(basis):
+    for i, bc in enumerate(basic):
         if T[-1, bc] != 0.0:
             T[-1] -= T[-1, bc] * T[i]
-    status = _simplex(T, basis, list(range(n_struct + m)), max_pivots)
+    status = _simplex(T, basic, list(range(n_struct + m)), max_pivots)
     if status == "unbounded":
         return LpSolution(None, -math.inf, "unbounded")
 
     vals = np.zeros(ncols)
-    for i, bc in enumerate(basis):
+    for i, bc in enumerate(basic):
         vals[bc] = T[i, -1]
     x = vals[:d] - vals[d:n_struct]
     x = _push_to_vertex(p, x)
-    resid = p.b - p.A @ x
-    scale = 1.0 + np.abs(p.b) + np.abs(p.A) @ np.abs(x)
-    active = [int(i) for i in np.flatnonzero(resid <= 1e-8 * scale)]
-    return LpSolution(x, float(p.c @ x), "optimal", active)
+    return LpSolution(x, float(p.c @ x), "optimal", _active_rows(p, x))
 
 
 def feasible_bases(A: np.ndarray, b: np.ndarray):

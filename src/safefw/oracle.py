@@ -1,5 +1,11 @@
 """Simulated noisy zeroth-order constraint oracle and the coordinate cross
-probe pattern (2d points at x +/- omega0 e_i)."""
+probe pattern (2d points at x +/- omega0 e_i).
+
+`measure_repeated` takes one point or a stack of points, so a whole cross is
+measured in one call. A stack draws its noise as one (n, count, m) array when
+that fits the draw chunk, which reads the generator in the same order as
+per-point calls and returns the same sums bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -76,8 +82,6 @@ class ConstraintOracle:
         self.noise = noise
         self.omega0 = float(omega0)
         self._rng = np.random.default_rng(noise.seed)
-        self.calls = 0
-        self.measurements = 0
         self.out_of_reach_events = 0
 
     @property
@@ -85,40 +89,40 @@ class ConstraintOracle:
         return self._A.shape[0]
 
     def _draw(self, shape) -> np.ndarray:
-        if self.noise.sigma == 0.0:
-            return np.zeros(shape)
         if self.noise.kind == "gaussian":
             return self._rng.normal(0.0, self.noise.sigma, size=shape)
         return self._rng.uniform(-self.noise.sigma, self.noise.sigma, size=shape)
 
-    def _note_reach(self, x: np.ndarray) -> None:
-        deficit = np.max((self._A @ x - self._b) / self._row_norms)
-        if deficit > self.omega0 + 1e-12:
-            self.out_of_reach_events += 1
-
     def measure(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        self._note_reach(x)
-        self.calls += 1
-        self.measurements += 1
-        return self._A @ x - self._b + self._draw(self.m)
+        return self.measure_repeated(x, 1)
 
     def measure_repeated(self, x: np.ndarray, count: int) -> np.ndarray:
-        """Componentwise sum of `count` independent measurements at x."""
+        """Componentwise sums of `count` independent measurements at x.
+
+        x is one point (d,), giving m sums, or a stack of points (n, d), giving
+        (n, m) sums that equal n per-point calls in order. Each out-of-reach
+        point counts as one event.
+        """
         if count < 1:
             raise ValueError("count must be >= 1")
-        x = np.asarray(x, dtype=float)
-        self._note_reach(x)
-        self.calls += 1
-        self.measurements += count
-        total = count * (self._A @ x - self._b)
+        X = np.asarray(x, dtype=float)
+        # one matrix-vector product per point, the same arithmetic as A @ x
+        values = np.matmul(self._A, np.atleast_2d(X)[:, :, None])[:, :, 0] - self._b
+        deficits = np.max(values / self._row_norms, axis=1)
+        self.out_of_reach_events += int(np.count_nonzero(deficits > self.omega0 + 1e-12))
+        total = count * values
         if self.noise.sigma > 0.0:
-            remaining = count
-            while remaining > 0:
-                block = min(remaining, max(1, _DRAW_CHUNK // self.m))
-                total += self._draw((block, self.m)).sum(axis=0)
-                remaining -= block
-        return total
+            n, m = total.shape
+            if n * count * m <= _DRAW_CHUNK:
+                total += self._draw((n, count, m)).sum(axis=1)
+            else:
+                for row in total:
+                    remaining = count
+                    while remaining > 0:
+                        block = min(remaining, max(1, _DRAW_CHUNK // m))
+                        row += self._draw((block, m)).sum(axis=0)
+                        remaining -= block
+        return total if X.ndim == 2 else total[0]
 
     def tightened_measure(self, x: np.ndarray, kappa: np.ndarray) -> np.ndarray:
         """Constraint values reported against a set tightened by kappa.

@@ -125,9 +125,8 @@ def ro_run(
     if rcfg.total_measurements < 2 * (setup.d + 1):
         raise ValueError(f"total_measurements must be at least 2(d+1) = {2 * (setup.d + 1)}")
     pattern = cross_pattern(site, scfg.omega0, rcfg.total_measurements)
-    for probe in pattern.points:
-        value_sum = oracle.measure_repeated(probe, pattern.multiplicity)
-        est.absorb_repeated(probe, value_sum, pattern.multiplicity)
+    value_sums = oracle.measure_repeated(pattern.points, pattern.multiplicity)
+    est.absorb_repeated(pattern.points, value_sums, pattern.multiplicity)
 
     rec = TrajectoryRecord()
     x = setup.x0.copy()

@@ -158,44 +158,27 @@ def dfs_problem(est: ConstraintEstimator, c: np.ndarray, guard: float) -> lp.LpP
     return lp.LpProblem(np.asarray(c, dtype=float), A, b)
 
 
-def solve_dfs(est: ConstraintEstimator, guard: float, grad: np.ndarray) -> lp.LpSolution:
-    """Linear minimization of <grad, s> over the guarded estimated polytope."""
-    return lp.solve(dfs_problem(est, grad, guard))
+def solve_dfs(est: ConstraintEstimator, guard: float, grad: np.ndarray, basis: list[int] | None = None) -> lp.LpSolution:
+    """Linear minimization of <grad, s> over the guarded estimated polytope,
+    warm-started from `basis` when it is verified optimal."""
+    return lp.solve(dfs_problem(est, grad, guard), basis=basis)
 
 
 def _absorb_cross(
     oracle: ConstraintOracle, est: ConstraintEstimator, center: np.ndarray, omega0: float, n: int
 ) -> int:
     pattern = cross_pattern(center, omega0, n)
-    for point in pattern.points:
-        value_sum = oracle.measure_repeated(point, pattern.multiplicity)
-        est.absorb_repeated(point, value_sum, pattern.multiplicity)
+    value_sums = oracle.measure_repeated(pattern.points, pattern.multiplicity)
+    est.absorb_repeated(pattern.points, value_sums, pattern.multiplicity)
     return pattern.total
 
 
-def _dfs_direction(
-    est: ConstraintEstimator,
-    oracle: ConstraintOracle,
-    setup: ProblemSetup,
-    cfg: SafetyConfig,
-    x: np.ndarray,
-    grad: np.ndarray,
-    remeasure: bool,
-) -> tuple[np.ndarray, str, int]:
-    """DFS solution with the empty-estimate fallback.
-
-    An infeasible estimated polytope forces one extra cross batch and a
-    re-solve (when remeasure is set); if it stays infeasible the step
-    direction degenerates to the current point (a zero step is always safe).
-    """
-    extra = 0
-    sol = solve_dfs(est, setup.dfs_guard, grad)
-    if sol.status != "optimal" and remeasure:
-        extra = _absorb_cross(oracle, est, x, cfg.omega0, 2 * setup.d)
-        sol = solve_dfs(est, setup.dfs_guard, grad)
+def _direction(sol: lp.LpSolution, x: np.ndarray) -> tuple[np.ndarray, str]:
+    """The DFS solution, or the current point (a zero step is always safe) with
+    a fallback status when the estimated polytope is infeasible or unbounded."""
     if sol.status == "optimal":
-        return sol.point, "optimal", extra
-    return x.copy(), f"{sol.status}-fallback", extra
+        return sol.point, "optimal"
+    return x.copy(), f"{sol.status}-fallback"
 
 
 def run(
@@ -221,7 +204,12 @@ def _run_prescribed(setup, oracle, est, scfg, cfg) -> TrajectoryRecord:
         n_t = _absorb_cross(oracle, est, x, scfg.omega0, max(nt_schedule(scfg.cn, t), 2 * setup.d))
         row = rec.add(x, obj.value(x), est.N, fact2_check(est, scfg, x), est)  # asserted, not enforced
         grad = obj.gradient(x)
-        s_hat, status, extra = _dfs_direction(est, oracle, setup, scfg, x, grad, remeasure=True)
+        sol = solve_dfs(est, setup.dfs_guard, grad)
+        extra = 0
+        if sol.status != "optimal":  # one extra cross batch, then re-solve
+            extra = _absorb_cross(oracle, est, x, scfg.omega0, 2 * setup.d)
+            sol = solve_dfs(est, setup.dfs_guard, grad)
+        s_hat, status = _direction(sol, x)
         gap = surrogate_gap(grad, x, s_hat)
         bound = et_bound(scfg, setup.geometry, obj.M, est.N, setup.d)
         row.record_step(s_hat, gap, bound, n_t + extra, est.N, status)
@@ -249,10 +237,11 @@ def adaptive_step(
 
     Takes the 2d*t warm-up batch (one full cross at t = 0), solves the DFS and
     checks the stopping rule, then keeps adding single cross batches at x_t,
-    re-estimating and re-solving, until the stepped candidate passes the
-    scalar safety test. Records the step on x_t's row and returns the row
-    appended for the certified candidate, or the run status "stopped-early"
-    or "budget-exhausted". Extra safety batches never precede the stop check.
+    re-estimating and re-solving (warm-started from the previous active set),
+    until the stepped candidate passes the scalar safety test. Records the
+    step on x_t's row and returns the row appended for the certified
+    candidate, or the run status "stopped-early" or "budget-exhausted". Extra
+    safety batches never precede the stop check.
     """
     d = setup.d
     obj = setup.objective
@@ -262,8 +251,11 @@ def adaptive_step(
     taken = _absorb_cross(oracle, est, x, scfg.omega0, 2 * d * max(t, 1))
     grad = obj.gradient(x)
     extras = 0
+    basis = None
     while True:
-        s_hat, status, _ = _dfs_direction(est, oracle, setup, scfg, x, grad, remeasure=False)
+        sol = solve_dfs(est, setup.dfs_guard, grad, basis)
+        s_hat, status = _direction(sol, x)
+        basis = sol.active_set
         candidate = x + gamma * (s_hat - x)
         verdict = fact2_check(est, scfg, candidate)
         if extras == 0:

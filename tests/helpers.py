@@ -31,7 +31,8 @@ def random_bounded_polytope(rng, d, m):
 
 class RecordingEstimator(ConstraintEstimator):
     """Estimator that also keeps every absorbed (point, count, value sum) row,
-    so tests can re-solve the least-squares problem densely."""
+    one per point of a stacked call, so tests can re-solve the least-squares
+    problem densely."""
 
     def __init__(self, d, m):
         super().__init__(d, m)
@@ -39,7 +40,8 @@ class RecordingEstimator(ConstraintEstimator):
 
     def absorb_repeated(self, point, value_sum, count):
         super().absorb_repeated(point, value_sum, count)
-        self.rows.append((np.array(point, dtype=float), int(count), np.array(value_sum, dtype=float)))
+        for x, y in zip(np.atleast_2d(point), np.atleast_2d(value_sum)):
+            self.rows.append((np.array(x, dtype=float), int(count), np.array(y, dtype=float)))
 
 
 def random_estimator(rng, d, m, n, spread=1.0, sigma=0.0, beta=None):
@@ -67,8 +69,7 @@ def cross_fed_estimator(polytope, sigma, seed, omega0, centers, n_per_center):
     est = ConstraintEstimator(polytope.d, polytope.m)
     for center, n in zip(centers, n_per_center):
         pattern = cross_pattern(np.asarray(center, dtype=float), omega0, n)
-        for point in pattern.points:
-            est.absorb_repeated(point, oracle.measure_repeated(point, pattern.multiplicity), pattern.multiplicity)
+        est.absorb_repeated(pattern.points, oracle.measure_repeated(pattern.points, pattern.multiplicity), pattern.multiplicity)
     return est, oracle
 
 

@@ -227,15 +227,6 @@ def test_positive_definiteness_preserved():
         assert float(v @ est.P @ v) > 0
 
 
-def test_rebuild_preserves_estimate():
-    rng = np.random.default_rng(8)
-    est, _ = random_estimator(rng, 2, 2, 50, sigma=0.2)
-    before = est.beta_hat.copy()
-    est.rebuild()
-    assert est.rebuilds == 1
-    assert np.abs(est.beta_hat - before).max() <= 1e-10
-
-
 def test_absorb_validation():
     est = ConstraintEstimator(2, 3)
     with pytest.raises(ValueError):

@@ -232,10 +232,14 @@ def test_cli_round_trip(tmp_path):
         {"confidence_mode": "bogus"},
         {"noise_kind": "cauchy"},
         {"objective": {"x_prime": [0, 0]}},
+        {"variant": "ro", "ro_total_measurements": -5},
+        {"ro_total_measurements": 5},
+        {"out_dir": 5},
     ],
     ids=[
         "nan-sigma", "string-T", "fractional-d", "list-problem", "string-objective", "null-half-width",
-        "dict-x0", "bogus-confidence-mode", "cauchy-noise", "optimal-x0",
+        "dict-x0", "bogus-confidence-mode", "cauchy-noise", "optimal-x0", "negative-ro-budget",
+        "small-ro-budget", "int-out-dir",
     ],
 )
 def test_validate_config_rejects_bad_values(tmp_path, capsys, overrides):

@@ -1,7 +1,10 @@
-"""Simplex solver against exhaustive vertex enumeration and hand cases."""
+"""Simplex solver against exhaustive vertex enumeration, scipy's HiGHS and
+hand cases; the verified warm start against the cold solve."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safefw import lp
 from safefw.problem import box_polytope
@@ -117,3 +120,79 @@ def test_active_set_defines_solution():
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         lp.LpProblem(np.zeros(3), np.eye(2), np.ones(2))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5), st.integers(0, 8), st.integers(0, 2**32 - 1))
+def test_warm_start_from_cold_basis_matches_cold(d, extra_rows, seed):
+    rng = np.random.default_rng(seed)
+    p = random_bounded_polytope(rng, d, 2 * d + extra_rows)
+    prob = lp.LpProblem(rng.normal(0.0, 1.0, d), p.A, p.b)
+    cold = lp.solve(prob)
+    warm = lp.solve(prob, basis=cold.active_set)
+    assert cold.status == warm.status == "optimal"
+    assert np.abs(warm.point - cold.point).max() <= 1e-12
+    assert abs(warm.value - cold.value) <= 1e-12
+    assert warm.active_set == cold.active_set
+
+
+def test_verified_basis_skips_the_simplex(monkeypatch):
+    cold = lp.solve(box_problem([-2.0, -0.5]))
+
+    def no_simplex(*args):
+        raise AssertionError("simplex called for a verified basis")
+
+    monkeypatch.setattr(lp, "_simplex", no_simplex)
+    warm = lp.solve(box_problem([-2.0, -0.5]), basis=cold.active_set)
+    assert np.array_equal(warm.point, cold.point) and warm.active_set == cold.active_set
+
+
+@pytest.mark.parametrize(
+    "c, extra_row, basis",
+    [
+        ([-2.0, -0.5], None, [1, 3]),  # feasible vertex, negative multipliers: not optimal
+        ([-2.0, -0.5], None, [0, 1]),  # parallel rows: singular
+        ([-2.0, -0.5], None, [0]),  # too few rows
+        ([-1.0, 0.0], None, [0, 2]),  # zero multiplier: optimal face is an edge
+        ([-2.0, -0.5], ([1.0, 1.0], 2.0), [0, 2]),  # a third row through the vertex: degenerate
+        ([-2.0, -0.5], ([1.0, 1.0], 1.5), [0, 2]),  # basis vertex cut off: infeasible
+        ([-1.0, -5e-10], ([1.0, 1e-9], 1.0 + 3e-10), [0, 4]),  # nearly parallel rows: condition ~4e9
+    ],
+    ids=["wrong", "singular", "short", "zero-multiplier", "degenerate", "infeasible-vertex", "ill-conditioned"],
+)
+def test_rejected_basis_falls_back_to_cold(c, extra_row, basis, monkeypatch):
+    p = box_polytope(2)
+    A, b = p.A, p.b
+    if extra_row is not None:
+        A, b = np.vstack([A, extra_row[0]]), np.append(b, extra_row[1])
+    prob = lp.LpProblem(np.array(c), A, b)
+    cold = lp.solve(prob)
+    simplex_runs = []
+    simplex = lp._simplex
+    monkeypatch.setattr(lp, "_simplex", lambda *args: simplex_runs.append(1) or simplex(*args))
+    warm = lp.solve(prob, basis=basis)
+    assert simplex_runs  # the basis was rejected
+    assert warm.status == cold.status == "optimal"
+    assert np.array_equal(warm.point, cold.point) and warm.active_set == cold.active_set
+
+
+def test_matches_scipy_linprog():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(40):
+        d = int(rng.integers(1, 6))
+        p = random_bounded_polytope(rng, d, int(rng.integers(2 * d, 2 * d + 9)))
+        cases.append((rng.normal(0.0, 1.0, d), p.A, p.b))
+    box = box_polytope(3)
+    cases.append((np.array([-1.0, 0.0, 0.0]), box.A, box.b))  # degenerate: an optimal face
+    cases.append((np.array([-1.0, -1.0, 0.0]), np.vstack([box.A, [1.0, 1.0, 0.0]]), np.append(box.b, 2.0)))
+    for c, A, b in cases:
+        sol = lp.solve(lp.LpProblem(c, A, b))
+        ref = optimize.linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * len(c), method="highs")
+        assert sol.status == "optimal" and ref.status == 0
+        assert sol.value == pytest.approx(ref.fun, abs=1e-8)
+        assert np.all(A @ sol.point - b <= 1e-9)
+    infeasible = optimize.linprog([1.0], A_ub=[[1.0], [-1.0]], b_ub=[-1.0, -1.0], bounds=[(None, None)], method="highs")
+    unbounded = optimize.linprog([0.0, -1.0], A_ub=[[1.0, 0.0]], b_ub=[1.0], bounds=[(None, None)] * 2, method="highs")
+    assert infeasible.status == 2 and unbounded.status == 3  # as lp.solve reports in the hand cases above

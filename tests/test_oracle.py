@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from safefw.oracle import ConstraintOracle, NoiseModel, cross_pattern
+from safefw import oracle as oracle_mod
+from safefw.oracle import NOISE_KINDS, ConstraintOracle, NoiseModel, cross_pattern
 from safefw.problem import box_polytope
+
+from helpers import random_bounded_polytope
 
 
 def make_oracle(sigma=0.0, seed=0, kind="gaussian", omega0=0.01, d=2):
@@ -120,6 +123,8 @@ def test_out_of_reach_accounting():
     assert o.out_of_reach_events == 0
     o.measure(np.array([2.0, 0.0]))
     assert o.out_of_reach_events == 1
+    o.measure_repeated(np.array([[2.0, 0.0], [0.5, 0.5], [0.0, -3.0]]), 3)  # one event per point
+    assert o.out_of_reach_events == 3
 
 
 def test_cross_pattern_radius_invariant():
@@ -135,3 +140,20 @@ def test_noise_model_validation():
         NoiseModel("poisson", 0.1, 0)
     with pytest.raises(ValueError):
         NoiseModel("gaussian", -0.1, 0)
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+def test_stacked_measure_matches_per_point_calls(kind, monkeypatch):
+    """A stack of points returns the per-point sums bit for bit, from one
+    (n, count, m) draw below the chunk limit and from per-point chunked draws
+    above it (a count of 25 with the limit lowered to 40 draws 5 rows at a time)."""
+    polytope = random_bounded_polytope(np.random.default_rng(0), 3, 8)
+    points = cross_pattern(np.array([0.1, -0.2, 0.05]), 0.01, 6).points
+    for count, chunk in ((5, oracle_mod._DRAW_CHUNK), (25, 40)):
+        monkeypatch.setattr(oracle_mod, "_DRAW_CHUNK", chunk)
+        stacked = ConstraintOracle(polytope, NoiseModel(kind, 0.1, 11), 0.01)
+        single = ConstraintOracle(polytope, NoiseModel(kind, 0.1, 11), 0.01)
+        sums = stacked.measure_repeated(points, count)
+        assert sums.shape == (6, 8)
+        assert np.array_equal(sums, [single.measure_repeated(x, count) for x in points])
+        assert np.array_equal(stacked.measure(points[0]), single.measure(points[0]))  # streams stay aligned

@@ -1,6 +1,6 @@
-"""Property tests: the rank-one estimator against dense solves of its recorded
-design, and the scalar safety test against its cone form, over generated
-absorb sequences."""
+"""Property tests: the incremental estimator against dense solves of its
+recorded design, and the scalar safety test against its cone form, over
+generated sequences of single-point and stacked absorbs."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -22,19 +22,23 @@ value = st.floats(-10.0, 10.0, allow_nan=False)
 
 @st.composite
 def absorbed(draw):
-    """A recording estimator after a generated sequence of absorb and
-    absorb_repeated calls; the sequence always spans R^(d+1)."""
+    """A recording estimator after a generated sequence of absorb calls, each
+    one point (absorb or absorb_repeated) or a stack of up to 5 points
+    (absorb_repeated); the sequence always spans R^(d+1)."""
     d = draw(st.integers(1, 4))
     m = draw(st.integers(1, 3))
     est = RecordingEstimator(d, m)
-    for _ in range(draw(st.integers(d + 1, 30))):
-        x = np.array(draw(st.lists(coordinate, min_size=d, max_size=d)))
-        y = np.array(draw(st.lists(value, min_size=m, max_size=m)))
+    for _ in range(draw(st.integers(d + 1, 20))):
+        n = draw(st.integers(1, 5))
+        X = np.array(draw(st.lists(st.lists(coordinate, min_size=d, max_size=d), min_size=n, max_size=n)))
+        Y = np.array(draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=n, max_size=n)))
         count = draw(st.integers(1, 5))
-        if count == 1 and draw(st.booleans()):
-            est.absorb(x, y)
+        if n > 1 or draw(st.booleans()):
+            est.absorb_repeated(X, Y, count)
+        elif count == 1:
+            est.absorb(X[0], Y[0])
         else:
-            est.absorb_repeated(x, y, count)
+            est.absorb_repeated(X[0], Y[0], count)
     assume(est.spanned)
     return est
 

@@ -97,22 +97,19 @@ def test_lhs_non_increasing_with_new_batches():
             prev = cur
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="needs extended precision")
-def test_fact2_radius_matches_extended_precision_reference():
-    """d = 20, probes clustered near 0.9 * 1: the squared Fact-2 radius
-    1/N + (x - xbar)^T R (x - xbar) at nearby points against a long-double
-    reference from two-pass centred sums. An R formed by inverting the scatter
-    assembled from the running sums loses digits to cancellation (about 4e-9
-    relative on this design) and fails the bound; P's block does not."""
-    rng = np.random.default_rng(0)
-    d = 20
-    est = ConstraintEstimator(d, 1)
-    points = []
-    for _ in range(40):
-        pattern = cross_pattern(0.9 * np.ones(d) + rng.normal(0.0, 0.002, d), 0.01, 2 * d)
-        for pt in pattern.points:
-            est.absorb_repeated(pt, np.zeros(1), pattern.multiplicity)
-            points += [pt] * pattern.multiplicity
+EXTENDED = pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="needs extended precision")
+
+
+def clustered_crosses(rng, d=20, batches=40):
+    """Cross patterns at 40 centres clustered near 0.9 * 1 in d = 20."""
+    return [cross_pattern(0.9 * np.ones(d) + rng.normal(0.0, 0.002, d), 0.01, 2 * d) for _ in range(batches)]
+
+
+def worst_fact2_radius_error(est, points, rng):
+    """Worst relative error of the squared Fact-2 radius 1/N + (x - xbar)^T R (x - xbar)
+    at 20 points near 0.9 * 1, against a long-double reference from two-pass
+    centred sums of the absorbed points, solved with one refinement step."""
+    d = est.d
     X = np.array(points, dtype=np.longdouble)
     xbar = X.mean(axis=0)
     scatter = (X - xbar).T @ (X - xbar)
@@ -126,6 +123,37 @@ def test_fact2_radius_matches_extended_precision_reference():
         reference = 1 / np.longdouble(est.N) + diff @ y
         got = fact2_check(est, config(1.0), x).lhs ** 2
         worst = max(worst, float(abs(got - reference) / reference))
+    return worst
+
+
+@EXTENDED
+def test_fact2_radius_matches_extended_precision_reference():
+    """d = 20, probes clustered near 0.9 * 1, absorbed one point at a time. An
+    R formed by inverting the scatter assembled from the running sums loses
+    digits to cancellation (about 4e-9 relative on this design) and fails the
+    bound; P's block does not."""
+    rng = np.random.default_rng(0)
+    est = ConstraintEstimator(20, 1)
+    points = []
+    for pattern in clustered_crosses(rng):
+        for pt in pattern.points:
+            est.absorb_repeated(pt, np.zeros(1), pattern.multiplicity)
+            points += [pt] * pattern.multiplicity
+    worst = worst_fact2_radius_error(est, points, rng)
+    assert worst <= 5e-10, worst
+
+
+@EXTENDED
+def test_fact2_radius_after_whole_cross_absorbs():
+    """The same design absorbed one whole cross per call (the Woodbury update
+    of P) meets the same extended-precision bound."""
+    rng = np.random.default_rng(0)
+    est = ConstraintEstimator(20, 1)
+    points = []
+    for pattern in clustered_crosses(rng):
+        est.absorb_repeated(pattern.points, np.zeros((len(pattern.points), 1)), pattern.multiplicity)
+        points += list(np.repeat(pattern.points, pattern.multiplicity, axis=0))
+    worst = worst_fact2_radius_error(est, points, rng)
     assert worst <= 5e-10, worst
 
 

@@ -81,3 +81,10 @@ def test_input_validation():
         regularized_lower_gamma(1.0, -1.0)
     assert chi_squared_cdf(0.0, 3) == 0.0
     assert chi_squared_cdf(-1.0, 3) == 0.0
+
+
+def test_quantile_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    for dof in (1, 2, 3, 5, 11, 21, 41):
+        for p in (1e-3, 0.1, 0.5, 0.9, 0.99, 1.0 - 0.1 / 15, 1.0 - 1e-6):
+            assert chi_squared_quantile(p, dof) == pytest.approx(stats.chi2.ppf(p, dof), rel=1e-9, abs=1e-9)
