@@ -25,8 +25,9 @@ from .problem import (
     minimize_quadratic,
     quadratic_objective,
     validate,
+    vertex_sweep,
 )
-from .ro import RoConfig, ro_run, soc_linmin
+from .ro import ro_run, soc_linmin
 from .safety import (
     SafetyConfig,
     SafetyVerdict,
@@ -58,7 +59,6 @@ __all__ = [
     "Objective",
     "Polytope",
     "ProblemSetup",
-    "RoConfig",
     "SafetyConfig",
     "SafetyVerdict",
     "SfwConfig",
@@ -89,6 +89,7 @@ __all__ = [
     "solve",
     "surrogate_gap",
     "validate",
+    "vertex_sweep",
 ]
 
 __version__ = "0.1.0"

@@ -21,7 +21,6 @@ from .estimator import CONFIDENCE_MODES, ConstraintEstimator, confidence_members
 from .lp import FEAS_TOL
 from .oracle import NOISE_KINDS, ConstraintOracle, NoiseModel
 from .problem import (
-    GeometryConstants,
     Objective,
     Polytope,
     box_geometry_constants,
@@ -31,6 +30,7 @@ from .problem import (
     minimize_quadratic,
     quadratic_objective,
     validate,
+    vertex_sweep,
 )
 from .safety import SafetyConfig, cn_lower_bound, make_safety_config
 from .sfw import ProblemSetup, SfwConfig, TrajectoryRecord
@@ -90,16 +90,22 @@ class ExperimentConfig:
 
 @dataclass
 class ResolvedExperiment:
+    """The run inputs built from a config; objective and x0 are read from setup."""
+
     cfg: ExperimentConfig
     polytope: Polytope
-    objective: Objective
-    x0: np.ndarray
-    geometry: GeometryConstants
-    setup: ProblemSetup
+    setup: ProblemSetup  # objective, x0 and geometry
     safety: SafetyConfig
-    x_star: np.ndarray
     f_star: float
     beta_true: np.ndarray  # (d+1) x m stack of [a_i; b_i], diagnostics only
+
+    @property
+    def objective(self) -> Objective:
+        return self.setup.objective
+
+    @property
+    def x0(self) -> np.ndarray:
+        return self.setup.x0
 
 
 @dataclass
@@ -196,9 +202,9 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
             raise ConfigError(f"bad polytope description: {exc}") from exc
         d = polytope.d
         is_box = False
-        report = validate(polytope)
-        if not report.bounded:
-            raise ConfigError("polytope is unbounded")
+        status = validate(polytope)
+        if status != "bounded":
+            raise ConfigError("polytope is empty" if status == "infeasible" else "polytope is unbounded")
     else:
         raise ConfigError("problem.type must be 'box' or 'polytope'")
 
@@ -218,16 +224,13 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         M = box_quadratic_lipschitz(d, half_width, x_prime)
         objective = quadratic_objective(x_prime, M)
         geometry = box_geometry_constants(d, half_width, objective, x0)
-        x_star = np.clip(x_prime, -half_width, half_width)
-        f_star = objective.value(x_star)
+        f_star = objective.value(np.clip(x_prime, -half_width, half_width))
     else:
-        from . import lp as lp_mod
-
-        vertices = lp_mod.enumerate_vertices(lp_mod.LpProblem(np.zeros(d), polytope.A, polytope.b))
-        M = max(float(np.linalg.norm(v - x_prime)) for v in vertices)
+        sweep = vertex_sweep(polytope)
+        M = max(float(np.linalg.norm(v - x_prime)) for v in sweep[0])
         objective = quadratic_objective(x_prime, M)
-        geometry = geometry_constants(polytope, objective, x0)
-        x_star, f_star = minimize_quadratic(polytope, x_prime)
+        geometry = geometry_constants(polytope, objective, x0, sweep)
+        f_star = minimize_quadratic(polytope, x_prime)[1]
     if objective.value(x0) - f_star <= 0:
         raise ConfigError("x0 is already optimal; normalized curves are undefined")
 
@@ -249,24 +252,22 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         if cn_value < 0:
             raise ConfigError("cn must be non-negative")
     scfg = replace(scfg, cn=cn_value)
+    if cfg.variant == "prescribed" and cn_value <= 0:
+        raise ConfigError(f"variant 'prescribed' needs a positive cn, got {cn_value!r}")
     if cfg.variant == "ro" and cfg.ro_total_measurements is None:
         raise ConfigError("variant 'ro' needs ro_total_measurements")
     if cfg.ro_total_measurements is not None and cfg.ro_total_measurements < 2 * (d + 1):
         raise ConfigError(f"ro_total_measurements must be at least 2(d+1) = {2 * (d + 1)}")
+    if cfg.max_total_measurements < 2 * d:
+        raise ConfigError(f"max_total_measurements must cover one cross, 2d = {2 * d}")
 
-    setup = ProblemSetup(objective=objective, x0=x0, geometry=geometry, d=d, m=polytope.m)
-    beta_true = np.vstack([polytope.A.T, polytope.b[None, :]])
     return ResolvedExperiment(
         cfg=cfg,
         polytope=polytope,
-        objective=objective,
-        x0=x0,
-        geometry=geometry,
-        setup=setup,
+        setup=ProblemSetup(objective=objective, x0=x0, geometry=geometry),
         safety=scfg,
-        x_star=x_star,
         f_star=f_star,
-        beta_true=beta_true,
+        beta_true=np.vstack([polytope.A.T, polytope.b[None, :]]),
     )
 
 
@@ -300,19 +301,13 @@ def run_single(
     est = ConstraintEstimator(res.polytope.d, res.polytope.m)
     start = time.perf_counter()
     if variant in ("prescribed", "adaptive"):
-        run_cfg = SfwConfig(
-            epsilon=cfg.epsilon,
-            T=cfg.T,
-            variant=variant,
-            max_total_measurements=cfg.max_total_measurements,
-        )
+        run_cfg = SfwConfig(epsilon=cfg.epsilon, variant=variant, max_total_measurements=cfg.max_total_measurements)
         rec = sfw_mod.run(res.setup, oracle, est, res.safety, run_cfg)
     elif variant == "ro":
         budget = ro_budget if ro_budget is not None else cfg.ro_total_measurements
-        rcfg = ro_mod.RoConfig(total_measurements=int(budget), T=cfg.T)
-        rec = ro_mod.ro_run(res.setup, oracle, est, res.safety, rcfg)
+        rec = ro_mod.ro_run(res.setup, oracle, est, res.safety, int(budget))
     elif variant == "fw-oracle":
-        rec = sfw_mod.run_fw_reference(res.polytope, res.objective, res.x0, cfg.T)
+        rec = sfw_mod.run_fw_reference(res.polytope, res.objective, res.x0, res.safety.T)
     else:
         raise ConfigError(f"unknown variant {variant!r}")
     wall = time.perf_counter() - start

@@ -21,6 +21,8 @@ import numpy as np
 FEAS_TOL = 1e-9
 COST_TOL = 1e-10
 PIVOT_TOL = 1e-11
+MAX_PIVOTS = 20000
+ENUM_CAP_M, ENUM_CAP_D = 16, 6  # enumerate_vertices is a reference for small instances
 
 
 class PivotLimitError(RuntimeError):
@@ -65,10 +67,10 @@ def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _simplex(T: np.ndarray, basis: list[int], allowed: list[int], max_pivots: int) -> str:
+def _simplex(T: np.ndarray, basis: list[int], allowed: list[int]) -> str:
     """Minimize the bottom-row objective. Bland's rule on entering and leaving."""
     m = T.shape[0] - 1
-    for _ in range(max_pivots):
+    for _ in range(MAX_PIVOTS):
         enter = -1
         for j in allowed:
             if T[-1, j] < -COST_TOL:
@@ -89,7 +91,7 @@ def _simplex(T: np.ndarray, basis: list[int], allowed: list[int], max_pivots: in
         if leave < 0:
             return "unbounded"
         _pivot(T, basis, leave, enter)
-    raise PivotLimitError(f"simplex made no verdict within {max_pivots} pivots")
+    raise PivotLimitError(f"simplex made no verdict within {MAX_PIVOTS} pivots")
 
 
 def _null_direction(rows: np.ndarray, d: int) -> np.ndarray | None:
@@ -104,16 +106,14 @@ def _null_direction(rows: np.ndarray, d: int) -> np.ndarray | None:
     return None
 
 
-def _push_to_vertex(p: LpProblem, x: np.ndarray, max_rounds: int | None = None) -> np.ndarray:
+def _push_to_vertex(p: LpProblem, x: np.ndarray) -> np.ndarray:
     """Slide along the optimal face (constant objective) until d active rows.
 
     Requires the face to be bounded in the chosen directions; otherwise the
     incoming point is returned unchanged.
     """
     m, d = p.A.shape
-    if max_rounds is None:
-        max_rounds = m + d + 2
-    for _ in range(max_rounds):
+    for _ in range(m + d + 2):
         resid = p.b - p.A @ x
         scale = 1.0 + np.abs(p.b) + np.abs(p.A) @ np.abs(x)
         active = resid <= 1e-8 * scale
@@ -171,7 +171,7 @@ def _verified_basis_vertex(p: LpProblem, basis: list[int]) -> np.ndarray | None:
     return x
 
 
-def solve(p: LpProblem, max_pivots: int = 20000, basis: list[int] | None = None) -> LpSolution:
+def solve(p: LpProblem, basis: list[int] | None = None) -> LpSolution:
     """Minimize <c, x> over {x : A x <= b}.
 
     Returns a vertex of the optimal face when the feasible set is bounded
@@ -215,7 +215,7 @@ def solve(p: LpProblem, max_pivots: int = 20000, basis: list[int] | None = None)
         for i, bc in enumerate(basic):
             if bc >= n_struct + m:
                 T[-1] -= T[i]
-        _simplex(T, basic, list(range(ncols)), max_pivots)
+        _simplex(T, basic, list(range(ncols)))
         if -T[-1, -1] > 1e-7 * (1.0 + float(np.abs(b).sum())):
             return LpSolution(None, math.inf, "infeasible")
         # drive surviving artificials out of the basis where possible
@@ -233,7 +233,7 @@ def solve(p: LpProblem, max_pivots: int = 20000, basis: list[int] | None = None)
     for i, bc in enumerate(basic):
         if T[-1, bc] != 0.0:
             T[-1] -= T[-1, bc] * T[i]
-    status = _simplex(T, basic, list(range(n_struct + m)), max_pivots)
+    status = _simplex(T, basic, list(range(n_struct + m)))
     if status == "unbounded":
         return LpSolution(None, -math.inf, "unbounded")
 
@@ -262,16 +262,16 @@ def feasible_bases(A: np.ndarray, b: np.ndarray):
             yield v, float(svals[-1])
 
 
-def enumerate_vertices(p: LpProblem, cap_m: int = 16, cap_d: int = 6) -> list[np.ndarray]:
+def enumerate_vertices(p: LpProblem) -> list[np.ndarray]:
     """All vertices of {x : A x <= b} from the feasible-basis sweep.
 
     Deduplicated at 1e-9. Intended for small instances and for testing the
     simplex path, hence the hard caps on m and d.
     """
     m, d = p.A.shape
-    if m > cap_m or d > cap_d:
+    if m > ENUM_CAP_M or d > ENUM_CAP_D:
         raise EnumerationCapError(
-            f"vertex enumeration capped at m<={cap_m}, d<={cap_d} (got m={m}, d={d}); "
+            f"vertex enumeration capped at m<={ENUM_CAP_M}, d<={ENUM_CAP_D} (got m={m}, d={d}); "
             "use the simplex solver or an analytic description for larger instances"
         )
     vertices: list[np.ndarray] = []

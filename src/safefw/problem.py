@@ -12,6 +12,8 @@ import numpy as np
 
 from . import lp
 
+SUBSET_CAP = 10**6  # most constraint subsets an exact enumeration may sweep
+
 
 @dataclass
 class Polytope:
@@ -44,8 +46,8 @@ class Polytope:
     def max_violation(self, x: np.ndarray) -> float:
         return float(np.max(self.A @ np.asarray(x, dtype=float) - self.b))
 
-    def contains(self, x: np.ndarray, tol: float = lp.FEAS_TOL) -> bool:
-        return self.max_violation(x) <= tol
+    def contains(self, x: np.ndarray) -> bool:
+        return self.max_violation(x) <= lp.FEAS_TOL
 
 
 @dataclass
@@ -76,12 +78,6 @@ class GeometryConstants:
         expected = self.cf_bound
         if not math.isfinite(expected):
             raise ValueError("curvature bound must be finite")
-
-
-@dataclass
-class ValidationReport:
-    bounded: bool
-    interior_point: np.ndarray | None
 
 
 def box_polytope(d: int, half_width: float = 1.0) -> Polytope:
@@ -116,68 +112,50 @@ def box_quadratic_lipschitz(d: int, half_width: float, x_prime: np.ndarray) -> f
     return float(np.linalg.norm(far))
 
 
-def validate(p: Polytope) -> ValidationReport:
-    """Boundedness via 2d support LPs, interiority via the max-margin LP."""
-    d = p.d
-    for i in range(d):
+def validate(p: Polytope) -> str:
+    """"bounded", "unbounded" or "infeasible", from the 2d support LPs min/max x_i."""
+    for i in range(p.d):
         for sign in (1.0, -1.0):
-            c = np.zeros(d)
+            c = np.zeros(p.d)
             c[i] = sign
-            sol = lp.solve(lp.LpProblem(c, p.A, p.b))
-            if sol.status == "infeasible":
-                return ValidationReport(False, None)
-            if sol.status == "unbounded":
-                return ValidationReport(False, None)
-    # maximize t subject to A x + t 1 <= b; t* > 0 certifies a strict interior
-    A_ext = np.hstack([p.A, np.ones((p.m, 1))])
-    c_ext = np.zeros(d + 1)
-    c_ext[-1] = -1.0
-    sol = lp.solve(lp.LpProblem(c_ext, A_ext, p.b))
-    if sol.status != "optimal" or sol.point is None:
-        return ValidationReport(True, None)
-    t_star = sol.point[-1]
-    if t_star > 1e-9:
-        return ValidationReport(True, sol.point[:-1].copy())
-    return ValidationReport(True, None)
+            status = lp.solve(lp.LpProblem(c, p.A, p.b)).status
+            if status != "optimal":
+                return status
+    return "bounded"
 
 
-def geometry_constants(
-    p: Polytope,
-    obj: Objective,
-    x0: np.ndarray,
-    rho_min_override: float | None = None,
-    subset_cap: int = 10**6,
-) -> GeometryConstants:
-    """Exact geometric constants via vertex enumeration (small instances).
-
-    rho_min enumeration is exponential in d; pass rho_min_override when the
-    value is known analytically (boxes: 1).
-    """
-    x0 = np.asarray(x0, dtype=float)
-    eps0 = float(np.min(p.margins(x0)))
-    if eps0 <= 0.0:
-        raise ValueError("x0 must be strictly feasible")
-    l_a = float(np.max(np.linalg.norm(p.A, axis=1)))
-    if math.comb(p.m, p.d) > subset_cap:
+def vertex_sweep(p: Polytope) -> tuple[np.ndarray, float]:
+    """One sweep of the d-subsets of the rows: the vertices (one row per
+    feasible basis, so a degenerate vertex repeats) and rho_min, the smallest
+    singular value over those bases."""
+    if math.comb(p.m, p.d) > SUBSET_CAP:
         raise lp.EnumerationCapError(
-            f"{math.comb(p.m, p.d)} constraint subsets exceed the cap {subset_cap}; "
-            "supply analytic geometry (rho_min override) for this instance"
+            f"{math.comb(p.m, p.d)} constraint subsets exceed the cap {SUBSET_CAP}; "
+            "supply analytic geometry for this instance"
         )
     bases = list(lp.feasible_bases(p.A, p.b))
     if not bases:
         raise ValueError("no vertices found; polytope is unbounded or empty")
-    V = np.array([v for v, _ in bases])
+    return np.array([v for v, _ in bases]), min(s for _, s in bases)
+
+
+def geometry_constants(
+    p: Polytope, obj: Objective, x0: np.ndarray, sweep: tuple[np.ndarray, float]
+) -> GeometryConstants:
+    """Exact geometric constants from the vertex sweep of p (small instances)."""
+    x0 = np.asarray(x0, dtype=float)
+    eps0 = float(np.min(p.margins(x0)))
+    if eps0 <= 0.0:
+        raise ValueError("x0 must be strictly feasible")
+    V, rho_min = sweep
     gamma0 = float(np.max(np.linalg.norm(V, axis=1)))
     diffs = V[:, None, :] - V[None, :, :]
     gamma = float(np.max(np.linalg.norm(diffs, axis=2)))
-    rho_min = min(s for _, s in bases) if rho_min_override is None else float(rho_min_override)
-    if rho_min <= 0.0:
-        raise ValueError("rho_min must be positive for a valid polytope")
     return GeometryConstants(
         gamma=gamma,
         gamma0=gamma0,
         eps0=eps0,
-        l_a=l_a,
+        l_a=float(np.max(np.linalg.norm(p.A, axis=1))),
         rho_min=rho_min,
         cf_bound=obj.L * gamma * gamma,
     )
@@ -202,9 +180,7 @@ def box_geometry_constants(
     )
 
 
-def minimize_quadratic(
-    p: Polytope, x_prime: np.ndarray, subset_cap: int = 10**6
-) -> tuple[np.ndarray, float]:
+def minimize_quadratic(p: Polytope, x_prime: np.ndarray) -> tuple[np.ndarray, float]:
     """Exact minimizer of 0.5 ||x - x'||^2 over the polytope.
 
     Active-set enumeration over equality subsets with KKT sign checks; exact
@@ -215,9 +191,9 @@ def minimize_quadratic(
     if p.contains(target):
         return target.copy(), 0.0
     total = sum(math.comb(m, k) for k in range(1, d + 1))
-    if total > subset_cap:
+    if total > SUBSET_CAP:
         raise lp.EnumerationCapError(
-            f"{total} active-set candidates exceed the cap {subset_cap}"
+            f"{total} active-set candidates exceed the cap {SUBSET_CAP}"
         )
     best_x = None
     best_f = math.inf

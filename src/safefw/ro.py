@@ -20,15 +20,8 @@ from .safety import SafetyConfig, cone_terms, fact2_check, soc_check
 from .sfw import ProblemSetup, TrajectoryRecord, dfs_problem, surrogate_gap
 
 
-@dataclass
-class RoConfig:
-    total_measurements: int
-    T: int
-    measurement_site: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
+LINMIN_TOL = 1e-7  # largest cone-constraint violation a linmin point may keep
+MAX_CUTS = 200
 
 
 @dataclass
@@ -52,16 +45,15 @@ def soc_linmin(
     c: np.ndarray,
     guard: float,
     anchor: np.ndarray,
-    tol: float = 1e-7,
-    max_cuts: int = 200,
 ) -> SocLinminResult:
     """Approximately minimize <c, s> over the safety set by cutting planes.
 
     Starts from the LP relaxation over the estimated polytope (inside a guard
     box); each round adds the linearization of the most-violated cone
     constraint at the current LP solution. Stops when the worst violation is
-    at most tol. If the cut budget runs out, the final LP point is pulled back
-    toward the safe anchor by bisection and flagged with warning=True.
+    at most LINMIN_TOL. If the MAX_CUTS budget runs out, the final LP point is
+    pulled back toward the safe anchor by bisection and flagged with
+    warning=True.
     """
     if est.P is None:
         raise ValueError("design does not yet span R^(d+1)")
@@ -73,7 +65,7 @@ def soc_linmin(
     rhs = [relaxation.b]
     lp_values: list[float] = []
     point = anchor.copy()
-    for cut in range(max_cuts + 1):
+    for cut in range(MAX_CUTS + 1):
         sol = lp.solve(lp.LpProblem(c, np.vstack(rows), np.concatenate(rhs)))
         if sol.status != "optimal":
             return SocLinminResult(anchor.copy(), float(c @ anchor), cut, True, lp_values)
@@ -82,9 +74,9 @@ def soc_linmin(
         verdict = soc_check(est, cfg, point)
         violations = verdict.lhs - verdict.margins
         worst = int(np.argmax(violations))
-        if violations[worst] <= tol:
+        if violations[worst] <= LINMIN_TOL:
             return SocLinminResult(point, float(c @ point), cut, False, lp_values)
-        if cut == max_cuts:
+        if cut == MAX_CUTS:
             break
         pz, norm = cone_terms(est, point)
         if norm <= 0.0:
@@ -103,12 +95,12 @@ def soc_linmin(
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         candidate = anchor + mid * (point - anchor)
-        if soc_violation(est, cfg, candidate) <= tol:
+        if soc_violation(est, cfg, candidate) <= LINMIN_TOL:
             lo = mid
         else:
             hi = mid
     safe_point = anchor + lo * (point - anchor)
-    return SocLinminResult(safe_point, float(c @ safe_point), max_cuts, True, lp_values)
+    return SocLinminResult(safe_point, float(c @ safe_point), MAX_CUTS, True, lp_values)
 
 
 def ro_run(
@@ -116,15 +108,14 @@ def ro_run(
     oracle: ConstraintOracle,
     est: ConstraintEstimator,
     scfg: SafetyConfig,
-    rcfg: RoConfig,
+    total_measurements: int,
 ) -> TrajectoryRecord:
-    """One-shot estimation around the measurement site, then T Frank-Wolfe
-    iterations over the frozen safety set."""
+    """One-shot estimation of total_measurements around x0, then scfg.T
+    Frank-Wolfe iterations over the frozen safety set."""
     obj = setup.objective
-    site = setup.x0 if rcfg.measurement_site is None else np.asarray(rcfg.measurement_site, dtype=float)
-    if rcfg.total_measurements < 2 * (setup.d + 1):
+    if total_measurements < 2 * (setup.d + 1):
         raise ValueError(f"total_measurements must be at least 2(d+1) = {2 * (setup.d + 1)}")
-    pattern = cross_pattern(site, scfg.omega0, rcfg.total_measurements)
+    pattern = cross_pattern(setup.x0, scfg.omega0, total_measurements)
     value_sums = oracle.measure_repeated(pattern.points, pattern.multiplicity)
     est.absorb_repeated(pattern.points, value_sums, pattern.multiplicity)
 
@@ -135,9 +126,9 @@ def ro_run(
         rec.add(x, obj.value(x), est.N, verdict, est)
         rec.status = "safety-set-empty"
         return rec
-    for t in range(rcfg.T):
+    for t in range(scfg.T):
         grad = obj.gradient(x)
-        res = soc_linmin(est, scfg, grad, setup.dfs_guard, site)
+        res = soc_linmin(est, scfg, grad, setup.dfs_guard, setup.x0)
         gap = surrogate_gap(grad, x, res.point)
         status = "soc-warning" if res.warning else "soc-optimal"
         n_t = pattern.total if t == 0 else 0

@@ -25,16 +25,16 @@ VARIANTS = ("prescribed", "adaptive")
 
 @dataclass
 class SfwConfig:
+    """How a run steps; its iteration budget T is the SafetyConfig's, which
+    splits delta over exactly those T iterations."""
+
     epsilon: float
-    T: int
     variant: str = "prescribed"
     max_total_measurements: int = 10_000_000
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
-        if self.T < 3:
-            raise ValueError("T must be at least 3")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
 
@@ -49,13 +49,13 @@ class ProblemSetup:
     objective: Objective
     x0: np.ndarray
     geometry: GeometryConstants
-    d: int
-    m: int
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
-        if self.x0.shape != (self.d,):
-            raise ValueError(f"x0 must have length {self.d}")
+
+    @property
+    def d(self) -> int:
+        return self.x0.size
 
     @property
     def dfs_guard(self) -> float:
@@ -200,7 +200,7 @@ def _run_prescribed(setup, oracle, est, scfg, cfg) -> TrajectoryRecord:
     obj = setup.objective
     rec = TrajectoryRecord()
     x = setup.x0.copy()
-    for t in range(cfg.T):
+    for t in range(scfg.T):
         n_t = _absorb_cross(oracle, est, x, scfg.omega0, max(nt_schedule(scfg.cn, t), 2 * setup.d))
         row = rec.add(x, obj.value(x), est.N, fact2_check(est, scfg, x), est)  # asserted, not enforced
         grad = obj.gradient(x)
@@ -282,7 +282,7 @@ def adaptive_step(
 def _run_adaptive(setup, oracle, est, scfg, cfg) -> TrajectoryRecord:
     rec = TrajectoryRecord()
     first = rec.add(setup.x0, setup.objective.value(setup.x0), 0)
-    for t in range(cfg.T):
+    for t in range(scfg.T):
         if t > 0 and est.N + 2 * setup.d * t > cfg.max_total_measurements:
             outcome = "budget-exhausted"
         else:
@@ -296,13 +296,7 @@ def _run_adaptive(setup, oracle, est, scfg, cfg) -> TrajectoryRecord:
     return rec
 
 
-def run_fw_reference(
-    polytope: Polytope,
-    objective: Objective,
-    x0: np.ndarray,
-    T: int,
-    epsilon: float | None = None,
-) -> TrajectoryRecord:
+def run_fw_reference(polytope: Polytope, objective: Objective, x0: np.ndarray, T: int) -> TrajectoryRecord:
     """Classical Frank-Wolfe on the true polytope, gamma_t = 1/(t+2).
 
     Zero-uncertainty reference used for comparisons and envelope checks.
@@ -316,10 +310,6 @@ def run_fw_reference(
             raise ValueError(f"linear subproblem over the true polytope is {sol.status}")
         gap = surrogate_gap(grad, x, sol.point)
         rec.add(x, objective.value(x), 0).record_step(sol.point, gap, 0.0, 0, 0, "optimal")
-        if epsilon is not None and gap <= epsilon:
-            rec.status = "stopped-early"
-            rec.stopped_at = t
-            return rec
         x = x + (sol.point - x) / (t + 2)
     rec.add(x, objective.value(x), 0)
     return rec

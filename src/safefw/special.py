@@ -2,8 +2,12 @@
 
 import math
 
+GAMMA_TOL = 1e-14      # relative tolerance of the series and the continued fraction
+GAMMA_MAX_ITER = 500
+QUANTILE_TOL = 1e-10   # absolute tolerance of the quantile bisection
 
-def regularized_lower_gamma(a: float, x: float, tol: float = 1e-14, max_iter: int = 500) -> float:
+
+def regularized_lower_gamma(a: float, x: float) -> float:
     """P(a, x) = gamma(a, x) / Gamma(a), the regularized lower incomplete gamma.
 
     Series representation for x < a + 1, Lentz continued fraction for the
@@ -20,11 +24,11 @@ def regularized_lower_gamma(a: float, x: float, tol: float = 1e-14, max_iter: in
         ap = a
         term = 1.0 / a
         total = term
-        for _ in range(max_iter):
+        for _ in range(GAMMA_MAX_ITER):
             ap += 1.0
             term *= x / ap
             total += term
-            if abs(term) < abs(total) * tol:
+            if abs(term) < abs(total) * GAMMA_TOL:
                 return total * math.exp(-x + a * math.log(x) - lg)
         raise RuntimeError("incomplete gamma series did not converge")
     tiny = 1e-300
@@ -32,7 +36,7 @@ def regularized_lower_gamma(a: float, x: float, tol: float = 1e-14, max_iter: in
     c = 1.0 / tiny
     d = 1.0 / b if b != 0.0 else 1.0 / tiny
     h = d
-    for i in range(1, max_iter + 1):
+    for i in range(1, GAMMA_MAX_ITER + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -44,7 +48,7 @@ def regularized_lower_gamma(a: float, x: float, tol: float = 1e-14, max_iter: in
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < tol:
+        if abs(delta - 1.0) < GAMMA_TOL:
             return 1.0 - math.exp(-x + a * math.log(x) - lg) * h
     raise RuntimeError("incomplete gamma continued fraction did not converge")
 
@@ -58,8 +62,8 @@ def chi_squared_cdf(x: float, dof: int) -> float:
     return regularized_lower_gamma(dof / 2.0, x / 2.0)
 
 
-def chi_squared_quantile(p: float, dof: int, tol: float = 1e-10) -> float:
-    """Inverse chi-squared CDF, found by bisection to absolute tolerance ``tol``."""
+def chi_squared_quantile(p: float, dof: int) -> float:
+    """Inverse chi-squared CDF, found by bisection to absolute tolerance QUANTILE_TOL."""
     if not 0.0 < p < 1.0:
         raise ValueError("quantile level must lie strictly between 0 and 1")
     lo = 0.0
@@ -68,7 +72,7 @@ def chi_squared_quantile(p: float, dof: int, tol: float = 1e-10) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise RuntimeError("failed to bracket the chi-squared quantile")
-    while hi - lo > tol:
+    while hi - lo > QUANTILE_TOL:
         mid = 0.5 * (lo + hi)
         if chi_squared_cdf(mid, dof) < p:
             lo = mid

@@ -71,8 +71,8 @@ def zero_noise_run():
     scfg = SafetyConfig(delta=0.1, T=50, omega0=0.01, phi_delta=0.0, cn=0.0)
     oracle = ConstraintOracle(p, NoiseModel("gaussian", 0.0, 0), 0.01)
     est = ConstraintEstimator(d, 2 * d)
-    setup = ProblemSetup(obj, np.zeros(d), geo, d, 2 * d)
-    rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-12, T=50, variant="adaptive"))
+    setup = ProblemSetup(obj, np.zeros(d), geo)
+    rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-12, variant="adaptive"))
     return p, geo, rec
 
 
@@ -138,7 +138,7 @@ def test_criterion_5_gap_error_bound():
     d = 2
     cfg = box_config(d, variant="prescribed", cn=24.0 * d * d, repetitions=34)
     res = resolve(cfg)
-    c_delta = c_delta_constant(res.geometry, res.safety.phi_delta, res.safety.omega0, d)
+    c_delta = c_delta_constant(res.setup.geometry, res.safety.phi_delta, res.safety.omega0, d)
     M = res.objective.M
     held = total = 0
     for seed in range(cfg.repetitions):

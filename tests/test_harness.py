@@ -47,9 +47,29 @@ def d2_config(**overrides) -> ExperimentConfig:
 
 def test_resolve_box_quadratic_optimum():
     res = resolve(d2_config())
-    assert np.allclose(res.x_star, [1.0, 0.5])
-    assert res.f_star == pytest.approx(0.5, abs=1e-12)
-    assert res.geometry.eps0 == 1.0
+    assert res.f_star == res.objective.value(np.array([1.0, 0.5])) == pytest.approx(0.5, abs=1e-12)
+    assert res.setup.geometry.eps0 == 1.0
+
+
+def test_resolve_regular_17gon_vs_brute_force():
+    # 136 bases, beyond the m <= 16 cap of the reference enumerator; vertex i joins facets i and i+1
+    angles = 2.0 * np.pi * np.arange(17) / 17
+    A = np.column_stack([np.cos(angles), np.sin(angles)])
+    res = resolve(d2_config(problem={"type": "polytope", "A": A.tolist(), "b": [1.0] * 17}))
+    verts = [np.linalg.solve(A[[i, (i + 1) % 17]], np.ones(2)) for i in range(17)]
+    x_prime = np.array([2.0, 0.5])
+    assert res.objective.M == pytest.approx(max(np.linalg.norm(v - x_prime) for v in verts), abs=1e-12)
+    assert res.setup.geometry.gamma0 == pytest.approx(max(np.linalg.norm(v) for v in verts), abs=1e-12)
+    rec, rep = run_single(res, 0)
+    assert rec.status == "completed" and rep.iterate_violations == 0
+
+
+def test_empty_polytope_is_reported_as_empty(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    A = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+    path.write_text(json.dumps({"problem": {"type": "polytope", "A": A, "b": [-1.0, -1.0, 1.0, 1.0]}}))
+    assert cli_main(["validate-config", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "config error: polytope is empty\n"
 
 
 def test_config_validation_errors():
@@ -235,11 +255,16 @@ def test_cli_round_trip(tmp_path):
         {"variant": "ro", "ro_total_measurements": -5},
         {"ro_total_measurements": 5},
         {"out_dir": 5},
+        {"variant": "prescribed", "cn": 0},
+        {"variant": "prescribed", "sigma": 0.0},
+        {"max_total_measurements": -5},
+        {"max_total_measurements": 3},
     ],
     ids=[
         "nan-sigma", "string-T", "fractional-d", "list-problem", "string-objective", "null-half-width",
         "dict-x0", "bogus-confidence-mode", "cauchy-noise", "optimal-x0", "negative-ro-budget",
-        "small-ro-budget", "int-out-dir",
+        "small-ro-budget", "int-out-dir", "zero-cn-prescribed", "auto-cn-zero-noise-prescribed",
+        "negative-measurement-budget", "sub-cross-measurement-budget",
     ],
 )
 def test_validate_config_rejects_bad_values(tmp_path, capsys, overrides):

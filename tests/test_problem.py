@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from safefw import lp
+from safefw import lp, problem
 from safefw.problem import (
     Polytope,
     box_geometry_constants,
@@ -17,6 +17,7 @@ from safefw.problem import (
     minimize_quadratic,
     quadratic_objective,
     validate,
+    vertex_sweep,
 )
 
 from helpers import random_bounded_polytope
@@ -27,24 +28,27 @@ def quadratic_d2():
     return quadratic_objective(x_prime, box_quadratic_lipschitz(2, 1.0, x_prime))
 
 
+def geometry(p, obj, x0):
+    return geometry_constants(p, obj, x0, vertex_sweep(p))
+
+
 def test_validate_unit_box():
-    report = validate(box_polytope(2))
-    assert report.bounded
-    assert report.interior_point is not None
-    assert np.min(box_polytope(2).margins(report.interior_point)) > 0
+    assert validate(box_polytope(2)) == "bounded"
 
 
 def test_validate_half_space_unbounded():
-    report = validate(Polytope(np.array([[1.0, 0.0]]), np.array([1.0])))
-    assert not report.bounded
-    assert report.interior_point is None
+    assert validate(Polytope(np.array([[1.0, 0.0]]), np.array([1.0]))) == "unbounded"
 
 
 def test_validate_degenerate_box():
-    p = Polytope(box_polytope(2).A, np.zeros(4))
-    report = validate(p)
-    assert report.bounded
-    assert report.interior_point is None
+    # a single point is bounded; interiority is x0's strict-feasibility check
+    assert validate(Polytope(box_polytope(2).A, np.zeros(4))) == "bounded"
+
+
+def test_validate_empty_polytope():
+    # x1 <= -1 and x1 >= 1 cannot both hold
+    p = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.array([-1.0, -1.0, 1.0, 1.0]))
+    assert validate(p) == "infeasible"
 
 
 def test_zero_row_rejected():
@@ -53,7 +57,7 @@ def test_zero_row_rejected():
 
 
 def test_geometry_unit_box_exact():
-    geo = geometry_constants(box_polytope(2), quadratic_d2(), np.zeros(2))
+    geo = geometry(box_polytope(2), quadratic_d2(), np.zeros(2))
     assert geo.eps0 == 1.0
     assert geo.l_a == 1.0
     assert geo.rho_min == 1.0
@@ -64,13 +68,13 @@ def test_geometry_unit_box_exact():
 
 def test_geometry_scaled_box_eps0():
     p = Polytope(box_polytope(2).A, 2.0 * np.ones(4))
-    geo = geometry_constants(p, quadratic_d2(), np.zeros(2))
+    geo = geometry(p, quadratic_d2(), np.zeros(2))
     assert geo.eps0 == 2.0
 
 
 def test_geometry_matches_box_closed_form():
     obj = quadratic_d2()
-    enumerated = geometry_constants(box_polytope(2), obj, np.zeros(2))
+    enumerated = geometry(box_polytope(2), obj, np.zeros(2))
     analytic = box_geometry_constants(2, 1.0, obj, np.zeros(2))
     for name in ("gamma", "gamma0", "eps0", "l_a", "rho_min", "cf_bound"):
         assert getattr(enumerated, name) == pytest.approx(getattr(analytic, name), abs=1e-12)
@@ -80,7 +84,7 @@ def test_geometry_random_polytope_vs_brute_force():
     rng = np.random.default_rng(5)
     p = random_bounded_polytope(rng, 2, 5)
     obj = quadratic_d2()
-    geo = geometry_constants(p, obj, np.zeros(2))
+    geo = geometry(p, obj, np.zeros(2))
 
     # brute force over every pair of constraints
     verts, sig = [], []
@@ -107,24 +111,51 @@ def test_geometry_deterministic():
     rng = np.random.default_rng(6)
     p = random_bounded_polytope(rng, 2, 6)
     obj = quadratic_d2()
-    a = geometry_constants(p, obj, np.zeros(2))
-    b = geometry_constants(p, obj, np.zeros(2))
+    a = geometry(p, obj, np.zeros(2))
+    b = geometry(p, obj, np.zeros(2))
     assert all(getattr(a, f) == getattr(b, f) for f in ("gamma", "gamma0", "eps0", "l_a", "rho_min", "cf_bound"))
 
 
 def test_geometry_requires_strict_feasibility():
     with pytest.raises(ValueError):
-        geometry_constants(box_polytope(2), quadratic_d2(), np.array([1.0, 0.0]))
+        geometry(box_polytope(2), quadratic_d2(), np.array([1.0, 0.0]))
 
 
-def test_geometry_subset_cap():
+def test_geometry_subset_cap(monkeypatch):
+    monkeypatch.setattr(problem, "SUBSET_CAP", 5)  # the box has C(4, 2) = 6 bases
     with pytest.raises(lp.EnumerationCapError):
-        geometry_constants(box_polytope(2), quadratic_d2(), np.zeros(2), subset_cap=2)
+        vertex_sweep(box_polytope(2))
+    with pytest.raises(lp.EnumerationCapError):
+        minimize_quadratic(box_polytope(2), np.array([2.0, 0.5]))
 
 
-def test_rho_min_override():
-    geo = geometry_constants(box_polytope(2), quadratic_d2(), np.zeros(2), rho_min_override=0.5)
-    assert geo.rho_min == 0.5
+def regular_17gon() -> Polytope:
+    angles = 2.0 * np.pi * np.arange(17) / 17
+    return Polytope(np.column_stack([np.cos(angles), np.sin(angles)]), np.ones(17))
+
+
+def test_vertex_sweep_regular_17gon_vs_brute_force():
+    # 136 bases: beyond enumerate_vertices' m <= 16 cap, well inside SUBSET_CAP
+    p = regular_17gon()
+    V, rho_min = vertex_sweep(p)
+    verts, sig = [], []
+    for i, j in itertools.combinations(range(17), 2):
+        v = np.linalg.solve(p.A[[i, j]], p.b[[i, j]])
+        if np.all(p.A @ v - p.b <= 1e-9):
+            verts.append(v)
+            sig.append(np.linalg.svd(p.A[[i, j]], compute_uv=False)[-1])
+    assert len(V) == len(verts) == 17
+    assert all(np.min(np.linalg.norm(V - v, axis=1)) <= 1e-12 for v in verts)
+    # adjacent unit normals 2 pi / 17 apart: sigma_min = sqrt(2) sin(pi / 17)
+    assert rho_min == pytest.approx(min(sig), abs=1e-12)
+    assert rho_min == pytest.approx(math.sqrt(2.0) * math.sin(math.pi / 17), abs=1e-12)
+    geo = geometry_constants(p, quadratic_d2(), np.zeros(2), (V, rho_min))
+    radius = 1.0 / math.cos(math.pi / 17)
+    assert geo.gamma0 == pytest.approx(max(np.linalg.norm(v) for v in verts), abs=1e-12)
+    assert geo.gamma0 == pytest.approx(radius, abs=1e-12)
+    # odd polygon: the diameter joins vertices 8 steps apart
+    assert geo.gamma == pytest.approx(max(np.linalg.norm(u - v) for u in verts for v in verts), abs=1e-12)
+    assert geo.gamma == pytest.approx(2.0 * radius * math.sin(8 * math.pi / 17), abs=1e-12)
 
 
 def test_gradient_consistency():

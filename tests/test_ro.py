@@ -14,7 +14,7 @@ from safefw.problem import (
     box_quadratic_lipschitz,
     quadratic_objective,
 )
-from safefw.ro import RoConfig, ro_run, soc_linmin, soc_violation
+from safefw.ro import ro_run, soc_linmin, soc_violation
 from safefw.safety import make_safety_config
 from safefw.sfw import ProblemSetup, run_fw_reference
 
@@ -32,7 +32,7 @@ def setup_d2(sigma, seed=0, omega0=0.05, phi_override=None):
     )
     oracle = ConstraintOracle(p, NoiseModel("gaussian", sigma, seed), omega0)
     est = ConstraintEstimator(2, 4)
-    return p, ProblemSetup(obj, np.zeros(2), geo, 2, 4), oracle, est, scfg
+    return p, ProblemSetup(obj, np.zeros(2), geo), oracle, est, scfg
 
 
 def estimated_state(sigma, seed, omega0=0.05):
@@ -92,7 +92,7 @@ def test_agrees_with_independent_reference():
 
 def test_zero_noise_run_matches_classical_fw():
     p, setup, oracle, est, scfg = setup_d2(sigma=0.0)
-    rec = ro_run(setup, oracle, est, scfg, RoConfig(total_measurements=40, T=15))
+    rec = ro_run(setup, oracle, est, scfg, 40)
     ref = run_fw_reference(p, setup.objective, setup.x0, 15)
     assert rec.status == "completed"
     for a, b in zip(rec.rows, ref.rows):
@@ -101,7 +101,7 @@ def test_zero_noise_run_matches_classical_fw():
 
 def test_run_iterates_stay_in_safety_set():
     p, setup, oracle, est, scfg = setup_d2(sigma=0.1, seed=5, omega0=0.01)
-    rec = ro_run(setup, oracle, est, scfg, RoConfig(total_measurements=4000, T=15))
+    rec = ro_run(setup, oracle, est, scfg, 4000)
     assert rec.status == "completed"
     for row in rec.rows:
         assert soc_violation(est, scfg, row.x) <= 1e-6
@@ -115,7 +115,7 @@ def test_small_budget_hurts_final_value():
         gaps = []
         for seed in range(6):
             p, setup, oracle, est, scfg = setup_d2(sigma=0.1, seed=seed, omega0=0.01)
-            rec = ro_run(setup, oracle, est, scfg, RoConfig(total_measurements=budget, T=15))
+            rec = ro_run(setup, oracle, est, scfg, budget)
             gaps.append(rec.rows[-1].f - 0.5)
         finals[budget] = float(np.mean(gaps))
     assert finals[6] >= finals[2000] - 1e-9
@@ -123,7 +123,7 @@ def test_small_budget_hurts_final_value():
 
 def test_empty_safety_set_is_reported():
     p, setup, oracle, est, scfg = setup_d2(sigma=0.1, seed=6, omega0=0.01, phi_override=1e6)
-    rec = ro_run(setup, oracle, est, scfg, RoConfig(total_measurements=100, T=15))
+    rec = ro_run(setup, oracle, est, scfg, 100)
     assert rec.status == "safety-set-empty"
     assert len(rec.rows) == 1
 
@@ -131,6 +131,4 @@ def test_empty_safety_set_is_reported():
 def test_budget_validation():
     p, setup, oracle, est, scfg = setup_d2(sigma=0.1)
     with pytest.raises(ValueError):
-        ro_run(setup, oracle, est, scfg, RoConfig(total_measurements=4, T=15))
-    with pytest.raises(ValueError):
-        RoConfig(total_measurements=100, T=0)
+        ro_run(setup, oracle, est, scfg, 4)

@@ -37,7 +37,7 @@ def box_setup(d=2, x_prime=None, sigma=0.01, seed=0, omega0=0.01, T=15, cn=0.0, 
     )
     oracle = ConstraintOracle(p, NoiseModel("gaussian", sigma, seed), omega0)
     est = ConstraintEstimator(d, 2 * d)
-    return p, ProblemSetup(obj, x0, geo, d, 2 * d), oracle, est, scfg
+    return p, ProblemSetup(obj, x0, geo), oracle, est, scfg
 
 
 def test_surrogate_gap_basics():
@@ -48,7 +48,7 @@ def test_surrogate_gap_basics():
 
 def test_gap_upper_bounds_suboptimality_zero_noise():
     p, setup, oracle, est, scfg = box_setup(sigma=0.0)
-    rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, T=15, variant="adaptive"))
+    rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, variant="adaptive"))
     f_star = 0.5
     for row in rec.rows[: rec.steps()]:
         grad = setup.objective.gradient(row.x)
@@ -78,7 +78,7 @@ def test_zero_noise_matches_classical_fw():
     # off-axis target so the direction LP has no ties
     for variant, cn in (("adaptive", 0.0), ("prescribed", 1.0)):
         p, setup, oracle, est, scfg = box_setup(sigma=0.0, x_prime=[2.0, 0.37], cn=cn)
-        rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, T=15, variant=variant))
+        rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, variant=variant))
         ref = run_fw_reference(p, setup.objective, setup.x0, 15)
         assert rec.status == "completed"
         assert len(rec.rows) == len(ref.rows)
@@ -88,7 +88,7 @@ def test_zero_noise_matches_classical_fw():
 
 def test_zero_noise_margin_decay():
     p, setup, oracle, est, scfg = box_setup(sigma=0.0)
-    rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, T=15, variant="adaptive"))
+    rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, variant="adaptive"))
     for t, row in enumerate(rec.rows):
         assert float(np.min(p.margins(row.x))) >= 1.0 / (t + 2) - 1e-9
 
@@ -96,7 +96,7 @@ def test_zero_noise_margin_decay():
 def test_stop_immediately_with_infinite_target():
     for variant, cn in (("adaptive", 0.0), ("prescribed", 96.0)):
         _, setup, oracle, est, scfg = box_setup(sigma=0.01, cn=cn)
-        rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=math.inf, T=15, variant=variant))
+        rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=math.inf, variant=variant))
         assert rec.status == "stopped-early"
         assert rec.stopped_at == 0
         assert len(rec.rows) == 1
@@ -105,7 +105,7 @@ def test_stop_immediately_with_infinite_target():
 def test_prescribed_total_matches_schedule_arithmetic():
     d = 2
     _, setup, oracle, est, scfg = box_setup(sigma=0.01, cn=96.0)
-    rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, T=15, variant="prescribed"))
+    rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, variant="prescribed"))
     expected = sum(
         2 * d * math.ceil(max(nt_schedule(96.0, t), 2 * d) / (2 * d)) for t in range(15)
     )
@@ -117,12 +117,12 @@ def test_prescribed_total_matches_schedule_arithmetic():
 def test_prescribed_requires_positive_cn():
     _, setup, oracle, est, scfg = box_setup(sigma=0.01, cn=0.0)
     with pytest.raises(ValueError):
-        run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, T=15, variant="prescribed"))
+        run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, variant="prescribed"))
 
 
 def test_step_recurrence_exact():
     _, setup, oracle, est, scfg = box_setup(sigma=0.01, seed=5)
-    rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, T=15, variant="adaptive"))
+    rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, variant="adaptive"))
     for t, (row, nxt) in enumerate(zip(rec.rows, rec.rows[1:])):
         gamma = 1.0 / (t + 2)
         drift = nxt.x - row.x - gamma * (row.s_hat - row.x)
@@ -131,13 +131,13 @@ def test_step_recurrence_exact():
 
 def test_adaptive_zero_noise_needs_no_extras():
     _, setup, oracle, est, scfg = box_setup(sigma=0.0)
-    rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, T=15, variant="adaptive"))
+    rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, variant="adaptive"))
     assert sum(rec.extra_batches) == 0
 
 
 def test_adaptive_budget_exhaustion():
     _, setup, oracle, est, scfg = box_setup(sigma=0.01, seed=2)
-    rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, T=15, variant="adaptive", max_total_measurements=20))
+    rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, variant="adaptive", max_total_measurements=20))
     assert rec.status == "budget-exhausted"
     assert rec.stopped_at is not None
     assert rec.total_measurements <= 20 + 2 * 2  # at most one cross past the line
@@ -145,7 +145,7 @@ def test_adaptive_budget_exhaustion():
 
 def test_measurement_counts_strictly_increase():
     _, setup, oracle, est, scfg = box_setup(sigma=0.01, seed=9)
-    rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, T=15, variant="adaptive"))
+    rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, variant="adaptive"))
     stepped = rec.rows[: rec.steps()]
     assert all(a.N_t < b.N_t for a, b in zip(stepped, stepped[1:]))
     assert all(row.n_t > 0 for row in stepped)
@@ -153,15 +153,13 @@ def test_measurement_counts_strictly_increase():
 
 def test_safety_verdicts_recorded_per_iterate():
     _, setup, oracle, est, scfg = box_setup(sigma=0.01, seed=11)
-    rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, T=15, variant="adaptive"))
+    rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-9, variant="adaptive"))
     assert all(row.verdict.safe is True for row in rec.rows)
     assert all(row.verdict.lhs <= row.verdict.min_margin for row in rec.rows)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SfwConfig(epsilon=0.0, T=15)
+        SfwConfig(epsilon=0.0)
     with pytest.raises(ValueError):
-        SfwConfig(epsilon=1.0, T=2)
-    with pytest.raises(ValueError):
-        SfwConfig(epsilon=1.0, T=15, variant="bogus")
+        SfwConfig(epsilon=1.0, variant="bogus")
