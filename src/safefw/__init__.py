@@ -6,14 +6,9 @@ least-squares constraint estimates with confidence ellipsoids, and only steps
 to points certified by the resulting safety set.
 """
 
-from .estimator import (
-    ConstraintEstimator,
-    confidence_membership,
-    covariance_sqrt_norm_bound,
-    phi_inverse,
-)
+from .estimator import ConstraintEstimator, phi_inverse
 from .harness import ExperimentConfig, compare_sfw_ro, run_experiment
-from .lp import LpProblem, LpSolution, enumerate_vertices, solve
+from .lp import LpProblem, LpSolution, solve
 from .oracle import ConstraintOracle, NoiseModel, cross_pattern
 from .problem import (
     GeometryConstants,
@@ -67,10 +62,7 @@ __all__ = [
     "box_polytope",
     "cn_lower_bound",
     "compare_sfw_ro",
-    "confidence_membership",
-    "covariance_sqrt_norm_bound",
     "cross_pattern",
-    "enumerate_vertices",
     "et_bound",
     "fact2_check",
     "geometry_constants",

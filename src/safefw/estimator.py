@@ -23,43 +23,18 @@ import numpy as np
 
 from .special import chi_squared_quantile
 
-CONFIDENCE_MODES = ("subgaussian", "chisq")
-
 
 class ScatterSingularError(RuntimeError):
     """Centered probe scatter is singular (all points collinear)."""
 
 
-def phi_inverse(mode: str, n: int, d: int, delta_bar: float) -> float:
-    """Confidence-ellipsoid radius for the parameter estimate of one constraint.
-
-    subgaussian: max{sqrt(128 d ln N ln(N^2/db)), (8/3) ln(N^2/db)}, valid for
-    N e^(-1/16) >= db. chisq: sqrt of the chi-squared quantile with d+1
-    degrees of freedom at level 1-db (Gaussian noise, deterministic design).
-    """
+def phi_inverse(d: int, delta_bar: float) -> float:
+    """Confidence-ellipsoid radius for the parameter estimate of one constraint:
+    the sqrt of the chi-squared quantile with d+1 degrees of freedom at level
+    1 - delta_bar (Gaussian noise, deterministic design)."""
     if not 0.0 < delta_bar < 1.0:
         raise ValueError("delta_bar must lie strictly between 0 and 1")
-    if mode == "chisq":
-        return math.sqrt(chi_squared_quantile(1.0 - delta_bar, d + 1))
-    if mode == "subgaussian":
-        if n * math.exp(-1.0 / 16.0) < delta_bar:
-            raise ValueError(
-                f"subgaussian radius requires N e^(-1/16) >= delta_bar "
-                f"(N={n}, delta_bar={delta_bar})"
-            )
-        log_ratio = math.log(n * n / delta_bar)
-        return max(
-            math.sqrt(128.0 * d * math.log(n) * log_ratio),
-            (8.0 / 3.0) * log_ratio,
-        )
-    raise ValueError(f"unknown confidence mode {mode!r}; expected one of {CONFIDENCE_MODES}")
-
-
-def covariance_sqrt_norm_bound(sigma: float, d: int, gamma0: float, omega0: float, n: int) -> float:
-    """Analytic upper bound on ||Sigma^(1/2)|| under full-cross sampling inside the set."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return sigma * math.sqrt(d) * math.sqrt((gamma0 * gamma0 + 1.0) / (omega0 * omega0) + 1.0) / math.sqrt(n)
+    return math.sqrt(chi_squared_quantile(1.0 - delta_bar, d + 1))
 
 
 class ConstraintEstimator:
@@ -85,10 +60,6 @@ class ConstraintEstimator:
         self.beta_hat: np.ndarray | None = None
 
     @property
-    def spanned(self) -> bool:
-        return self.P is not None
-
-    @property
     def xbar(self) -> np.ndarray:
         if self.N == 0:
             raise ValueError("no measurements absorbed yet")
@@ -110,13 +81,6 @@ class ConstraintEstimator:
 
     def b_hat(self) -> np.ndarray:
         return self.beta_hat[self.d, :]
-
-    def absorb(self, point: np.ndarray, values: np.ndarray) -> None:
-        """Absorb one measurement row (length m) taken at `point`."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.m,):
-            raise ValueError(f"values must have length {self.m}, got shape {values.shape}")
-        self.absorb_repeated(point, values, 1)
 
     def absorb_repeated(self, point: np.ndarray, value_sum: np.ndarray, count: int) -> None:
         """Absorb `count` identical probe rows at each point, whose measurements
@@ -176,15 +140,6 @@ class ConstraintEstimator:
             raise ScatterSingularError("centered probe scatter is singular")
         return self.xbar, self.P[: self.d, : self.d].copy()
 
-    def covariance_sqrt_norm(self, sigma: float) -> float:
-        """||Sigma^(1/2)|| = sigma * sqrt(largest eigenvalue of P)."""
-        if self.P is None:
-            raise ValueError("design does not yet span R^(d+1)")
-        lam = float(np.linalg.eigvalsh(0.5 * (self.P + self.P.T))[-1])
-        if lam <= 0.0:
-            raise ValueError("normal-equation inverse is not positive definite")
-        return sigma * math.sqrt(lam)
-
 
 def confidence_membership_arrays(
     beta_hat: np.ndarray,
@@ -205,14 +160,3 @@ def confidence_membership_arrays(
         return np.max(np.abs(diff), axis=0) <= 1e-9 * scale
     mahal = np.einsum("ki,kl,li->i", diff, xtx, diff) / (sigma * sigma)
     return mahal <= phi * phi + 1e-12
-
-
-def confidence_membership(
-    est: ConstraintEstimator,
-    sigma: float,
-    phi: float,
-    beta_true: np.ndarray,
-) -> np.ndarray:
-    if est.beta_hat is None:
-        raise ValueError("no estimate available yet")
-    return confidence_membership_arrays(est.beta_hat, est.xtx(), sigma, phi, beta_true)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import ro as ro_mod
 from . import sfw as sfw_mod
-from .estimator import CONFIDENCE_MODES, ConstraintEstimator, confidence_membership_arrays
+from .estimator import ConstraintEstimator, confidence_membership_arrays
 from .lp import FEAS_TOL
 from .oracle import NOISE_KINDS, ConstraintOracle, NoiseModel
 from .problem import (
@@ -68,8 +68,6 @@ class ExperimentConfig:
     T: int = 15
     epsilon: float = 1e-6
     cn: object = "auto"
-    confidence_mode: str = "chisq"
-    phi_delta_override: float | None = None
     variant: str = "adaptive"
     ro_total_measurements: int | None = None
     max_total_measurements: int = 10_000_000
@@ -141,11 +139,9 @@ def _check_types(cfg: ExperimentConfig) -> None:
     reals = {"sigma": cfg.sigma, "omega0": cfg.omega0, "epsilon": cfg.epsilon, "delta": cfg.delta}
     ints = {"T": cfg.T, "repetitions": cfg.repetitions, "base_seed": cfg.base_seed,
             "max_total_measurements": cfg.max_total_measurements}
-    if cfg.phi_delta_override is not None:
-        reals["phi_delta_override"] = cfg.phi_delta_override
     if cfg.ro_total_measurements is not None:
         ints["ro_total_measurements"] = cfg.ro_total_measurements
-    if cfg.cn not in ("auto", None):
+    if cfg.cn != "auto":
         reals["cn"] = cfg.cn
     if cfg.problem.get("type") == "box":
         ints["problem.d"] = cfg.problem.get("d", 0)
@@ -183,7 +179,7 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         raise ConfigError("delta must lie in (0, 1)")
     if cfg.sigma < 0 or cfg.omega0 <= 0:
         raise ConfigError("need sigma >= 0 and omega0 > 0")
-    for name, allowed in (("variant", VARIANTS), ("noise_kind", NOISE_KINDS), ("confidence_mode", CONFIDENCE_MODES)):
+    for name, allowed in (("variant", VARIANTS), ("noise_kind", NOISE_KINDS)):
         if getattr(cfg, name) not in allowed:
             raise ConfigError(f"unknown {name} {getattr(cfg, name)!r}; expected one of {allowed}")
 
@@ -200,6 +196,8 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
             polytope = Polytope(np.array(cfg.problem["A"], dtype=float), np.array(cfg.problem["b"], dtype=float))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad polytope description: {exc}") from exc
+        if not (np.all(np.isfinite(polytope.A)) and np.all(np.isfinite(polytope.b))):
+            raise ConfigError("polytope A and b must be finite")
         d = polytope.d
         is_box = False
         status = validate(polytope)
@@ -233,6 +231,8 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         f_star = minimize_quadratic(polytope, x_prime)[1]
     if objective.value(x0) - f_star <= 0:
         raise ConfigError("x0 is already optimal; normalized curves are undefined")
+    if cfg.omega0 > geometry.gamma:
+        raise ConfigError(f"omega0 must not exceed the polytope's diameter {geometry.gamma:.6g}, got {cfg.omega0!r}")
 
     scfg = make_safety_config(
         delta=cfg.delta,
@@ -241,11 +241,8 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         d=d,
         sigma=cfg.sigma,
         omega0=cfg.omega0,
-        mode=cfg.confidence_mode,
-        phi_delta_override=cfg.phi_delta_override,
-        n_ref=2 * d,
     )
-    if cfg.cn == "auto" or cfg.cn is None:
+    if cfg.cn == "auto":
         cn_value = cn_lower_bound(geometry, scfg, d, cfg.T)
     else:
         cn_value = float(cfg.cn)
@@ -493,7 +490,3 @@ def write_summary_json(summary: RunSummary, path) -> None:
         "reps": [asdict(r) for r in summary.reps],
     }
     Path(path).write_text(json.dumps(payload, indent=2))
-
-
-def load_summary_json(path) -> dict:
-    return json.loads(Path(path).read_text())

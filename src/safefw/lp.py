@@ -6,8 +6,8 @@ the optimal face. A solve may be warm-started from a guessed basis (d rows,
 typically the active set of a previous solve of a nearby LP): the basis vertex
 is accepted only when it is verified to be the unique optimum, so a warm
 solve returns the vertex the simplex would, and any other basis falls back to
-the simplex. A brute-force vertex enumerator for small instances doubles as
-an independent correctness oracle.
+the simplex. `feasible_bases` sweeps every d-subset of the rows, for the
+exact vertex sweeps of small polytopes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ FEAS_TOL = 1e-9
 COST_TOL = 1e-10
 PIVOT_TOL = 1e-11
 MAX_PIVOTS = 20000
-ENUM_CAP_M, ENUM_CAP_D = 16, 6  # enumerate_vertices is a reference for small instances
 
 
 class PivotLimitError(RuntimeError):
@@ -260,22 +259,3 @@ def feasible_bases(A: np.ndarray, b: np.ndarray):
         v = np.linalg.solve(sub, b[list(subset)])
         if np.all(A @ v - b <= FEAS_TOL):
             yield v, float(svals[-1])
-
-
-def enumerate_vertices(p: LpProblem) -> list[np.ndarray]:
-    """All vertices of {x : A x <= b} from the feasible-basis sweep.
-
-    Deduplicated at 1e-9. Intended for small instances and for testing the
-    simplex path, hence the hard caps on m and d.
-    """
-    m, d = p.A.shape
-    if m > ENUM_CAP_M or d > ENUM_CAP_D:
-        raise EnumerationCapError(
-            f"vertex enumeration capped at m<={ENUM_CAP_M}, d<={ENUM_CAP_D} (got m={m}, d={d}); "
-            "use the simplex solver or an analytic description for larger instances"
-        )
-    vertices: list[np.ndarray] = []
-    for v, _ in feasible_bases(p.A, p.b):
-        if all(np.linalg.norm(v - u) > 1e-9 for u in vertices):
-            vertices.append(v)
-    return vertices

@@ -93,9 +93,6 @@ class ConstraintOracle:
             return self._rng.normal(0.0, self.noise.sigma, size=shape)
         return self._rng.uniform(-self.noise.sigma, self.noise.sigma, size=shape)
 
-    def measure(self, x: np.ndarray) -> np.ndarray:
-        return self.measure_repeated(x, 1)
-
     def measure_repeated(self, x: np.ndarray, count: int) -> np.ndarray:
         """Componentwise sums of `count` independent measurements at x.
 
@@ -123,18 +120,3 @@ class ConstraintOracle:
                         row += self._draw((block, m)).sum(axis=0)
                         remaining -= block
         return total if X.ndim == 2 else total[0]
-
-    def tightened_measure(self, x: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-        """Constraint values reported against a set tightened by kappa.
-
-        Raising each reported value by kappa_i makes the apparent feasible set
-        {x : a_i^T x <= b_i - kappa_i}; with kappa_i >= ||a_i|| * omega0 every
-        probe within omega0 of an apparently feasible point stays truly
-        feasible, for when strictly in-set sampling is required.
-        """
-        kappa = np.asarray(kappa, dtype=float)
-        if kappa.shape != (self.m,):
-            raise ValueError(f"kappa must have length {self.m}")
-        if np.any(kappa < 0.0):
-            raise ValueError("kappa must be non-negative componentwise")
-        return self.measure(x) + kappa

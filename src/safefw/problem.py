@@ -217,23 +217,3 @@ def minimize_quadratic(p: Polytope, x_prime: np.ndarray) -> tuple[np.ndarray, fl
     if best_x is None:
         raise ValueError("no KKT point found; polytope may be empty")
     return best_x, best_f
-
-
-def check_gradient(
-    obj: Objective,
-    points: np.ndarray,
-    step: float = 1e-6,
-    rtol: float = 1e-5,
-) -> bool:
-    """Central finite differences agree with the exact gradient at each point."""
-    for x in np.atleast_2d(np.asarray(points, dtype=float)):
-        g = obj.gradient(x)
-        approx = np.zeros_like(g)
-        for i in range(x.size):
-            e = np.zeros_like(x)
-            e[i] = step
-            approx[i] = (obj.value(x + e) - obj.value(x - e)) / (2.0 * step)
-        denom = max(1.0, float(np.linalg.norm(g)))
-        if np.linalg.norm(approx - g) > rtol * denom:
-            return False
-    return True

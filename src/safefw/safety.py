@@ -22,7 +22,7 @@ class SafetyConfig:
     delta: float          # total confidence budget over the run
     T: int                # iteration budget
     omega0: float         # probe radius
-    phi_delta: float      # sigma * phi_inverse(delta_bar / m), possibly overridden
+    phi_delta: float      # sigma * phi_inverse(d, delta_bar / m)
     cn: float             # schedule constant
 
     def __post_init__(self):
@@ -47,21 +47,9 @@ def make_safety_config(
     sigma: float,
     omega0: float,
     cn: float = 0.0,
-    mode: str = "chisq",
-    phi_delta_override: float | None = None,
-    n_ref: int | None = None,
 ) -> SafetyConfig:
-    """Resolve the confidence radius sigma * phi_inverse(mode, ..., delta / T / m).
-
-    The sub-Gaussian radius depends on the sample count, so mode="subgaussian"
-    needs a reference count n_ref; the chisq default is count-free.
-    """
-    if phi_delta_override is not None:
-        phi_delta = float(phi_delta_override)
-    elif mode == "subgaussian" and n_ref is None:
-        raise ValueError("subgaussian mode needs a reference sample count n_ref")
-    else:
-        phi_delta = sigma * phi_inverse(mode, 1 if n_ref is None else n_ref, d, delta / T / m)
+    """Resolve the confidence radius sigma * phi_inverse(d, delta / T / m)."""
+    phi_delta = sigma * phi_inverse(d, delta / T / m)
     return SafetyConfig(delta=delta, T=T, omega0=omega0, phi_delta=phi_delta, cn=cn)
 
 

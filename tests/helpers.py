@@ -1,10 +1,13 @@
 """Shared test utilities: random bounded polytopes, estimator builders, and
-an independent reference solver for the cone-constrained linear subproblem."""
+independent references: a vertex enumerator, a finite-difference gradient
+check, covariance norms, and a solver for the cone-constrained linear
+subproblem."""
 
 import math
 
 import numpy as np
 
+from safefw import lp
 from safefw.estimator import ConstraintEstimator
 from safefw.oracle import ConstraintOracle, NoiseModel, cross_pattern
 from safefw.problem import Polytope, box_polytope
@@ -44,6 +47,50 @@ class RecordingEstimator(ConstraintEstimator):
             self.rows.append((np.array(x, dtype=float), int(count), np.array(y, dtype=float)))
 
 
+ENUM_CAP_M, ENUM_CAP_D = 16, 6  # enumerate_vertices is for small instances
+
+
+def enumerate_vertices(p):
+    """All vertices of the LpProblem's {x : A x <= b} from the feasible-basis
+    sweep, deduplicated at 1e-9; capped at m <= ENUM_CAP_M and d <= ENUM_CAP_D."""
+    m, d = p.A.shape
+    if m > ENUM_CAP_M or d > ENUM_CAP_D:
+        raise lp.EnumerationCapError(
+            f"vertex enumeration capped at m<={ENUM_CAP_M}, d<={ENUM_CAP_D} (got m={m}, d={d})"
+        )
+    vertices = []
+    for v, _ in lp.feasible_bases(p.A, p.b):
+        if all(np.linalg.norm(v - u) > 1e-9 for u in vertices):
+            vertices.append(v)
+    return vertices
+
+
+def check_gradient(obj, points, step=1e-6, rtol=1e-5):
+    """Central finite differences agree with the exact gradient at each point."""
+    for x in np.atleast_2d(np.asarray(points, dtype=float)):
+        g = obj.gradient(x)
+        approx = np.zeros_like(g)
+        for i in range(x.size):
+            e = np.zeros_like(x)
+            e[i] = step
+            approx[i] = (obj.value(x + e) - obj.value(x - e)) / (2.0 * step)
+        if np.linalg.norm(approx - g) > rtol * max(1.0, float(np.linalg.norm(g))):
+            return False
+    return True
+
+
+def covariance_sqrt_norm(est, sigma):
+    """||Sigma^(1/2)|| = sigma * sqrt(largest eigenvalue of P)."""
+    lam = float(np.linalg.eigvalsh(0.5 * (est.P + est.P.T))[-1])
+    assert lam > 0.0, "normal-equation inverse is not positive definite"
+    return sigma * math.sqrt(lam)
+
+
+def covariance_sqrt_norm_bound(sigma, d, gamma0, omega0, n):
+    """Analytic upper bound on ||Sigma^(1/2)|| under full-cross sampling inside the set."""
+    return sigma * math.sqrt(d) * math.sqrt((gamma0 * gamma0 + 1.0) / (omega0 * omega0) + 1.0) / math.sqrt(n)
+
+
 def random_estimator(rng, d, m, n, spread=1.0, sigma=0.0, beta=None):
     """A recording estimator fed n random probe rows; returns (estimator, beta_true)."""
     if beta is None:
@@ -52,7 +99,7 @@ def random_estimator(rng, d, m, n, spread=1.0, sigma=0.0, beta=None):
     for _ in range(n):
         x = rng.uniform(-spread, spread, d)
         clean = x @ beta[:d, :] - beta[d, :]
-        est.absorb(x, clean + (rng.normal(0.0, sigma, m) if sigma > 0 else 0.0))
+        est.absorb_repeated(x, clean + (rng.normal(0.0, sigma, m) if sigma > 0 else 0.0), 1)
     return est, beta
 
 

@@ -23,7 +23,7 @@ from safefw.problem import (
 from safefw.safety import SafetyConfig, c_delta_constant, fact2_check, soc_check
 from safefw.sfw import ProblemSetup, SfwConfig, run
 
-from helpers import random_bounded_polytope, random_estimator, scatter_inverse
+from helpers import enumerate_vertices, random_bounded_polytope, random_estimator, scatter_inverse
 
 REFERENCE_ADAPTIVE_TOTALS = {2: 519.0, 4: 1135.0, 10: 4275.0}
 
@@ -262,7 +262,7 @@ def test_criterion_9_lp_correctness():
         sol = lp.solve(prob)
         assert sol.status == "optimal"
         worst_feas = max(worst_feas, float(np.max(p.A @ sol.point - p.b)))
-        best = min(float(c @ v) for v in lp.enumerate_vertices(prob))
+        best = min(float(c @ v) for v in enumerate_vertices(prob))
         worst_value = max(worst_value, abs(sol.value - best))
     report(
         9,

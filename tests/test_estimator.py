@@ -6,17 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from safefw.estimator import (
-    ConstraintEstimator,
-    ScatterSingularError,
-    confidence_membership,
-    covariance_sqrt_norm_bound,
-    phi_inverse,
-)
+from safefw.estimator import ConstraintEstimator, ScatterSingularError, confidence_membership_arrays, phi_inverse
 from safefw.oracle import cross_pattern
 from safefw.problem import box_polytope
 
-from helpers import RecordingEstimator, cross_fed_estimator, random_estimator, scatter_inverse
+from helpers import (
+    RecordingEstimator,
+    covariance_sqrt_norm,
+    covariance_sqrt_norm_bound,
+    cross_fed_estimator,
+    random_estimator,
+    scatter_inverse,
+)
 
 
 def dense_beta(rows):
@@ -35,9 +36,9 @@ def dense_beta(rows):
 
 def test_two_points_determine_a_line():
     est = ConstraintEstimator(1, 1)
-    est.absorb(np.array([1.0]), np.array([0.0]))    # x <= 1 measured at x = 1
-    est.absorb(np.array([-1.0]), np.array([-2.0]))  # and at x = -1
-    assert est.spanned
+    est.absorb_repeated(np.array([1.0]), np.array([0.0]), 1)    # x <= 1 measured at x = 1
+    est.absorb_repeated(np.array([-1.0]), np.array([-2.0]), 1)  # and at x = -1
+    assert est.P is not None
     assert np.allclose(est.beta_hat[:, 0], [1.0, 1.0], atol=1e-12)
 
 
@@ -55,8 +56,8 @@ def test_rank_one_matches_dense_at_prefixes():
     beta = rng.normal(0, 1, (3, 3))
     for k in range(60):
         x = rng.uniform(-1, 1, 2)
-        est.absorb(x, x @ beta[:2] - beta[2] + rng.normal(0, 0.1, 3))
-        if est.spanned and k % 7 == 0:
+        est.absorb_repeated(x, x @ beta[:2] - beta[2] + rng.normal(0, 0.1, 3), 1)
+        if est.P is not None and k % 7 == 0:
             expected = dense_beta(est.rows)
             assert np.abs(est.beta_hat - expected).max() <= 1e-8 * (1 + np.abs(expected).max())
 
@@ -66,9 +67,9 @@ def test_repeat_point_shrinks_variance_direction():
     x = np.array([0.05, 0.0])
     v = np.append(x, -1.0)
     before = float(v @ est.P @ v)
-    est.absorb(x, np.zeros(4))
+    est.absorb_repeated(x, np.zeros(4), 1)
     mid = float(v @ est.P @ v)
-    est.absorb(x, np.zeros(4))
+    est.absorb_repeated(x, np.zeros(4), 1)
     after = float(v @ est.P @ v)
     assert after < mid < before
 
@@ -76,7 +77,7 @@ def test_repeat_point_shrinks_variance_direction():
 def test_unbiased_with_zero_noise():
     rng = np.random.default_rng(2)
     est, beta = random_estimator(rng, 3, 2, 20, sigma=0.0)
-    assert est.spanned
+    assert est.P is not None
     assert np.abs(est.beta_hat - beta).max() <= 1e-10
 
 
@@ -85,9 +86,9 @@ def test_exact_recovery_from_affinely_independent_points():
     p = box_polytope(2)
     est = ConstraintEstimator(2, 4)
     for x in (np.zeros(2), np.array([0.3, 0.0]), np.array([0.0, 0.25])):
-        est.absorb(x, p.A @ x - p.b)
+        est.absorb_repeated(x, p.A @ x - p.b, 1)
     beta_true = np.vstack([p.A.T, p.b[None, :]])
-    assert est.spanned
+    assert est.P is not None
     assert np.abs(est.beta_hat - beta_true).max() <= 1e-10
 
 
@@ -97,11 +98,11 @@ def test_covariance_sqrt_norm_isotropic():
     est = ConstraintEstimator(d, 1)
     pat = cross_pattern(np.zeros(d), math.sqrt(d), 2 * d)
     for pt in pat.points:
-        est.absorb(pt, np.zeros(1))
+        est.absorb_repeated(pt, np.zeros(1), 1)
     n = 2 * d
     assert np.allclose(est.xtx(), n * np.eye(d + 1), atol=1e-12)
-    assert est.covariance_sqrt_norm(0.5) == pytest.approx(0.5 / math.sqrt(n), abs=1e-12)
-    assert est.covariance_sqrt_norm(1.0) == pytest.approx(2.0 * est.covariance_sqrt_norm(0.5), abs=1e-14)
+    assert covariance_sqrt_norm(est, 0.5) == pytest.approx(0.5 / math.sqrt(n), abs=1e-12)
+    assert covariance_sqrt_norm(est, 1.0) == pytest.approx(2.0 * covariance_sqrt_norm(est, 0.5), abs=1e-14)
 
 
 def test_covariance_norm_below_analytic_bound():
@@ -111,7 +112,7 @@ def test_covariance_norm_below_analytic_bound():
     centers = [np.zeros(2), np.array([0.4, 0.1]), np.array([0.7, -0.3]), np.array([0.9, 0.5])]
     est, _ = cross_fed_estimator(p, sigma, 5, omega0, centers, [8, 16, 24, 40])
     gamma0 = math.sqrt(2.0)
-    assert est.covariance_sqrt_norm(sigma) <= covariance_sqrt_norm_bound(sigma, 2, gamma0, omega0, est.N)
+    assert covariance_sqrt_norm(est, sigma) <= covariance_sqrt_norm_bound(sigma, 2, gamma0, omega0, est.N)
 
 
 def test_block_quantities_symmetric_cross():
@@ -143,8 +144,8 @@ def test_block_quantities_translation():
     a = ConstraintEstimator(2, 1)
     b = ConstraintEstimator(2, 1)
     for x in pts:
-        a.absorb(x, np.zeros(1))
-        b.absorb(x + shift, np.zeros(1))
+        a.absorb_repeated(x, np.zeros(1), 1)
+        b.absorb_repeated(x + shift, np.zeros(1), 1)
     xa, Ra = a.block_quantities()
     xb, Rb = b.block_quantities()
     assert np.allclose(xb, xa + shift, atol=1e-12)
@@ -154,47 +155,32 @@ def test_block_quantities_translation():
 def test_scatter_singular_error():
     est = ConstraintEstimator(2, 1)
     for t in np.linspace(-1, 1, 7):
-        est.absorb(np.array([t, t]), np.zeros(1))  # collinear points
+        est.absorb_repeated(np.array([t, t]), np.zeros(1), 1)  # collinear points
     with pytest.raises(ScatterSingularError):
         est.block_quantities()
 
 
 def test_phi_inverse_chisq_anchor():
-    assert phi_inverse("chisq", 1, 2, 0.05) == pytest.approx(math.sqrt(7.814727903251179), abs=1e-8)
-
-
-def test_phi_inverse_subgaussian_branches():
-    n, d, db = 8396, 2, 0.001675
-    log_ratio = math.log(n * n / db)
-    first = math.sqrt(128.0 * d * math.log(n) * log_ratio)
-    second = (8.0 / 3.0) * log_ratio
-    got = phi_inverse("subgaussian", n, d, db)
-    assert got == pytest.approx(max(first, second), rel=1e-14)
-    assert first > second  # the root branch dominates here
+    assert phi_inverse(2, 0.05) == pytest.approx(math.sqrt(7.814727903251179), abs=1e-8)
 
 
 def test_phi_inverse_monotone_in_delta():
-    for mode, n in (("chisq", 1), ("subgaussian", 1000)):
-        values = [phi_inverse(mode, n, 3, db) for db in (0.2, 0.1, 0.05, 0.01, 0.001)]
-        assert all(a <= b for a, b in zip(values, values[1:]))
+    values = [phi_inverse(3, db) for db in (0.2, 0.1, 0.05, 0.01, 0.001)]
+    assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 def test_phi_inverse_preconditions():
     with pytest.raises(ValueError):
-        phi_inverse("chisq", 1, 2, 0.0)
+        phi_inverse(2, 0.0)
     with pytest.raises(ValueError):
-        phi_inverse("chisq", 1, 2, 1.0)
-    with pytest.raises(ValueError, match="e"):
-        phi_inverse("subgaussian", 1, 2, 0.95)
-    with pytest.raises(ValueError):
-        phi_inverse("bogus", 1, 2, 0.1)
+        phi_inverse(2, 1.0)
 
 
 def test_membership_center_and_degenerate_radius():
     rng = np.random.default_rng(6)
     est, beta = random_estimator(rng, 2, 3, 40, sigma=0.1)
-    assert confidence_membership(est, 0.1, 10.0, est.beta_hat).all()
-    assert not confidence_membership(est, 0.1, 0.0, beta).any()
+    assert confidence_membership_arrays(est.beta_hat, est.xtx(), 0.1, 10.0, est.beta_hat).all()
+    assert not confidence_membership_arrays(est.beta_hat, est.xtx(), 0.1, 0.0, beta).any()
 
 
 def test_membership_coverage():
@@ -203,15 +189,15 @@ def test_membership_coverage():
     d, sigma, delta_bar = 2, 0.05, 0.1
     beta = np.array([[0.3], [-0.7], [1.0]])
     design = np.vstack([np.eye(d), -np.eye(d), np.zeros((1, d))])
-    phi = phi_inverse("chisq", len(design), d, delta_bar)
+    phi = phi_inverse(d, delta_bar)
     inside = 0
     runs = 2000
     for _ in range(runs):
         est = ConstraintEstimator(d, 1)
         for x in design:
             y = x @ beta[:d, 0] - beta[d, 0] + rng.normal(0.0, sigma)
-            est.absorb(x, np.array([y]))
-        inside += bool(confidence_membership(est, sigma, phi, beta)[0])
+            est.absorb_repeated(x, np.array([y]), 1)
+        inside += bool(confidence_membership_arrays(est.beta_hat, est.xtx(), sigma, phi, beta)[0])
     coverage = inside / runs
     assert coverage >= (1 - delta_bar) - 0.02
     assert coverage <= 0.97  # radius is not vacuous either
@@ -230,9 +216,9 @@ def test_positive_definiteness_preserved():
 def test_absorb_validation():
     est = ConstraintEstimator(2, 3)
     with pytest.raises(ValueError):
-        est.absorb(np.zeros(2), np.zeros(2))
+        est.absorb_repeated(np.zeros(2), np.zeros(2), 1)
     with pytest.raises(ValueError):
-        est.absorb(np.zeros(3), np.zeros(3))
+        est.absorb_repeated(np.zeros(3), np.zeros(3), 1)
     with pytest.raises(ValueError):
         est.absorb_repeated(np.zeros(2), np.zeros(3), 0)
     with pytest.raises(ValueError):

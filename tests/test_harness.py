@@ -16,7 +16,6 @@ from safefw.harness import (
     ConfigError,
     ExperimentConfig,
     compare_sfw_ro,
-    load_summary_json,
     load_trajectory_csv,
     resolve,
     run_experiment,
@@ -105,7 +104,7 @@ def test_run_experiment_outputs(tmp_path):
     csv = load_trajectory_csv(tmp_path / "out" / "trajectory_rep000.csv")
     assert csv["normalized_gap"][0] == 1.0
     assert csv["t"] == list(range(16))
-    js = load_summary_json(tmp_path / "out" / "summary.json")
+    js = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert js["config"]["variant"] == "adaptive"
     assert len(js["reps"]) == 3
 
@@ -117,8 +116,8 @@ def test_seed_determinism_bitwise(tmp_path):
     run_experiment(cfg_b)
     for name in ("trajectory_rep000.csv", "trajectory_rep001.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-    ja = load_summary_json(tmp_path / "a" / "summary.json")
-    jb = load_summary_json(tmp_path / "b" / "summary.json")
+    ja = json.loads((tmp_path / "a" / "summary.json").read_text())
+    jb = json.loads((tmp_path / "b" / "summary.json").read_text())
     ja.pop("created_at"), jb.pop("created_at")
     # wall times differ between runs; everything else must match exactly
     for rep in ja["reps"] + jb["reps"]:
@@ -239,40 +238,50 @@ def test_cli_round_trip(tmp_path):
     assert "config error" in bad.stderr
 
 
+UNIT_SQUARE = {"type": "polytope", "A": [[1, 0], [0, 1], [-1, 0], [0, -1]], "b": [1, 1, 1, 1]}
+
+
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides, message",
     [
-        {"sigma": math.nan},
-        {"T": "15"},
-        {"problem": {"type": "box", "d": 2.7}},
-        {"problem": [2]},
-        {"objective": "quadratic"},
-        {"problem": {"type": "box", "d": 2, "half_width": None}},
-        {"x0": {"a": 1}},
-        {"confidence_mode": "bogus"},
-        {"noise_kind": "cauchy"},
-        {"objective": {"x_prime": [0, 0]}},
-        {"variant": "ro", "ro_total_measurements": -5},
-        {"ro_total_measurements": 5},
-        {"out_dir": 5},
-        {"variant": "prescribed", "cn": 0},
-        {"variant": "prescribed", "sigma": 0.0},
-        {"max_total_measurements": -5},
-        {"max_total_measurements": 3},
-    ],
-    ids=[
-        "nan-sigma", "string-T", "fractional-d", "list-problem", "string-objective", "null-half-width",
-        "dict-x0", "bogus-confidence-mode", "cauchy-noise", "optimal-x0", "negative-ro-budget",
-        "small-ro-budget", "int-out-dir", "zero-cn-prescribed", "auto-cn-zero-noise-prescribed",
-        "negative-measurement-budget", "sub-cross-measurement-budget",
+        pytest.param({"sigma": math.nan}, "sigma must be a finite number", id="nan-sigma"),
+        pytest.param({"T": "15"}, "T must be an integer", id="string-T"),
+        pytest.param({"problem": {"type": "box", "d": 2.7}}, "problem.d must be an integer", id="fractional-d"),
+        pytest.param({"problem": [2]}, "problem must be a JSON object", id="list-problem"),
+        pytest.param({"objective": "quadratic"}, "objective must be a JSON object", id="string-objective"),
+        pytest.param({"problem": {"type": "box", "d": 2, "half_width": None}}, "problem.half_width must be a finite",
+                     id="null-half-width"),
+        pytest.param({"x0": {"a": 1}}, "x0 must be a list of 2 finite numbers", id="dict-x0"),
+        pytest.param({"confidence_mode": "bogus"}, "unknown config fields: ['confidence_mode']",
+                     id="bogus-confidence-mode"),
+        pytest.param({"phi_delta_override": 1.0}, "unknown config fields: ['phi_delta_override']",
+                     id="phi-delta-override"),
+        pytest.param({"cn": None}, "cn must be a finite number, got None", id="null-cn"),
+        pytest.param({"noise_kind": "cauchy"}, "unknown noise_kind 'cauchy'", id="cauchy-noise"),
+        pytest.param({"objective": {"x_prime": [0, 0]}}, "x0 is already optimal", id="optimal-x0"),
+        pytest.param({"variant": "ro", "ro_total_measurements": -5}, "ro_total_measurements must be at least",
+                     id="negative-ro-budget"),
+        pytest.param({"ro_total_measurements": 5}, "ro_total_measurements must be at least", id="small-ro-budget"),
+        pytest.param({"out_dir": 5}, "out_dir must be a string", id="int-out-dir"),
+        pytest.param({"variant": "prescribed", "cn": 0}, "needs a positive cn", id="zero-cn-prescribed"),
+        pytest.param({"variant": "prescribed", "sigma": 0.0}, "needs a positive cn", id="auto-cn-zero-noise-prescribed"),
+        pytest.param({"max_total_measurements": -5}, "must cover one cross", id="negative-measurement-budget"),
+        pytest.param({"max_total_measurements": 3}, "must cover one cross", id="sub-cross-measurement-budget"),
+        pytest.param({"problem": {**UNIT_SQUARE, "b": [1, 1, 1, math.nan]}}, "polytope A and b must be finite",
+                     id="nan-b"),
+        pytest.param({"problem": {**UNIT_SQUARE, "A": [[1, 0], [0, 1], [-1, math.inf], [0, -1]]}},
+                     "polytope A and b must be finite", id="inf-A"),
+        pytest.param({"omega0": 1e300}, "omega0 must not exceed the polytope's diameter 2.82843", id="huge-omega0"),
     ],
 )
-def test_validate_config_rejects_bad_values(tmp_path, capsys, overrides):
+def test_validate_config_rejects_bad_values(tmp_path, capsys, recwarn, overrides, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"problem": {"type": "box", "d": 2}, **overrides}))
     assert cli_main(["validate-config", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err
+    assert not recwarn.list
 
 
 PIN_OVERRIDES = {"prescribed": {"cn": 96.0}, "ro": {"ro_total_measurements": 2000}}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from safefw import lp
 from safefw.problem import box_polytope
 
-from helpers import random_bounded_polytope
+from helpers import enumerate_vertices, random_bounded_polytope
 
 
 def box_problem(c):
@@ -50,10 +50,10 @@ def test_unbounded_direction():
 
 def test_enumerate_box_vertices():
     p2 = box_polytope(2)
-    verts2 = lp.enumerate_vertices(lp.LpProblem(np.zeros(2), p2.A, p2.b))
+    verts2 = enumerate_vertices(lp.LpProblem(np.zeros(2), p2.A, p2.b))
     assert len(verts2) == 4
     p3 = box_polytope(3)
-    verts3 = lp.enumerate_vertices(lp.LpProblem(np.zeros(3), p3.A, p3.b))
+    verts3 = enumerate_vertices(lp.LpProblem(np.zeros(3), p3.A, p3.b))
     assert len(verts3) == 8
     for v in verts3:
         assert np.allclose(np.abs(v), 1.0, atol=1e-12)
@@ -62,7 +62,7 @@ def test_enumerate_box_vertices():
 def test_enumeration_cap():
     A = np.vstack([np.eye(17)[:, :2], -np.eye(2)])
     with pytest.raises(lp.EnumerationCapError):
-        lp.enumerate_vertices(lp.LpProblem(np.zeros(2), A[:17], np.ones(17)))
+        enumerate_vertices(lp.LpProblem(np.zeros(2), A[:17], np.ones(17)))
 
 
 def test_random_small_polytope_matches_enumeration():
@@ -71,7 +71,7 @@ def test_random_small_polytope_matches_enumeration():
     c = rng.normal(0.0, 1.0, 2)
     prob = lp.LpProblem(c, p.A, p.b)
     sol = lp.solve(prob)
-    verts = lp.enumerate_vertices(prob)
+    verts = enumerate_vertices(prob)
     assert sol.status == "optimal"
     assert sol.value == pytest.approx(min(float(c @ v) for v in verts), abs=1e-8)
 
@@ -87,7 +87,7 @@ def test_simplex_vs_enumeration_sweep():
         sol = lp.solve(prob)
         assert sol.status == "optimal"
         assert np.all(p.A @ sol.point - p.b <= 1e-9)
-        best = min(float(c @ v) for v in lp.enumerate_vertices(prob))
+        best = min(float(c @ v) for v in enumerate_vertices(prob))
         assert sol.value <= best + 1e-8
         assert sol.value >= best - 1e-8
 

@@ -15,11 +15,11 @@ def make_oracle(sigma=0.0, seed=0, kind="gaussian", omega0=0.01, d=2):
 
 
 def test_noiseless_center_of_box():
-    assert np.array_equal(make_oracle().measure(np.zeros(2)), [-1.0, -1.0, -1.0, -1.0])
+    assert np.array_equal(make_oracle().measure_repeated(np.zeros(2), 1), [-1.0, -1.0, -1.0, -1.0])
 
 
 def test_noiseless_boundary_point():
-    assert np.array_equal(make_oracle().measure(np.array([1.0, 0.0])), [0.0, -2.0, -1.0, -1.0])
+    assert np.array_equal(make_oracle().measure_repeated(np.array([1.0, 0.0]), 1), [0.0, -2.0, -1.0, -1.0])
 
 
 def test_law_of_large_numbers():
@@ -40,7 +40,7 @@ def test_empirical_variance_bounded():
     for kind in ("gaussian", "bounded-uniform"):
         sigma = 0.3
         o = make_oracle(sigma=sigma, seed=3, kind=kind)
-        samples = np.array([o.measure(np.zeros(2)) for _ in range(10**4)])
+        samples = np.array([o.measure_repeated(np.zeros(2), 1) for _ in range(10**4)])
         noise = samples + 1.0
         var = noise.var(axis=0)
         assert np.all(var <= sigma**2 * 1.1)
@@ -49,7 +49,7 @@ def test_empirical_variance_bounded():
 def test_bounded_uniform_support():
     sigma = 0.2
     o = make_oracle(sigma=sigma, seed=1, kind="bounded-uniform")
-    samples = np.array([o.measure(np.zeros(2)) for _ in range(2000)])
+    samples = np.array([o.measure_repeated(np.zeros(2), 1) for _ in range(2000)])
     assert np.max(np.abs(samples + 1.0)) <= sigma
 
 
@@ -58,7 +58,7 @@ def test_seed_determinism():
     b = make_oracle(sigma=0.1, seed=99)
     for _ in range(5):
         x = np.array([0.1, -0.2])
-        assert np.array_equal(a.measure(x), b.measure(x))
+        assert np.array_equal(a.measure_repeated(x, 1), b.measure_repeated(x, 1))
     assert np.array_equal(a.measure_repeated(x, 37), b.measure_repeated(x, 37))
 
 
@@ -86,42 +86,13 @@ def test_cross_pattern_too_few():
         cross_pattern(np.zeros(3), 0.1, 5)
 
 
-def test_tightened_measure_identity_and_shift():
-    o = make_oracle()
-    x = np.zeros(2)
-    assert np.array_equal(o.tightened_measure(x, np.zeros(4)), o.measure(x))
-    # unit box with kappa = L_A * omega0 = 0.01: apparent margins shrink to 0.99
-    shifted = o.tightened_measure(x, 0.01 * np.ones(4))
-    assert np.allclose(shifted, -0.99)
-
-
-def test_tightened_measure_rejects_negative_kappa():
-    o = make_oracle()
-    with pytest.raises(ValueError):
-        o.tightened_measure(np.zeros(2), np.array([0.01, -0.01, 0.0, 0.0]))
-
-
-def test_tightening_shrinks_effective_set():
-    # along the ray t*e1, the tightened first component crosses zero at 1 - kappa
-    o = make_oracle()
-    kappa = 0.01 * np.ones(4)
-    lo, hi = 0.0, 1.0
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        if o.tightened_measure(np.array([mid, 0.0]), kappa)[0] < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    assert 0.5 * (lo + hi) == pytest.approx(0.99, abs=1e-9)
-
-
 def test_out_of_reach_accounting():
     o = make_oracle(omega0=0.01)
-    o.measure(np.array([0.5, 0.5]))
+    o.measure_repeated(np.array([0.5, 0.5]), 1)
     assert o.out_of_reach_events == 0
-    o.measure(np.array([1.005, 0.0]))  # within omega0 of the facet
+    o.measure_repeated(np.array([1.005, 0.0]), 1)  # within omega0 of the facet
     assert o.out_of_reach_events == 0
-    o.measure(np.array([2.0, 0.0]))
+    o.measure_repeated(np.array([2.0, 0.0]), 1)
     assert o.out_of_reach_events == 1
     o.measure_repeated(np.array([[2.0, 0.0], [0.5, 0.5], [0.0, -3.0]]), 3)  # one event per point
     assert o.out_of_reach_events == 3
@@ -156,4 +127,4 @@ def test_stacked_measure_matches_per_point_calls(kind, monkeypatch):
         sums = stacked.measure_repeated(points, count)
         assert sums.shape == (6, 8)
         assert np.array_equal(sums, [single.measure_repeated(x, count) for x in points])
-        assert np.array_equal(stacked.measure(points[0]), single.measure(points[0]))  # streams stay aligned
+        assert np.array_equal(stacked.measure_repeated(points[0], 1), single.measure_repeated(points[0], 1))  # streams stay aligned

@@ -12,7 +12,6 @@ from safefw.problem import (
     box_geometry_constants,
     box_polytope,
     box_quadratic_lipschitz,
-    check_gradient,
     geometry_constants,
     minimize_quadratic,
     quadratic_objective,
@@ -20,7 +19,7 @@ from safefw.problem import (
     vertex_sweep,
 )
 
-from helpers import random_bounded_polytope
+from helpers import check_gradient, random_bounded_polytope
 
 
 def quadratic_d2():

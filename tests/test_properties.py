@@ -23,8 +23,7 @@ value = st.floats(-10.0, 10.0, allow_nan=False)
 @st.composite
 def absorbed(draw):
     """A recording estimator after a generated sequence of absorb calls, each
-    one point (absorb or absorb_repeated) or a stack of up to 5 points
-    (absorb_repeated); the sequence always spans R^(d+1)."""
+    one point or a stack of up to 5 points; the sequence always spans R^(d+1)."""
     d = draw(st.integers(1, 4))
     m = draw(st.integers(1, 3))
     est = RecordingEstimator(d, m)
@@ -35,11 +34,9 @@ def absorbed(draw):
         count = draw(st.integers(1, 5))
         if n > 1 or draw(st.booleans()):
             est.absorb_repeated(X, Y, count)
-        elif count == 1:
-            est.absorb(X[0], Y[0])
         else:
             est.absorb_repeated(X[0], Y[0], count)
-    assume(est.spanned)
+    assume(est.P is not None)
     return est
 
 

@@ -15,21 +15,21 @@ from safefw.problem import (
     quadratic_objective,
 )
 from safefw.ro import ro_run, soc_linmin, soc_violation
-from safefw.safety import make_safety_config
+from safefw.safety import SafetyConfig, make_safety_config
 from safefw.sfw import ProblemSetup, run_fw_reference
 
 from helpers import cross_fed_estimator, soc_linmin_reference
 
 
-def setup_d2(sigma, seed=0, omega0=0.05, phi_override=None):
+def setup_d2(sigma, seed=0, omega0=0.05, phi_delta=None):
     p = box_polytope(2)
     xp = np.array([2.0, 0.5])
     obj = quadratic_objective(xp, box_quadratic_lipschitz(2, 1.0, xp))
     geo = box_geometry_constants(2, 1.0, obj, np.zeros(2))
-    scfg = make_safety_config(
-        delta=0.1, T=15, m=4, d=2, sigma=sigma, omega0=omega0,
-        phi_delta_override=phi_override,
-    )
+    if phi_delta is None:
+        scfg = make_safety_config(delta=0.1, T=15, m=4, d=2, sigma=sigma, omega0=omega0)
+    else:
+        scfg = SafetyConfig(delta=0.1, T=15, omega0=omega0, phi_delta=phi_delta, cn=0.0)
     oracle = ConstraintOracle(p, NoiseModel("gaussian", sigma, seed), omega0)
     est = ConstraintEstimator(2, 4)
     return p, ProblemSetup(obj, np.zeros(2), geo), oracle, est, scfg
@@ -122,7 +122,7 @@ def test_small_budget_hurts_final_value():
 
 
 def test_empty_safety_set_is_reported():
-    p, setup, oracle, est, scfg = setup_d2(sigma=0.1, seed=6, omega0=0.01, phi_override=1e6)
+    p, setup, oracle, est, scfg = setup_d2(sigma=0.1, seed=6, omega0=0.01, phi_delta=1e6)
     rec = ro_run(setup, oracle, est, scfg, 100)
     assert rec.status == "safety-set-empty"
     assert len(rec.rows) == 1

@@ -209,23 +209,15 @@ def test_nt_schedule_monotone_and_degenerate():
 def test_safety_config_invariants():
     cfg = make_safety_config(delta=0.1, T=15, m=4, d=2, sigma=0.01, omega0=0.01)
     assert cfg.delta_bar == 0.1 / 15
-    assert cfg.phi_delta == pytest.approx(0.01 * phi_inverse("chisq", 1, 2, 0.1 / 15 / 4), rel=1e-12)
+    assert cfg.phi_delta == 0.01 * phi_inverse(2, 0.1 / 15 / 4)
     with pytest.raises(ValueError):
         SafetyConfig(delta=0.1, T=2, omega0=0.01, phi_delta=1.0, cn=0.0)
-    with pytest.raises(ValueError):
-        make_safety_config(delta=0.1, T=15, m=4, d=2, sigma=0.01, omega0=0.01, mode="bogus")
 
 
-def test_safety_config_override_and_subgaussian():
-    cfg = make_safety_config(
-        delta=0.1, T=15, m=4, d=2, sigma=0.01, omega0=0.01, phi_delta_override=3.43
-    )
-    assert cfg.phi_delta == 3.43
+def test_safety_config_given_radius():
+    # a radius other than the chisq one is set by building SafetyConfig directly
+    assert config(3.43).phi_delta == 3.43
     with pytest.raises(ValueError):
-        make_safety_config(delta=0.1, T=15, m=4, d=2, sigma=0.01, omega0=0.01, mode="subgaussian")
-    cfg2 = make_safety_config(
-        delta=0.1, T=15, m=4, d=2, sigma=0.01, omega0=0.01, mode="subgaussian", n_ref=10000
-    )
-    assert cfg2.phi_delta == pytest.approx(
-        0.01 * phi_inverse("subgaussian", 10000, 2, 0.1 / 15 / 4), rel=1e-12
-    )
+        config(-1.0)
+    with pytest.raises(ValueError):
+        config(1.0, omega0=0.0)

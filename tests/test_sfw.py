@@ -26,15 +26,13 @@ from safefw.sfw import (
 )
 
 
-def box_setup(d=2, x_prime=None, sigma=0.01, seed=0, omega0=0.01, T=15, cn=0.0, phi_override=None):
+def box_setup(d=2, x_prime=None, sigma=0.01, seed=0, omega0=0.01, T=15, cn=0.0):
     p = box_polytope(d)
     xp = np.array([2.0] + [0.5] * (d - 1)) if x_prime is None else np.asarray(x_prime, float)
     obj = quadratic_objective(xp, box_quadratic_lipschitz(d, 1.0, xp))
     x0 = np.zeros(d)
     geo = box_geometry_constants(d, 1.0, obj, x0)
-    scfg = make_safety_config(
-        delta=0.1, T=T, m=2 * d, d=d, sigma=sigma, omega0=omega0, cn=cn, phi_delta_override=phi_override,
-    )
+    scfg = make_safety_config(delta=0.1, T=T, m=2 * d, d=d, sigma=sigma, omega0=omega0, cn=cn)
     oracle = ConstraintOracle(p, NoiseModel("gaussian", sigma, seed), omega0)
     est = ConstraintEstimator(d, 2 * d)
     return p, ProblemSetup(obj, x0, geo), oracle, est, scfg
