@@ -59,12 +59,6 @@ class ConstraintEstimator:
         self.P: np.ndarray | None = None
         self.beta_hat: np.ndarray | None = None
 
-    @property
-    def xbar(self) -> np.ndarray:
-        if self.N == 0:
-            raise ValueError("no measurements absorbed yet")
-        return self.sum_x / self.N
-
     def xtx(self) -> np.ndarray:
         """Extended normal matrix VtV assembled from the running sums."""
         k = self.d + 1
@@ -138,7 +132,7 @@ class ConstraintEstimator:
         exactly when the centered scatter is nonsingular."""
         if self.P is None:
             raise ScatterSingularError("centered probe scatter is singular")
-        return self.xbar, self.P[: self.d, : self.d].copy()
+        return self.sum_x / self.N, self.P[: self.d, : self.d].copy()
 
 
 def confidence_membership_arrays(

@@ -21,7 +21,6 @@ from .estimator import ConstraintEstimator, confidence_membership_arrays
 from .lp import FEAS_TOL
 from .oracle import NOISE_KINDS, ConstraintOracle, NoiseModel
 from .problem import (
-    Objective,
     Polytope,
     box_geometry_constants,
     box_polytope,
@@ -88,7 +87,7 @@ class ExperimentConfig:
 
 @dataclass
 class ResolvedExperiment:
-    """The run inputs built from a config; objective and x0 are read from setup."""
+    """The run inputs built from a config."""
 
     cfg: ExperimentConfig
     polytope: Polytope
@@ -96,14 +95,6 @@ class ResolvedExperiment:
     safety: SafetyConfig
     f_star: float
     beta_true: np.ndarray  # (d+1) x m stack of [a_i; b_i], diagnostics only
-
-    @property
-    def objective(self) -> Objective:
-        return self.setup.objective
-
-    @property
-    def x0(self) -> np.ndarray:
-        return self.setup.x0
 
 
 @dataclass
@@ -156,6 +147,12 @@ def _check_types(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"out_dir must be a string, got {cfg.out_dir!r}")
 
 
+def _reject_unknown(name: str, section: dict, allowed: set[str]) -> None:
+    unknown = set(section) - allowed
+    if unknown:
+        raise ConfigError(f"unknown {name} fields: {sorted(unknown)}")
+
+
 def _vector(name: str, value, d: int) -> np.ndarray:
     try:
         out = np.asarray(value, dtype=float)
@@ -171,6 +168,8 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
     _check_types(cfg)
     if cfg.repetitions < 1:
         raise ConfigError("repetitions must be >= 1")
+    if cfg.base_seed < 0:
+        raise ConfigError("base_seed must be >= 0")
     if cfg.T < 3:
         raise ConfigError("T must be >= 3")
     if not cfg.epsilon > 0:
@@ -185,6 +184,7 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
 
     ptype = cfg.problem.get("type")
     if ptype == "box":
+        _reject_unknown("problem", cfg.problem, {"type", "d", "half_width"})
         d = cfg.problem.get("d", 0)
         half_width = float(cfg.problem.get("half_width", 1.0))
         if d < 1 or half_width <= 0:
@@ -192,6 +192,7 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         polytope = box_polytope(d, half_width)
         is_box = True
     elif ptype == "polytope":
+        _reject_unknown("problem", cfg.problem, {"type", "A", "b"})
         try:
             polytope = Polytope(np.array(cfg.problem["A"], dtype=float), np.array(cfg.problem["b"], dtype=float))
         except (KeyError, TypeError, ValueError) as exc:
@@ -210,6 +211,7 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
     if np.min(polytope.margins(x0)) <= 0:
         raise ConfigError("x0 must be strictly feasible")
 
+    _reject_unknown("objective", cfg.objective, {"type", "x_prime"})
     otype = cfg.objective.get("type", "quadratic")
     if otype != "quadratic":
         raise ConfigError("only the quadratic objective 0.5||x - x'||^2 ships with the harness")
@@ -221,13 +223,13 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
     if is_box:
         M = box_quadratic_lipschitz(d, half_width, x_prime)
         objective = quadratic_objective(x_prime, M)
-        geometry = box_geometry_constants(d, half_width, objective, x0)
+        geometry = box_geometry_constants(d, half_width, x0)
         f_star = objective.value(np.clip(x_prime, -half_width, half_width))
     else:
         sweep = vertex_sweep(polytope)
         M = max(float(np.linalg.norm(v - x_prime)) for v in sweep[0])
         objective = quadratic_objective(x_prime, M)
-        geometry = geometry_constants(polytope, objective, x0, sweep)
+        geometry = geometry_constants(polytope, x0, sweep)
         f_star = minimize_quadratic(polytope, x_prime)[1]
     if objective.value(x0) - f_star <= 0:
         raise ConfigError("x0 is already optimal; normalized curves are undefined")
@@ -243,7 +245,7 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         omega0=cfg.omega0,
     )
     if cfg.cn == "auto":
-        cn_value = cn_lower_bound(geometry, scfg, d, cfg.T)
+        cn_value = cn_lower_bound(geometry, scfg, d)
     else:
         cn_value = float(cfg.cn)
         if cn_value < 0:
@@ -304,13 +306,13 @@ def run_single(
         budget = ro_budget if ro_budget is not None else cfg.ro_total_measurements
         rec = ro_mod.ro_run(res.setup, oracle, est, res.safety, int(budget))
     elif variant == "fw-oracle":
-        rec = sfw_mod.run_fw_reference(res.polytope, res.objective, res.x0, res.safety.T)
+        rec = sfw_mod.run_fw_reference(res.polytope, res.setup.objective, res.setup.x0, res.safety.T)
     else:
         raise ConfigError(f"unknown variant {variant!r}")
     wall = time.perf_counter() - start
 
     iterate_violations, fact1_violations = _annotate_ground_truth(res, rec)
-    h0 = res.objective.value(res.x0) - res.f_star
+    h0 = res.setup.objective.value(res.setup.x0) - res.f_star
     rep = RepResult(
         seed=seed,
         status=rec.status,
@@ -345,7 +347,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunSumm
     res = resolve(cfg)
     out = Path(out_dir or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    h0 = res.objective.value(res.x0) - res.f_star
+    h0 = res.setup.objective.value(res.setup.x0) - res.f_star
     seeds = [cfg.base_seed + i for i in range(cfg.repetitions)]
     reps: list[RepResult] = []
     for i, seed in enumerate(seeds):
@@ -396,7 +398,7 @@ def compare_sfw_ro(cfg: ExperimentConfig, out_dir: str | None = None) -> Compari
     res = resolve(cfg)
     out = Path(out_dir or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    h0 = res.objective.value(res.x0) - res.f_star
+    h0 = res.setup.objective.value(res.setup.x0) - res.f_star
     seeds = [cfg.base_seed + i for i in range(cfg.repetitions)]
     sfw_final, ro_final, budgets = [], [], []
     for i, seed in enumerate(seeds):

@@ -53,7 +53,6 @@ class LpProblem:
 @dataclass
 class LpSolution:
     point: np.ndarray | None
-    value: float
     status: str  # optimal | infeasible | unbounded
     active_set: list[int] = field(default_factory=list)
 
@@ -181,7 +180,7 @@ def solve(p: LpProblem, basis: list[int] | None = None) -> LpSolution:
     if basis is not None:
         x = _verified_basis_vertex(p, basis)
         if x is not None:
-            return LpSolution(x, float(p.c @ x), "optimal", sorted(basis))
+            return LpSolution(x, "optimal", sorted(basis))
     m, d = p.A.shape
     A = p.A.copy()
     b = p.b.copy()
@@ -216,7 +215,7 @@ def solve(p: LpProblem, basis: list[int] | None = None) -> LpSolution:
                 T[-1] -= T[i]
         _simplex(T, basic, list(range(ncols)))
         if -T[-1, -1] > 1e-7 * (1.0 + float(np.abs(b).sum())):
-            return LpSolution(None, math.inf, "infeasible")
+            return LpSolution(None, "infeasible")
         # drive surviving artificials out of the basis where possible
         for i in range(m):
             if basic[i] >= n_struct + m:
@@ -234,14 +233,14 @@ def solve(p: LpProblem, basis: list[int] | None = None) -> LpSolution:
             T[-1] -= T[-1, bc] * T[i]
     status = _simplex(T, basic, list(range(n_struct + m)))
     if status == "unbounded":
-        return LpSolution(None, -math.inf, "unbounded")
+        return LpSolution(None, "unbounded")
 
     vals = np.zeros(ncols)
     for i, bc in enumerate(basic):
         vals[bc] = T[i, -1]
     x = vals[:d] - vals[d:n_struct]
     x = _push_to_vertex(p, x)
-    return LpSolution(x, float(p.c @ x), "optimal", _active_rows(p, x))
+    return LpSolution(x, "optimal", _active_rows(p, x))
 
 
 def feasible_bases(A: np.ndarray, b: np.ndarray):

@@ -40,7 +40,6 @@ class NoiseModel:
 
 @dataclass
 class CrossPattern:
-    center: np.ndarray
     points: np.ndarray      # 2d rows, center +/- omega0 e_i
     multiplicity: int       # measurements per point
     total: int              # realized measurement count, 2d * multiplicity
@@ -63,7 +62,7 @@ def cross_pattern(x: np.ndarray, omega0: float, n: int) -> CrossPattern:
         points[2 * i, i] += omega0
         points[2 * i + 1, i] -= omega0
     mult = -(-n // (2 * d))
-    return CrossPattern(center=x.copy(), points=points, multiplicity=int(mult), total=int(2 * d * mult))
+    return CrossPattern(points=points, multiplicity=int(mult), total=int(2 * d * mult))
 
 
 class ConstraintOracle:

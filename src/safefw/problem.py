@@ -55,14 +55,12 @@ class Objective:
     """Smooth convex objective with exact gradients.
 
     M bounds the gradient norm over the feasible set (Lipschitz constant of
-    the values), L is the Lipschitz constant of the gradient.
+    the values).
     """
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     M: float
-    L: float
-    name: str = ""
 
 
 @dataclass
@@ -72,12 +70,6 @@ class GeometryConstants:
     eps0: float       # initial margin min_i (b_i - <a_i, x0>)
     l_a: float        # max row norm of A
     rho_min: float    # min over vertices of the active submatrix's smallest singular value
-    cf_bound: float   # curvature bound L * gamma^2
-
-    def __post_init__(self):
-        expected = self.cf_bound
-        if not math.isfinite(expected):
-            raise ValueError("curvature bound must be finite")
 
 
 def box_polytope(d: int, half_width: float = 1.0) -> Polytope:
@@ -102,7 +94,7 @@ def quadratic_objective(x_prime: np.ndarray, M: float) -> Objective:
     def gradient(x):
         return np.asarray(x, dtype=float) - target
 
-    return Objective(value=value, gradient=gradient, M=float(M), L=1.0, name="quadratic")
+    return Objective(value=value, gradient=gradient, M=float(M))
 
 
 def box_quadratic_lipschitz(d: int, half_width: float, x_prime: np.ndarray) -> float:
@@ -139,9 +131,7 @@ def vertex_sweep(p: Polytope) -> tuple[np.ndarray, float]:
     return np.array([v for v, _ in bases]), min(s for _, s in bases)
 
 
-def geometry_constants(
-    p: Polytope, obj: Objective, x0: np.ndarray, sweep: tuple[np.ndarray, float]
-) -> GeometryConstants:
+def geometry_constants(p: Polytope, x0: np.ndarray, sweep: tuple[np.ndarray, float]) -> GeometryConstants:
     """Exact geometric constants from the vertex sweep of p (small instances)."""
     x0 = np.asarray(x0, dtype=float)
     eps0 = float(np.min(p.margins(x0)))
@@ -157,13 +147,10 @@ def geometry_constants(
         eps0=eps0,
         l_a=float(np.max(np.linalg.norm(p.A, axis=1))),
         rho_min=rho_min,
-        cf_bound=obj.L * gamma * gamma,
     )
 
 
-def box_geometry_constants(
-    d: int, half_width: float, obj: Objective, x0: np.ndarray
-) -> GeometryConstants:
+def box_geometry_constants(d: int, half_width: float, x0: np.ndarray) -> GeometryConstants:
     """Closed-form constants for the box, valid for any dimension."""
     p = box_polytope(d, half_width)
     eps0 = float(np.min(p.margins(np.asarray(x0, dtype=float))))
@@ -176,7 +163,6 @@ def box_geometry_constants(
         eps0=eps0,
         l_a=1.0,
         rho_min=1.0,
-        cf_bound=obj.L * 4.0 * gamma0 * gamma0,
     )
 
 

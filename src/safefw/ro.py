@@ -9,7 +9,7 @@ gradient linearizations of the most-violated cone constraint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +27,8 @@ MAX_CUTS = 200
 @dataclass
 class SocLinminResult:
     point: np.ndarray
-    value: float
     cuts: int
     warning: bool
-    lp_values: list[float] = field(default_factory=list)
 
 
 def soc_violation(est: ConstraintEstimator, cfg: SafetyConfig, s: np.ndarray) -> float:
@@ -63,19 +61,17 @@ def soc_linmin(
     relaxation = dfs_problem(est, c, guard)
     rows = [relaxation.A]
     rhs = [relaxation.b]
-    lp_values: list[float] = []
     point = anchor.copy()
     for cut in range(MAX_CUTS + 1):
         sol = lp.solve(lp.LpProblem(c, np.vstack(rows), np.concatenate(rhs)))
         if sol.status != "optimal":
-            return SocLinminResult(anchor.copy(), float(c @ anchor), cut, True, lp_values)
+            return SocLinminResult(anchor.copy(), cut, True)
         point = sol.point
-        lp_values.append(sol.value)
         verdict = soc_check(est, cfg, point)
         violations = verdict.lhs - verdict.margins
         worst = int(np.argmax(violations))
         if violations[worst] <= LINMIN_TOL:
-            return SocLinminResult(point, float(c @ point), cut, False, lp_values)
+            return SocLinminResult(point, cut, False)
         if cut == MAX_CUTS:
             break
         pz, norm = cone_terms(est, point)
@@ -99,8 +95,7 @@ def soc_linmin(
             lo = mid
         else:
             hi = mid
-    safe_point = anchor + lo * (point - anchor)
-    return SocLinminResult(safe_point, float(c @ safe_point), MAX_CUTS, True, lp_values)
+    return SocLinminResult(anchor + lo * (point - anchor), MAX_CUTS, True)
 
 
 def ro_run(

@@ -19,38 +19,25 @@ from .problem import GeometryConstants
 
 @dataclass(frozen=True)
 class SafetyConfig:
-    delta: float          # total confidence budget over the run
     T: int                # iteration budget
     omega0: float         # probe radius
-    phi_delta: float      # sigma * phi_inverse(d, delta_bar / m)
+    phi_delta: float      # sigma * phi_inverse(d, delta / T / m)
     cn: float             # schedule constant
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
         if self.T < 3:
             raise ValueError("iteration budget must be at least 3 (ln ln T must be positive)")
         if self.phi_delta < 0.0 or self.omega0 <= 0.0:
             raise ValueError("phi_delta must be >= 0 and omega0 > 0")
 
-    @property
-    def delta_bar(self) -> float:
-        """Per-iteration confidence budget delta / T."""
-        return self.delta / self.T
 
-
-def make_safety_config(
-    delta: float,
-    T: int,
-    m: int,
-    d: int,
-    sigma: float,
-    omega0: float,
-    cn: float = 0.0,
-) -> SafetyConfig:
-    """Resolve the confidence radius sigma * phi_inverse(d, delta / T / m)."""
+def make_safety_config(delta: float, T: int, m: int, d: int, sigma: float, omega0: float) -> SafetyConfig:
+    """Split the confidence budget delta over T iterations and m constraints:
+    the radius sigma * phi_inverse(d, delta / T / m), with cn = 0."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
     phi_delta = sigma * phi_inverse(d, delta / T / m)
-    return SafetyConfig(delta=delta, T=T, omega0=omega0, phi_delta=phi_delta, cn=cn)
+    return SafetyConfig(T=T, omega0=omega0, phi_delta=phi_delta, cn=0.0)
 
 
 @dataclass
@@ -59,7 +46,6 @@ class SafetyVerdict:
     lhs: float                   # uncertainty radius at the test point
     min_margin: float
     margins: np.ndarray
-    binding_constraint: int
 
 
 def margins(est: ConstraintEstimator, x: np.ndarray) -> np.ndarray:
@@ -73,11 +59,8 @@ def margins(est: ConstraintEstimator, x: np.ndarray) -> np.ndarray:
 def _verdict(est: ConstraintEstimator, x: np.ndarray, lhs: float) -> SafetyVerdict:
     """Compare the uncertainty radius lhs with the smallest estimated margin at x; ties count as safe."""
     eps = margins(est, x)
-    binding = int(np.argmin(eps))
-    min_margin = float(eps[binding])
-    return SafetyVerdict(
-        safe=lhs <= min_margin, lhs=lhs, min_margin=min_margin, margins=eps, binding_constraint=binding
-    )
+    min_margin = float(eps.min())
+    return SafetyVerdict(safe=lhs <= min_margin, lhs=lhs, min_margin=min_margin, margins=eps)
 
 
 def fact2_check(est: ConstraintEstimator, cfg: SafetyConfig, x: np.ndarray) -> SafetyVerdict:
@@ -105,24 +88,22 @@ def soc_check(est: ConstraintEstimator, cfg: SafetyConfig, x: np.ndarray) -> Saf
     return _verdict(est, x, cfg.phi_delta * cone_terms(est, x)[1])
 
 
-def c_delta_constant(geo: GeometryConstants, phi_delta: float, omega0: float, d: int) -> float:
+def c_delta_constant(geo: GeometryConstants, cfg: SafetyConfig, d: int) -> float:
     """Vertex-estimation error constant: 2 phi d (Gamma0+1) / rho_min * sqrt((Gamma0^2+1)/omega0^2 + 1)."""
     return (
         2.0
-        * phi_delta
+        * cfg.phi_delta
         * d
         * (geo.gamma0 + 1.0)
         / geo.rho_min
-        * math.sqrt((geo.gamma0 * geo.gamma0 + 1.0) / (omega0 * omega0) + 1.0)
+        * math.sqrt((geo.gamma0 * geo.gamma0 + 1.0) / (cfg.omega0 * cfg.omega0) + 1.0)
     )
 
 
-def cn_lower_bound(geo: GeometryConstants, cfg: SafetyConfig, d: int, T: int) -> float:
+def cn_lower_bound(geo: GeometryConstants, cfg: SafetyConfig, d: int) -> float:
     """Schedule constant lower bound guaranteeing per-iterate safety."""
-    if T < 3:
-        raise ValueError("T must be at least 3 so that ln ln T is defined and positive")
-    c_delta = c_delta_constant(geo, cfg.phi_delta, cfg.omega0, d)
-    lnln = math.log(math.log(T))
+    c_delta = c_delta_constant(geo, cfg, d)
+    lnln = math.log(math.log(cfg.T))
     return c_delta * c_delta * max(
         4.0 * lnln * lnln * geo.l_a * geo.l_a / (geo.eps0 * geo.eps0),
         1.0 / ((geo.gamma0 + 1.0) ** 2),

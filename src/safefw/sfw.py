@@ -102,7 +102,6 @@ class TrajectoryRecord:
 
     rows: list[IterationRow] = field(default_factory=list)
     status: str = "completed"
-    stopped_at: int | None = None
 
     def add(self, x, f: float, N_t: int, verdict: SafetyVerdict | None = None, est=None) -> IterationRow:
         """Append the row of a new iterate; est is the estimate behind the verdict."""
@@ -138,7 +137,7 @@ def et_bound(cfg: SafetyConfig, geo: GeometryConstants, M: float, N: int, d: int
     Below the sample-count precondition N >= C^2 / (Gamma0+1)^2 the bound is
     not valid and +inf is returned, so the stopping rule never fires early.
     """
-    c_delta = c_delta_constant(geo, cfg.phi_delta, cfg.omega0, d)
+    c_delta = c_delta_constant(geo, cfg, d)
     if N < c_delta * c_delta / ((geo.gamma0 + 1.0) ** 2):
         return math.inf
     if N < 1:
@@ -215,7 +214,6 @@ def _run_prescribed(setup, oracle, est, scfg, cfg) -> TrajectoryRecord:
         row.record_step(s_hat, gap, bound, n_t + extra, est.N, status)
         if gap + bound <= cfg.epsilon:
             rec.status = "stopped-early"
-            rec.stopped_at = t
             return rec
         gamma = 1.0 / (t + 2)
         x = x + gamma * (s_hat - x)
@@ -223,76 +221,49 @@ def _run_prescribed(setup, oracle, est, scfg, cfg) -> TrajectoryRecord:
     return rec
 
 
-def adaptive_step(
-    est: ConstraintEstimator,
-    scfg: SafetyConfig,
-    oracle: ConstraintOracle,
-    setup: ProblemSetup,
-    rec: TrajectoryRecord,
-    t: int,
-    budget_left: int,
-    epsilon: float = -math.inf,
-) -> IterationRow | str:
-    """One adaptive iteration from x_t, the iterate of rec's last row.
-
-    Takes the 2d*t warm-up batch (one full cross at t = 0), solves the DFS and
-    checks the stopping rule, then keeps adding single cross batches at x_t,
-    re-estimating and re-solving (warm-started from the previous active set),
-    until the stepped candidate passes the scalar safety test. Records the
-    step on x_t's row and returns the row appended for the certified
-    candidate, or the run status "stopped-early" or "budget-exhausted". Extra
-    safety batches never precede the stop check.
-    """
-    d = setup.d
-    obj = setup.objective
-    row = rec.rows[-1]
-    x = row.x
-    gamma = 1.0 / (t + 2)
-    taken = _absorb_cross(oracle, est, x, scfg.omega0, 2 * d * max(t, 1))
-    grad = obj.gradient(x)
-    extras = 0
-    basis = None
-    while True:
-        sol = solve_dfs(est, setup.dfs_guard, grad, basis)
-        s_hat, status = _direction(sol, x)
-        basis = sol.active_set
-        candidate = x + gamma * (s_hat - x)
-        verdict = fact2_check(est, scfg, candidate)
-        if extras == 0:
-            ghat = surrogate_gap(grad, x, s_hat)
-            et = et_bound(scfg, setup.geometry, obj.M, est.N, d)
-            if ghat + et <= epsilon:
-                outcome = "stopped-early"
-                break
-        if verdict.safe:
-            outcome = rec.add(candidate, obj.value(candidate), est.N, verdict, est)
-            break
-        if taken + 2 * d > budget_left:
-            outcome = "budget-exhausted"
-            break
-        taken += _absorb_cross(oracle, est, x, scfg.omega0, 2 * d)
-        extras += 1
-    if extras:
-        ghat = surrogate_gap(grad, x, s_hat)
-        et = et_bound(scfg, setup.geometry, obj.M, est.N, d)
-    row.record_step(s_hat, ghat, et, taken, est.N, status, extras)
-    return outcome
-
-
 def _run_adaptive(setup, oracle, est, scfg, cfg) -> TrajectoryRecord:
+    """From each x_t take the 2d*t warm-up batch (one full cross at t = 0),
+    solve the DFS and check the stopping rule, then keep adding single cross
+    batches at x_t, re-estimating and re-solving (warm-started from the
+    previous active set), until the stepped candidate passes the scalar safety
+    test. Extra safety batches never precede the stop check."""
+    d, obj, geo = setup.d, setup.objective, setup.geometry
     rec = TrajectoryRecord()
-    first = rec.add(setup.x0, setup.objective.value(setup.x0), 0)
+    row = rec.add(setup.x0, obj.value(setup.x0), 0)
     for t in range(scfg.T):
-        if t > 0 and est.N + 2 * setup.d * t > cfg.max_total_measurements:
-            outcome = "budget-exhausted"
-        else:
-            outcome = adaptive_step(est, scfg, oracle, setup, rec, t, cfg.max_total_measurements - est.N, cfg.epsilon)
-        if t == 0:
-            first.verdict, first.snapshot = fact2_check(est, scfg, first.x), _snapshot(est)
-        if isinstance(outcome, str):
-            rec.status = outcome
-            rec.stopped_at = t
+        x = row.x
+        warm_up = 2 * d * max(t, 1)
+        if t > 0 and est.N + warm_up > cfg.max_total_measurements:
+            rec.status = "budget-exhausted"
             break
+        taken = _absorb_cross(oracle, est, x, scfg.omega0, warm_up)
+        grad = obj.gradient(x)
+        gamma = 1.0 / (t + 2)
+        extras = 0
+        basis = None
+        while True:
+            sol = solve_dfs(est, setup.dfs_guard, grad, basis)
+            s_hat, status = _direction(sol, x)
+            basis = sol.active_set
+            candidate = x + gamma * (s_hat - x)
+            verdict = fact2_check(est, scfg, candidate)
+            if extras == 0 and surrogate_gap(grad, x, s_hat) + et_bound(scfg, geo, obj.M, est.N, d) <= cfg.epsilon:
+                rec.status = "stopped-early"
+                break
+            if verdict.safe:
+                break
+            if est.N + 2 * d > cfg.max_total_measurements:
+                rec.status = "budget-exhausted"
+                break
+            taken += _absorb_cross(oracle, est, x, scfg.omega0, 2 * d)
+            extras += 1
+        ghat, et = surrogate_gap(grad, x, s_hat), et_bound(scfg, geo, obj.M, est.N, d)
+        row.record_step(s_hat, ghat, et, taken, est.N, status, extras)
+        if t == 0:
+            row.verdict, row.snapshot = fact2_check(est, scfg, x), _snapshot(est)
+        if rec.status != "completed":
+            break
+        row = rec.add(candidate, obj.value(candidate), est.N, verdict, est)
     return rec
 
 

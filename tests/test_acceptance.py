@@ -67,8 +67,8 @@ def zero_noise_run():
     p = box_polytope(d)
     xp = np.array([2.0, 0.5])
     obj = quadratic_objective(xp, box_quadratic_lipschitz(d, 1.0, xp))
-    geo = box_geometry_constants(d, 1.0, obj, np.zeros(d))
-    scfg = SafetyConfig(delta=0.1, T=50, omega0=0.01, phi_delta=0.0, cn=0.0)
+    geo = box_geometry_constants(d, 1.0, np.zeros(d))
+    scfg = SafetyConfig(T=50, omega0=0.01, phi_delta=0.0, cn=0.0)
     oracle = ConstraintOracle(p, NoiseModel("gaussian", 0.0, 0), 0.01)
     est = ConstraintEstimator(d, 2 * d)
     setup = ProblemSetup(obj, np.zeros(d), geo)
@@ -124,7 +124,7 @@ def test_criterion_4_convergence_envelope(zero_noise_run):
     worst_slack = -math.inf
     for t, row in enumerate(rec.rows):
         h_t = row.f - f_star
-        slack = h_t * (t + 2) - (h0 + math.log(t + 2) * geo.cf_bound / 2.0)
+        slack = h_t * (t + 2) - (h0 + math.log(t + 2) * geo.gamma ** 2 / 2.0)
         worst_slack = max(worst_slack, slack)
     report(
         4,
@@ -138,20 +138,20 @@ def test_criterion_5_gap_error_bound():
     d = 2
     cfg = box_config(d, variant="prescribed", cn=24.0 * d * d, repetitions=34)
     res = resolve(cfg)
-    c_delta = c_delta_constant(res.setup.geometry, res.safety.phi_delta, res.safety.omega0, d)
-    M = res.objective.M
+    c_delta = c_delta_constant(res.setup.geometry, res.safety, d)
+    M = res.setup.objective.M
     held = total = 0
     for seed in range(cfg.repetitions):
         rec, rep = run_single(res, seed)
         for row in rec.rows[: rec.steps()]:
-            grad = res.objective.gradient(row.x)
+            grad = res.setup.objective.gradient(row.x)
             sol = lp.solve(lp.LpProblem(grad, res.polytope.A, res.polytope.b))
             g_true = float(grad @ (row.x - sol.point))
             bound = M * c_delta / math.sqrt(row.N_t)
             total += 1
             held += abs(row.ghat - g_true) <= bound
     frac = held / total
-    need = (1.0 - res.safety.delta_bar) - 0.02
+    need = (1.0 - cfg.delta / cfg.T) - 0.02
     report(
         5,
         "gap estimation error bound",
@@ -201,7 +201,7 @@ def test_criterion_7_rank_one_vs_direct():
 
 def test_criterion_8_scalar_test_matches_cone_form():
     rng = np.random.default_rng(88)
-    cfg = SafetyConfig(delta=0.1, T=15, omega0=0.01, phi_delta=0.5, cn=0.0)
+    cfg = SafetyConfig(T=15, omega0=0.01, phi_delta=0.5, cn=0.0)
     disagreements = 0
     boundary_pairs = 0
     checked = 0
@@ -263,7 +263,7 @@ def test_criterion_9_lp_correctness():
         assert sol.status == "optimal"
         worst_feas = max(worst_feas, float(np.max(p.A @ sol.point - p.b)))
         best = min(float(c @ v) for v in enumerate_vertices(prob))
-        worst_value = max(worst_value, abs(sol.value - best))
+        worst_value = max(worst_value, abs(float(c @ sol.point) - best))
     report(
         9,
         "simplex vs vertex enumeration",

@@ -221,5 +221,5 @@ def test_absorb_validation():
         est.absorb_repeated(np.zeros(3), np.zeros(3), 1)
     with pytest.raises(ValueError):
         est.absorb_repeated(np.zeros(2), np.zeros(3), 0)
-    with pytest.raises(ValueError):
-        est.xbar
+    with pytest.raises(ScatterSingularError):
+        est.block_quantities()

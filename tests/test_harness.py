@@ -46,7 +46,7 @@ def d2_config(**overrides) -> ExperimentConfig:
 
 def test_resolve_box_quadratic_optimum():
     res = resolve(d2_config())
-    assert res.f_star == res.objective.value(np.array([1.0, 0.5])) == pytest.approx(0.5, abs=1e-12)
+    assert res.f_star == res.setup.objective.value(np.array([1.0, 0.5])) == pytest.approx(0.5, abs=1e-12)
     assert res.setup.geometry.eps0 == 1.0
 
 
@@ -57,7 +57,7 @@ def test_resolve_regular_17gon_vs_brute_force():
     res = resolve(d2_config(problem={"type": "polytope", "A": A.tolist(), "b": [1.0] * 17}))
     verts = [np.linalg.solve(A[[i, (i + 1) % 17]], np.ones(2)) for i in range(17)]
     x_prime = np.array([2.0, 0.5])
-    assert res.objective.M == pytest.approx(max(np.linalg.norm(v - x_prime) for v in verts), abs=1e-12)
+    assert res.setup.objective.M == pytest.approx(max(np.linalg.norm(v - x_prime) for v in verts), abs=1e-12)
     assert res.setup.geometry.gamma0 == pytest.approx(max(np.linalg.norm(v) for v in verts), abs=1e-12)
     rec, rep = run_single(res, 0)
     assert rec.status == "completed" and rep.iterate_violations == 0
@@ -272,6 +272,12 @@ UNIT_SQUARE = {"type": "polytope", "A": [[1, 0], [0, 1], [-1, 0], [0, -1]], "b":
         pytest.param({"problem": {**UNIT_SQUARE, "A": [[1, 0], [0, 1], [-1, math.inf], [0, -1]]}},
                      "polytope A and b must be finite", id="inf-A"),
         pytest.param({"omega0": 1e300}, "omega0 must not exceed the polytope's diameter 2.82843", id="huge-omega0"),
+        pytest.param({"problem": {"type": "box", "d": 2, "halfwidth": 0.5}}, "unknown problem fields: ['halfwidth']",
+                     id="misspelled-half-width"),
+        pytest.param({"objective": {"x_prme": [0.1, 0.1]}}, "unknown objective fields: ['x_prme']",
+                     id="misspelled-x-prime"),
+        pytest.param({"problem": {"type": "box", "d": 2, "A": [[1, 0]]}}, "unknown problem fields: ['A']", id="box-with-A"),
+        pytest.param({"base_seed": -1}, "base_seed must be >= 0", id="negative-seed"),
     ],
 )
 def test_validate_config_rejects_bad_values(tmp_path, capsys, recwarn, overrides, message):
@@ -294,7 +300,7 @@ def test_trajectory_csv_matches_pinned_rows(tmp_path, variant):
     floats within 1e-9."""
     res = resolve(d2_config(variant=variant, repetitions=1, base_seed=3, **PIN_OVERRIDES.get(variant, {})))
     rec, _ = run_single(res, 3)
-    write_trajectory_csv(rec, res.f_star, res.objective.value(res.x0) - res.f_star, tmp_path / "t.csv")
+    write_trajectory_csv(rec, res.f_star, res.setup.objective.value(res.setup.x0) - res.f_star, tmp_path / "t.csv")
     cols = load_trajectory_csv(tmp_path / "t.csv")
     assert rec.status == PIN[variant]["status"]
     assert len(cols["t"]) == len(PIN[variant]["rows"])
@@ -351,7 +357,7 @@ def test_csv_columns_reproduce_record_exactly(tmp_path):
     res = resolve(cfg)
     rec, rep = run_single(res, cfg.base_seed)
     path = tmp_path / "exact.csv"
-    h0 = res.objective.value(res.x0) - res.f_star
+    h0 = res.setup.objective.value(res.setup.x0) - res.f_star
     write_trajectory_csv(rec, res.f_star, h0, path)
     cols = load_trajectory_csv(path)
     for t, row in enumerate(rec.rows):

@@ -25,14 +25,13 @@ def test_box_dfs_example():
     vertices = [np.array(v, dtype=float) for v in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
     best = min(float(np.array([-2.0, -0.5]) @ v) for v in vertices)
     assert best == -2.5
-    assert sol.value == pytest.approx(-2.5, abs=1e-10)
+    assert np.array([-2.0, -0.5]) @ sol.point == pytest.approx(-2.5, abs=1e-10)
     assert np.allclose(sol.point, [1.0, 1.0], atol=1e-9)
 
 
 def test_zero_objective_returns_a_vertex():
     sol = lp.solve(box_problem([0.0, 0.0]))
     assert sol.status == "optimal"
-    assert sol.value == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(np.abs(sol.point), 1.0, atol=1e-9)
 
 
@@ -73,7 +72,7 @@ def test_random_small_polytope_matches_enumeration():
     sol = lp.solve(prob)
     verts = enumerate_vertices(prob)
     assert sol.status == "optimal"
-    assert sol.value == pytest.approx(min(float(c @ v) for v in verts), abs=1e-8)
+    assert c @ sol.point == pytest.approx(min(float(c @ v) for v in verts), abs=1e-8)
 
 
 def test_simplex_vs_enumeration_sweep():
@@ -88,8 +87,8 @@ def test_simplex_vs_enumeration_sweep():
         assert sol.status == "optimal"
         assert np.all(p.A @ sol.point - p.b <= 1e-9)
         best = min(float(c @ v) for v in enumerate_vertices(prob))
-        assert sol.value <= best + 1e-8
-        assert sol.value >= best - 1e-8
+        assert c @ sol.point <= best + 1e-8
+        assert c @ sol.point >= best - 1e-8
 
 
 def test_objective_scaling():
@@ -98,7 +97,7 @@ def test_objective_scaling():
     c = rng.normal(0.0, 1.0, 3)
     base = lp.solve(lp.LpProblem(c, p.A, p.b))
     scaled = lp.solve(lp.LpProblem(5.0 * c, p.A, p.b))
-    assert scaled.value == pytest.approx(5.0 * base.value, rel=1e-10)
+    assert 5.0 * c @ scaled.point == pytest.approx(5.0 * (c @ base.point), rel=1e-10)
     assert np.allclose(scaled.point, base.point, atol=1e-9)
 
 
@@ -132,7 +131,7 @@ def test_warm_start_from_cold_basis_matches_cold(d, extra_rows, seed):
     warm = lp.solve(prob, basis=cold.active_set)
     assert cold.status == warm.status == "optimal"
     assert np.abs(warm.point - cold.point).max() <= 1e-12
-    assert abs(warm.value - cold.value) <= 1e-12
+    assert abs(prob.c @ warm.point - prob.c @ cold.point) <= 1e-12
     assert warm.active_set == cold.active_set
 
 
@@ -191,7 +190,7 @@ def test_matches_scipy_linprog():
         sol = lp.solve(lp.LpProblem(c, A, b))
         ref = optimize.linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * len(c), method="highs")
         assert sol.status == "optimal" and ref.status == 0
-        assert sol.value == pytest.approx(ref.fun, abs=1e-8)
+        assert c @ sol.point == pytest.approx(ref.fun, abs=1e-8)
         assert np.all(A @ sol.point - b <= 1e-9)
     infeasible = optimize.linprog([1.0], A_ub=[[1.0], [-1.0]], b_ub=[-1.0, -1.0], bounds=[(None, None)], method="highs")
     unbounded = optimize.linprog([0.0, -1.0], A_ub=[[1.0, 0.0]], b_ub=[1.0], bounds=[(None, None)] * 2, method="highs")

@@ -101,7 +101,7 @@ def test_out_of_reach_accounting():
 def test_cross_pattern_radius_invariant():
     for center, omega0, n in (([0.2, -0.1], 0.05, 4), ([0.0, 0.3, -0.7], 0.01, 13)):
         pat = cross_pattern(np.array(center), omega0, n)
-        offsets = pat.points - pat.center
+        offsets = pat.points - np.array(center)
         assert np.all(np.max(np.abs(offsets), axis=1) <= omega0 + 1e-12)
         assert np.all(np.count_nonzero(np.abs(offsets) > 1e-12, axis=1) == 1)  # one axis each
 

@@ -27,8 +27,8 @@ def quadratic_d2():
     return quadratic_objective(x_prime, box_quadratic_lipschitz(2, 1.0, x_prime))
 
 
-def geometry(p, obj, x0):
-    return geometry_constants(p, obj, x0, vertex_sweep(p))
+def geometry(p, x0):
+    return geometry_constants(p, x0, vertex_sweep(p))
 
 
 def test_validate_unit_box():
@@ -56,34 +56,31 @@ def test_zero_row_rejected():
 
 
 def test_geometry_unit_box_exact():
-    geo = geometry(box_polytope(2), quadratic_d2(), np.zeros(2))
+    geo = geometry(box_polytope(2), np.zeros(2))
     assert geo.eps0 == 1.0
     assert geo.l_a == 1.0
     assert geo.rho_min == 1.0
     assert geo.gamma0 == pytest.approx(math.sqrt(2.0), abs=1e-12)
     assert geo.gamma == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
-    assert geo.cf_bound == pytest.approx(8.0, abs=1e-12)
 
 
 def test_geometry_scaled_box_eps0():
     p = Polytope(box_polytope(2).A, 2.0 * np.ones(4))
-    geo = geometry(p, quadratic_d2(), np.zeros(2))
+    geo = geometry(p, np.zeros(2))
     assert geo.eps0 == 2.0
 
 
 def test_geometry_matches_box_closed_form():
-    obj = quadratic_d2()
-    enumerated = geometry(box_polytope(2), obj, np.zeros(2))
-    analytic = box_geometry_constants(2, 1.0, obj, np.zeros(2))
-    for name in ("gamma", "gamma0", "eps0", "l_a", "rho_min", "cf_bound"):
+    enumerated = geometry(box_polytope(2), np.zeros(2))
+    analytic = box_geometry_constants(2, 1.0, np.zeros(2))
+    for name in ("gamma", "gamma0", "eps0", "l_a", "rho_min"):
         assert getattr(enumerated, name) == pytest.approx(getattr(analytic, name), abs=1e-12)
 
 
 def test_geometry_random_polytope_vs_brute_force():
     rng = np.random.default_rng(5)
     p = random_bounded_polytope(rng, 2, 5)
-    obj = quadratic_d2()
-    geo = geometry(p, obj, np.zeros(2))
+    geo = geometry(p, np.zeros(2))
 
     # brute force over every pair of constraints
     verts, sig = [], []
@@ -109,15 +106,14 @@ def test_geometry_random_polytope_vs_brute_force():
 def test_geometry_deterministic():
     rng = np.random.default_rng(6)
     p = random_bounded_polytope(rng, 2, 6)
-    obj = quadratic_d2()
-    a = geometry(p, obj, np.zeros(2))
-    b = geometry(p, obj, np.zeros(2))
-    assert all(getattr(a, f) == getattr(b, f) for f in ("gamma", "gamma0", "eps0", "l_a", "rho_min", "cf_bound"))
+    a = geometry(p, np.zeros(2))
+    b = geometry(p, np.zeros(2))
+    assert all(getattr(a, f) == getattr(b, f) for f in ("gamma", "gamma0", "eps0", "l_a", "rho_min"))
 
 
 def test_geometry_requires_strict_feasibility():
     with pytest.raises(ValueError):
-        geometry(box_polytope(2), quadratic_d2(), np.array([1.0, 0.0]))
+        geometry(box_polytope(2), np.array([1.0, 0.0]))
 
 
 def test_geometry_subset_cap(monkeypatch):
@@ -148,7 +144,7 @@ def test_vertex_sweep_regular_17gon_vs_brute_force():
     # adjacent unit normals 2 pi / 17 apart: sigma_min = sqrt(2) sin(pi / 17)
     assert rho_min == pytest.approx(min(sig), abs=1e-12)
     assert rho_min == pytest.approx(math.sqrt(2.0) * math.sin(math.pi / 17), abs=1e-12)
-    geo = geometry_constants(p, quadratic_d2(), np.zeros(2), (V, rho_min))
+    geo = geometry_constants(p, np.zeros(2), (V, rho_min))
     radius = 1.0 / math.cos(math.pi / 17)
     assert geo.gamma0 == pytest.approx(max(np.linalg.norm(v) for v in verts), abs=1e-12)
     assert geo.gamma0 == pytest.approx(radius, abs=1e-12)

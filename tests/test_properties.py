@@ -62,7 +62,7 @@ def test_estimator_matches_dense_solve(est):
 @PROPERTY
 @given(absorbed(), st.floats(0.0, 2.0), st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
 def test_fact2_matches_soc_lhs(est, phi, point):
-    cfg = SafetyConfig(delta=0.1, T=15, omega0=0.01, phi_delta=phi, cn=0.0)
+    cfg = SafetyConfig(T=15, omega0=0.01, phi_delta=phi, cn=0.0)
     x = np.array(point[: est.d])
     f2 = fact2_check(est, cfg, x)
     soc = soc_check(est, cfg, x)

@@ -25,11 +25,11 @@ def setup_d2(sigma, seed=0, omega0=0.05, phi_delta=None):
     p = box_polytope(2)
     xp = np.array([2.0, 0.5])
     obj = quadratic_objective(xp, box_quadratic_lipschitz(2, 1.0, xp))
-    geo = box_geometry_constants(2, 1.0, obj, np.zeros(2))
+    geo = box_geometry_constants(2, 1.0, np.zeros(2))
     if phi_delta is None:
         scfg = make_safety_config(delta=0.1, T=15, m=4, d=2, sigma=sigma, omega0=omega0)
     else:
-        scfg = SafetyConfig(delta=0.1, T=15, omega0=omega0, phi_delta=phi_delta, cn=0.0)
+        scfg = SafetyConfig(T=15, omega0=omega0, phi_delta=phi_delta, cn=0.0)
     oracle = ConstraintOracle(p, NoiseModel("gaussian", sigma, seed), omega0)
     est = ConstraintEstimator(2, 4)
     return p, ProblemSetup(obj, np.zeros(2), geo), oracle, est, scfg
@@ -52,7 +52,7 @@ def test_zero_radius_reduces_to_lp():
     ref = lp.solve(lp.LpProblem(c, np.vstack([est.a_hat().T, eye, -eye]),
                                 np.concatenate([est.b_hat(), np.full(4, 14.0)])))
     assert not res.warning
-    assert res.value == pytest.approx(ref.value, abs=1e-10)
+    assert c @ res.point == pytest.approx(c @ ref.point, abs=1e-10)
 
 
 def test_value_dominates_lp_relaxation():
@@ -63,20 +63,30 @@ def test_value_dominates_lp_relaxation():
     eye = np.eye(2)
     ref = lp.solve(lp.LpProblem(c, np.vstack([est.a_hat().T, eye, -eye]),
                                 np.concatenate([est.b_hat(), np.full(4, 14.0)])))
-    assert res.value >= ref.value - 1e-9  # the cone set sits inside the estimated polytope
+    assert c @ res.point >= c @ ref.point - 1e-9  # the cone set sits inside the estimated polytope
 
 
-def test_outputs_pass_cone_test_and_cuts_monotone():
+def test_outputs_pass_cone_test_and_cuts_monotone(monkeypatch):
+    lp_values = []
+    real_solve = lp.solve
+
+    def recording_solve(problem, basis=None):
+        sol = real_solve(problem, basis)
+        lp_values.append(float(problem.c @ sol.point))
+        return sol
+
+    monkeypatch.setattr(lp, "solve", recording_solve)
     rng = np.random.default_rng(3)
     scfg = make_safety_config(delta=0.1, T=15, m=4, d=2, sigma=0.1, omega0=0.05)
     for seed in range(5):
         est = estimated_state(0.1, 10 + seed)
         c = rng.normal(0, 1, 2)
+        lp_values.clear()
         res = soc_linmin(est, scfg, c, guard=14.0, anchor=np.zeros(2))
         assert not res.warning
         assert soc_violation(est, scfg, res.point) <= 1e-7
-        diffs = np.diff(res.lp_values)
-        assert np.all(diffs >= -1e-9)
+        assert len(lp_values) == res.cuts + 1
+        assert np.all(np.diff(lp_values) >= -1e-9)
 
 
 def test_agrees_with_independent_reference():
@@ -87,7 +97,7 @@ def test_agrees_with_independent_reference():
         c = rng.normal(0, 1, 2)
         res = soc_linmin(est, scfg, c, guard=14.0, anchor=np.zeros(2))
         ref = soc_linmin_reference(est, scfg, c, np.zeros(2))
-        assert abs(res.value - ref) <= 1e-4
+        assert abs(c @ res.point - ref) <= 1e-4
 
 
 def test_zero_noise_run_matches_classical_fw():

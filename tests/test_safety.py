@@ -7,7 +7,7 @@ import pytest
 
 from safefw.estimator import ConstraintEstimator, phi_inverse
 from safefw.oracle import cross_pattern
-from safefw.problem import box_geometry_constants, box_polytope, quadratic_objective
+from safefw.problem import box_geometry_constants, box_polytope
 from safefw.safety import (
     SafetyConfig,
     c_delta_constant,
@@ -22,8 +22,8 @@ from safefw.safety import (
 from helpers import box_estimator_exact, random_estimator
 
 
-def config(phi_delta, omega0=0.01, cn=96.0, T=15, delta=0.1):
-    return SafetyConfig(delta=delta, T=T, omega0=omega0, phi_delta=phi_delta, cn=cn)
+def config(phi_delta, omega0=0.01, cn=96.0, T=15):
+    return SafetyConfig(T=T, omega0=omega0, phi_delta=phi_delta, cn=cn)
 
 
 def test_margins_exact_box():
@@ -56,7 +56,7 @@ def test_fact2_negative_margin_unsafe():
     assert not verdict.safe
     assert verdict.min_margin < 0
     assert verdict.lhs >= 0.0
-    assert verdict.binding_constraint == 0
+    assert int(np.argmin(verdict.margins)) == 0
 
 
 def test_fact2_matches_soc_everywhere():
@@ -158,19 +158,17 @@ def test_fact2_radius_after_whole_cross_absorbs():
 
 
 def test_cn_lower_bound_quadratic_in_phi():
-    obj = quadratic_objective(np.array([2.0, 0.5]), M=1.0)
-    geo = box_geometry_constants(2, 1.0, obj, np.zeros(2))
-    low = cn_lower_bound(geo, config(1.0), 2, 15)
-    high = cn_lower_bound(geo, config(2.0), 2, 15)
+    geo = box_geometry_constants(2, 1.0, np.zeros(2))
+    low = cn_lower_bound(geo, config(1.0), 2)
+    high = cn_lower_bound(geo, config(2.0), 2)
     assert high == pytest.approx(4.0 * low, rel=1e-12)
 
 
 def test_cn_lower_bound_reported_constants():
     # d=2 box with eps0=1, phi=3.43, rho_min=1, Gamma0=sqrt(2), omega0=0.01, T=15
-    obj = quadratic_objective(np.array([2.0, 0.5]), M=1.0)
-    geo = box_geometry_constants(2, 1.0, obj, np.zeros(2))
+    geo = box_geometry_constants(2, 1.0, np.zeros(2))
     cfg = config(3.43)
-    got = cn_lower_bound(geo, cfg, 2, 15)
+    got = cn_lower_bound(geo, cfg, 2)
 
     # independent re-evaluation, written out verbatim
     g0 = math.sqrt(2.0)
@@ -178,15 +176,8 @@ def test_cn_lower_bound_reported_constants():
     lnln = math.log(math.log(15.0))
     expected = c_delta**2 * max(4.0 * lnln**2 * 1.0 / 1.0, 1.0 / (g0 + 1.0) ** 2)
     assert got == pytest.approx(expected, rel=1e-12)
-    assert c_delta_constant(geo, 3.43, 0.01, 2) == pytest.approx(c_delta, rel=1e-12)
+    assert c_delta_constant(geo, cfg, 2) == pytest.approx(c_delta, rel=1e-12)
     assert 1e8 < got < 2e8  # magnitude sanity for the reported constants
-
-
-def test_cn_lower_bound_needs_t_at_least_3():
-    obj = quadratic_objective(np.array([2.0, 0.5]), M=1.0)
-    geo = box_geometry_constants(2, 1.0, obj, np.zeros(2))
-    with pytest.raises(ValueError):
-        cn_lower_bound(geo, config(1.0), 2, 2)
 
 
 def test_nt_schedule_first_value():
@@ -208,10 +199,12 @@ def test_nt_schedule_monotone_and_degenerate():
 
 def test_safety_config_invariants():
     cfg = make_safety_config(delta=0.1, T=15, m=4, d=2, sigma=0.01, omega0=0.01)
-    assert cfg.delta_bar == 0.1 / 15
     assert cfg.phi_delta == 0.01 * phi_inverse(2, 0.1 / 15 / 4)
     with pytest.raises(ValueError):
-        SafetyConfig(delta=0.1, T=2, omega0=0.01, phi_delta=1.0, cn=0.0)
+        SafetyConfig(T=2, omega0=0.01, phi_delta=1.0, cn=0.0)
+    # delta / T / m = 2 / 60 lies in (0, 1), so only make_safety_config's own check catches delta = 2
+    with pytest.raises(ValueError, match="delta must lie in"):
+        make_safety_config(delta=2.0, T=15, m=4, d=2, sigma=0.01, omega0=0.01)
 
 
 def test_safety_config_given_radius():
