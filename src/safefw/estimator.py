@@ -18,10 +18,11 @@ absorbing its points one by one.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .special import chi_squared_quantile
+from .special import chi_squared_upper_quantile
 
 
 class ScatterSingularError(RuntimeError):
@@ -30,11 +31,24 @@ class ScatterSingularError(RuntimeError):
 
 def phi_inverse(d: int, delta_bar: float) -> float:
     """Confidence-ellipsoid radius for the parameter estimate of one constraint:
-    the sqrt of the chi-squared quantile with d+1 degrees of freedom at level
-    1 - delta_bar (Gaussian noise, deterministic design)."""
+    the sqrt of the chi-squared quantile with d+1 degrees of freedom whose
+    upper tail is delta_bar (Gaussian noise, deterministic design)."""
     if not 0.0 < delta_bar < 1.0:
         raise ValueError("delta_bar must lie strictly between 0 and 1")
-    return math.sqrt(chi_squared_quantile(1.0 - delta_bar, d + 1))
+    return math.sqrt(chi_squared_upper_quantile(delta_bar, d + 1))
+
+
+@dataclass
+class Forecast:
+    """Estimates after k = 1..K more crosses: beta[k-1], and P_k = F diag(shrink[k-1]) F^T."""
+
+    beta: np.ndarray    # (K, d+1, m)
+    F: np.ndarray       # (d+1, d+1)
+    shrink: np.ndarray  # (K, d+1), 1 / (1 + k mu)
+
+    def quadratic(self, Z: np.ndarray) -> np.ndarray:
+        """z_k^T P_k z_k for each row z_k of the (K, d+1) stack Z."""
+        return ((Z @ self.F) ** 2 * self.shrink).sum(axis=1)
 
 
 class ConstraintEstimator:
@@ -119,6 +133,29 @@ class ConstraintEstimator:
             self.P -= U.T @ U
             self.P = 0.5 * (self.P + self.P.T)
         self.beta_hat = self.P @ self.G
+
+    def forecast(self, points: np.ndarray, values: np.ndarray) -> Forecast | None:
+        """The estimates after each of K crosses of single measurements `values`
+        (K, n, m) at the points (n, d), not absorbed; None without a positive
+        definite P. With P = L L^T and L^T V^T V L = Z diag(mu) Z^T, P_k is
+        F diag(1/(1 + k mu)) F^T for F = L Z, and beta_k = beta_hat +
+        P_k V^T sum_{j<=k} (Y_j - V beta_hat): sums of positive terms and of
+        innovations, so no accuracy is lost as k grows."""
+        if self.P is None:
+            return None
+        X = np.asarray(points, dtype=float)
+        V = np.hstack([X, -np.ones((X.shape[0], 1))])
+        try:
+            L = np.linalg.cholesky(self.P)
+        except np.linalg.LinAlgError:
+            return None
+        mu, Z = np.linalg.eigh(L.T @ (V.T @ V) @ L)
+        F = L @ Z
+        k = np.arange(1, values.shape[0] + 1, dtype=float)[:, None]
+        shrink = 1.0 / (1.0 + k * np.maximum(mu, 0.0))  # mu >= 0 but for rounding
+        innovations = np.cumsum(np.matmul((V @ F).T, values - V @ self.beta_hat), axis=0)
+        beta = self.beta_hat + np.matmul(F, shrink[:, :, None] * innovations)
+        return Forecast(beta, F, shrink)
 
     def _add_sums(self, X: np.ndarray, V: np.ndarray, Y: np.ndarray, count: int) -> None:
         self.N += count * X.shape[0]

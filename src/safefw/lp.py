@@ -21,6 +21,7 @@ import numpy as np
 FEAS_TOL = 1e-9
 COST_TOL = 1e-10
 PIVOT_TOL = 1e-11
+ACTIVE_TOL = 1e-8  # a row is active when its residual is within this share of its scale
 MAX_PIVOTS = 20000
 
 
@@ -112,9 +113,8 @@ def _push_to_vertex(p: LpProblem, x: np.ndarray) -> np.ndarray:
     """
     m, d = p.A.shape
     for _ in range(m + d + 2):
-        resid = p.b - p.A @ x
-        scale = 1.0 + np.abs(p.b) + np.abs(p.A) @ np.abs(x)
-        active = resid <= 1e-8 * scale
+        resid, scale = _slack(p.A, p.b, x)
+        active = resid <= ACTIVE_TOL * scale
         rows = p.A[active]
         if rows.shape[0] >= d and np.linalg.matrix_rank(rows, tol=1e-10) >= d:
             break
@@ -136,37 +136,51 @@ def _push_to_vertex(p: LpProblem, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _slack(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals b - A x and their scales 1 + |b| + |A| |x|, for one LP or a
+    stack (K, rows, d) of them."""
+    resid = b - np.matmul(A, x[..., None])[..., 0]
+    return resid, 1.0 + np.abs(b) + np.matmul(np.abs(A), np.abs(x)[..., None])[..., 0]
+
+
 def _active_rows(p: LpProblem, x: np.ndarray) -> list[int]:
-    resid = p.b - p.A @ x
-    scale = 1.0 + np.abs(p.b) + np.abs(p.A) @ np.abs(x)
-    return [int(i) for i in np.flatnonzero(resid <= 1e-8 * scale)]
+    resid, scale = _slack(p.A, p.b, x)
+    return [int(i) for i in np.flatnonzero(resid <= ACTIVE_TOL * scale)]
 
 
-def _verified_basis_vertex(p: LpProblem, basis: list[int]) -> np.ndarray | None:
-    """The vertex of `basis` if it is provably the unique optimum, else None.
-
-    Accepted when the basis has exactly d rows, its d x d system is
-    nonsingular and well conditioned, every multiplier is strictly positive
-    (so the optimum is unique), and the vertex is feasible with exactly the
-    basis rows active.
+def verified_vertices(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int], band: float = 0.0):
+    """For a stack of LPs min <c, x> over A[k] x <= b[k], the vertex of `basis`
+    in each (K, d) and whether it is provably the unique optimum (K,): the
+    basis has d rows, its system is nonsingular and well conditioned, every
+    multiplier is positive, and exactly the basis rows are active at a
+    feasible vertex. A positive `band` tightens each test by that share of
+    the size of the terms compared.
     """
-    d = p.A.shape[1]
+    K, rows, d = A.shape
+    unverified = np.full((K, d), math.nan), np.zeros(K, dtype=bool)
     if len(basis) != d:
-        return None
-    B = p.A[basis]
+        return unverified
+    B = A[:, basis]
     try:
         B_inv = np.linalg.inv(B)
     except np.linalg.LinAlgError:
-        return None
-    if np.abs(B).sum(axis=1).max() * np.abs(B_inv).sum(axis=1).max() > 1e8:
-        return None  # infinity-norm condition number: leave ill-conditioned bases to the simplex
-    multipliers = -(B_inv.T @ p.c)
-    if not np.all(multipliers > COST_TOL):
-        return None
-    x = B_inv @ p.b[basis]
-    if _active_rows(p, x) != sorted(basis):
-        return None
-    return x
+        return unverified
+    abs_inv = np.abs(B_inv)
+    # infinity-norm condition number: leave ill-conditioned bases to the simplex
+    cond = np.abs(B).sum(axis=2).max(axis=1) * abs_inv.sum(axis=2).max(axis=1)
+    multipliers = -(np.swapaxes(B_inv, 1, 2) @ c)
+    multiplier_scale = abs_inv.sum(axis=1).max(axis=1) * np.abs(c).max()  # bounds |B^-T| |c|
+    x = np.matmul(B_inv, b[:, basis, None])[..., 0]
+    resid, scale = _slack(A, b, x)
+    active = resid <= (ACTIVE_TOL - band) * scale
+    inactive = resid > (ACTIVE_TOL + band) * scale  # a row between the two is neither
+    ok = (
+        (cond * (1.0 + band) <= 1e8)
+        & np.all(multipliers > COST_TOL + band * multiplier_scale[:, None], axis=1)
+        & np.all(active[:, basis], axis=1)
+        & (np.count_nonzero(inactive, axis=1) == rows - d)
+    )
+    return x, ok
 
 
 def solve(p: LpProblem, basis: list[int] | None = None) -> LpSolution:
@@ -178,9 +192,9 @@ def solve(p: LpProblem, basis: list[int] | None = None) -> LpSolution:
     the unique optimum; otherwise the simplex solves from scratch.
     """
     if basis is not None:
-        x = _verified_basis_vertex(p, basis)
-        if x is not None:
-            return LpSolution(x, "optimal", sorted(basis))
+        x, ok = verified_vertices(p.A[None], p.b[None], p.c, basis)
+        if ok[0]:
+            return LpSolution(x[0], "optimal", sorted(basis))
     m, d = p.A.shape
     A = p.A.copy()
     b = p.b.copy()

@@ -4,11 +4,13 @@ probe pattern (2d points at x +/- omega0 e_i).
 `measure_repeated` takes one point or a stack of points, so a whole cross is
 measured in one call. A stack draws its noise as one (n, count, m) array when
 that fits the draw chunk, which reads the generator in the same order as
-per-point calls and returns the same sums bit for bit.
+per-point calls and returns the same sums bit for bit. `lookahead` peeks at
+future calls; their noise waits in a buffer that every later draw reads first.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,16 +83,42 @@ class ConstraintOracle:
         self.noise = noise
         self.omega0 = float(omega0)
         self._rng = np.random.default_rng(noise.seed)
+        self._pushback = np.empty(0)  # variates peeked at, not yet consumed
         self.out_of_reach_events = 0
 
     @property
     def m(self) -> int:
         return self._A.shape[0]
 
-    def _draw(self, shape) -> np.ndarray:
+    def _fresh(self, size: int) -> np.ndarray:
         if self.noise.kind == "gaussian":
-            return self._rng.normal(0.0, self.noise.sigma, size=shape)
-        return self._rng.uniform(-self.noise.sigma, self.noise.sigma, size=shape)
+            return self._rng.normal(0.0, self.noise.sigma, size=size)
+        return self._rng.uniform(-self.noise.sigma, self.noise.sigma, size=size)
+
+    def _draw(self, shape) -> np.ndarray:
+        """The next variates of the stream, the pushback buffer first."""
+        size = math.prod(shape)
+        if self._pushback.size == 0:
+            return self._fresh(size).reshape(shape)
+        head, self._pushback = self._pushback[:size], self._pushback[size:]
+        if head.size < size:
+            head = np.concatenate([head, self._fresh(size - head.size)])
+        return head.reshape(shape)
+
+    def _signal(self, X: np.ndarray) -> np.ndarray:
+        # one matrix-vector product per point, the same arithmetic as A @ x
+        return np.matmul(self._A, X[:, :, None])[:, :, 0] - self._b
+
+    def lookahead(self, points: np.ndarray, count: int) -> np.ndarray:
+        """Values (count, n, m) that the next `count` calls measure_repeated(points, 1)
+        on a stack of n points will return; counts no reach events."""
+        values = self._signal(np.atleast_2d(np.asarray(points, dtype=float)))
+        if self.noise.sigma == 0.0:
+            return np.broadcast_to(values, (count,) + values.shape).copy()
+        size = count * values.size
+        if self._pushback.size < size:
+            self._pushback = np.concatenate([self._pushback, self._fresh(size - self._pushback.size)])
+        return values + self._pushback[:size].reshape((count,) + values.shape)
 
     def measure_repeated(self, x: np.ndarray, count: int) -> np.ndarray:
         """Componentwise sums of `count` independent measurements at x.
@@ -102,8 +130,7 @@ class ConstraintOracle:
         if count < 1:
             raise ValueError("count must be >= 1")
         X = np.asarray(x, dtype=float)
-        # one matrix-vector product per point, the same arithmetic as A @ x
-        values = np.matmul(self._A, np.atleast_2d(X)[:, :, None])[:, :, 0] - self._b
+        values = self._signal(np.atleast_2d(X))
         deficits = np.max(values / self._row_norms, axis=1)
         self.out_of_reach_events += int(np.count_nonzero(deficits > self.omega0 + 1e-12))
         total = count * values

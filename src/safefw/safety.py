@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import ConstraintEstimator, phi_inverse
+from .estimator import ConstraintEstimator, Forecast, phi_inverse
 from .problem import GeometryConstants
 
 
@@ -86,6 +86,18 @@ def soc_check(est: ConstraintEstimator, cfg: SafetyConfig, x: np.ndarray) -> Saf
     Uses the full covariance factor; must agree with fact2_check.
     """
     return _verdict(est, x, cfg.phi_delta * cone_terms(est, x)[1])
+
+
+def unsafe_ahead(ahead: Forecast, cfg: SafetyConfig, X: np.ndarray, band: float) -> np.ndarray:
+    """For each future count k, whether X[k-1] fails the cone-form safety test
+    under the forecast estimate by more than `band` relative to the terms
+    compared; ties and near ties read as not unsafe."""
+    d = X.shape[1]
+    Z = np.hstack([X, -np.ones((X.shape[0], 1))])
+    lhs = cfg.phi_delta * np.sqrt(ahead.quadratic(Z))[:, None]
+    b = ahead.beta[:, d, :]
+    ax = np.matmul(X[:, None, :], ahead.beta[:, :d, :])[:, 0, :]
+    return np.any(lhs - (b - ax) > band * (lhs + np.abs(b) + np.abs(ax)), axis=1)
 
 
 def c_delta_constant(geo: GeometryConstants, cfg: SafetyConfig, d: int) -> float:

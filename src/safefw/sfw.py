@@ -18,9 +18,15 @@ from . import lp
 from .estimator import ConstraintEstimator
 from .oracle import ConstraintOracle, cross_pattern
 from .problem import GeometryConstants, Objective, Polytope
-from .safety import SafetyConfig, SafetyVerdict, c_delta_constant, fact2_check, nt_schedule
+from .safety import SafetyConfig, SafetyVerdict, c_delta_constant, fact2_check, nt_schedule, unsafe_ahead
 
 VARIANTS = ("prescribed", "adaptive")
+
+# Lookahead blocks of the adaptive loop, in crosses: the first of an iteration,
+# the least after a short block, the most; at most 2^21 peeked values (16 MB),
+# which also keeps a block's measurement in one noise draw.
+AHEAD_START, AHEAD_MIN, AHEAD_MAX, AHEAD_MAX_VALUES = 8, 4, 4096, 1 << 21
+TIE_BAND = 1e-9  # relative guard band of every predicted test: near ties are left to the loop
 
 
 @dataclass
@@ -145,15 +151,26 @@ def et_bound(cfg: SafetyConfig, geo: GeometryConstants, M: float, N: int, d: int
     return M * c_delta / math.sqrt(N)
 
 
+def _guarded_rows(beta: np.ndarray, guard: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows [a_hat^T; I; -I] and right-hand sides [b_hat; guard] of the DFS LP,
+    for one estimate (d+1, m) or a stack (K, d+1, m) of them."""
+    d, m = beta.shape[-2] - 1, beta.shape[-1]
+    A = np.empty(beta.shape[:-2] + (m + 2 * d, d))
+    A[..., :m, :] = np.swapaxes(beta[..., :d, :], -1, -2)
+    A[..., m : m + d, :] = np.eye(d)
+    A[..., m + d :, :] = -np.eye(d)
+    b = np.full(beta.shape[:-2] + (m + 2 * d,), guard)
+    b[..., :m] = beta[..., d, :]
+    return A, b
+
+
 def dfs_problem(est: ConstraintEstimator, c: np.ndarray, guard: float) -> lp.LpProblem:
     """min <c, s> over the estimated polytope inside the box |s_i| <= guard.
 
     The guard rows [I; -I] keep the LP bounded while estimates are rough;
     they are inactive once the estimates are accurate.
     """
-    eye = np.eye(est.d)
-    A = np.vstack([est.a_hat().T, eye, -eye])
-    b = np.concatenate([est.b_hat(), np.full(2 * est.d, guard)])
+    A, b = _guarded_rows(est.beta_hat, guard)
     return lp.LpProblem(np.asarray(c, dtype=float), A, b)
 
 
@@ -170,6 +187,27 @@ def _absorb_cross(
     value_sums = oracle.measure_repeated(pattern.points, pattern.multiplicity)
     est.absorb_repeated(pattern.points, value_sums, pattern.multiplicity)
     return pattern.total
+
+
+def _absorb_crosses(oracle: ConstraintOracle, est: ConstraintEstimator, points: np.ndarray, count: int) -> int:
+    """Measure `count` crosses at points in the stream order of `count` calls, absorb them at once."""
+    n = points.shape[0]
+    sums = oracle.measure_repeated(np.tile(points, (count, 1)), 1).reshape(count, n, -1).sum(axis=0)
+    est.absorb_repeated(points, sums, count)
+    return count * n
+
+
+def _skippable_passes(oracle, est, scfg, guard, x, grad, gamma, points, basis, count) -> int:
+    """How many crosses at x to absorb at once: the first j <= count after
+    which a pass might not see `basis` verified and a clearly unsafe
+    candidate, else count. The passes before it would each absorb one cross."""
+    ahead = est.forecast(points, oracle.lookahead(points, count))
+    if ahead is None:
+        return 1
+    A, b = _guarded_rows(ahead.beta, guard)
+    s_hat, verified = lp.verified_vertices(A, b, grad, basis, TIE_BAND)
+    skippable = verified & unsafe_ahead(ahead, scfg, x + gamma * (s_hat - x), TIE_BAND)
+    return count if skippable.all() else int(np.argmin(skippable)) + 1
 
 
 def _direction(sol: lp.LpSolution, x: np.ndarray) -> tuple[np.ndarray, str]:
@@ -226,10 +264,13 @@ def _run_adaptive(setup, oracle, est, scfg, cfg) -> TrajectoryRecord:
     solve the DFS and check the stopping rule, then keep adding single cross
     batches at x_t, re-estimating and re-solving (warm-started from the
     previous active set), until the stepped candidate passes the scalar safety
-    test. Extra safety batches never precede the stop check."""
+    test. Extra safety batches never precede the stop check. Once a basis has
+    come back twice, the passes a lookahead shows would keep it and stay unsafe
+    are absorbed as one block; blocks double after one skipped whole."""
     d, obj, geo = setup.d, setup.objective, setup.geometry
     rec = TrajectoryRecord()
     row = rec.add(setup.x0, obj.value(setup.x0), 0)
+    basis, repeats = None, 0
     for t in range(scfg.T):
         x = row.x
         warm_up = 2 * d * max(t, 1)
@@ -237,13 +278,15 @@ def _run_adaptive(setup, oracle, est, scfg, cfg) -> TrajectoryRecord:
             rec.status = "budget-exhausted"
             break
         taken = _absorb_cross(oracle, est, x, scfg.omega0, warm_up)
+        cross = cross_pattern(x, scfg.omega0, 2 * d).points
         grad = obj.gradient(x)
         gamma = 1.0 / (t + 2)
         extras = 0
-        basis = None
+        block = AHEAD_START
         while True:
             sol = solve_dfs(est, setup.dfs_guard, grad, basis)
             s_hat, status = _direction(sol, x)
+            repeats = repeats + 1 if sol.active_set == basis else 0
             basis = sol.active_set
             candidate = x + gamma * (s_hat - x)
             verdict = fact2_check(est, scfg, candidate)
@@ -252,11 +295,16 @@ def _run_adaptive(setup, oracle, est, scfg, cfg) -> TrajectoryRecord:
                 break
             if verdict.safe:
                 break
-            if est.N + 2 * d > cfg.max_total_measurements:
+            room = (cfg.max_total_measurements - est.N) // (2 * d)
+            if room < 1:
                 rec.status = "budget-exhausted"
                 break
-            taken += _absorb_cross(oracle, est, x, scfg.omega0, 2 * d)
-            extras += 1
+            count, size = 1, min(block, room, AHEAD_MAX_VALUES // (cross.shape[0] * est.m))
+            if repeats >= 2 and size > 1:
+                count = _skippable_passes(oracle, est, scfg, setup.dfs_guard, x, grad, gamma, cross, basis, size)
+                block = min(2 * block, AHEAD_MAX) if count == size else max(AHEAD_MIN, 2 * count)
+            taken += _absorb_crosses(oracle, est, cross, count)
+            extras += count
         ghat, et = surrogate_gap(grad, x, s_hat), et_bound(scfg, geo, obj.M, est.N, d)
         row.record_step(s_hat, ghat, et, taken, est.N, status, extras)
         if t == 0:

@@ -1,7 +1,7 @@
 """Shared test utilities: random bounded polytopes, estimator builders, and
 independent references: a vertex enumerator, a finite-difference gradient
-check, covariance norms, and a solver for the cone-constrained linear
-subproblem."""
+check, covariance norms, a solver for the cone-constrained linear
+subproblem, and the adaptive driver that absorbs one cross per pass."""
 
 import math
 
@@ -11,6 +11,8 @@ from safefw import lp
 from safefw.estimator import ConstraintEstimator
 from safefw.oracle import ConstraintOracle, NoiseModel, cross_pattern
 from safefw.problem import Polytope, box_polytope
+from safefw.safety import fact2_check
+from safefw.sfw import TrajectoryRecord, et_bound, solve_dfs, surrogate_gap
 
 
 def random_bounded_polytope(rng, d, m):
@@ -178,3 +180,53 @@ def soc_linmin_reference(est, cfg, c, anchor, radius=2.0):
             center = S[j]
         half *= 0.55
     return best_val
+
+
+def _reference_absorb_cross(oracle, est, center, omega0, n):
+    pattern = cross_pattern(center, omega0, n)
+    est.absorb_repeated(pattern.points, oracle.measure_repeated(pattern.points, pattern.multiplicity), pattern.multiplicity)
+    return pattern.total
+
+
+def run_adaptive_reference(setup, oracle, est, scfg, cfg):
+    """The adaptive driver without fast-forwarding: every extra pass absorbs one
+    cross, re-solves the DFS (warm from the previous active set within an
+    iteration, cold at its start) and re-tests safety."""
+    d, obj, geo = setup.d, setup.objective, setup.geometry
+    rec = TrajectoryRecord()
+    row = rec.add(setup.x0, obj.value(setup.x0), 0)
+    for t in range(scfg.T):
+        x = row.x
+        warm_up = 2 * d * max(t, 1)
+        if t > 0 and est.N + warm_up > cfg.max_total_measurements:
+            rec.status = "budget-exhausted"
+            break
+        taken = _reference_absorb_cross(oracle, est, x, scfg.omega0, warm_up)
+        grad = obj.gradient(x)
+        gamma = 1.0 / (t + 2)
+        extras = 0
+        basis = None
+        while True:
+            sol = solve_dfs(est, setup.dfs_guard, grad, basis)
+            s_hat, status = (sol.point, "optimal") if sol.status == "optimal" else (x.copy(), f"{sol.status}-fallback")
+            basis = sol.active_set
+            candidate = x + gamma * (s_hat - x)
+            verdict = fact2_check(est, scfg, candidate)
+            if extras == 0 and surrogate_gap(grad, x, s_hat) + et_bound(scfg, geo, obj.M, est.N, d) <= cfg.epsilon:
+                rec.status = "stopped-early"
+                break
+            if verdict.safe:
+                break
+            if est.N + 2 * d > cfg.max_total_measurements:
+                rec.status = "budget-exhausted"
+                break
+            taken += _reference_absorb_cross(oracle, est, x, scfg.omega0, 2 * d)
+            extras += 1
+        ghat, et = surrogate_gap(grad, x, s_hat), et_bound(scfg, geo, obj.M, est.N, d)
+        row.record_step(s_hat, ghat, et, taken, est.N, status, extras)
+        if t == 0:
+            row.verdict = fact2_check(est, scfg, x)
+        if rec.status != "completed":
+            break
+        row = rec.add(candidate, obj.value(candidate), est.N, verdict, est)
+    return rec

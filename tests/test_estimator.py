@@ -223,3 +223,21 @@ def test_absorb_validation():
         est.absorb_repeated(np.zeros(2), np.zeros(3), 0)
     with pytest.raises(ScatterSingularError):
         est.block_quantities()
+
+
+def test_forecast_matches_one_cross_at_a_time():
+    """The forecast after k more crosses equals the estimate after absorbing
+    those k crosses one call each: beta and the cone quadratic z^T P_k z,
+    over 300 crosses at one point set."""
+    polytope = box_polytope(3)
+    est, oracle = cross_fed_estimator(polytope, 0.1, 4, 0.01, [np.zeros(3), [0.3, -0.2, 0.1]], [6, 60])
+    points = cross_pattern(np.array([0.4, -0.3, 0.2]), 0.01, 6).points
+    K = 300
+    ahead = est.forecast(points, oracle.lookahead(points, K))
+    Z = np.tile([0.5, 0.1, -0.4, -1.0], (K, 1))
+    quadratics = ahead.quadratic(Z)
+    for k in range(K):
+        est.absorb_repeated(points, oracle.measure_repeated(points, 1), 1)
+        assert np.abs(ahead.beta[k] - est.beta_hat).max() <= 1e-9 * np.abs(est.beta_hat).max()
+        assert quadratics[k] == pytest.approx(Z[k] @ est.P @ Z[k], rel=1e-9)
+    assert ConstraintEstimator(3, 6).forecast(points, np.zeros((2, 6, 6))) is None  # no P yet

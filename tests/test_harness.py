@@ -290,6 +290,18 @@ def test_validate_config_rejects_bad_values(tmp_path, capsys, recwarn, overrides
     assert not recwarn.list
 
 
+def test_validate_config_resolves_a_tiny_delta(tmp_path, capsys):
+    """delta / (T m) = 1e-20 / 60 lies far below the double spacing near 1, so
+    the radius must come from the chi-squared upper tail itself."""
+    raw = {"problem": {"type": "box", "d": 2}, "delta": 1e-20}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli_main(["validate-config", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("config ok")
+    cfg = ExperimentConfig.from_dict(raw)
+    assert resolve(cfg).safety.phi_delta / cfg.sigma == pytest.approx(10.222947214905146, rel=1e-9)
+
+
 PIN_OVERRIDES = {"prescribed": {"cn": 96.0}, "ro": {"ro_total_measurements": 2000}}
 
 

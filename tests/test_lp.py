@@ -195,3 +195,33 @@ def test_matches_scipy_linprog():
     infeasible = optimize.linprog([1.0], A_ub=[[1.0], [-1.0]], b_ub=[-1.0, -1.0], bounds=[(None, None)], method="highs")
     unbounded = optimize.linprog([0.0, -1.0], A_ub=[[1.0, 0.0]], b_ub=[1.0], bounds=[(None, None)] * 2, method="highs")
     assert infeasible.status == 2 and unbounded.status == 3  # as lp.solve reports in the hand cases above
+
+
+def test_verified_vertices_decides_each_lp_of_a_stack():
+    p = box_polytope(2)
+    A = np.stack([np.vstack([p.A, [1.0, 1.0]])] * 2)
+    b = np.stack([np.append(p.b, 3.0), np.append(p.b, 1.5)])  # the second cuts off the vertex (1, 1)
+    c = np.array([-2.0, -0.5])
+    points, ok = lp.verified_vertices(A, b, c, [0, 2])
+    assert ok.tolist() == [True, False]
+    assert np.array_equal(points[0], lp.solve(lp.LpProblem(c, A[0], b[0]), basis=[0, 2]).point)
+
+
+@pytest.mark.parametrize(
+    "c, extra_row",
+    [
+        ([-1.0, -5e-10], None),  # multipliers 1 and 5e-10: above COST_TOL by less than the band
+        ([-2.0, -0.5], ([1.0, 1.0], 2.0 + 5.2e-8)),  # a third row 5.2e-8 from the vertex, its scale 5
+    ],
+    ids=["small-multiplier", "nearly-active-row"],
+)
+def test_guard_band_rejects_narrow_passes(c, extra_row):
+    """A basis that passes a rule only narrowly is accepted at band 0, as the
+    warm start accepts it, and rejected under a 1e-9 relative band."""
+    p = box_polytope(2)
+    A, b = p.A, p.b
+    if extra_row is not None:
+        A, b = np.vstack([A, extra_row[0]]), np.append(b, extra_row[1])
+    c = np.array(c)
+    assert lp.verified_vertices(A[None], b[None], c, [0, 2])[1][0]
+    assert not lp.verified_vertices(A[None], b[None], c, [0, 2], band=1e-9)[1][0]

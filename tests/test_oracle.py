@@ -128,3 +128,27 @@ def test_stacked_measure_matches_per_point_calls(kind, monkeypatch):
         assert sums.shape == (6, 8)
         assert np.array_equal(sums, [single.measure_repeated(x, count) for x in points])
         assert np.array_equal(stacked.measure_repeated(points[0], 1), single.measure_repeated(points[0], 1))  # streams stay aligned
+
+
+@pytest.mark.parametrize("kind,sigma", [("gaussian", 0.1), ("bounded-uniform", 0.1), ("gaussian", 0.0)])
+def test_lookahead_returns_the_next_calls_without_consuming(kind, sigma, monkeypatch):
+    """Peeked values equal the calls that follow bit for bit, an overlapping
+    second peek reuses the kept noise, and the stream then reads on (a cross
+    with multiplicity 5, then a chunked draw) exactly as without any peek.
+    Peeking counts no out-of-reach event."""
+    polytope = random_bounded_polytope(np.random.default_rng(1), 2, 6)
+    points = np.vstack([cross_pattern(np.array([0.1, -0.2]), 0.01, 4).points, [[3.0, 0.0]]])  # last out of reach
+    peeker = ConstraintOracle(polytope, NoiseModel(kind, sigma, 5), 0.01)
+    plain = ConstraintOracle(polytope, NoiseModel(kind, sigma, 5), 0.01)
+    ahead = peeker.lookahead(points, 7)
+    assert ahead.shape == (7, 5, 6) and peeker.out_of_reach_events == 0
+    for k in range(3):
+        measured = peeker.measure_repeated(points, 1)
+        assert np.array_equal(measured, ahead[k]) and np.array_equal(measured, plain.measure_repeated(points, 1))
+    again = peeker.lookahead(points, 6)
+    assert np.array_equal(again[:4], ahead[3:]) and peeker.out_of_reach_events == 3
+    assert np.array_equal(peeker.measure_repeated(points, 5), plain.measure_repeated(points, 5))
+    monkeypatch.setattr(oracle_mod, "_DRAW_CHUNK", 40)
+    assert np.array_equal(peeker.measure_repeated(points[:2], 25), plain.measure_repeated(points[:2], 25))
+    assert np.array_equal(peeker.measure_repeated(points, 1), plain.measure_repeated(points, 1))
+    assert peeker.out_of_reach_events == plain.out_of_reach_events == 5

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from safefw.estimator import ConstraintEstimator, phi_inverse
+from safefw.estimator import ConstraintEstimator, Forecast, phi_inverse
 from safefw.oracle import cross_pattern
 from safefw.problem import box_geometry_constants, box_polytope
 from safefw.safety import (
@@ -17,6 +17,7 @@ from safefw.safety import (
     margins,
     nt_schedule,
     soc_check,
+    unsafe_ahead,
 )
 
 from helpers import box_estimator_exact, random_estimator
@@ -214,3 +215,16 @@ def test_safety_config_given_radius():
         config(-1.0)
     with pytest.raises(ValueError):
         config(1.0, omega0=0.0)
+
+
+def test_unsafe_ahead_leaves_ties_and_near_ties_to_the_loop():
+    """At x = 0 the radius is phi_delta and the margin b: a margin below the
+    radius reads unsafe, an equal one safe (as in fact2_check), and a gap of
+    1e-12 unsafe only without the band."""
+    b = np.array([0.4, 0.5, 0.5 - 1e-12])
+    ahead = Forecast(
+        beta=np.stack([[[1.0], [v]] for v in b]), F=np.eye(2), shrink=np.ones((3, 2))
+    )  # d = 1, m = 1: a = 1, z^T P_k z = x^2 + 1
+    X = np.zeros((3, 1))
+    assert unsafe_ahead(ahead, config(0.5), X, 0.0).tolist() == [True, False, True]
+    assert unsafe_ahead(ahead, config(0.5), X, 1e-9).tolist() == [True, False, False]

@@ -9,7 +9,7 @@ import pytest
 
 from safefw import lp
 from safefw.estimator import ConstraintEstimator
-from safefw.oracle import ConstraintOracle, NoiseModel
+from safefw.oracle import NOISE_KINDS, ConstraintOracle, NoiseModel
 from safefw.problem import (
     box_geometry_constants,
     box_polytope,
@@ -26,15 +26,17 @@ from safefw.sfw import (
     surrogate_gap,
 )
 
+from helpers import run_adaptive_reference
 
-def box_setup(d=2, x_prime=None, sigma=0.01, seed=0, omega0=0.01, T=15, cn=0.0):
+
+def box_setup(d=2, x_prime=None, sigma=0.01, seed=0, omega0=0.01, T=15, cn=0.0, kind="gaussian"):
     p = box_polytope(d)
     xp = np.array([2.0] + [0.5] * (d - 1)) if x_prime is None else np.asarray(x_prime, float)
     obj = quadratic_objective(xp, box_quadratic_lipschitz(d, 1.0, xp))
     x0 = np.zeros(d)
     geo = box_geometry_constants(d, 1.0, x0)
     scfg = replace(make_safety_config(delta=0.1, T=T, m=2 * d, d=d, sigma=sigma, omega0=omega0), cn=cn)
-    oracle = ConstraintOracle(p, NoiseModel("gaussian", sigma, seed), omega0)
+    oracle = ConstraintOracle(p, NoiseModel(kind, sigma, seed), omega0)
     est = ConstraintEstimator(d, 2 * d)
     return p, ProblemSetup(obj, x0, geo), oracle, est, scfg
 
@@ -160,3 +162,38 @@ def test_config_validation():
         SfwConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         SfwConfig(epsilon=1.0, variant="bogus")
+
+
+# (d, sigma, noise kind, seed, measurement budget): a few hundred extra
+# batches per run, and the budget runs end with "budget-exhausted"
+EQUIVALENCE_RUNS = [
+    (d, sigma, kind, seed, 10_000_000) for d, sigma in ((2, 0.05), (5, 0.015)) for kind in NOISE_KINDS for seed in range(10)
+] + [(2, 0.1, kind, seed, 3000) for kind in NOISE_KINDS for seed in range(5)]
+
+
+def test_fast_forward_matches_one_cross_per_pass(monkeypatch):
+    """The adaptive driver, which absorbs runs of certainly-unsafe passes in
+    one block, gives the totals, per-row extras, status, DFS statuses and
+    out-of-reach count of the reference that absorbs one cross per pass, and
+    every f within 1e-9, over 50 runs: d = 2 and 5, both noise kinds, and a
+    budget of 3000 measurements that runs out."""
+    peeks = []
+    lookahead = ConstraintOracle.lookahead
+    monkeypatch.setattr(ConstraintOracle, "lookahead", lambda self, pts, count: peeks.append(count) or lookahead(self, pts, count))
+    statuses = set()
+    for d, sigma, kind, seed, budget in EQUIVALENCE_RUNS:
+        cfg = SfwConfig(epsilon=1e-6, variant="adaptive", max_total_measurements=budget)
+        _, setup, oracle, est, scfg = box_setup(d=d, sigma=sigma, seed=seed, kind=kind)
+        fast = run(setup, oracle, est, scfg, cfg)
+        _, setup, ref_oracle, ref_est, scfg = box_setup(d=d, sigma=sigma, seed=seed, kind=kind)
+        ref = run_adaptive_reference(setup, ref_oracle, ref_est, scfg, cfg)
+        case = (d, sigma, kind, seed, budget)
+        assert fast.total_measurements == ref.total_measurements, case
+        assert fast.extra_batches == ref.extra_batches, case
+        assert (fast.status, fast.dfs_status) == (ref.status, ref.dfs_status), case
+        assert oracle.out_of_reach_events == ref_oracle.out_of_reach_events, case
+        assert len(fast.rows) == len(ref.rows), case
+        assert max(abs(a.f - b.f) for a, b in zip(fast.rows, ref.rows)) <= 1e-9, case
+        statuses.add(fast.status)
+    assert "budget-exhausted" in statuses and "completed" in statuses
+    assert sum(peeks) >= 10 * len(peeks) > 0  # blocks were predicted, most of them long

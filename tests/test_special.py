@@ -1,10 +1,10 @@
-"""Chi-squared CDF and quantile against closed forms and numerical integration."""
+"""Chi-squared tail and quantile against closed forms and numerical integration."""
 
 import math
 
 import pytest
 
-from safefw.special import chi_squared_cdf, chi_squared_quantile, regularized_lower_gamma
+from safefw.special import chi_squared_sf, chi_squared_upper_quantile, regularized_upper_gamma
 
 
 def chi2_cdf_oracle(x, dof, n=20000):
@@ -45,46 +45,46 @@ def chi2_cdf_oracle(x, dof, n=20000):
 def test_cdf_matches_oracle():
     for dof in (1, 2, 3, 4, 5, 11, 12):
         for x in (0.5, 2.0, 7.8147, 15.0, 30.0):
-            assert chi_squared_cdf(x, dof) == pytest.approx(chi2_cdf_oracle(x, dof), abs=1e-9)
+            assert 1.0 - chi_squared_sf(x, dof) == pytest.approx(chi2_cdf_oracle(x, dof), abs=1e-9)
 
 
 def test_quantile_inverts_oracle_cdf():
     for dof in (1, 3, 5, 11):
         for p in (0.05, 0.5, 0.9, 0.95, 0.998325):
-            q = chi_squared_quantile(p, dof)
+            q = chi_squared_upper_quantile(1.0 - p, dof)
             assert chi2_cdf_oracle(q, dof) == pytest.approx(p, abs=1e-8)
 
 
 def test_quantile_anchor_value():
     # the 95% point of chi-squared with 3 degrees of freedom
-    assert chi_squared_quantile(0.95, 3) == pytest.approx(7.814727903251179, abs=1e-8)
+    assert chi_squared_upper_quantile(0.05, 3) == pytest.approx(7.814727903251179, abs=1e-8)
 
 
 def test_quantile_monotone_in_p():
     prev = 0.0
     for p in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999):
-        q = chi_squared_quantile(p, 4)
+        q = chi_squared_upper_quantile(1.0 - p, 4)
         assert q > prev
         prev = q
 
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        chi_squared_quantile(0.0, 3)
+        chi_squared_upper_quantile(0.0, 3)
     with pytest.raises(ValueError):
-        chi_squared_quantile(1.0, 3)
+        chi_squared_upper_quantile(1.0, 3)
     with pytest.raises(ValueError):
-        chi_squared_cdf(1.0, 0)
+        chi_squared_sf(1.0, 0)
     with pytest.raises(ValueError):
-        regularized_lower_gamma(-1.0, 1.0)
+        regularized_upper_gamma(-1.0, 1.0)
     with pytest.raises(ValueError):
-        regularized_lower_gamma(1.0, -1.0)
-    assert chi_squared_cdf(0.0, 3) == 0.0
-    assert chi_squared_cdf(-1.0, 3) == 0.0
+        regularized_upper_gamma(1.0, -1.0)
+    assert chi_squared_sf(0.0, 3) == 1.0
+    assert chi_squared_sf(-1.0, 3) == 1.0
 
 
 def test_quantile_matches_scipy():
     stats = pytest.importorskip("scipy.stats")
     for dof in (1, 2, 3, 5, 11, 21, 41):
-        for p in (1e-3, 0.1, 0.5, 0.9, 0.99, 1.0 - 0.1 / 15, 1.0 - 1e-6):
-            assert chi_squared_quantile(p, dof) == pytest.approx(stats.chi2.ppf(p, dof), rel=1e-9, abs=1e-9)
+        for q in (1.0 - 1e-3, 0.9, 0.5, 0.1, 0.01, 0.1 / 15, 1e-6, 1e-20 / 60, 1e-200):
+            assert chi_squared_upper_quantile(q, dof) == pytest.approx(stats.chi2.isf(q, dof), rel=1e-9, abs=1e-9)
