@@ -44,6 +44,8 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config, args)
         resolved = resolve(cfg)
+        if args.command != "validate-config":
+            Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

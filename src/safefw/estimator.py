@@ -3,15 +3,16 @@
 Each probe point x with measurement row y (one value per constraint)
 contributes an extended regressor v = [x, -1], so the i-th column of the
 estimate stacks [a_i; b_i]. The normal-equation inverse P = (VtV)^-1 is the
-only inverse kept. Absorbing a stack of n points (rows of V) measured `count`
-times each, a whole cross at once, applies one Woodbury update
-P -= P Vt (I/count + V P Vt)^-1 V P, evaluated through a Cholesky factor of
-the capacitance matrix; a single point is the case n = 1.
+only inverse kept. Once the design spans R^(d+1), one eigen-form step does
+every update: an absorb of a stack of points (a whole cross, or one point)
+measured k times each, and a forecast of K more crosses, the step at
+k = 1..K. It adds positive terms only, so no accuracy is lost as counts
+grow, and a block absorb lands on the forecast's state bit for bit.
 
-Until the design spans R^(d+1), rows are taken one at a time and estimates
-fall back to a pseudo-inverse solve: P is formed by a dense inverse at the row
-where the design first spans, and the later rows of that call by rank-one
-updates, so a fresh estimator's first cross yields the same P, bit for bit, as
+Until the design spans, rows are taken one at a time and estimates fall back
+to a pseudo-inverse solve: P is formed by a dense inverse at the row where
+the design first spans, and the later rows of that call by rank-one updates,
+so a fresh estimator's first cross yields the same P, bit for bit, as
 absorbing its points one by one.
 """
 
@@ -54,9 +55,10 @@ class Forecast:
 class ConstraintEstimator:
     """Running least squares for m affine constraints in d variables.
 
-    Absorbing n probe points costs O(n d^2 + n^2 d + n^3 + n d m) once the
-    design spans R^(d+1). Repeated measurements at one point are absorbed in
-    aggregate: summing the measurement rows leaves the normal equations
+    Absorbing n probe points costs O(d^3 + n d^2 + (n + d) d m) once the
+    design spans R^(d+1): one Cholesky factor and one eigendecomposition of
+    (d+1) x (d+1) matrices. Repeated measurements at one point are absorbed
+    in aggregate: summing the measurement rows leaves the normal equations
     unchanged.
     """
 
@@ -69,7 +71,7 @@ class ConstraintEstimator:
         self.N = 0
         self.sum_x = np.zeros(d)
         self.sum_outer = np.zeros((d, d))
-        self.G = np.zeros((k, m))
+        self.G = np.zeros((k, m))  # V^T Y, summed only until the design spans
         self.P: np.ndarray | None = None
         self.beta_hat: np.ndarray | None = None
 
@@ -104,72 +106,66 @@ class ConstraintEstimator:
             raise ValueError(f"value sum must have length {self.m} per point")
         X, Y = np.atleast_2d(X), np.atleast_2d(Y)
         V = np.hstack([X, -np.ones((X.shape[0], 1))])
+        if self.P is not None:
+            self._add_counts(X, count)
+            beta, F, shrink = self._step(V, np.array([count], dtype=float), Y[None])
+            self.beta_hat, self.P = beta[0], (F * shrink[0]) @ F.T
+            return
+        # Row by row, so the first cross gives the same P bit for bit as
+        # per-point absorbs: the RO baseline rests on that one cross, and
+        # its cutting planes turn a one-ulp change of P into another answer.
+        for i in range(X.shape[0]):
+            self._add_counts(X[i : i + 1], count)
+            self.G += V[i : i + 1].T @ Y[i : i + 1]
+            if self.P is not None:
+                pv = self.P @ V[i]
+                self.P -= (count / (1.0 + count * float(V[i] @ pv))) * np.outer(pv, pv)
+            elif np.linalg.matrix_rank(self.xtx()) == self.d + 1:
+                P = np.linalg.inv(self.xtx())
+                self.P = 0.5 * (P + P.T)  # the rank-one updates keep it exactly symmetric
         if self.P is None:
-            # Row by row, so the first cross gives the same P bit for bit as
-            # per-point absorbs: the RO baseline rests on that one cross, and
-            # its cutting planes turn a one-ulp change of P into another answer.
-            for i in range(X.shape[0]):
-                self._add_sums(X[i : i + 1], V[i : i + 1], Y[i : i + 1], count)
-                if self.P is not None:
-                    pv = self.P @ V[i]
-                    self.P -= (count / (1.0 + count * float(V[i] @ pv))) * np.outer(pv, pv)
-                elif np.linalg.matrix_rank(self.xtx()) == self.d + 1:
-                    self.P = np.linalg.inv(self.xtx())
-                else:
-                    continue
-                self.P = 0.5 * (self.P + self.P.T)
-            if self.P is None:
-                self.beta_hat = np.linalg.lstsq(self.xtx(), self.G, rcond=None)[0]
-                return
+            self.beta_hat = np.linalg.lstsq(self.xtx(), self.G, rcond=None)[0]
         else:
-            self._add_sums(X, V, Y, count)
-            # Woodbury with W = sqrt(count) V: P -= P W^T (I + W P W^T)^-1 W P,
-            # the capacitance matrix factored as L L^T and the correction
-            # formed as U^T U with U = L^-1 W P
-            W = math.sqrt(count) * V
-            WP = W @ self.P
-            L = np.linalg.cholesky(np.eye(W.shape[0]) + WP @ W.T)
-            U = np.linalg.solve(L, WP)
-            self.P -= U.T @ U
-            self.P = 0.5 * (self.P + self.P.T)
-        self.beta_hat = self.P @ self.G
+            self.beta_hat = self.P @ self.G
 
-    def forecast(self, points: np.ndarray, values: np.ndarray) -> Forecast | None:
+    def forecast(self, points: np.ndarray, values: np.ndarray) -> Forecast:
         """The estimates after each of K crosses of single measurements `values`
-        (K, n, m) at the points (n, d), not absorbed; None without a positive
-        definite P. With P = L L^T and L^T V^T V L = Z diag(mu) Z^T, P_k is
-        F diag(1/(1 + k mu)) F^T for F = L Z, and beta_k = beta_hat +
-        P_k V^T sum_{j<=k} (Y_j - V beta_hat): sums of positive terms and of
-        innovations, so no accuracy is lost as k grows."""
+        (K, n, m) at the points (n, d), not absorbed: the absorb step at
+        k = 1..K with the running sums of `values`."""
         if self.P is None:
-            return None
+            raise ScatterSingularError("centered probe scatter is singular")
         X = np.asarray(points, dtype=float)
         V = np.hstack([X, -np.ones((X.shape[0], 1))])
-        try:
-            L = np.linalg.cholesky(self.P)
-        except np.linalg.LinAlgError:
-            return None
+        k = np.arange(1, values.shape[0] + 1, dtype=float)
+        return Forecast(*self._step(V, k, np.cumsum(values, axis=0)))
+
+    def _step(self, V: np.ndarray, k: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The posterior after measuring the rows of V k times each, for each
+        count in k (K,) with measurement sums (K, n, m): beta (K, d+1, m), and F
+        and shrink (K, d+1) with P_k = F diag(shrink[i]) F^T for k = k[i]. With
+        P = L L^T and L^T V^T V L = Z diag(mu) Z^T, F = L Z and shrink =
+        1 / (1 + k mu), and beta_k = beta_hat + P_k V^T (sums_k - k V beta_hat)."""
+        L = np.linalg.cholesky(self.P)
         mu, Z = np.linalg.eigh(L.T @ (V.T @ V) @ L)
         F = L @ Z
-        k = np.arange(1, values.shape[0] + 1, dtype=float)[:, None]
-        shrink = 1.0 / (1.0 + k * np.maximum(mu, 0.0))  # mu >= 0 but for rounding
-        innovations = np.cumsum(np.matmul((V @ F).T, values - V @ self.beta_hat), axis=0)
-        beta = self.beta_hat + np.matmul(F, shrink[:, :, None] * innovations)
-        return Forecast(beta, F, shrink)
+        shrink = 1.0 / (1.0 + k[:, None] * np.maximum(mu, 0.0))  # mu >= 0 but for rounding
+        W = (V @ F).T
+        innovations = np.matmul(W, sums) - k[:, None, None] * (W @ (V @ self.beta_hat))
+        return self.beta_hat + np.matmul(F, shrink[:, :, None] * innovations), F, shrink
 
-    def _add_sums(self, X: np.ndarray, V: np.ndarray, Y: np.ndarray, count: int) -> None:
+    def _add_counts(self, X: np.ndarray, count: int) -> None:
         self.N += count * X.shape[0]
         self.sum_x += count * X.sum(axis=0)
         self.sum_outer += count * (X.T @ X)
-        self.G += V.T @ Y
 
     def block_quantities(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sample mean xbar and R = (sum (x_j - xbar)(x_j - xbar)^T)^-1, a copy of P's
-        leading d x d block (Schur complement; absorbs update P in place). P exists
-        exactly when the centered scatter is nonsingular."""
+        """Sample mean xbar and R = (sum (x_j - xbar)(x_j - xbar)^T)^-1, P's leading
+        d x d block (Schur complement; once P exists, an absorb replaces it rather
+        than writing into it). P exists exactly when the centered scatter is
+        nonsingular."""
         if self.P is None:
             raise ScatterSingularError("centered probe scatter is singular")
-        return self.sum_x / self.N, self.P[: self.d, : self.d].copy()
+        return self.sum_x / self.N, self.P[: self.d, : self.d]
 
 
 def confidence_membership_arrays(

@@ -202,8 +202,6 @@ def _skippable_passes(oracle, est, scfg, guard, x, grad, gamma, points, basis, c
     which a pass might not see `basis` verified and a clearly unsafe
     candidate, else count. The passes before it would each absorb one cross."""
     ahead = est.forecast(points, oracle.lookahead(points, count))
-    if ahead is None:
-        return 1
     A, b = _guarded_rows(ahead.beta, guard)
     s_hat, verified = lp.verified_vertices(A, b, grad, basis, TIE_BAND)
     skippable = verified & unsafe_ahead(ahead, scfg, x + gamma * (s_hat - x), TIE_BAND)

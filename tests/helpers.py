@@ -6,6 +6,7 @@ subproblem, and the adaptive driver that absorbs one cross per pass."""
 import math
 
 import numpy as np
+import pytest
 
 from safefw import lp
 from safefw.estimator import ConstraintEstimator
@@ -103,6 +104,42 @@ def random_estimator(rng, d, m, n, spread=1.0, sigma=0.0, beta=None):
         clean = x @ beta[:d, :] - beta[d, :]
         est.absorb_repeated(x, clean + (rng.normal(0.0, sigma, m) if sigma > 0 else 0.0), 1)
     return est, beta
+
+
+EXTENDED = pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="needs extended precision")
+
+
+def moving_cross_absorbs(rng, est, beta, omega0, crosses, max_count, sigma=0.1):
+    """Feed est whole crosses at centres on a random walk in [-0.8, 0.8]^d: the
+    first measured once, each later one a log-uniform count in [1, max_count]
+    times, its Gaussian measurement sums drawn in aggregate. Yields the points
+    and their noise-free values after each cross."""
+    d = est.d
+    center = np.zeros(d)
+    for j in range(crosses):
+        points = cross_pattern(center, omega0, 2 * d).points
+        count = 1 if j == 0 else int(max_count ** rng.uniform(0.0, 1.0))
+        clean = points @ beta[:d] - beta[d]
+        est.absorb_repeated(points, count * clean + math.sqrt(count) * sigma * rng.normal(0.0, 1.0, clean.shape), count)
+        yield points, clean
+        center = np.clip(center + rng.normal(0.0, 0.2, d), -0.8, 0.8)
+
+
+def extended_least_squares(est):
+    """beta and P = (V^T V)^-1 of a RecordingEstimator's rows in long double:
+    the normal equations summed in long double, and P refined from the double
+    inverse by three Newton steps P <- P (2I - V^T V P)."""
+    k = est.d + 1
+    A = np.zeros((k, k), dtype=np.longdouble)
+    G = np.zeros((k, est.m), dtype=np.longdouble)
+    for x, count, ysum in est.rows:
+        v = np.append(x, -1.0).astype(np.longdouble)
+        A += count * np.outer(v, v)
+        G += np.outer(v, ysum.astype(np.longdouble))
+    P = np.linalg.inv(A.astype(float)).astype(np.longdouble)
+    for _ in range(3):
+        P = P @ (2 * np.eye(k, dtype=np.longdouble) - A @ P)
+    return P @ G, P
 
 
 def scatter_inverse(est):

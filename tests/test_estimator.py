@@ -1,6 +1,7 @@
 """Incremental least squares: rank-one updates against dense solves,
 covariance machinery, block identities, confidence radii and coverage."""
 
+import copy
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from helpers import (
     covariance_sqrt_norm,
     covariance_sqrt_norm_bound,
     cross_fed_estimator,
+    moving_cross_absorbs,
     random_estimator,
     scatter_inverse,
 )
@@ -228,16 +230,39 @@ def test_absorb_validation():
 def test_forecast_matches_one_cross_at_a_time():
     """The forecast after k more crosses equals the estimate after absorbing
     those k crosses one call each: beta and the cone quadratic z^T P_k z,
-    over 300 crosses at one point set."""
+    over 300 crosses at one point set; and one absorb of the k crosses'
+    summed values lands on the forecast's beta and P bit for bit."""
     polytope = box_polytope(3)
     est, oracle = cross_fed_estimator(polytope, 0.1, 4, 0.01, [np.zeros(3), [0.3, -0.2, 0.1]], [6, 60])
     points = cross_pattern(np.array([0.4, -0.3, 0.2]), 0.01, 6).points
     K = 300
-    ahead = est.forecast(points, oracle.lookahead(points, K))
+    values = oracle.lookahead(points, K)
+    ahead = est.forecast(points, values)
+    for k in (1, 2, 37, K):
+        block = copy.deepcopy(est)
+        block.absorb_repeated(points, values[:k].sum(axis=0), k)
+        assert np.array_equal(block.beta_hat, ahead.beta[k - 1])
+        assert np.array_equal(block.P, (ahead.F * ahead.shrink[k - 1]) @ ahead.F.T)
     Z = np.tile([0.5, 0.1, -0.4, -1.0], (K, 1))
     quadratics = ahead.quadratic(Z)
     for k in range(K):
         est.absorb_repeated(points, oracle.measure_repeated(points, 1), 1)
         assert np.abs(ahead.beta[k] - est.beta_hat).max() <= 1e-9 * np.abs(est.beta_hat).max()
         assert quadratics[k] == pytest.approx(Z[k] @ est.P @ Z[k], rel=1e-9)
-    assert ConstraintEstimator(3, 6).forecast(points, np.zeros((2, 6, 6))) is None  # no P yet
+    with pytest.raises(ScatterSingularError):  # no P yet
+        ConstraintEstimator(3, 6).forecast(points, np.zeros((2, 6, 6)))
+
+
+def test_absorb_and_forecast_at_tiny_probe_radii():
+    """300 designs, d = 1..20, probe radius omega0 from 1e-6 to 0.1, eight
+    crosses at moving centres with counts up to 3e6: every absorb and every
+    forecast goes through, with a positive definite P."""
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 21))
+        beta = rng.normal(0.0, 1.0, (d + 1, 2))
+        est = ConstraintEstimator(d, 2)
+        for points, clean in moving_cross_absorbs(rng, est, beta, 10 ** rng.uniform(-6.0, -1.0), 8, 3 * 10**6):
+            ahead = est.forecast(points, clean + rng.normal(0.0, 0.1, (4,) + clean.shape))
+            assert np.all(ahead.shrink > 0.0)
+        np.linalg.cholesky(est.P)

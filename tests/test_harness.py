@@ -302,6 +302,20 @@ def test_validate_config_resolves_a_tiny_delta(tmp_path, capsys):
     assert resolve(cfg).safety.phi_delta / cfg.sigma == pytest.approx(10.222947214905146, rel=1e-9)
 
 
+@pytest.mark.parametrize("command, config, out", [
+    ("run", "box_d2_adaptive.json", "taken"),
+    ("compare", "compare_d2_sigma01.json", "taken/sub"),
+])
+def test_unusable_output_directory_is_a_config_error(tmp_path, capsys, command, config, out):
+    """An --out that is a file, or lies under one, exits 1 with one stderr line."""
+    (tmp_path / "taken").write_text("")
+    cfg = Path(__file__).resolve().parents[1] / "configs" / config
+    argv = [command, "--config", str(cfg), "--reps", "1", "--out", str(tmp_path / out)]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 PIN_OVERRIDES = {"prescribed": {"cn": 96.0}, "ro": {"ro_total_measurements": 2000}}
 
 

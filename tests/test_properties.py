@@ -1,14 +1,16 @@
 """Property tests: the incremental estimator against dense solves of its
 recorded design, and the scalar safety test against its cone form, over
-generated sequences of single-point and stacked absorbs."""
+generated sequences of single-point and stacked absorbs; and the estimator
+against an extended-precision solve at counts up to 10^6."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from safefw.safety import SafetyConfig, fact2_check, soc_check
 
-from helpers import RecordingEstimator
+from helpers import EXTENDED, RecordingEstimator, extended_least_squares, moving_cross_absorbs
 
 # Derandomized and without an example database, so every run of the suite
 # checks the same examples.
@@ -57,6 +59,24 @@ def test_estimator_matches_dense_solve(est):
     beta = np.linalg.lstsq(V, Y, rcond=None)[0]
     assert np.abs(est.P - P).max() <= 1e-9 * np.abs(P).max()
     assert np.abs(est.beta_hat - beta).max() <= 1e-9 * (1.0 + np.abs(beta).max())
+
+
+@EXTENDED
+@pytest.mark.parametrize("seed", range(20))
+def test_estimator_matches_extended_precision_at_large_counts(seed):
+    """Eight crosses at moving centres, d = 2..7, counts up to 10^6: beta_hat
+    and P stay within 1e-9 relative of the long-double least-squares solution,
+    which an update that subtracts a correction from P misses as the
+    correction cancels P at large counts."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 8))
+    beta = rng.normal(0.0, 1.0, (d + 1, 3))
+    est = RecordingEstimator(d, 3)
+    for _ in moving_cross_absorbs(rng, est, beta, 0.01, 8, 10**6):
+        pass
+    beta_ref, P_ref = extended_least_squares(est)
+    assert float(np.abs(est.beta_hat - beta_ref).max() / np.abs(beta_ref).max()) <= 1e-9
+    assert float(np.abs(est.P - P_ref).max() / np.abs(P_ref).max()) <= 1e-9
 
 
 @PROPERTY

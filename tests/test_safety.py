@@ -20,7 +20,7 @@ from safefw.safety import (
     unsafe_ahead,
 )
 
-from helpers import box_estimator_exact, random_estimator
+from helpers import EXTENDED, box_estimator_exact, random_estimator
 
 
 def config(phi_delta, omega0=0.01, cn=96.0, T=15):
@@ -98,9 +98,6 @@ def test_lhs_non_increasing_with_new_batches():
             prev = cur
 
 
-EXTENDED = pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="needs extended precision")
-
-
 def clustered_crosses(rng, d=20, batches=40):
     """Cross patterns at 40 centres clustered near 0.9 * 1 in d = 20."""
     return [cross_pattern(0.9 * np.ones(d) + rng.normal(0.0, 0.002, d), 0.01, 2 * d) for _ in range(batches)]
@@ -146,8 +143,8 @@ def test_fact2_radius_matches_extended_precision_reference():
 
 @EXTENDED
 def test_fact2_radius_after_whole_cross_absorbs():
-    """The same design absorbed one whole cross per call (the Woodbury update
-    of P) meets the same extended-precision bound."""
+    """The same design absorbed one whole cross per call (the eigen-form step
+    on P) meets the same extended-precision bound."""
     rng = np.random.default_rng(0)
     est = ConstraintEstimator(20, 1)
     points = []
