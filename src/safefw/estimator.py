@@ -120,7 +120,7 @@ class ConstraintEstimator:
             if self.P is not None:
                 pv = self.P @ V[i]
                 self.P -= (count / (1.0 + count * float(V[i] @ pv))) * np.outer(pv, pv)
-            elif np.linalg.matrix_rank(self.xtx()) == self.d + 1:
+            elif self._spans():
                 P = np.linalg.inv(self.xtx())
                 self.P = 0.5 * (P + P.T)  # the rank-one updates keep it exactly symmetric
         if self.P is None:
@@ -158,6 +158,10 @@ class ConstraintEstimator:
         self.sum_x += count * X.sum(axis=0)
         self.sum_outer += count * (X.T @ X)
 
+    def _spans(self) -> bool:
+        """The rank test that forms P: the design spans R^(d+1)."""
+        return np.linalg.matrix_rank(self.xtx()) == self.d + 1
+
     def block_quantities(self) -> tuple[np.ndarray, np.ndarray]:
         """Sample mean xbar and R = (sum (x_j - xbar)(x_j - xbar)^T)^-1, P's leading
         d x d block (Schur complement; once P exists, an absorb replaces it rather
@@ -166,6 +170,14 @@ class ConstraintEstimator:
         if self.P is None:
             raise ScatterSingularError("centered probe scatter is singular")
         return self.sum_x / self.N, self.P[: self.d, : self.d]
+
+
+def spans(points: np.ndarray) -> bool:
+    """Whether one probe row at each of the points (n, d) spans R^(d+1) under
+    the rank test with which an estimator forms P."""
+    est = ConstraintEstimator(points.shape[1], 1)
+    est._add_counts(points, 1)
+    return est._spans()
 
 
 def confidence_membership_arrays(

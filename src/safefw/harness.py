@@ -17,9 +17,9 @@ import numpy as np
 
 from . import ro as ro_mod
 from . import sfw as sfw_mod
-from .estimator import ConstraintEstimator, confidence_membership_arrays
+from .estimator import ConstraintEstimator, confidence_membership_arrays, spans
 from .lp import FEAS_TOL
-from .oracle import NOISE_KINDS, ConstraintOracle, NoiseModel
+from .oracle import NOISE_KINDS, ConstraintOracle, NoiseModel, cross_pattern
 from .problem import (
     Polytope,
     box_geometry_constants,
@@ -235,6 +235,8 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         raise ConfigError("x0 is already optimal; normalized curves are undefined")
     if cfg.omega0 > geometry.gamma:
         raise ConfigError(f"omega0 must not exceed the polytope's diameter {geometry.gamma:.6g}, got {cfg.omega0!r}")
+    if not spans(cross_pattern(x0, cfg.omega0, 2 * d).points):
+        raise ConfigError(f"omega0 {cfg.omega0!r} is too small for the probe cross at x0 to span R^{d + 1}")
 
     scfg = make_safety_config(
         delta=cfg.delta,

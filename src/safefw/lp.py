@@ -3,11 +3,14 @@
 Two-phase primal simplex on the split-variable standard form (x = u - v plus
 slacks), Bland's rule for anti-cycling, and a post-solve push to a vertex of
 the optimal face. A solve may be warm-started from a guessed basis (d rows,
-typically the active set of a previous solve of a nearby LP): the basis vertex
-is accepted only when it is verified to be the unique optimum, so a warm
-solve returns the vertex the simplex would, and any other basis falls back to
-the simplex. `feasible_bases` sweeps every d-subset of the rows, for the
-exact vertex sweeps of small polytopes.
+typically the active set of a previous solve of a nearby LP). A basis is
+accepted only when its vertex is verified to be the unique optimum, so a warm
+solve returns the vertex the simplex would. A rejected basis is first moved
+by at most one pivot per row: primal active-set pivots from a feasible vertex
+with a negative multiplier, dual pivots from positive multipliers at an
+infeasible vertex; any other basis, or one the pivots do not verify, falls
+back to the simplex. `feasible_bases` sweeps every d-subset of the rows, for
+the exact vertex sweeps of small polytopes.
 """
 
 from __future__ import annotations
@@ -62,27 +65,23 @@ def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     T[row] /= T[row, col]
     coeffs = T[:, col].copy()
     coeffs[row] = 0.0
-    T -= np.outer(coeffs, T[row])
+    T -= coeffs[:, None] * T[row]
     basis[row] = col
 
 
-def _simplex(T: np.ndarray, basis: list[int], allowed: list[int]) -> str:
-    """Minimize the bottom-row objective. Bland's rule on entering and leaving."""
+def _simplex(T: np.ndarray, basis: list[int], allowed: int) -> str:
+    """Minimize the bottom-row objective over the first `allowed` columns.
+    Bland's rule on entering and leaving, scanned over Python floats."""
     m = T.shape[0] - 1
     for _ in range(MAX_PIVOTS):
-        enter = -1
-        for j in allowed:
-            if T[-1, j] < -COST_TOL:
-                enter = j
-                break
+        enter = next((j for j, cost in enumerate(T[-1, :allowed].tolist()) if cost < -COST_TOL), -1)
         if enter < 0:
             return "optimal"
         leave = -1
         best = math.inf
-        for i in range(m):
-            a = T[i, enter]
+        for i, (a, rhs) in enumerate(zip(T[:m, enter].tolist(), T[:m, -1].tolist())):
             if a > PIVOT_TOL:
-                ratio = T[i, -1] / a
+                ratio = rhs / a
                 if ratio < best - 1e-12:
                     best, leave = ratio, i
                 elif abs(ratio - best) <= 1e-12 and leave >= 0 and basis[i] < basis[leave]:
@@ -148,6 +147,31 @@ def _active_rows(p: LpProblem, x: np.ndarray) -> list[int]:
     return [int(i) for i in np.flatnonzero(resid <= ACTIVE_TOL * scale)]
 
 
+def _basis_terms(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int], band: float = 0.0):
+    """For the basis rows B of one LP (rows, d) or of each LP of a stack
+    (K, rows, d): B^-1, the vertex B^-1 b_B, the multipliers -B^-T c, every
+    row's residual and scale at that vertex, and whether the vertex is
+    provably the unique optimum (see `verified_vertices`). Raises LinAlgError
+    unless B is square and nonsingular."""
+    B_inv = np.linalg.inv(A[..., basis, :])
+    abs_inv = np.abs(B_inv)
+    # infinity-norm condition number: leave ill-conditioned bases to the simplex
+    cond = np.abs(A[..., basis, :]).sum(axis=-1).max(axis=-1) * abs_inv.sum(axis=-1).max(axis=-1)
+    multipliers = -(np.swapaxes(B_inv, -1, -2) @ c)
+    multiplier_scale = abs_inv.sum(axis=-2).max(axis=-1) * np.abs(c).max()  # bounds |B^-T| |c|
+    x = np.matmul(B_inv, b[..., basis, None])[..., 0]
+    resid, scale = _slack(A, b, x)
+    active = resid <= (ACTIVE_TOL - band) * scale
+    inactive = resid > (ACTIVE_TOL + band) * scale  # a row between the two is neither
+    ok = (
+        (cond * (1.0 + band) <= 1e8)
+        & np.all(multipliers > COST_TOL + band * multiplier_scale[..., None], axis=-1)
+        & np.all(active[..., basis], axis=-1)
+        & (np.count_nonzero(inactive, axis=-1) == A.shape[-2] - len(basis))
+    )
+    return B_inv, x, multipliers, resid, scale, ok
+
+
 def verified_vertices(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int], band: float = 0.0):
     """For a stack of LPs min <c, x> over A[k] x <= b[k], the vertex of `basis`
     in each (K, d) and whether it is provably the unique optimum (K,): the
@@ -156,31 +180,59 @@ def verified_vertices(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[i
     feasible vertex. A positive `band` tightens each test by that share of
     the size of the terms compared.
     """
-    K, rows, d = A.shape
-    unverified = np.full((K, d), math.nan), np.zeros(K, dtype=bool)
-    if len(basis) != d:
-        return unverified
-    B = A[:, basis]
+    K, _, d = A.shape
     try:
-        B_inv = np.linalg.inv(B)
+        _, x, _, _, _, ok = _basis_terms(A, b, c, basis, band)
     except np.linalg.LinAlgError:
-        return unverified
-    abs_inv = np.abs(B_inv)
-    # infinity-norm condition number: leave ill-conditioned bases to the simplex
-    cond = np.abs(B).sum(axis=2).max(axis=1) * abs_inv.sum(axis=2).max(axis=1)
-    multipliers = -(np.swapaxes(B_inv, 1, 2) @ c)
-    multiplier_scale = abs_inv.sum(axis=1).max(axis=1) * np.abs(c).max()  # bounds |B^-T| |c|
-    x = np.matmul(B_inv, b[:, basis, None])[..., 0]
-    resid, scale = _slack(A, b, x)
-    active = resid <= (ACTIVE_TOL - band) * scale
-    inactive = resid > (ACTIVE_TOL + band) * scale  # a row between the two is neither
-    ok = (
-        (cond * (1.0 + band) <= 1e8)
-        & np.all(multipliers > COST_TOL + band * multiplier_scale[:, None], axis=1)
-        & np.all(active[:, basis], axis=1)
-        & (np.count_nonzero(inactive, axis=1) == rows - d)
-    )
+        return np.full((K, d), math.nan), np.zeros(K, dtype=bool)
     return x, ok
+
+
+def _restart_pivot(p: LpProblem, basis: list[int], B_inv, multipliers, resid, scale) -> list[int] | None:
+    """The basis one pivot on from a rejected one, or None when neither pivot
+    applies. From a feasible vertex with a negative multiplier, the row of the
+    most negative one leaves along the edge the others keep active, and the
+    first row that edge meets enters (primal). With every multiplier positive
+    at an infeasible vertex, the most violated row enters, and the ratio test
+    that keeps the multipliers nonnegative picks the row that leaves (dual).
+    Ties go to the lowest index."""
+    slack = resid / scale
+    violated = slack < -ACTIVE_TOL
+    if multipliers.min() < 0.0 and not violated.any():
+        leave = int(np.argmin(multipliers))
+        closing = p.A @ -B_inv[:, leave]  # how fast each row's residual falls along the edge
+        closing[basis] = 0.0
+        rows = np.flatnonzero(closing > PIVOT_TOL)
+        if rows.size == 0:
+            return None
+        enter = int(rows[np.argmin(resid[rows] / closing[rows])])
+    elif multipliers.min() > 0.0 and violated.any():
+        enter = int(np.argmin(slack))
+        shift = B_inv.T @ p.A[enter]  # the entering row as a combination of the basis rows
+        rows = np.flatnonzero(shift > PIVOT_TOL)
+        if rows.size == 0:
+            return None
+        leave = int(rows[np.argmin(multipliers[rows] / shift[rows])])
+    else:
+        return None
+    return sorted(basis[:leave] + basis[leave + 1 :] + [enter])
+
+
+def _warm(p: LpProblem, basis: list[int]) -> LpSolution | None:
+    """The vertex of `basis`, or of a basis at most one pivot per row away,
+    once verified to be the unique optimum; None if no basis verifies."""
+    basis = sorted(basis)
+    for _ in range(p.A.shape[0] + 1):  # the given basis, then at most one pivot per row
+        try:
+            B_inv, x, multipliers, resid, scale, ok = _basis_terms(p.A, p.b, p.c, basis)
+        except np.linalg.LinAlgError:
+            return None
+        if ok:
+            return LpSolution(x, "optimal", basis)
+        basis = _restart_pivot(p, basis, B_inv, multipliers, resid, scale)
+        if basis is None:
+            return None
+    return None
 
 
 def solve(p: LpProblem, basis: list[int] | None = None) -> LpSolution:
@@ -188,20 +240,21 @@ def solve(p: LpProblem, basis: list[int] | None = None) -> LpSolution:
 
     Returns a vertex of the optimal face when the feasible set is bounded
     around the optimum. Status reports infeasibility and unboundedness. A
-    given basis is tried first and used only if its vertex is verified to be
-    the unique optimum; otherwise the simplex solves from scratch.
+    given basis is tried first, then restarted by primal or dual pivots, at
+    most one per row of the LP; a basis is used only once its vertex is
+    verified to be the unique optimum. Otherwise the simplex solves from the
+    all-slack basis.
     """
     if basis is not None:
-        x, ok = verified_vertices(p.A[None], p.b[None], p.c, basis)
-        if ok[0]:
-            return LpSolution(x[0], "optimal", sorted(basis))
+        warm = _warm(p, basis)
+        if warm is not None:
+            return warm
     m, d = p.A.shape
     A = p.A.copy()
     b = p.b.copy()
     flip = b < -0.0
     A[flip] *= -1.0
     b[flip] *= -1.0
-    slack_sign = np.where(flip, -1.0, 1.0)
     art_rows = np.flatnonzero(flip)
     n_struct = 2 * d
     n_art = art_rows.size
@@ -210,48 +263,41 @@ def solve(p: LpProblem, basis: list[int] | None = None) -> LpSolution:
     T = np.zeros((m + 1, ncols + 1))
     T[:m, :d] = A
     T[:m, d:n_struct] = -A
-    for i in range(m):
-        T[i, n_struct + i] = slack_sign[i]
-    for k, i in enumerate(art_rows):
-        T[i, n_struct + m + k] = 1.0
+    T[np.arange(m), n_struct + np.arange(m)] = np.where(flip, -1.0, 1.0)
+    T[art_rows, n_struct + m + np.arange(n_art)] = 1.0
     T[:m, -1] = b
 
-    basic = [0] * m
-    art_iter = iter(range(n_art))
-    for i in range(m):
-        basic[i] = n_struct + m + next(art_iter) if flip[i] else n_struct + i
+    start = n_struct + np.arange(m)
+    start[art_rows] = n_struct + m + np.arange(n_art)
+    basic = start.tolist()
 
     if n_art:
-        T[-1, :] = 0.0
         T[-1, n_struct + m:ncols] = 1.0
-        for i, bc in enumerate(basic):
-            if bc >= n_struct + m:
-                T[-1] -= T[i]
-        _simplex(T, basic, list(range(ncols)))
+        for i in art_rows:
+            T[-1] -= T[i]
+        _simplex(T, basic, ncols)
         if -T[-1, -1] > 1e-7 * (1.0 + float(np.abs(b).sum())):
             return LpSolution(None, "infeasible")
         # drive surviving artificials out of the basis where possible
         for i in range(m):
             if basic[i] >= n_struct + m:
-                piv = next(
-                    (j for j in range(n_struct + m) if abs(T[i, j]) > 1e-9), None
-                )
-                if piv is not None:
-                    _pivot(T, basic, i, piv)
+                piv = np.flatnonzero(np.abs(T[i, : n_struct + m]) > 1e-9)
+                if piv.size:
+                    _pivot(T, basic, i, int(piv[0]))
 
     T[-1, :] = 0.0
     T[-1, :d] = p.c
     T[-1, d:n_struct] = -p.c
-    for i, bc in enumerate(basic):
-        if T[-1, bc] != 0.0:
-            T[-1] -= T[-1, bc] * T[i]
-    status = _simplex(T, basic, list(range(n_struct + m)))
+    # the basic columns are unit columns, so each reduction leaves the other basic costs as they are
+    for i, cost in enumerate(T[-1, basic].tolist()):
+        if cost != 0.0:
+            T[-1] -= cost * T[i]
+    status = _simplex(T, basic, n_struct + m)
     if status == "unbounded":
         return LpSolution(None, "unbounded")
 
     vals = np.zeros(ncols)
-    for i, bc in enumerate(basic):
-        vals[bc] = T[i, -1]
+    vals[basic] = T[:m, -1]
     x = vals[:d] - vals[d:n_struct]
     x = _push_to_vertex(p, x)
     return LpSolution(x, "optimal", _active_rows(p, x))

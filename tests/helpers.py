@@ -1,7 +1,8 @@
 """Shared test utilities: random bounded polytopes, estimator builders, and
 independent references: a vertex enumerator, a finite-difference gradient
 check, covariance norms, a solver for the cone-constrained linear
-subproblem, and the adaptive driver that absorbs one cross per pass."""
+subproblem, the adaptive driver that absorbs one cross per pass, and the
+simplex kernel that reads the tableau one numpy scalar at a time."""
 
 import math
 
@@ -66,6 +67,43 @@ def enumerate_vertices(p):
         if all(np.linalg.norm(v - u) > 1e-9 for u in vertices):
             vertices.append(v)
     return vertices
+
+
+def _bland_pivot_reference(T, basis, row, col):
+    T[row] /= T[row, col]
+    coeffs = T[:, col].copy()
+    coeffs[row] = 0.0
+    T -= np.outer(coeffs, T[row])
+    basis[row] = col
+
+
+def bland_simplex_reference(T, basis, allowed):
+    """Bland's rule reading the tableau one numpy scalar at a time, over the
+    column indices `allowed`: the reference that `lp._simplex`, which scans
+    Python floats, must match pivot for pivot."""
+    m = T.shape[0] - 1
+    for _ in range(lp.MAX_PIVOTS):
+        enter = -1
+        for j in allowed:
+            if T[-1, j] < -lp.COST_TOL:
+                enter = j
+                break
+        if enter < 0:
+            return "optimal"
+        leave = -1
+        best = math.inf
+        for i in range(m):
+            a = T[i, enter]
+            if a > lp.PIVOT_TOL:
+                ratio = T[i, -1] / a
+                if ratio < best - 1e-12:
+                    best, leave = ratio, i
+                elif abs(ratio - best) <= 1e-12 and leave >= 0 and basis[i] < basis[leave]:
+                    leave = i
+        if leave < 0:
+            return "unbounded"
+        _bland_pivot_reference(T, basis, leave, enter)
+    raise lp.PivotLimitError(f"simplex made no verdict within {lp.MAX_PIVOTS} pivots")
 
 
 def check_gradient(obj, points, step=1e-6, rtol=1e-5):

@@ -290,6 +290,20 @@ def test_validate_config_rejects_bad_values(tmp_path, capsys, recwarn, overrides
     assert not recwarn.list
 
 
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+@pytest.mark.parametrize("omega0", [1e-300, 1e-8])
+def test_omega0_too_small_to_span_is_a_config_error(tmp_path, capsys, command, omega0):
+    """A probe cross too narrow for the estimator's rank test exits 1 with one
+    stderr line, not with a ZeroDivisionError traceback or failed repetitions."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": {"type": "box", "d": 2}, "omega0": omega0}))
+    out = ["--out", str(tmp_path / "out"), "--reps", "1"] if command == "run" else []
+    assert cli_main([command, "--config", str(path), *out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: omega0 {omega0!r} is too small for the probe cross at x0 to span")
+    assert err.count("\n") == 1
+
+
 def test_validate_config_resolves_a_tiny_delta(tmp_path, capsys):
     """delta / (T m) = 1e-20 / 60 lies far below the double spacing near 1, so
     the radius must come from the chi-squared upper tail itself."""

@@ -1,5 +1,6 @@
-"""Simplex solver against exhaustive vertex enumeration, scipy's HiGHS and
-hand cases; the verified warm start against the cold solve."""
+"""Simplex solver against exhaustive vertex enumeration, scipy's HiGHS,
+hand cases and the scalar-read Bland kernel; the verified warm start and its
+pivot restart against the cold solve."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from safefw import lp
 from safefw.problem import box_polytope
 
-from helpers import enumerate_vertices, random_bounded_polytope
+from helpers import bland_simplex_reference, enumerate_vertices, random_bounded_polytope
 
 
 def box_problem(c):
@@ -146,33 +147,111 @@ def test_verified_basis_skips_the_simplex(monkeypatch):
     assert np.array_equal(warm.point, cold.point) and warm.active_set == cold.active_set
 
 
-@pytest.mark.parametrize(
-    "c, extra_row, basis",
-    [
-        ([-2.0, -0.5], None, [1, 3]),  # feasible vertex, negative multipliers: not optimal
-        ([-2.0, -0.5], None, [0, 1]),  # parallel rows: singular
-        ([-2.0, -0.5], None, [0]),  # too few rows
-        ([-1.0, 0.0], None, [0, 2]),  # zero multiplier: optimal face is an edge
-        ([-2.0, -0.5], ([1.0, 1.0], 2.0), [0, 2]),  # a third row through the vertex: degenerate
-        ([-2.0, -0.5], ([1.0, 1.0], 1.5), [0, 2]),  # basis vertex cut off: infeasible
-        ([-1.0, -5e-10], ([1.0, 1e-9], 1.0 + 3e-10), [0, 4]),  # nearly parallel rows: condition ~4e9
-    ],
-    ids=["wrong", "singular", "short", "zero-multiplier", "degenerate", "infeasible-vertex", "ill-conditioned"],
-)
-def test_rejected_basis_falls_back_to_cold(c, extra_row, basis, monkeypatch):
+def with_row(c, extra_row):
+    """The unit box of R^2, with one more row (a, b) when given, and objective c."""
     p = box_polytope(2)
     A, b = p.A, p.b
     if extra_row is not None:
         A, b = np.vstack([A, extra_row[0]]), np.append(b, extra_row[1])
-    prob = lp.LpProblem(np.array(c), A, b)
-    cold = lp.solve(prob)
-    simplex_runs = []
+    return lp.LpProblem(np.array(c), A, b)
+
+
+def counting_simplex(monkeypatch):
+    runs = []
     simplex = lp._simplex
-    monkeypatch.setattr(lp, "_simplex", lambda *args: simplex_runs.append(1) or simplex(*args))
+    monkeypatch.setattr(lp, "_simplex", lambda *args: runs.append(1) or simplex(*args))
+    return runs
+
+
+@pytest.mark.parametrize(
+    "c, extra_row, basis",
+    [
+        ([-2.0, -0.5], None, [1, 3]),  # feasible vertex, negative multipliers: two primal pivots
+        ([-2.0, -0.5], ([1.0, 1.0], 1.5), [0, 2]),  # positive multipliers, vertex cut off: one dual pivot
+    ],
+    ids=["wrong", "infeasible-vertex"],
+)
+def test_rejected_basis_restarts_to_the_cold_vertex(c, extra_row, basis, monkeypatch):
+    prob = with_row(c, extra_row)
+    cold = lp.solve(prob)
+    simplex_runs = counting_simplex(monkeypatch)
+    warm = lp.solve(prob, basis=basis)
+    assert not simplex_runs
+    assert warm.status == cold.status == "optimal"
+    assert np.array_equal(warm.point, cold.point) and warm.active_set == cold.active_set
+
+
+@pytest.mark.parametrize(
+    "c, extra_row, basis",
+    [
+        ([-2.0, -0.5], None, [0, 1]),  # parallel rows: singular
+        ([-2.0, -0.5], None, [0]),  # too few rows
+        ([-1.0, 0.0], None, [0, 2]),  # zero multiplier: optimal face is an edge
+        ([-2.0, -0.5], ([1.0, 1.0], 2.0), [0, 2]),  # a third row through the vertex: degenerate
+        ([-1.0, -5e-10], ([1.0, 1e-9], 1.0 + 3e-10), [0, 4]),  # nearly parallel rows: condition ~4e9
+        ([2.0, -0.5], ([1.0, 1.0], 1.5), [0, 2]),  # vertex cut off and a negative multiplier
+    ],
+    ids=["singular", "short", "zero-multiplier", "degenerate", "ill-conditioned", "neither"],
+)
+def test_rejected_basis_falls_back_to_cold(c, extra_row, basis, monkeypatch):
+    prob = with_row(c, extra_row)
+    cold = lp.solve(prob)
+    simplex_runs = counting_simplex(monkeypatch)
     warm = lp.solve(prob, basis=basis)
     assert simplex_runs  # the basis was rejected
     assert warm.status == cold.status == "optimal"
     assert np.array_equal(warm.point, cold.point) and warm.active_set == cold.active_set
+
+
+def random_lp(rng, d, extra_rows):
+    """A random bounded polytope moved by a random shift, so that some
+    right-hand sides are negative (phase 1), with some rows on a half grid or
+    repeated (ratio ties), a sparse objective now and then (an optimal face),
+    and now and then a row that empties the polytope."""
+    p = random_bounded_polytope(rng, d, 2 * d + extra_rows)
+    A, b = p.A, p.b + p.A @ rng.uniform(-2.0, 2.0, d)
+    if rng.random() < 0.5:
+        b = np.round(2.0 * b) / 2.0  # vertices on a half grid: ratio ties
+    if rng.random() < 0.5:
+        dup = rng.integers(0, A.shape[0], size=2)
+        A, b = np.vstack([A, A[dup]]), np.append(b, b[dup])  # repeated rows: degenerate vertices
+    c = rng.normal(0.0, 1.0, d)
+    if rng.random() < 0.3:
+        c[rng.random(d) < 0.5] = 0.0
+    if rng.random() < 0.1:
+        A, b = np.vstack([A, -A[0]]), np.append(b, -b[0] - 1.0)
+    return lp.LpProblem(c, A, b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), st.integers(0, 8), st.integers(0, 2**32 - 1))
+def test_simplex_kernel_matches_scalar_bland_reference(d, extra_rows, seed):
+    """The Python-float kernel pivots exactly as the numpy-scalar one: the same
+    status, point bytes and active set from a cold solve."""
+    prob = random_lp(np.random.default_rng(seed), d, extra_rows)
+    fast = lp.solve(prob)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_simplex", lambda T, basis, allowed: bland_simplex_reference(T, basis, range(allowed)))
+        ref = lp.solve(prob)
+    assert fast.status == ref.status
+    assert (fast.point is None and ref.point is None) or fast.point.tobytes() == ref.point.tobytes()
+    assert fast.active_set == ref.active_set
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5), st.integers(0, 8), st.integers(0, 2**32 - 1))
+def test_restart_from_any_basis_lands_on_the_cold_vertex(d, extra_rows, seed):
+    """From a random d-subset of the rows (feasible or not, dual feasible or
+    not, singular or not) a warm solve gives the cold status, active set and
+    point."""
+    rng = np.random.default_rng(seed)
+    p = random_bounded_polytope(rng, d, 2 * d + extra_rows)
+    prob = lp.LpProblem(rng.normal(0.0, 1.0, d), p.A, p.b)
+    cold = lp.solve(prob)
+    warm = lp.solve(prob, basis=sorted(rng.choice(p.m, size=d, replace=False).tolist()))
+    assert warm.status == cold.status == "optimal"
+    assert warm.active_set == cold.active_set
+    assert np.abs(warm.point - cold.point).max() <= 1e-12
 
 
 def test_matches_scipy_linprog():
