@@ -220,24 +220,31 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         x_prime = [2.0] + [0.5] * (d - 1)
     x_prime = _vector("x_prime", x_prime, d)
 
-    if is_box:
-        M = box_quadratic_lipschitz(d, half_width, x_prime)
-        objective = quadratic_objective(x_prime, M)
-        geometry = box_geometry_constants(d, half_width, x0)
-        f_star = objective.value(np.clip(x_prime, -half_width, half_width))
-    else:
-        sweep = vertex_sweep(polytope)
-        M = max(float(np.linalg.norm(v - x_prime)) for v in sweep[0])
-        objective = quadratic_objective(x_prime, M)
-        geometry = geometry_constants(polytope, x0, sweep)
-        f_star = minimize_quadratic(polytope, x_prime)[1]
-    if objective.value(x0) - f_star <= 0:
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or nan; h0 and cn are checked below
+        if is_box:
+            M = box_quadratic_lipschitz(d, half_width, x_prime)
+            objective = quadratic_objective(x_prime, M)
+            geometry = box_geometry_constants(d, half_width, x0)
+            f_star = objective.value(np.clip(x_prime, -half_width, half_width))
+        else:
+            sweep = vertex_sweep(polytope)
+            M = max(float(np.linalg.norm(v - x_prime)) for v in sweep[0])
+            objective = quadratic_objective(x_prime, M)
+            geometry = geometry_constants(polytope, x0, sweep)
+            f_star = minimize_quadratic(polytope, x_prime)[1]
+        h0 = objective.value(x0) - f_star
+    if not math.isfinite(h0):
+        raise ConfigError("f(x0) - f* is not finite for this problem, x0 and objective.x_prime")
+    if h0 <= 0:
         raise ConfigError("x0 is already optimal; normalized curves are undefined")
     if cfg.omega0 > geometry.gamma:
         raise ConfigError(f"omega0 must not exceed the polytope's diameter {geometry.gamma:.6g}, got {cfg.omega0!r}")
     if not spans(cross_pattern(x0, cfg.omega0, 2 * d).points):
         raise ConfigError(f"omega0 {cfg.omega0!r} is too small for the probe cross at x0 to span R^{d + 1}")
 
+    if cfg.delta / cfg.T / polytope.m == 0.0:
+        raise ConfigError(f"delta {cfg.delta!r} split over T = {cfg.T} iterations and m = {polytope.m} constraints "
+                          "underflows to 0")
     scfg = make_safety_config(
         delta=cfg.delta,
         T=cfg.T,
@@ -246,8 +253,16 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         sigma=cfg.sigma,
         omega0=cfg.omega0,
     )
+    if not math.isfinite(scfg.phi_delta):
+        raise ConfigError(f"sigma {cfg.sigma!r} and delta {cfg.delta!r} give a non-finite confidence radius phi_delta")
     if cfg.cn == "auto":
-        cn_value = cn_lower_bound(geometry, scfg, d)
+        try:
+            cn_value = cn_lower_bound(geometry, scfg, d)
+        except (OverflowError, ZeroDivisionError):
+            cn_value = math.inf
+        if not math.isfinite(cn_value):
+            raise ConfigError("cn 'auto' is not finite for this problem, x0, omega0, sigma, delta and T; "
+                              "give cn as a number")
     else:
         cn_value = float(cfg.cn)
         if cn_value < 0:

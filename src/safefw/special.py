@@ -1,66 +1,30 @@
-"""Chi-squared distribution helpers built on the regularized incomplete gamma function."""
+"""Chi-squared upper tail at integer degrees of freedom, as a finite sum, and its quantile."""
 
 import math
 
-GAMMA_TOL = 1e-14      # relative tolerance of the series and the continued fraction
-GAMMA_MAX_ITER = 500
 QUANTILE_TOL = 1e-10   # absolute tolerance of the quantile bisection
 
 
-def regularized_upper_gamma(a: float, x: float) -> float:
-    """Q(a, x) = Gamma(a, x) / Gamma(a), the regularized upper incomplete gamma.
-
-    One minus the series for P(a, x) when x < a + 1 (there Q stays above
-    0.08 for a >= 1/2, so little cancels), the Lentz continued fraction for Q
-    itself otherwise, which keeps Q accurate deep in the upper tail.
-    """
-    if a <= 0.0:
-        raise ValueError("shape parameter must be positive")
-    if x < 0.0:
-        raise ValueError("x must be non-negative")
-    if x == 0.0:
-        return 1.0
-    lg = math.lgamma(a)
-    if x < a + 1.0:
-        ap = a
-        term = 1.0 / a
-        total = term
-        for _ in range(GAMMA_MAX_ITER):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * GAMMA_TOL:
-                return 1.0 - total * math.exp(-x + a * math.log(x) - lg)
-        raise RuntimeError("incomplete gamma series did not converge")
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
-    for i in range(1, GAMMA_MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < GAMMA_TOL:
-            return math.exp(-x + a * math.log(x) - lg) * h
-    raise RuntimeError("incomplete gamma continued fraction did not converge")
-
-
 def chi_squared_sf(x: float, dof: int) -> float:
-    """Upper tail 1 - CDF of the chi-squared distribution with ``dof`` degrees of freedom."""
+    """Upper tail 1 - CDF of the chi-squared distribution with ``dof`` degrees of freedom.
+
+    With h = x/2 the tail is the finite sum of h^j e^(-h) / Gamma(j+1) over
+    j = 0, 1, ... below dof/2 for even dof, and over j = 1/2, 3/2, ... below
+    dof/2 plus erfc(sqrt(h)) for odd dof. Each positive term is one exp of
+    its logarithm, so none underflows or overflows.
+    """
     if dof < 1:
         raise ValueError("degrees of freedom must be >= 1")
     if x <= 0.0:
         return 1.0
-    return regularized_upper_gamma(dof / 2.0, x / 2.0)
+    h = 0.5 * x
+    log_h = math.log(h)
+    j = 0.5 * (dof % 2)
+    total = math.erfc(math.sqrt(h)) if dof % 2 else 0.0
+    while j < 0.5 * dof:
+        total += math.exp(j * log_h - h - math.lgamma(j + 1.0))
+        j += 1.0
+    return total
 
 
 def chi_squared_upper_quantile(q: float, dof: int) -> float:

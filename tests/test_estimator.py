@@ -166,6 +166,17 @@ def test_phi_inverse_chisq_anchor():
     assert phi_inverse(2, 0.05) == pytest.approx(math.sqrt(7.814727903251179), abs=1e-8)
 
 
+@pytest.mark.parametrize("d, radius", [
+    (2, "0x1.f2c233b94e50bp+1"),
+    (10, "0x1.765e30f262043p+2"),
+    (20, "0x1.cf5a1b66d2d6cp+2"),
+])
+def test_phi_inverse_is_pinned_bit_for_bit(d, radius):
+    """The radii of the shipped configs and the benchmark (delta 0.1, T 15,
+    m = 2d): RO's cutting-plane fingerprints move at one ulp of the radius."""
+    assert phi_inverse(d, 0.1 / 15 / (2 * d)).hex() == radius
+
+
 def test_phi_inverse_monotone_in_delta():
     values = [phi_inverse(3, db) for db in (0.2, 0.1, 0.05, 0.01, 0.001)]
     assert all(a <= b for a, b in zip(values, values[1:]))

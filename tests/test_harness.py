@@ -304,6 +304,29 @@ def test_omega0_too_small_to_span_is_a_config_error(tmp_path, capsys, command, o
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("overrides, message", [
+    pytest.param({"sigma": 1e308}, "sigma 1e+308 and delta 0.1 give a non-finite confidence radius", id="huge-sigma"),
+    pytest.param({"problem": {"type": "box", "d": 2, "half_width": 1e300}, "omega0": 1},
+                 "cn 'auto' is not finite", id="overflowing-cn"),
+    pytest.param({"problem": {"type": "polytope", "A": [[1, 0], [0, 1], [-1, -1]], "b": [1, 1, 1e-300]}},
+                 "cn 'auto' is not finite", id="underflowing-eps0"),
+    pytest.param({"objective": {"x_prime": [1e308, 0.5]}}, "f(x0) - f* is not finite", id="overflowing-h0"),
+    pytest.param({"delta": 5e-324}, "delta 5e-324 split over T = 15 iterations and m = 4 constraints underflows",
+                 id="underflowing-delta"),
+])
+def test_non_finite_derived_constants_are_config_errors(tmp_path, capsys, recwarn, overrides, message):
+    """Constants that overflow, divide by zero or underflow exit 1 with one
+    stderr line naming the fields, not with config ok, a traceback or a run
+    that never ends."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": {"type": "box", "d": 2}, **overrides}))
+    assert cli_main(["validate-config", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err
+    assert not recwarn.list
+
+
 def test_validate_config_resolves_a_tiny_delta(tmp_path, capsys):
     """delta / (T m) = 1e-20 / 60 lies far below the double spacing near 1, so
     the radius must come from the chi-squared upper tail itself."""
