@@ -59,17 +59,17 @@ def main(argv=None) -> int:
     if args.command == "run":
         summary = run_experiment(cfg)
         final = summary.mean_curve[-1] if summary.mean_curve else float("nan")
+        violation_rate, mean_n = (float("nan") if v is None else v for v in (summary.violation_rate, summary.mean_n_total))
         print(f"runs={len(summary.reps)} failed_fraction={summary.failed_fraction:.3f} "
-              f"violation_rate={summary.violation_rate:.3f} mean_N={summary.mean_n_total:.1f} "
+              f"violation_rate={violation_rate:.3f} mean_N={mean_n:.1f} "
               f"mean_final_normalized={final:.6g}")
-        if summary.failed_fraction > 0.1:
-            return EXIT_RUN_FAILURES
-        return EXIT_OK
-
-    report = compare_sfw_ro(cfg)
-    print(f"pairs={len(report.seeds)} sfw_wins={report.sfw_wins} "
-          f"fraction_sfw_better={report.fraction_sfw_better:.3f}")
-    return EXIT_OK
+        failed_fraction = summary.failed_fraction
+    else:
+        report = compare_sfw_ro(cfg)
+        print(f"pairs={len(report.seeds)} sfw_wins={report.sfw_wins} "
+              f"fraction_sfw_better={report.fraction_sfw_better:.3f}")
+        failed_fraction = sum(err is not None for err in report.errors) / len(report.seeds)
+    return EXIT_RUN_FAILURES if failed_fraction > 0.1 else EXIT_OK
 
 
 if __name__ == "__main__":

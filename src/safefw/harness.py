@@ -117,8 +117,8 @@ class RunSummary:
     reps: list[RepResult]
     mean_curve: list[float]
     std_curve: list[float]
-    violation_rate: float
-    mean_n_total: float
+    violation_rate: float | None  # None when no repetition completed
+    mean_n_total: float | None
     failed_fraction: float
 
 
@@ -267,6 +267,8 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         cn_value = float(cfg.cn)
         if cn_value < 0:
             raise ConfigError("cn must be non-negative")
+    if not math.isfinite(M):
+        raise ConfigError("the gradient bound M is not finite for this problem and objective.x_prime")
     scfg = replace(scfg, cn=cn_value)
     if cfg.variant == "prescribed" and cn_value <= 0:
         raise ConfigError(f"variant 'prescribed' needs a positive cn, got {cn_value!r}")
@@ -382,8 +384,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunSumm
         reps=reps,
         mean_curve=mean_curve,
         std_curve=std_curve,
-        violation_rate=(sum(1 for r in ok if r.iterate_violations > 0) / len(ok)) if ok else 1.0,
-        mean_n_total=float(np.mean([r.n_total for r in ok])) if ok else 0.0,
+        violation_rate=(sum(1 for r in ok if r.iterate_violations > 0) / len(ok)) if ok else None,
+        mean_n_total=float(np.mean([r.n_total for r in ok])) if ok else None,
         failed_fraction=sum(1 for r in reps if r.status == "failed") / len(reps),
     )
     write_summary_json(summary, out / "summary.json")
@@ -399,35 +401,40 @@ TIE_TOL = 1e-9
 class ComparisonReport:
     config: dict
     seeds: list[int]
-    sfw_final: list[float]
-    ro_final: list[float]
-    budgets: list[int]
+    sfw_final: list[float | None]  # None for a failed pair
+    ro_final: list[float | None]
+    budgets: list[int | None]
     sfw_wins: int
     fraction_sfw_better: float
+    errors: list[str | None]  # "<type>: <message>" for a failed pair, None for a completed one
 
 
 def compare_sfw_ro(cfg: ExperimentConfig, out_dir: str | None = None) -> ComparisonReport:
     """Paired adaptive-vs-baseline runs with matched seeds and budgets.
 
     The baseline budget is each seed's realized adaptive measurement total, so
-    both methods consume identical measurement counts.
+    both methods consume identical measurement counts. A failing pair is
+    recorded and the comparison continues.
     """
     res = resolve(cfg)
     out = Path(out_dir or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     h0 = res.setup.objective.value(res.setup.x0) - res.f_star
     seeds = [cfg.base_seed + i for i in range(cfg.repetitions)]
-    sfw_final, ro_final, budgets = [], [], []
+    sfw_final, ro_final, budgets, errors = [], [], [], []
     for i, seed in enumerate(seeds):
-        rec_sfw, rep_sfw = run_single(res, seed, variant="adaptive")
-        budget = max(rec_sfw.total_measurements, 2 * (res.polytope.d + 1))
-        rec_ro, rep_ro = run_single(res, seed, variant="ro", ro_budget=budget)
-        write_trajectory_csv(rec_sfw, res.f_star, h0, out / f"sfw_rep{i:03d}.csv")
-        write_trajectory_csv(rec_ro, res.f_star, h0, out / f"ro_rep{i:03d}.csv")
-        sfw_final.append(rep_sfw.normalized[-1])
-        ro_final.append(rep_ro.normalized[-1])
-        budgets.append(budget)
-    wins = sum(1 for a, b in zip(sfw_final, ro_final) if a <= b + TIE_TOL)
+        try:
+            rec_sfw, rep_sfw = run_single(res, seed, variant="adaptive")
+            budget = max(rec_sfw.total_measurements, 2 * (res.polytope.d + 1))
+            rec_ro, rep_ro = run_single(res, seed, variant="ro", ro_budget=budget)
+            write_trajectory_csv(rec_sfw, res.f_star, h0, out / f"sfw_rep{i:03d}.csv")
+            write_trajectory_csv(rec_ro, res.f_star, h0, out / f"ro_rep{i:03d}.csv")
+            pair = (rep_sfw.normalized[-1], rep_ro.normalized[-1], budget, None)
+        except Exception as exc:  # recorded per pair, comparison continues
+            pair = (None, None, None, f"{type(exc).__name__}: {exc}")
+        for column, value in zip((sfw_final, ro_final, budgets, errors), pair):
+            column.append(value)
+    wins = sum(1 for a, b, err in zip(sfw_final, ro_final, errors) if err is None and a <= b + TIE_TOL)
     report = ComparisonReport(
         config=asdict(cfg),
         seeds=seeds,
@@ -436,6 +443,7 @@ def compare_sfw_ro(cfg: ExperimentConfig, out_dir: str | None = None) -> Compari
         budgets=budgets,
         sfw_wins=wins,
         fraction_sfw_better=wins / len(seeds),
+        errors=errors,
     )
     fields = asdict(report)
     payload = {"config": fields.pop("config"), "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"), **fields}

@@ -9,13 +9,11 @@ solve returns the vertex the simplex would. A rejected basis is first moved
 by at most one pivot per row: primal active-set pivots from a feasible vertex
 with a negative multiplier, dual pivots from positive multipliers at an
 infeasible vertex; any other basis, or one the pivots do not verify, falls
-back to the simplex. `feasible_bases` sweeps every d-subset of the rows, for
-the exact vertex sweeps of small polytopes.
+back to the simplex.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -302,19 +300,3 @@ def solve(p: LpProblem, basis: list[int] | None = None) -> LpSolution:
     x = _push_to_vertex(p, x)
     return LpSolution(x, "optimal", _active_rows(p, x))
 
-
-def feasible_bases(A: np.ndarray, b: np.ndarray):
-    """Sweep every d-subset of the rows of A x <= b.
-
-    Yields (point, sigma_min) for each nonsingular subset whose intersection
-    point is feasible; a degenerate vertex appears once per basis.
-    """
-    m, d = A.shape
-    for subset in itertools.combinations(range(m), d):
-        sub = A[list(subset)]
-        svals = np.linalg.svd(sub, compute_uv=False)
-        if svals[-1] <= 1e-10 * max(1.0, svals[0]):
-            continue
-        v = np.linalg.solve(sub, b[list(subset)])
-        if np.all(A @ v - b <= FEAS_TOL):
-            yield v, float(svals[-1])

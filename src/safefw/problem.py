@@ -116,19 +116,35 @@ def validate(p: Polytope) -> str:
     return "bounded"
 
 
+def _independent_subsets(p: Polytope, sizes: range):
+    """One sweep of the row subsets of the given sizes: (A_S, b_S, sigma_min(A_S))
+    for each subset whose rows are independent, sigma_min > 1e-10 max(1, sigma_max)."""
+    total = sum(math.comb(p.m, k) for k in sizes)
+    if total > SUBSET_CAP:
+        raise lp.EnumerationCapError(f"{total} constraint subsets exceed the cap {SUBSET_CAP}; "
+                                     "supply analytic geometry for this instance")
+    for k in sizes:
+        for rows in map(list, itertools.combinations(range(p.m), k)):
+            A_s = p.A[rows]
+            svals = np.linalg.svd(A_s, compute_uv=False)
+            if svals[-1] > 1e-10 * max(1.0, svals[0]):
+                yield A_s, p.b[rows], float(svals[-1])
+
+
 def vertex_sweep(p: Polytope) -> tuple[np.ndarray, float]:
-    """One sweep of the d-subsets of the rows: the vertices (one row per
-    feasible basis, so a degenerate vertex repeats) and rho_min, the smallest
-    singular value over those bases."""
-    if math.comb(p.m, p.d) > SUBSET_CAP:
-        raise lp.EnumerationCapError(
-            f"{math.comb(p.m, p.d)} constraint subsets exceed the cap {SUBSET_CAP}; "
-            "supply analytic geometry for this instance"
-        )
-    bases = list(lp.feasible_bases(p.A, p.b))
-    if not bases:
+    """The vertices of p, one row per distinct vertex (a basis whose point lies
+    within lp.FEAS_TOL of a kept vertex adds none), and rho_min, the smallest
+    singular value over every feasible basis."""
+    V, rho_min = np.empty((0, p.d)), math.inf
+    for A_s, b_s, s_min in _independent_subsets(p, range(p.d, p.d + 1)):
+        v = np.linalg.solve(A_s, b_s)
+        if np.all(p.A @ v - p.b <= lp.FEAS_TOL):
+            rho_min = min(rho_min, s_min)
+            if np.all(np.linalg.norm(V - v, axis=1) > lp.FEAS_TOL):
+                V = np.vstack([V, v])
+    if not len(V):
         raise ValueError("no vertices found; polytope is unbounded or empty")
-    return np.array([v for v, _ in bases]), min(s for _, s in bases)
+    return V, rho_min
 
 
 def geometry_constants(p: Polytope, x0: np.ndarray, sweep: tuple[np.ndarray, float]) -> GeometryConstants:
@@ -169,37 +185,24 @@ def box_geometry_constants(d: int, half_width: float, x0: np.ndarray) -> Geometr
 def minimize_quadratic(p: Polytope, x_prime: np.ndarray) -> tuple[np.ndarray, float]:
     """Exact minimizer of 0.5 ||x - x'||^2 over the polytope.
 
-    Active-set enumeration over equality subsets with KKT sign checks; exact
-    on instances small enough to enumerate.
+    Active-set enumeration over the independent row subsets of sizes 1..d with
+    KKT sign checks; exact on instances small enough to enumerate.
     """
     target = np.asarray(x_prime, dtype=float)
-    m, d = p.m, p.d
     if p.contains(target):
         return target.copy(), 0.0
-    total = sum(math.comb(m, k) for k in range(1, d + 1))
-    if total > SUBSET_CAP:
-        raise lp.EnumerationCapError(
-            f"{total} active-set candidates exceed the cap {SUBSET_CAP}"
-        )
     best_x = None
     best_f = math.inf
-    for k in range(1, d + 1):
-        for subset in itertools.combinations(range(m), k):
-            A_s = p.A[list(subset)]
-            b_s = p.b[list(subset)]
-            gram = A_s @ A_s.T
-            svals = np.linalg.svd(gram, compute_uv=False)
-            if svals[-1] <= 1e-12 * max(1.0, svals[0]):
-                continue
-            lam = np.linalg.solve(gram, A_s @ target - b_s)
-            if np.any(lam < -1e-9):
-                continue
-            x = target - A_s.T @ lam
-            if p.max_violation(x) > 1e-9:
-                continue
-            f = 0.5 * float((x - target) @ (x - target))
-            if f < best_f:
-                best_f, best_x = f, x
+    for A_s, b_s, _ in _independent_subsets(p, range(1, p.d + 1)):
+        lam = np.linalg.solve(A_s @ A_s.T, A_s @ target - b_s)
+        if np.any(lam < -1e-9):
+            continue
+        x = target - A_s.T @ lam
+        if p.max_violation(x) > 1e-9:
+            continue
+        f = 0.5 * float((x - target) @ (x - target))
+        if f < best_f:
+            best_f, best_x = f, x
     if best_x is None:
         raise ValueError("no KKT point found; polytope may be empty")
     return best_x, best_f

@@ -12,7 +12,7 @@ import pytest
 from safefw import lp
 from safefw.estimator import ConstraintEstimator
 from safefw.oracle import ConstraintOracle, NoiseModel, cross_pattern
-from safefw.problem import Polytope, box_polytope
+from safefw.problem import Polytope, box_polytope, vertex_sweep
 from safefw.safety import fact2_check
 from safefw.sfw import TrajectoryRecord, et_bound, solve_dfs, surrogate_gap
 
@@ -55,18 +55,14 @@ ENUM_CAP_M, ENUM_CAP_D = 16, 6  # enumerate_vertices is for small instances
 
 
 def enumerate_vertices(p):
-    """All vertices of the LpProblem's {x : A x <= b} from the feasible-basis
-    sweep, deduplicated at 1e-9; capped at m <= ENUM_CAP_M and d <= ENUM_CAP_D."""
+    """All vertices of the LpProblem's {x : A x <= b} from the vertex sweep,
+    one per distinct vertex; capped at m <= ENUM_CAP_M and d <= ENUM_CAP_D."""
     m, d = p.A.shape
     if m > ENUM_CAP_M or d > ENUM_CAP_D:
         raise lp.EnumerationCapError(
             f"vertex enumeration capped at m<={ENUM_CAP_M}, d<={ENUM_CAP_D} (got m={m}, d={d})"
         )
-    vertices = []
-    for v, _ in lp.feasible_bases(p.A, p.b):
-        if all(np.linalg.norm(v - u) > 1e-9 for u in vertices):
-            vertices.append(v)
-    return vertices
+    return list(vertex_sweep(Polytope(p.A, p.b))[0])
 
 
 def _bland_pivot_reference(T, basis, row, col):

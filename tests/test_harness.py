@@ -311,6 +311,8 @@ def test_omega0_too_small_to_span_is_a_config_error(tmp_path, capsys, command, o
     pytest.param({"problem": {"type": "polytope", "A": [[1, 0], [0, 1], [-1, -1]], "b": [1, 1, 1e-300]}},
                  "cn 'auto' is not finite", id="underflowing-eps0"),
     pytest.param({"objective": {"x_prime": [1e308, 0.5]}}, "f(x0) - f* is not finite", id="overflowing-h0"),
+    pytest.param({"problem": {"type": "box", "d": 2, "half_width": 1e300}, "omega0": 1, "cn": 5},
+                 "the gradient bound M is not finite for this problem and objective.x_prime", id="overflowing-M"),
     pytest.param({"delta": 5e-324}, "delta 5e-324 split over T = 15 iterations and m = 4 constraints underflows",
                  id="underflowing-delta"),
 ])
@@ -406,6 +408,53 @@ def test_failed_repetition_recorded(tmp_path, monkeypatch):
     failed = [r for r in summary.reps if r.status == "failed"]
     assert len(failed) == 2
     assert all("synthetic failure" in r.error for r in failed)
+
+
+def test_no_completed_repetition_reports_null_rates(tmp_path, monkeypatch, capsys):
+    """With every repetition failed there is no iterate to judge, so neither a
+    violation rate nor a mean measurement total is reported."""
+    import safefw.harness as hmod
+
+    def failing(res, seed, variant=None, ro_budget=None):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(hmod, "run_single", failing)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": {"type": "box", "d": 2}, "repetitions": 2,
+                                "out_dir": str(tmp_path / "out")}))
+    assert cli_main(["run", "--config", str(path)]) == 2
+    assert "failed_fraction=1.000 violation_rate=nan mean_N=nan" in capsys.readouterr().out
+    aggregate = json.loads((tmp_path / "out" / "summary.json").read_text())["aggregate"]
+    assert aggregate["violation_rate"] is None and aggregate["mean_n_total"] is None
+
+
+def test_compare_records_a_failed_pair(tmp_path, monkeypatch, capsys):
+    """A pair that raises keeps its seed, gets null results and its error, and
+    the comparison goes on; more than 10 % failed pairs exit 2."""
+    import safefw.harness as hmod
+
+    real = hmod.run_single
+
+    def flaky(res, seed, variant=None, ro_budget=None):
+        if seed % 2 == 1:
+            raise RuntimeError("synthetic failure")
+        return real(res, seed, variant, ro_budget)
+
+    monkeypatch.setattr(hmod, "run_single", flaky)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": {"type": "box", "d": 2}, "sigma": 0.1, "repetitions": 4,
+                                "out_dir": str(tmp_path / "cmp")}))
+    assert cli_main(["compare", "--config", str(path)]) == 2
+    saved = json.loads((tmp_path / "cmp" / "comparison.json").read_text())
+    assert saved["seeds"] == [0, 1, 2, 3]
+    assert saved["errors"] == [None, "RuntimeError: synthetic failure"] * 2
+    for key in ("sfw_final", "ro_final", "budgets"):
+        assert [v is None for v in saved[key]] == [False, True, False, True]
+    wins = sum(a <= b + hmod.TIE_TOL for a, b in zip(saved["sfw_final"][::2], saved["ro_final"][::2]))
+    assert saved["sfw_wins"] == wins and saved["fraction_sfw_better"] == wins / 4
+    assert capsys.readouterr().out == f"pairs=4 sfw_wins={wins} fraction_sfw_better={wins / 4:.3f}\n"
+    assert sorted(f.name for f in (tmp_path / "cmp").glob("*.csv")) == [
+        "ro_rep000.csv", "ro_rep002.csv", "sfw_rep000.csv", "sfw_rep002.csv"]
 
 
 def test_mean_curve_decays(tmp_path):

@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from safefw import lp, problem
+from safefw.harness import ExperimentConfig, resolve
 from safefw.problem import (
     Polytope,
     box_geometry_constants,
@@ -151,6 +153,41 @@ def test_vertex_sweep_regular_17gon_vs_brute_force():
     # odd polygon: the diameter joins vertices 8 steps apart
     assert geo.gamma == pytest.approx(max(np.linalg.norm(u - v) for u in verts for v in verts), abs=1e-12)
     assert geo.gamma == pytest.approx(2.0 * radius * math.sin(8 * math.pi / 17), abs=1e-12)
+
+
+def pyramid(n: int) -> Polytope:
+    """Side facets (cos 2 pi i/n, sin 2 pi i/n, 1) x <= 1 meeting at the apex
+    (0, 0, 1), over the base z >= -1."""
+    angles = 2.0 * np.pi * np.arange(n) / n
+    A = np.vstack([np.column_stack([np.cos(angles), np.sin(angles), np.ones(n)]), [0.0, 0.0, -1.0]])
+    return Polytope(A, np.ones(n + 1))
+
+
+def test_degenerate_vertex_costs_one_row():
+    # C(20, 3) = 1,140 bases meet at the apex; the sweep keeps one row for it
+    p = pyramid(20)
+    V, rho_min = vertex_sweep(p)
+    verts = []
+    for rows in map(list, itertools.combinations(range(p.m), 3)):
+        if abs(np.linalg.det(p.A[rows])) > 1e-12:
+            v = np.linalg.solve(p.A[rows], p.b[rows])
+            if np.all(p.A @ v - p.b <= 1e-9) and all(np.linalg.norm(v - u) > 1e-9 for u in verts):
+                verts.append(v)
+    assert len(V) == len(verts) == 21
+    assert all(np.min(np.linalg.norm(V - v, axis=1)) <= 1e-12 for v in verts)
+    assert rho_min.hex() == "0x1.d68dc8e8e8bf7p-6"
+    cfg = ExperimentConfig.from_dict({
+        "problem": {"type": "polytope", "A": p.A.tolist(), "b": p.b.tolist()},
+        "x0": [0.0, 0.0, 0.0],
+        "objective": {"x_prime": [2.0, 0.5, 0.5]},
+    })
+    tracemalloc.start()
+    try:
+        resolve(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_gradient_consistency():
