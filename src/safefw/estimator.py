@@ -27,7 +27,8 @@ from .special import chi_squared_upper_quantile
 
 
 class ScatterSingularError(RuntimeError):
-    """Centered probe scatter is singular (all points collinear)."""
+    """Centered probe scatter is singular (all points collinear), or so
+    ill-conditioned that P is no longer positive definite in floating point."""
 
 
 def phi_inverse(d: int, delta_bar: float) -> float:
@@ -145,7 +146,13 @@ class ConstraintEstimator:
         and shrink (K, d+1) with P_k = F diag(shrink[i]) F^T for k = k[i]. With
         P = L L^T and L^T V^T V L = Z diag(mu) Z^T, F = L Z and shrink =
         1 / (1 + k mu), and beta_k = beta_hat + P_k V^T (sums_k - k V beta_hat)."""
-        L = np.linalg.cholesky(self.P)
+        try:
+            L = np.linalg.cholesky(self.P)
+        except np.linalg.LinAlgError as exc:
+            raise ScatterSingularError(
+                "probe design became numerically singular: the probe points' magnitude |x| is too large "
+                "relative to the probe radius omega0 for double precision"
+            ) from exc
         mu, Z = np.linalg.eigh(L.T @ (V.T @ V) @ L)
         F = L @ Z
         shrink = 1.0 / (1.0 + k[:, None] * np.maximum(mu, 0.0))  # mu >= 0 but for rounding

@@ -1,15 +1,15 @@
 """Dense linear programming over inequality systems A x <= b with free variables.
 
 Two-phase primal simplex on the split-variable standard form (x = u - v plus
-slacks), Bland's rule for anti-cycling, and a post-solve push to a vertex of
-the optimal face. A solve may be warm-started from a guessed basis (d rows,
-typically the active set of a previous solve of a nearby LP). A basis is
-accepted only when its vertex is verified to be the unique optimum, so a warm
-solve returns the vertex the simplex would. A rejected basis is first moved
-by at most one pivot per row: primal active-set pivots from a feasible vertex
-with a negative multiplier, dual pivots from positive multipliers at an
-infeasible vertex; any other basis, or one the pivots do not verify, falls
-back to the simplex.
+slacks), Bland's rule for anti-cycling; at the optimum the simplex pivots each
+nonbasic free variable in, so a bounded optimum ends at a vertex. A solve may
+be warm-started from a guessed basis (d rows, typically the active set of a
+previous solve of a nearby LP). A basis is accepted only when its vertex is
+verified to be the unique optimum, so a warm solve returns the vertex the
+simplex would. A rejected basis is first moved by at most one pivot per row:
+primal active-set pivots from a feasible vertex with a negative multiplier,
+dual pivots from positive multipliers at an infeasible vertex; any other
+basis, or one the pivots do not verify, falls back to the simplex.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ MAX_PIVOTS = 20000
 
 class PivotLimitError(RuntimeError):
     """Simplex exceeded its pivot budget without reaching a verdict."""
-
-
-class EnumerationCapError(ValueError):
-    """Vertex enumeration would exceed the combinatorial cap."""
 
 
 @dataclass
@@ -67,6 +63,20 @@ def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
+def _leaving_row(a: list[float], rhs: list[float], basis: list[int]) -> int:
+    """Bland's ratio test for an entering column a: the row of the least
+    rhs / a over a > PIVOT_TOL, ties to the lowest basic index; -1 if none."""
+    leave, best = -1, math.inf
+    for i, (a_i, rhs_i) in enumerate(zip(a, rhs)):
+        if a_i > PIVOT_TOL:
+            ratio = rhs_i / a_i
+            if ratio < best - 1e-12:
+                best, leave = ratio, i
+            elif abs(ratio - best) <= 1e-12 and leave >= 0 and basis[i] < basis[leave]:
+                leave = i
+    return leave
+
+
 def _simplex(T: np.ndarray, basis: list[int], allowed: int) -> str:
     """Minimize the bottom-row objective over the first `allowed` columns.
     Bland's rule on entering and leaving, scanned over Python floats."""
@@ -75,62 +85,11 @@ def _simplex(T: np.ndarray, basis: list[int], allowed: int) -> str:
         enter = next((j for j, cost in enumerate(T[-1, :allowed].tolist()) if cost < -COST_TOL), -1)
         if enter < 0:
             return "optimal"
-        leave = -1
-        best = math.inf
-        for i, (a, rhs) in enumerate(zip(T[:m, enter].tolist(), T[:m, -1].tolist())):
-            if a > PIVOT_TOL:
-                ratio = rhs / a
-                if ratio < best - 1e-12:
-                    best, leave = ratio, i
-                elif abs(ratio - best) <= 1e-12 and leave >= 0 and basis[i] < basis[leave]:
-                    leave = i
+        leave = _leaving_row(T[:m, enter].tolist(), T[:m, -1].tolist(), basis)
         if leave < 0:
             return "unbounded"
         _pivot(T, basis, leave, enter)
     raise PivotLimitError(f"simplex made no verdict within {MAX_PIVOTS} pivots")
-
-
-def _null_direction(rows: np.ndarray, d: int) -> np.ndarray | None:
-    """A unit vector in the nullspace of the stacked rows, None if empty."""
-    if rows.size == 0:
-        w = np.zeros(d)
-        w[0] = 1.0
-        return w
-    u, s, vt = np.linalg.svd(rows)
-    if s.size < d or s[-1] <= 1e-10 * max(1.0, s[0]):
-        return vt[-1]
-    return None
-
-
-def _push_to_vertex(p: LpProblem, x: np.ndarray) -> np.ndarray:
-    """Slide along the optimal face (constant objective) until d active rows.
-
-    Requires the face to be bounded in the chosen directions; otherwise the
-    incoming point is returned unchanged.
-    """
-    m, d = p.A.shape
-    for _ in range(m + d + 2):
-        resid, scale = _slack(p.A, p.b, x)
-        active = resid <= ACTIVE_TOL * scale
-        rows = p.A[active]
-        if rows.shape[0] >= d and np.linalg.matrix_rank(rows, tol=1e-10) >= d:
-            break
-        w = _null_direction(np.vstack([rows, p.c[None, :]]), d)
-        if w is None:
-            break
-        step = math.inf
-        direction = None
-        for cand in (w, -w):
-            aw = p.A @ cand
-            movable = (~active) & (aw > 1e-12)
-            if np.any(movable):
-                t = np.min(resid[movable] / aw[movable])
-                if t < step:
-                    step, direction = t, cand
-        if direction is None or not math.isfinite(step):
-            break
-        x = x + step * direction
-    return x
 
 
 def _slack(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,9 +253,19 @@ def solve(p: LpProblem, basis: list[int] | None = None) -> LpSolution:
     if status == "unbounded":
         return LpSolution(None, "unbounded")
 
+    # pivot in each free variable left nonbasic, u_j before v_j; only rows with a
+    # slack or artificial basic bound the step, as a free variable has no sign, so
+    # it slides along the optimal face to the next active row: a vertex if bounded
+    for j in range(d):
+        if j not in basic and d + j not in basic:
+            signed = np.asarray(basic) >= n_struct
+            for col in (j, d + j):
+                leave = _leaving_row(np.where(signed, T[:m, col], 0.0).tolist(), T[:m, -1].tolist(), basic)
+                if leave >= 0:
+                    _pivot(T, basic, leave, col)
+                    break
     vals = np.zeros(ncols)
     vals[basic] = T[:m, -1]
     x = vals[:d] - vals[d:n_struct]
-    x = _push_to_vertex(p, x)
     return LpSolution(x, "optimal", _active_rows(p, x))
 

@@ -15,6 +15,10 @@ from . import lp
 SUBSET_CAP = 10**6  # most constraint subsets an exact enumeration may sweep
 
 
+class EnumerationCapError(ValueError):
+    """Vertex enumeration would exceed the combinatorial cap."""
+
+
 @dataclass
 class Polytope:
     """Linear inequality system A x <= b, assumed compact with interior for use."""
@@ -121,8 +125,8 @@ def _independent_subsets(p: Polytope, sizes: range):
     for each subset whose rows are independent, sigma_min > 1e-10 max(1, sigma_max)."""
     total = sum(math.comb(p.m, k) for k in sizes)
     if total > SUBSET_CAP:
-        raise lp.EnumerationCapError(f"{total} constraint subsets exceed the cap {SUBSET_CAP}; "
-                                     "supply analytic geometry for this instance")
+        raise EnumerationCapError(f"{total} constraint subsets exceed the cap {SUBSET_CAP}; "
+                                  "supply analytic geometry for this instance")
     for k in sizes:
         for rows in map(list, itertools.combinations(range(p.m), k)):
             A_s = p.A[rows]
@@ -198,7 +202,7 @@ def minimize_quadratic(p: Polytope, x_prime: np.ndarray) -> tuple[np.ndarray, fl
         if np.any(lam < -1e-9):
             continue
         x = target - A_s.T @ lam
-        if p.max_violation(x) > 1e-9:
+        if not p.contains(x):
             continue
         f = 0.5 * float((x - target) @ (x - target))
         if f < best_f:

@@ -12,7 +12,7 @@ import pytest
 from safefw import lp
 from safefw.estimator import ConstraintEstimator
 from safefw.oracle import ConstraintOracle, NoiseModel, cross_pattern
-from safefw.problem import Polytope, box_polytope, vertex_sweep
+from safefw.problem import EnumerationCapError, Polytope, box_polytope, vertex_sweep
 from safefw.safety import fact2_check
 from safefw.sfw import TrajectoryRecord, et_bound, solve_dfs, surrogate_gap
 
@@ -59,7 +59,7 @@ def enumerate_vertices(p):
     one per distinct vertex; capped at m <= ENUM_CAP_M and d <= ENUM_CAP_D."""
     m, d = p.A.shape
     if m > ENUM_CAP_M or d > ENUM_CAP_D:
-        raise lp.EnumerationCapError(
+        raise EnumerationCapError(
             f"vertex enumeration capped at m<={ENUM_CAP_M}, d<={ENUM_CAP_D} (got m={m}, d={d})"
         )
     return list(vertex_sweep(Polytope(p.A, p.b))[0])

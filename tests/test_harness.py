@@ -428,6 +428,20 @@ def test_no_completed_repetition_reports_null_rates(tmp_path, monkeypatch, capsy
     assert aggregate["violation_rate"] is None and aggregate["mean_n_total"] is None
 
 
+def test_probe_scale_beyond_double_precision_is_named(tmp_path):
+    """At |x| ~ 4.5e7 with omega0 = 0.01 the design rows [x, -1] leave P with
+    eigenvalues 1e-14 and 4e2, beyond double precision: every repetition fails
+    with the estimator's own error rather than numpy's, and the run exits 2."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": {"type": "box", "d": 2, "half_width": 1e8}, "omega0": 0.01,
+                                "max_total_measurements": 20000, "repetitions": 2,
+                                "out_dir": str(tmp_path / "out")}))
+    assert cli_main(["run", "--config", str(path)]) == 2
+    reps = json.loads((tmp_path / "out" / "summary.json").read_text())["reps"]
+    assert len(reps) == 2
+    assert all(r["error"].startswith("ScatterSingularError: probe design became numerically singular") for r in reps)
+
+
 def test_compare_records_a_failed_pair(tmp_path, monkeypatch, capsys):
     """A pair that raises keeps its seed, gets null results and its error, and
     the comparison goes on; more than 10 % failed pairs exit 2."""

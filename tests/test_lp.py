@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safefw import lp
-from safefw.problem import box_polytope
+from safefw.problem import EnumerationCapError, box_polytope
 
 from helpers import bland_simplex_reference, enumerate_vertices, random_bounded_polytope
 
@@ -61,7 +61,7 @@ def test_enumerate_box_vertices():
 
 def test_enumeration_cap():
     A = np.vstack([np.eye(17)[:, :2], -np.eye(2)])
-    with pytest.raises(lp.EnumerationCapError):
+    with pytest.raises(EnumerationCapError):
         enumerate_vertices(lp.LpProblem(np.zeros(2), A[:17], np.ones(17)))
 
 
@@ -252,6 +252,46 @@ def test_restart_from_any_basis_lands_on_the_cold_vertex(d, extra_rows, seed):
     assert warm.status == cold.status == "optimal"
     assert warm.active_set == cold.active_set
     assert np.abs(warm.point - cold.point).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "c, A, b, vertex, active",
+    [
+        # the simplex stops at (1, 0) with x2 nonbasic; pivoting x2 in slides along
+        # the face until x2 <= 2 becomes active, where a ratio test over every row
+        # would stop at (0, 1), at x1's sign change
+        ([-1.0, -1.0], np.vstack([box_polytope(2, 2.0).A, [1.0, 1.0]]), [2.0] * 4 + [1.0], [-1.0, 2.0], [2, 4]),
+        # the face x2 = 0 is unbounded in +x1, so x1 enters by its v column
+        ([0.0, 1.0], [[0.0, -1.0], [-1.0, 0.0]], [0.0, 1.0], [-1.0, 0.0], [0, 1]),
+    ],
+    ids=["u-column", "v-column"],
+)
+def test_optimal_face_ends_at_a_vertex(c, A, b, vertex, active):
+    sol = lp.solve(lp.LpProblem(np.array(c), np.array(A), np.array(b)))
+    assert sol.status == "optimal"
+    assert sol.point.tolist() == vertex
+    assert sol.active_set == active
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5), st.integers(0, 8), st.integers(0, 2**32 - 1))
+def test_facet_objective_ends_at_a_vertex(d, extra_rows, seed):
+    """With c the outward normal of a row, the optimal face is that row's facet
+    (or a face of it, if the row is redundant), so the simplex stops with free
+    variables nonbasic. The point returned is a feasible vertex, d independent
+    active rows, with scipy's optimal value. A random shift puts the origin
+    outside the polytope now and then, so phase 1 runs too."""
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(seed)
+    p = random_bounded_polytope(rng, d, 2 * d + extra_rows)
+    A, b = p.A, p.b + p.A @ rng.uniform(-2.0, 2.0, d)
+    c = -A[rng.integers(0, A.shape[0])]
+    sol = lp.solve(lp.LpProblem(c, A, b))
+    ref = optimize.linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * d, method="highs")
+    assert sol.status == "optimal" and ref.status == 0
+    assert np.all(A @ sol.point - b <= 1e-9 * (1.0 + np.abs(b)))
+    assert np.linalg.matrix_rank(A[sol.active_set]) == d
+    assert abs(c @ sol.point - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
 
 
 def test_matches_scipy_linprog():

@@ -22,11 +22,13 @@ def test_every_export_imports():
     assert len(set(safefw.__all__)) == len(safefw.__all__)
 
 
-def _unreached(definitions, appearances) -> list[str]:
+def _unreached(definitions, appearances, readers=("bench",)) -> list[str]:
     """Labels of the definitions in src/safefw (not __init__.py) whose name
-    appears nowhere in src/safefw outside its own definition, nor in bench/."""
+    appears nowhere in src/safefw outside its own definition, nor in the
+    reader directories (bench/ by default)."""
     sources = sorted(p for p in (ROOT / "src" / "safefw").glob("*.py") if p.name != "__init__.py")
-    trees = {p: ast.parse(p.read_text()) for p in sources + sorted((ROOT / "bench").glob("*.py"))}
+    extra = sorted(p for reader in readers for p in (ROOT / reader).glob("*.py"))
+    trees = {p: ast.parse(p.read_text()) for p in sources + extra}
     seen = {p: list(appearances(tree)) for p, tree in trees.items()}
     missing = []
     for path in sources:
@@ -70,6 +72,20 @@ def test_every_public_name_has_a_caller_outside_tests():
     bench/, whose tracer patches functions by their string names."""
     unused = _unreached(_public_definitions, _appearances)
     assert not unused, f"public names that only tests reach: {unused}"
+
+
+def _private_definitions(tree):
+    """(label, name, node) for each private top-level function and class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+            yield node.name, node.name, node
+
+
+def test_every_private_helper_is_used():
+    """No private top-level function or class in src/safefw is dead code: each
+    is referenced in src/safefw outside its own definition."""
+    dead = _unreached(_private_definitions, _appearances, readers=())
+    assert not dead, f"private helpers that nothing in src/safefw references: {dead}"
 
 
 def _class_members(tree):

@@ -120,9 +120,9 @@ def test_geometry_requires_strict_feasibility():
 
 def test_geometry_subset_cap(monkeypatch):
     monkeypatch.setattr(problem, "SUBSET_CAP", 5)  # the box has C(4, 2) = 6 bases
-    with pytest.raises(lp.EnumerationCapError):
+    with pytest.raises(problem.EnumerationCapError):
         vertex_sweep(box_polytope(2))
-    with pytest.raises(lp.EnumerationCapError):
+    with pytest.raises(problem.EnumerationCapError):
         minimize_quadratic(box_polytope(2), np.array([2.0, 0.5]))
 
 
