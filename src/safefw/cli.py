@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .harness import ConfigError, ExperimentConfig, compare_sfw_ro, run_experiment, resolve
+from .harness import ExperimentConfig, compare_sfw_ro, run_experiment, resolve
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -41,12 +41,16 @@ def main(argv=None) -> int:
     _add_common(sub.add_parser("validate-config", help="validate a config without running"))
     args = parser.parse_args(argv)
 
+    # A failed seed is recorded by the run; this catches configs that do not resolve and unusable outputs.
     try:
         cfg = _load_config(args.config, args)
-        resolved = resolve(cfg)
-        if args.command != "validate-config":
-            Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+        if args.command == "validate-config":
+            resolved = resolve(cfg)
+        elif args.command == "run":
+            summary = run_experiment(cfg)
+        else:
+            report = compare_sfw_ro(cfg)
+    except (ValueError, OSError) as exc:  # ConfigError and json.JSONDecodeError are ValueErrors
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -57,7 +61,6 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     if args.command == "run":
-        summary = run_experiment(cfg)
         final = summary.mean_curve[-1] if summary.mean_curve else float("nan")
         violation_rate, mean_n = (float("nan") if v is None else v for v in (summary.violation_rate, summary.mean_n_total))
         print(f"runs={len(summary.reps)} failed_fraction={summary.failed_fraction:.3f} "
@@ -65,7 +68,6 @@ def main(argv=None) -> int:
               f"mean_final_normalized={final:.6g}")
         failed_fraction = summary.failed_fraction
     else:
-        report = compare_sfw_ro(cfg)
         print(f"pairs={len(report.seeds)} sfw_wins={report.sfw_wins} "
               f"fraction_sfw_better={report.fraction_sfw_better:.3f}")
         failed_fraction = sum(err is not None for err in report.errors) / len(report.seeds)

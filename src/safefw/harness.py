@@ -94,6 +94,7 @@ class ResolvedExperiment:
     setup: ProblemSetup  # objective, x0 and geometry
     safety: SafetyConfig
     f_star: float
+    h0: float  # f(x0) - f*, the scale of the normalized gaps
     beta_true: np.ndarray  # (d+1) x m stack of [a_i; b_i], diagnostics only
 
 
@@ -163,8 +164,10 @@ def _vector(name: str, value, d: int) -> np.ndarray:
     return out
 
 
-def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
-    """Validate every referenced field and build the immutable run inputs."""
+def resolve(cfg: ExperimentConfig, variant: str | None = None) -> ResolvedExperiment:
+    """Validate every referenced field and build the immutable run inputs; of the
+    variant-specific fields only those `variant` (default `cfg.variant`) reads."""
+    variant = variant or cfg.variant
     _check_types(cfg)
     if cfg.repetitions < 1:
         raise ConfigError("repetitions must be >= 1")
@@ -255,24 +258,22 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
     )
     if not math.isfinite(scfg.phi_delta):
         raise ConfigError(f"sigma {cfg.sigma!r} and delta {cfg.delta!r} give a non-finite confidence radius phi_delta")
-    if cfg.cn == "auto":
+    if cfg.cn != "auto" and cfg.cn < 0:
+        raise ConfigError("cn must be non-negative")
+    if variant == "prescribed":  # the one variant that reads cn; the others keep cn = 0
         try:
-            cn_value = cn_lower_bound(geometry, scfg, d)
+            cn = cn_lower_bound(geometry, scfg, d) if cfg.cn == "auto" else float(cfg.cn)
         except (OverflowError, ZeroDivisionError):
-            cn_value = math.inf
-        if not math.isfinite(cn_value):
+            cn = math.inf
+        if not math.isfinite(cn):  # an explicit cn is finite by _check_types
             raise ConfigError("cn 'auto' is not finite for this problem, x0, omega0, sigma, delta and T; "
                               "give cn as a number")
-    else:
-        cn_value = float(cfg.cn)
-        if cn_value < 0:
-            raise ConfigError("cn must be non-negative")
+        if cn <= 0:
+            raise ConfigError(f"variant 'prescribed' needs a positive cn, got {cn!r}")
+        scfg = replace(scfg, cn=cn)
     if not math.isfinite(M):
         raise ConfigError("the gradient bound M is not finite for this problem and objective.x_prime")
-    scfg = replace(scfg, cn=cn_value)
-    if cfg.variant == "prescribed" and cn_value <= 0:
-        raise ConfigError(f"variant 'prescribed' needs a positive cn, got {cn_value!r}")
-    if cfg.variant == "ro" and cfg.ro_total_measurements is None:
+    if variant == "ro" and cfg.ro_total_measurements is None:
         raise ConfigError("variant 'ro' needs ro_total_measurements")
     if cfg.ro_total_measurements is not None and cfg.ro_total_measurements < 2 * (d + 1):
         raise ConfigError(f"ro_total_measurements must be at least 2(d+1) = {2 * (d + 1)}")
@@ -285,6 +286,7 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         setup=ProblemSetup(objective=objective, x0=x0, geometry=geometry),
         safety=scfg,
         f_star=f_star,
+        h0=h0,
         beta_true=np.vstack([polytope.A.T, polytope.b[None, :]]),
     )
 
@@ -331,11 +333,10 @@ def run_single(
     wall = time.perf_counter() - start
 
     iterate_violations, fact1_violations = _annotate_ground_truth(res, rec)
-    h0 = res.setup.objective.value(res.setup.x0) - res.f_star
     rep = RepResult(
         seed=seed,
         status=rec.status,
-        normalized=[(row.f - res.f_star) / h0 for row in rec.rows],
+        normalized=[(row.f - res.f_star) / res.h0 for row in rec.rows],
         iterate_violations=iterate_violations,
         probe_violations=oracle.out_of_reach_events,
         fact1_violations=fact1_violations,
@@ -358,24 +359,40 @@ def _aggregate(reps: list[RepResult]) -> tuple[list[float], list[float]]:
     return [float(v) for v in mean], [float(v) for v in std]
 
 
+def _each_seed(cfg: ExperimentConfig, out_dir: str | None, body, failed, variant: str | None = None):
+    """Resolve `cfg` for `variant`, create the output directory, and return it, the
+    seeds `base_seed + i` and per seed `body(res, out, i, seed)`, or for a body that
+    raises `failed(seed, "<type>: <message>")`; the loop goes on after a failure."""
+    res = resolve(cfg, variant)
+    out = Path(out_dir or cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    seeds = [cfg.base_seed + i for i in range(cfg.repetitions)]
+    results = []
+    for i, seed in enumerate(seeds):
+        try:
+            results.append(body(res, out, i, seed))
+        except Exception as exc:  # recorded per seed, the loop goes on
+            results.append(failed(seed, f"{type(exc).__name__}: {exc}"))
+    return out, seeds, results
+
+
+def _write_json(path, fields: dict) -> None:
+    """`fields` as indented JSON, its leading `config` followed by `created_at`."""
+    payload = {"config": fields.pop("config"), "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"), **fields}
+    Path(path).write_text(json.dumps(payload, indent=2))
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunSummary:
     """Execute `repetitions` seeded runs, write per-run CSVs and the summary JSON.
 
     A failing repetition is recorded and the experiment continues.
     """
-    res = resolve(cfg)
-    out = Path(out_dir or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    h0 = res.setup.objective.value(res.setup.x0) - res.f_star
-    seeds = [cfg.base_seed + i for i in range(cfg.repetitions)]
-    reps: list[RepResult] = []
-    for i, seed in enumerate(seeds):
-        try:
-            rec, rep = run_single(res, seed)
-            write_trajectory_csv(rec, res.f_star, h0, out / f"trajectory_rep{i:03d}.csv")
-        except Exception as exc:  # recorded per repetition, experiment continues
-            rep = RepResult(seed=seed, status="failed", error=f"{type(exc).__name__}: {exc}")
-        reps.append(rep)
+    def body(res, out, i, seed):
+        rec, rep = run_single(res, seed)
+        write_trajectory_csv(rec, res.f_star, res.h0, out / f"trajectory_rep{i:03d}.csv")
+        return rep
+
+    out, seeds, reps = _each_seed(cfg, out_dir, body, lambda seed, err: RepResult(seed, "failed", error=err))
     mean_curve, std_curve = _aggregate(reps)
     ok = [r for r in reps if r.status != "failed"]
     summary = RunSummary(
@@ -416,24 +433,16 @@ def compare_sfw_ro(cfg: ExperimentConfig, out_dir: str | None = None) -> Compari
     both methods consume identical measurement counts. A failing pair is
     recorded and the comparison continues.
     """
-    res = resolve(cfg)
-    out = Path(out_dir or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    h0 = res.setup.objective.value(res.setup.x0) - res.f_star
-    seeds = [cfg.base_seed + i for i in range(cfg.repetitions)]
-    sfw_final, ro_final, budgets, errors = [], [], [], []
-    for i, seed in enumerate(seeds):
-        try:
-            rec_sfw, rep_sfw = run_single(res, seed, variant="adaptive")
-            budget = max(rec_sfw.total_measurements, 2 * (res.polytope.d + 1))
-            rec_ro, rep_ro = run_single(res, seed, variant="ro", ro_budget=budget)
-            write_trajectory_csv(rec_sfw, res.f_star, h0, out / f"sfw_rep{i:03d}.csv")
-            write_trajectory_csv(rec_ro, res.f_star, h0, out / f"ro_rep{i:03d}.csv")
-            pair = (rep_sfw.normalized[-1], rep_ro.normalized[-1], budget, None)
-        except Exception as exc:  # recorded per pair, comparison continues
-            pair = (None, None, None, f"{type(exc).__name__}: {exc}")
-        for column, value in zip((sfw_final, ro_final, budgets, errors), pair):
-            column.append(value)
+    def body(res, out, i, seed):
+        rec_sfw, rep_sfw = run_single(res, seed, variant="adaptive")
+        budget = max(rec_sfw.total_measurements, 2 * (res.polytope.d + 1))
+        rec_ro, rep_ro = run_single(res, seed, variant="ro", ro_budget=budget)
+        write_trajectory_csv(rec_sfw, res.f_star, res.h0, out / f"sfw_rep{i:03d}.csv")
+        write_trajectory_csv(rec_ro, res.f_star, res.h0, out / f"ro_rep{i:03d}.csv")
+        return rep_sfw.normalized[-1], rep_ro.normalized[-1], budget, None
+
+    out, seeds, pairs = _each_seed(cfg, out_dir, body, lambda seed, err: (None, None, None, err), "adaptive")
+    sfw_final, ro_final, budgets, errors = (list(column) for column in zip(*pairs))
     wins = sum(1 for a, b, err in zip(sfw_final, ro_final, errors) if err is None and a <= b + TIE_TOL)
     report = ComparisonReport(
         config=asdict(cfg),
@@ -445,9 +454,7 @@ def compare_sfw_ro(cfg: ExperimentConfig, out_dir: str | None = None) -> Compari
         fraction_sfw_better=wins / len(seeds),
         errors=errors,
     )
-    fields = asdict(report)
-    payload = {"config": fields.pop("config"), "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"), **fields}
-    (out / "comparison.json").write_text(json.dumps(payload, indent=2))
+    _write_json(out / "comparison.json", asdict(report))
     return report
 
 
@@ -503,17 +510,8 @@ def load_trajectory_csv(path) -> dict[str, list]:
 
 
 def write_summary_json(summary: RunSummary, path) -> None:
-    payload = {
-        "config": summary.config,
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "seeds": summary.seeds,
-        "aggregate": {
-            "mean_curve": summary.mean_curve,
-            "std_curve": summary.std_curve,
-            "violation_rate": summary.violation_rate,
-            "mean_n_total": summary.mean_n_total,
-            "failed_fraction": summary.failed_fraction,
-        },
-        "reps": [asdict(r) for r in summary.reps],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2))
+    fields = asdict(summary)
+    aggregate = {key: fields.pop(key) for key in ("mean_curve", "std_curve", "violation_rate", "mean_n_total",
+                                                  "failed_fraction")}
+    _write_json(path, {"config": fields.pop("config"), "seeds": fields.pop("seeds"), "aggregate": aggregate,
+                       "reps": fields.pop("reps")})

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import lp
 from .estimator import ConstraintEstimator
-from .oracle import ConstraintOracle, cross_pattern
+from .oracle import ConstraintOracle, CrossPattern, cross_pattern
 from .problem import GeometryConstants, Objective, Polytope
 from .safety import SafetyConfig, SafetyVerdict, c_delta_constant, fact2_check, nt_schedule, unsafe_ahead
 
@@ -182,11 +182,11 @@ def solve_dfs(est: ConstraintEstimator, guard: float, grad: np.ndarray, basis: l
 
 def _absorb_cross(
     oracle: ConstraintOracle, est: ConstraintEstimator, center: np.ndarray, omega0: float, n: int
-) -> int:
+) -> CrossPattern:
     pattern = cross_pattern(center, omega0, n)
     value_sums = oracle.measure_repeated(pattern.points, pattern.multiplicity)
     est.absorb_repeated(pattern.points, value_sums, pattern.multiplicity)
-    return pattern.total
+    return pattern
 
 
 def _absorb_crosses(oracle: ConstraintOracle, est: ConstraintEstimator, points: np.ndarray, count: int) -> int:
@@ -236,13 +236,13 @@ def _run_prescribed(setup, oracle, est, scfg, cfg) -> TrajectoryRecord:
     rec = TrajectoryRecord()
     x = setup.x0.copy()
     for t in range(scfg.T):
-        n_t = _absorb_cross(oracle, est, x, scfg.omega0, max(nt_schedule(scfg.cn, t), 2 * setup.d))
+        n_t = _absorb_cross(oracle, est, x, scfg.omega0, max(nt_schedule(scfg.cn, t), 2 * setup.d)).total
         row = rec.add(x, obj.value(x), est.N, fact2_check(est, scfg, x), est)  # asserted, not enforced
         grad = obj.gradient(x)
         sol = solve_dfs(est, setup.dfs_guard, grad)
         extra = 0
         if sol.status != "optimal":  # one extra cross batch, then re-solve
-            extra = _absorb_cross(oracle, est, x, scfg.omega0, 2 * setup.d)
+            extra = _absorb_cross(oracle, est, x, scfg.omega0, 2 * setup.d).total
             sol = solve_dfs(est, setup.dfs_guard, grad)
         s_hat, status = _direction(sol, x)
         gap = surrogate_gap(grad, x, s_hat)
@@ -275,8 +275,8 @@ def _run_adaptive(setup, oracle, est, scfg, cfg) -> TrajectoryRecord:
         if t > 0 and est.N + warm_up > cfg.max_total_measurements:
             rec.status = "budget-exhausted"
             break
-        taken = _absorb_cross(oracle, est, x, scfg.omega0, warm_up)
-        cross = cross_pattern(x, scfg.omega0, 2 * d).points
+        warm = _absorb_cross(oracle, est, x, scfg.omega0, warm_up)
+        taken, cross = warm.total, warm.points  # every extra cross at x reuses these 2d points
         grad = obj.gradient(x)
         gamma = 1.0 / (t + 2)
         extras = 0

@@ -306,10 +306,10 @@ def test_omega0_too_small_to_span_is_a_config_error(tmp_path, capsys, command, o
 
 @pytest.mark.parametrize("overrides, message", [
     pytest.param({"sigma": 1e308}, "sigma 1e+308 and delta 0.1 give a non-finite confidence radius", id="huge-sigma"),
-    pytest.param({"problem": {"type": "box", "d": 2, "half_width": 1e300}, "omega0": 1},
+    pytest.param({"problem": {"type": "box", "d": 2, "half_width": 1e300}, "omega0": 1, "variant": "prescribed"},
                  "cn 'auto' is not finite", id="overflowing-cn"),
-    pytest.param({"problem": {"type": "polytope", "A": [[1, 0], [0, 1], [-1, -1]], "b": [1, 1, 1e-300]}},
-                 "cn 'auto' is not finite", id="underflowing-eps0"),
+    pytest.param({"problem": {"type": "polytope", "A": [[1, 0], [0, 1], [-1, -1]], "b": [1, 1, 1e-300]},
+                  "variant": "prescribed"}, "cn 'auto' is not finite", id="underflowing-eps0"),
     pytest.param({"objective": {"x_prime": [1e308, 0.5]}}, "f(x0) - f* is not finite", id="overflowing-h0"),
     pytest.param({"problem": {"type": "box", "d": 2, "half_width": 1e300}, "omega0": 1, "cn": 5},
                  "the gradient bound M is not finite for this problem and objective.x_prime", id="overflowing-M"),
@@ -327,6 +327,31 @@ def test_non_finite_derived_constants_are_config_errors(tmp_path, capsys, recwar
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err
     assert not recwarn.list
+
+
+TINY_MARGIN_SQUARE = {"type": "polytope", "A": [[1, 0], [-1, 0], [0, 1], [0, -1]], "b": [1e-170, 1, 1, 1]}
+
+
+@pytest.mark.parametrize("command, overrides", [
+    pytest.param("run", {"problem": TINY_MARGIN_SQUARE, "objective": {"x_prime": [-2, 0.5]}}, id="adaptive-auto-cn"),
+    pytest.param("compare", {"variant": "ro", "cn": 0}, id="compare-ro-without-budget"),
+    pytest.param("compare", {"variant": "prescribed", "cn": 0}, id="compare-prescribed-zero-cn"),
+])
+def test_fields_of_other_variants_are_not_checked(tmp_path, capsys, command, overrides):
+    """Only the prescribed schedule reads cn and only ro reads its budget, so a
+    non-finite auto cn does not stop an adaptive run, and compare, which runs
+    adaptive against ro with its own budgets, ignores what `variant` needs."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": {"type": "box", "d": 2}, **overrides}))
+    assert cli_main([command, "--config", str(path), "--reps", "2", "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    if command == "run":
+        assert out.startswith("runs=2 failed_fraction=0.000 violation_rate=0.000 mean_N=486.0 ")
+        assert cli_main(["validate-config", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.endswith(", cn=0\n")
+    else:
+        assert out.startswith("pairs=2 ")
+        assert json.loads((tmp_path / "out" / "comparison.json").read_text())["errors"] == [None, None]
 
 
 def test_validate_config_resolves_a_tiny_delta(tmp_path, capsys):
@@ -379,16 +404,53 @@ def test_trajectory_csv_matches_pinned_rows(tmp_path, variant):
                 assert got == want or (math.isnan(got) and math.isnan(want)), (t, name)
 
 
+GENERAL_POLYTOPE = {
+    "type": "polytope",
+    "A": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]],
+    "b": [1.0, 1.0, 1.0, 1.0, 1.5],
+}
+
+
 def test_general_polytope_config(tmp_path):
-    p = {
-        "type": "polytope",
-        "A": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]],
-        "b": [1.0, 1.0, 1.0, 1.0, 1.5],
-    }
-    cfg = d2_config(problem=p, repetitions=2, out_dir=str(tmp_path / "gp"))
+    cfg = d2_config(problem=GENERAL_POLYTOPE, repetitions=2, out_dir=str(tmp_path / "gp"))
     summary = run_experiment(cfg)
     assert summary.failed_fraction == 0.0
     assert summary.violation_rate == 0.0
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_one_resolve_per_command(tmp_path, monkeypatch, command):
+    """run and compare resolve the config once, so a polytope's vertices are swept once."""
+    import safefw.harness as hmod
+
+    calls = []
+    real = hmod.vertex_sweep
+    monkeypatch.setattr(hmod, "vertex_sweep", lambda p: calls.append(p) or real(p))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": GENERAL_POLYTOPE, "repetitions": 1, "out_dir": str(tmp_path / "out")}))
+    assert cli_main([command, "--config", str(path)]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command, written", [("run", "summary.json"), ("compare", "comparison.json")])
+@pytest.mark.parametrize("failure", ["subset-cap", "json-write"])
+def test_failures_outside_a_seed_are_config_errors(tmp_path, monkeypatch, capsys, command, written, failure):
+    """With the CLI no longer resolving for run and compare, a polytope over
+    the subset cap and a JSON file that cannot be written still exit 1 with
+    one stderr line."""
+    import safefw.problem as problem
+
+    out = tmp_path / "out"
+    if failure == "subset-cap":
+        monkeypatch.setattr(problem, "SUBSET_CAP", 5)  # the polytope has C(5, 2) = 10 bases
+    else:
+        (out / written).mkdir(parents=True)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": GENERAL_POLYTOPE, "repetitions": 1, "out_dir": str(out)}))
+    assert cli_main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert ("exceed the cap 5" if failure == "subset-cap" else "Is a directory") in err
 
 
 def test_failed_repetition_recorded(tmp_path, monkeypatch):
