@@ -360,9 +360,9 @@ def _aggregate(reps: list[RepResult]) -> tuple[list[float], list[float]]:
 
 
 def _each_seed(cfg: ExperimentConfig, out_dir: str | None, body, failed, variant: str | None = None):
-    """Resolve `cfg` for `variant`, create the output directory, and return it, the
-    seeds `base_seed + i` and per seed `body(res, out, i, seed)`, or for a body that
-    raises `failed(seed, "<type>: <message>")`; the loop goes on after a failure."""
+    """Resolve `cfg` for `variant`, create the output directory and collect
+    `body(res, out, i, seed)` for seeds `base_seed + i`, or `failed(seed, "<type>: <message>")`
+    for a body that raises; return the directory, the seeds and these results."""
     res = resolve(cfg, variant)
     out = Path(out_dir or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -435,9 +435,9 @@ def test_one_resolve_per_command(tmp_path, monkeypatch, command):
 @pytest.mark.parametrize("command, written", [("run", "summary.json"), ("compare", "comparison.json")])
 @pytest.mark.parametrize("failure", ["subset-cap", "json-write"])
 def test_failures_outside_a_seed_are_config_errors(tmp_path, monkeypatch, capsys, command, written, failure):
-    """With the CLI no longer resolving for run and compare, a polytope over
-    the subset cap and a JSON file that cannot be written still exit 1 with
-    one stderr line."""
+    """run and compare resolve the config inside the harness; a polytope over
+    the subset cap found there, and a JSON file that cannot be written, exit 1
+    with one stderr line."""
     import safefw.problem as problem
 
     out = tmp_path / "out"
