@@ -41,7 +41,8 @@ def main(argv=None) -> int:
     _add_common(sub.add_parser("validate-config", help="validate a config without running"))
     args = parser.parse_args(argv)
 
-    # A failed seed is recorded by the run; this catches configs that do not resolve and unusable outputs.
+    # A failed seed is recorded by the run; this catches configs that do not resolve, or that ask for
+    # arrays too large to allocate, and unusable outputs.
     try:
         cfg = _load_config(args.config, args)
         if args.command == "validate-config":
@@ -50,7 +51,7 @@ def main(argv=None) -> int:
             summary = run_experiment(cfg)
         else:
             report = compare_sfw_ro(cfg)
-    except (ValueError, OSError) as exc:  # ConfigError and json.JSONDecodeError are ValueErrors
+    except (ValueError, OSError, MemoryError) as exc:  # ConfigError and json.JSONDecodeError are ValueErrors
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -7,7 +7,8 @@ only inverse kept. Once the design spans R^(d+1), one eigen-form step does
 every update: an absorb of a stack of points (a whole cross, or one point)
 measured k times each, and a forecast of K more crosses, the step at
 k = 1..K. It adds positive terms only, so no accuracy is lost as counts
-grow, and a block absorb lands on the forecast's state bit for bit.
+grow. A block absorb lands on the forecast's state bit for bit, so `commit`
+adopts the forecast at k instead of absorbing those k crosses again.
 
 Until the design spans, rows are taken one at a time and estimates fall back
 to a pseudo-inverse solve: P is formed by a dense inverse at the row where
@@ -24,6 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special import chi_squared_upper_quantile
+
+# Values per cross from which the forecast's running sums are added one cross
+# at a time: numpy's cumsum along the leading axis is faster below it.
+LOOP_SUM_MIN = 256
 
 
 class ScatterSingularError(RuntimeError):
@@ -138,7 +143,17 @@ class ConstraintEstimator:
         X = np.asarray(points, dtype=float)
         V = np.hstack([X, -np.ones((X.shape[0], 1))])
         k = np.arange(1, values.shape[0] + 1, dtype=float)
-        return Forecast(*self._step(V, k, np.cumsum(values, axis=0)))
+        return Forecast(*self._step(V, k, _running_sums(values)))
+
+    def commit(self, points: np.ndarray, ahead: Forecast, count: int) -> None:
+        """Absorb the first `count` crosses at the points (n, d) that `ahead`
+        forecast from this state: its estimates at k = count, the state that
+        absorb_repeated of their summed values gives, bit for bit."""
+        if not 1 <= count <= ahead.beta.shape[0]:
+            raise ValueError(f"count must lie in 1..{ahead.beta.shape[0]}")
+        self._add_counts(np.asarray(points, dtype=float), count)
+        self.beta_hat = ahead.beta[count - 1].copy()
+        self.P = (ahead.F * ahead.shrink[count - 1]) @ ahead.F.T
 
     def _step(self, V: np.ndarray, k: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The posterior after measuring the rows of V k times each, for each
@@ -177,6 +192,18 @@ class ConstraintEstimator:
         if self.P is None:
             raise ScatterSingularError("centered probe scatter is singular")
         return self.sum_x / self.N, self.P[: self.d, : self.d]
+
+
+def _running_sums(values: np.ndarray) -> np.ndarray:
+    """np.cumsum(values, axis=0) bit for bit: the same additions in the same
+    order, one cross at a time once a cross (values[k]) holds LOOP_SUM_MIN
+    values, where the strided cumsum is the slower."""
+    if math.prod(values.shape[1:]) < LOOP_SUM_MIN:
+        return np.cumsum(values, axis=0)
+    sums = np.array(values, dtype=float)
+    for k in range(1, sums.shape[0]):
+        sums[k] += sums[k - 1]
+    return sums
 
 
 def spans(points: np.ndarray) -> bool:

@@ -6,6 +6,9 @@ measured in one call. A stack draws its noise as one (n, count, m) array when
 that fits the draw chunk, which reads the generator in the same order as
 per-point calls and returns the same sums bit for bit. `lookahead` peeks at
 future calls; their noise waits in a buffer that every later draw reads first.
+`commit` then takes the first peeked calls as made: it consumes their noise
+and counts their out-of-reach events, so the stream and the count stand where
+the measurements themselves would leave them.
 """
 
 from __future__ import annotations
@@ -109,6 +112,10 @@ class ConstraintOracle:
         # one matrix-vector product per point, the same arithmetic as A @ x
         return np.matmul(self._A, X[:, :, None])[:, :, 0] - self._b
 
+    def _count_reach(self, values: np.ndarray, count: int) -> None:
+        deficits = np.max(values / self._row_norms, axis=1)
+        self.out_of_reach_events += count * int(np.count_nonzero(deficits > self.omega0 + 1e-12))
+
     def lookahead(self, points: np.ndarray, count: int) -> np.ndarray:
         """Values (count, n, m) that the next `count` calls measure_repeated(points, 1)
         on a stack of n points will return; counts no reach events."""
@@ -119,6 +126,17 @@ class ConstraintOracle:
         if self._pushback.size < size:
             self._pushback = np.concatenate([self._pushback, self._fresh(size - self._pushback.size)])
         return values + self._pushback[:size].reshape((count,) + values.shape)
+
+    def commit(self, points: np.ndarray, count: int) -> None:
+        """Make the first `count` of the calls that `lookahead(points, K)` peeked
+        at, without measuring them again: their noise leaves the buffer and
+        each counts the stack's out-of-reach events."""
+        values = self._signal(np.atleast_2d(np.asarray(points, dtype=float)))
+        size = count * values.size if self.noise.sigma > 0.0 else 0
+        if count < 1 or self._pushback.size < size:
+            raise ValueError(f"cannot commit {count} calls: the lookahead holds {self._pushback.size} values")
+        self._pushback = self._pushback[size:]
+        self._count_reach(values, count)
 
     def measure_repeated(self, x: np.ndarray, count: int) -> np.ndarray:
         """Componentwise sums of `count` independent measurements at x.
@@ -131,8 +149,7 @@ class ConstraintOracle:
             raise ValueError("count must be >= 1")
         X = np.asarray(x, dtype=float)
         values = self._signal(np.atleast_2d(X))
-        deficits = np.max(values / self._row_norms, axis=1)
-        self.out_of_reach_events += int(np.count_nonzero(deficits > self.omega0 + 1e-12))
+        self._count_reach(values, 1)
         total = count * values
         if self.noise.sigma > 0.0:
             n, m = total.shape

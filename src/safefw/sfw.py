@@ -189,23 +189,14 @@ def _absorb_cross(
     return pattern
 
 
-def _absorb_crosses(oracle: ConstraintOracle, est: ConstraintEstimator, points: np.ndarray, count: int) -> int:
-    """Measure `count` crosses at points in the stream order of `count` calls, absorb them at once."""
-    n = points.shape[0]
-    sums = oracle.measure_repeated(np.tile(points, (count, 1)), 1).reshape(count, n, -1).sum(axis=0)
-    est.absorb_repeated(points, sums, count)
-    return count * n
-
-
-def _skippable_passes(oracle, est, scfg, guard, x, grad, gamma, points, basis, count) -> int:
-    """How many crosses at x to absorb at once: the first j <= count after
+def _skippable_passes(ahead, scfg, guard, x, grad, gamma, basis) -> int:
+    """How many forecast crosses at x to commit at once: the first k after
     which a pass might not see `basis` verified and a clearly unsafe
-    candidate, else count. The passes before it would each absorb one cross."""
-    ahead = est.forecast(points, oracle.lookahead(points, count))
+    candidate, else all K. The passes before it would each absorb one cross."""
     A, b = _guarded_rows(ahead.beta, guard)
     s_hat, verified = lp.verified_vertices(A, b, grad, basis, TIE_BAND)
     skippable = verified & unsafe_ahead(ahead, scfg, x + gamma * (s_hat - x), TIE_BAND)
-    return count if skippable.all() else int(np.argmin(skippable)) + 1
+    return skippable.size if skippable.all() else int(np.argmin(skippable)) + 1
 
 
 def _direction(sol: lp.LpSolution, x: np.ndarray) -> tuple[np.ndarray, str]:
@@ -264,7 +255,8 @@ def _run_adaptive(setup, oracle, est, scfg, cfg) -> TrajectoryRecord:
     previous active set), until the stepped candidate passes the scalar safety
     test. Extra safety batches never precede the stop check. Once a basis has
     come back twice, the passes a lookahead shows would keep it and stay unsafe
-    are absorbed as one block; blocks double after one skipped whole."""
+    are committed as one block from the forecast, not measured again; blocks
+    double after one skipped whole."""
     d, obj, geo = setup.d, setup.objective, setup.geometry
     rec = TrajectoryRecord()
     row = rec.add(setup.x0, obj.value(setup.x0), 0)
@@ -299,9 +291,14 @@ def _run_adaptive(setup, oracle, est, scfg, cfg) -> TrajectoryRecord:
                 break
             count, size = 1, min(block, room, AHEAD_MAX_VALUES // (cross.shape[0] * est.m))
             if repeats >= 2 and size > 1:
-                count = _skippable_passes(oracle, est, scfg, setup.dfs_guard, x, grad, gamma, cross, basis, size)
+                ahead = est.forecast(cross, oracle.lookahead(cross, size))
+                count = _skippable_passes(ahead, scfg, setup.dfs_guard, x, grad, gamma, basis)
                 block = min(2 * block, AHEAD_MAX) if count == size else max(AHEAD_MIN, 2 * count)
-            taken += _absorb_crosses(oracle, est, cross, count)
+                oracle.commit(cross, count)
+                est.commit(cross, ahead, count)
+            else:
+                est.absorb_repeated(cross, oracle.measure_repeated(cross, 1), 1)
+            taken += count * cross.shape[0]
             extras += count
         ghat, et = surrogate_gap(grad, x, s_hat), et_bound(scfg, geo, obj.M, est.N, d)
         row.record_step(s_hat, ghat, et, taken, est.N, status, extras)

@@ -1,8 +1,9 @@
 """Shared test utilities: random bounded polytopes, estimator builders, and
 independent references: a vertex enumerator, a finite-difference gradient
 check, covariance norms, a solver for the cone-constrained linear
-subproblem, the adaptive driver that absorbs one cross per pass, and the
-simplex kernel that reads the tableau one numpy scalar at a time."""
+subproblem, the adaptive driver that absorbs one cross per pass, the block
+absorb that a committed forecast must equal, and the simplex kernel that
+reads the tableau one numpy scalar at a time."""
 
 import math
 
@@ -257,6 +258,15 @@ def _reference_absorb_cross(oracle, est, center, omega0, n):
     pattern = cross_pattern(center, omega0, n)
     est.absorb_repeated(pattern.points, oracle.measure_repeated(pattern.points, pattern.multiplicity), pattern.multiplicity)
     return pattern.total
+
+
+def absorb_crosses_reference(oracle, est, points, count):
+    """Measure `count` crosses at the points in the stream order of `count`
+    calls and absorb their summed values in one call: the state that
+    committing a forecast of those crosses must reach bit for bit."""
+    n = points.shape[0]
+    sums = oracle.measure_repeated(np.tile(points, (count, 1)), 1).reshape(count, n, -1).sum(axis=0)
+    est.absorb_repeated(points, sums, count)
 
 
 def run_adaptive_reference(setup, oracle, est, scfg, cfg):

@@ -242,7 +242,8 @@ def test_forecast_matches_one_cross_at_a_time():
     """The forecast after k more crosses equals the estimate after absorbing
     those k crosses one call each: beta and the cone quadratic z^T P_k z,
     over 300 crosses at one point set; and one absorb of the k crosses'
-    summed values lands on the forecast's beta and P bit for bit."""
+    summed values lands on the forecast's beta and P bit for bit. A commit
+    outside the forecast's 1..K is refused."""
     polytope = box_polytope(3)
     est, oracle = cross_fed_estimator(polytope, 0.1, 4, 0.01, [np.zeros(3), [0.3, -0.2, 0.1]], [6, 60])
     points = cross_pattern(np.array([0.4, -0.3, 0.2]), 0.01, 6).points
@@ -262,6 +263,9 @@ def test_forecast_matches_one_cross_at_a_time():
         assert quadratics[k] == pytest.approx(Z[k] @ est.P @ Z[k], rel=1e-9)
     with pytest.raises(ScatterSingularError):  # no P yet
         ConstraintEstimator(3, 6).forecast(points, np.zeros((2, 6, 6)))
+    for count in (0, K + 1):  # outside the forecast
+        with pytest.raises(ValueError):
+            est.commit(points, ahead, count)
 
 
 def test_absorb_and_forecast_at_tiny_probe_radii():

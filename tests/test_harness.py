@@ -453,6 +453,20 @@ def test_failures_outside_a_seed_are_config_errors(tmp_path, monkeypatch, capsys
     assert ("exceed the cap 5" if failure == "subset-cap" else "Is a directory") in err
 
 
+@pytest.mark.parametrize("command", ["validate-config", "run", "compare"])
+def test_config_too_large_to_allocate_is_a_config_error(tmp_path, capsys, command):
+    """A box of 10^8 dimensions asks numpy for a 142 PiB constraint matrix,
+    which it refuses before touching memory: exit 1 with one stderr line, not
+    a MemoryError traceback."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": {"type": "box", "d": 100_000_000}, "repetitions": 1,
+                                "out_dir": str(tmp_path / "out")}))
+    assert cli_main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Unable to allocate" in err
+
+
 def test_failed_repetition_recorded(tmp_path, monkeypatch):
     import safefw.harness as hmod
 

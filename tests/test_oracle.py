@@ -135,7 +135,9 @@ def test_lookahead_returns_the_next_calls_without_consuming(kind, sigma, monkeyp
     """Peeked values equal the calls that follow bit for bit, an overlapping
     second peek reuses the kept noise, and the stream then reads on (a cross
     with multiplicity 5, then a chunked draw) exactly as without any peek.
-    Peeking counts no out-of-reach event."""
+    Peeking counts no out-of-reach event. Committing peeked calls leaves the
+    stream and the count where measuring them would, and a noisy commit past
+    the peek is refused."""
     polytope = random_bounded_polytope(np.random.default_rng(1), 2, 6)
     points = np.vstack([cross_pattern(np.array([0.1, -0.2]), 0.01, 4).points, [[3.0, 0.0]]])  # last out of reach
     peeker = ConstraintOracle(polytope, NoiseModel(kind, sigma, 5), 0.01)
@@ -152,3 +154,12 @@ def test_lookahead_returns_the_next_calls_without_consuming(kind, sigma, monkeyp
     assert np.array_equal(peeker.measure_repeated(points[:2], 25), plain.measure_repeated(points[:2], 25))
     assert np.array_equal(peeker.measure_repeated(points, 1), plain.measure_repeated(points, 1))
     assert peeker.out_of_reach_events == plain.out_of_reach_events == 5
+    peeker.lookahead(points, 4)
+    peeker.commit(points, 3)  # the first three peeked calls, made without measuring them
+    for _ in range(3):
+        plain.measure_repeated(points, 1)
+    assert peeker.out_of_reach_events == plain.out_of_reach_events == 8
+    assert np.array_equal(peeker.measure_repeated(points, 1), plain.measure_repeated(points, 1))  # the kept fourth
+    if sigma > 0.0:
+        with pytest.raises(ValueError):  # nothing peeked is left to commit
+            peeker.commit(points, 1)

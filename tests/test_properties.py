@@ -1,16 +1,29 @@
 """Property tests: the incremental estimator against dense solves of its
 recorded design, and the scalar safety test against its cone form, over
-generated sequences of single-point and stacked absorbs; and the estimator
-against an extended-precision solve at counts up to 10^6."""
+generated sequences of single-point and stacked absorbs; the estimator
+against an extended-precision solve at counts up to 10^6; and a committed
+forecast against measuring and absorbing the same crosses."""
+
+import copy
+import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from safefw.estimator import LOOP_SUM_MIN, ConstraintEstimator, _running_sums
+from safefw.oracle import NOISE_KINDS, ConstraintOracle, NoiseModel, cross_pattern
 from safefw.safety import SafetyConfig, fact2_check, soc_check
 
-from helpers import EXTENDED, RecordingEstimator, extended_least_squares, moving_cross_absorbs
+from helpers import (
+    EXTENDED,
+    RecordingEstimator,
+    absorb_crosses_reference,
+    extended_least_squares,
+    moving_cross_absorbs,
+    random_bounded_polytope,
+)
 
 # Derandomized and without an example database, so every run of the suite
 # checks the same examples.
@@ -88,3 +101,46 @@ def test_fact2_matches_soc_lhs(est, phi, point):
     soc = soc_check(est, cfg, x)
     assert abs(f2.lhs - soc.lhs) <= 1e-9 * (1.0 + f2.lhs)
     assert f2.min_margin == soc.min_margin
+
+
+@PROPERTY
+@given(
+    st.integers(1, 6), st.integers(0, 2), st.sampled_from(NOISE_KINDS), st.sampled_from([0.0, 0.1]),
+    st.integers(0, 2**32 - 1), st.integers(1, 5),
+    st.integers(2, 64).flatmap(lambda K: st.tuples(st.just(K), st.integers(1, K))),
+)
+@example(20, 0, "gaussian", 0.1, 7, 3, (28, 17))
+def test_commit_equals_block_absorb(d, cuts, kind, sigma, seed, warm, block):
+    """Committing the first `count` of K forecast crosses leaves the estimator
+    (beta_hat, P, N, sum_x, sum_outer) and the oracle (out-of-reach count and
+    noise stream) bit for bit where measuring those crosses and absorbing
+    their summed values leaves them. The cross pokes past facet 0 by more
+    than omega0, so its reach events count; d = 20 runs the forecast's
+    running sums on the loop side of LOOP_SUM_MIN."""
+    K, count = block
+    rng = np.random.default_rng(seed)
+    polytope = random_bounded_polytope(rng, d, 2 * d + cuts)
+    omega0 = 0.1
+    oracle = ConstraintOracle(polytope, NoiseModel(kind, sigma, seed), omega0)
+    est = ConstraintEstimator(d, polytope.m)
+    first = cross_pattern(np.zeros(d), omega0, 2 * d * warm)
+    est.absorb_repeated(first.points, oracle.measure_repeated(first.points, first.multiplicity), first.multiplicity)
+    center = np.zeros(d)
+    center[0] = polytope.b[0] + 0.5 * omega0
+    points = cross_pattern(center, omega0, 2 * d).points
+    ref_oracle, ref_est = copy.deepcopy(oracle), copy.deepcopy(est)
+
+    values = oracle.lookahead(points, K)
+    ahead = est.forecast(points, values)
+    oracle.commit(points, count)
+    est.commit(points, ahead, count)
+    absorb_crosses_reference(ref_oracle, ref_est, points, count)
+
+    for name in ("beta_hat", "P", "sum_x", "sum_outer"):
+        assert np.array_equal(getattr(est, name), getattr(ref_est, name)), name
+    assert est.N == ref_est.N
+    assert oracle.out_of_reach_events == ref_oracle.out_of_reach_events >= count
+    assert np.array_equal(oracle.measure_repeated(points, 1), ref_oracle.measure_repeated(points, 1))
+    wide = np.tile(values, (1, math.ceil(LOOP_SUM_MIN / values[0].size), 1))
+    for sums in (values, wide):
+        assert np.array_equal(_running_sums(sums), np.cumsum(sums, axis=0))

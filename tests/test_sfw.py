@@ -199,6 +199,33 @@ def test_fast_forward_matches_one_cross_per_pass(monkeypatch):
     assert sum(peeks) >= 10 * len(peeks) > 0  # blocks were predicted, most of them long
 
 
+def test_committed_blocks_are_not_measured_again(monkeypatch):
+    """A committed block calls neither measure_repeated nor absorb_repeated:
+    over adaptive runs at d = 5 each is called once per warm-up and once per
+    pass that is not part of a committed block."""
+    calls = {"measure": 0, "absorb": 0}
+    committed = []
+    measure, absorb, commit = ConstraintOracle.measure_repeated, ConstraintEstimator.absorb_repeated, ConstraintEstimator.commit
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ConstraintOracle, "measure_repeated", counted("measure", measure))
+    monkeypatch.setattr(ConstraintEstimator, "absorb_repeated", counted("absorb", absorb))
+    monkeypatch.setattr(ConstraintEstimator, "commit", lambda self, pts, ahead, count: committed.append(count) or commit(self, pts, ahead, count))
+    warm_ups = extras = 0
+    for seed in range(3):
+        _, setup, oracle, est, scfg = box_setup(d=5, sigma=0.015, seed=seed)
+        rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-6, variant="adaptive"))
+        warm_ups += rec.steps()
+        extras += sum(rec.extra_batches)
+    assert 2 * sum(committed) > extras  # most extra crosses were committed in blocks
+    assert calls["measure"] == calls["absorb"] == warm_ups + extras - sum(committed)
+
+
 def test_dfs_restart_is_invisible_to_the_driver(monkeypatch):
     """Restarting a rejected DFS basis by pivots gives the adaptive runs of the
     rule it replaced (a verified basis, else a cold solve): the same totals,
