@@ -18,7 +18,6 @@ from .problem import (
     box_polytope,
     geometry_constants,
     minimize_quadratic,
-    quadratic_objective,
     validate,
     vertex_sweep,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "minimize_quadratic",
     "nt_schedule",
     "phi_inverse",
-    "quadratic_objective",
     "ro_run",
     "run",
     "run_experiment",

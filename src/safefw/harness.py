@@ -21,13 +21,13 @@ from .estimator import ConstraintEstimator, confidence_membership_arrays, spans
 from .lp import FEAS_TOL
 from .oracle import NOISE_KINDS, ConstraintOracle, NoiseModel, cross_pattern
 from .problem import (
+    Objective,
     Polytope,
     box_geometry_constants,
     box_polytope,
     box_quadratic_lipschitz,
     geometry_constants,
     minimize_quadratic,
-    quadratic_objective,
     validate,
     vertex_sweep,
 )
@@ -164,6 +164,7 @@ def _vector(name: str, value, d: int) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow gives inf or nan, which the checks below reject
 def resolve(cfg: ExperimentConfig, variant: str | None = None) -> ResolvedExperiment:
     """Validate every referenced field and build the immutable run inputs; of the
     variant-specific fields only those `variant` (default `cfg.variant`) reads."""
@@ -223,19 +224,18 @@ def resolve(cfg: ExperimentConfig, variant: str | None = None) -> ResolvedExperi
         x_prime = [2.0] + [0.5] * (d - 1)
     x_prime = _vector("x_prime", x_prime, d)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or nan; h0 and cn are checked below
-        if is_box:
-            M = box_quadratic_lipschitz(d, half_width, x_prime)
-            objective = quadratic_objective(x_prime, M)
-            geometry = box_geometry_constants(d, half_width, x0)
-            f_star = objective.value(np.clip(x_prime, -half_width, half_width))
-        else:
-            sweep = vertex_sweep(polytope)
-            M = max(float(np.linalg.norm(v - x_prime)) for v in sweep[0])
-            objective = quadratic_objective(x_prime, M)
-            geometry = geometry_constants(polytope, x0, sweep)
-            f_star = minimize_quadratic(polytope, x_prime)[1]
-        h0 = objective.value(x0) - f_star
+    if is_box:
+        M = box_quadratic_lipschitz(d, half_width, x_prime)
+        objective = Objective(x_prime, M)
+        geometry = box_geometry_constants(d, half_width, x0)
+        f_star = objective.value(np.clip(x_prime, -half_width, half_width))
+    else:
+        sweep = vertex_sweep(polytope)
+        M = max(float(np.linalg.norm(v - x_prime)) for v in sweep[0])
+        objective = Objective(x_prime, M)
+        geometry = geometry_constants(polytope, x0, sweep)
+        f_star = minimize_quadratic(polytope, x_prime)[1]
+    h0 = objective.value(x0) - f_star
     if not math.isfinite(h0):
         raise ConfigError("f(x0) - f* is not finite for this problem, x0 and objective.x_prime")
     if h0 <= 0:

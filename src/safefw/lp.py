@@ -1,15 +1,17 @@
 """Dense linear programming over inequality systems A x <= b with free variables.
 
-Two-phase primal simplex on the split-variable standard form (x = u - v plus
-slacks), Bland's rule for anti-cycling; at the optimum the simplex pivots each
-nonbasic free variable in, so a bounded optimum ends at a vertex. A solve may
-be warm-started from a guessed basis (d rows, typically the active set of a
-previous solve of a nearby LP). A basis is accepted only when its vertex is
-verified to be the unique optimum, so a warm solve returns the vertex the
-simplex would. A rejected basis is first moved by at most one pivot per row:
-primal active-set pivots from a feasible vertex with a negative multiplier,
-dual pivots from positive multipliers at an infeasible vertex; any other
-basis, or one the pivots do not verify, falls back to the simplex.
+A solve given a start basis (d rows) runs one pivot loop from it: primal
+pivots from a feasible vertex with a negative multiplier, dual pivots from an
+infeasible vertex with nonnegative multipliers, B^-1 kept by rank-one
+(product-form) updates. A vertex is returned only once verified, on the
+sorted basis, to be the unique optimum. The loop runs first from a warm basis
+(typically the active set of a previous solve of a nearby LP), then from a
+dual-feasible start the caller supplies (the direction-finding LP's guard
+vertex), where it is a dual simplex. A solve with no start, or whose loop
+ends without a verified vertex, goes to the two-phase primal simplex on the
+split-variable standard form (x = u - v plus slacks), with Bland's rule for
+anti-cycling; at the optimum the simplex pivots each nonbasic free variable
+in, so a bounded optimum ends at a vertex.
 """
 
 from __future__ import annotations
@@ -104,29 +106,33 @@ def _active_rows(p: LpProblem, x: np.ndarray) -> list[int]:
     return [int(i) for i in np.flatnonzero(resid <= ACTIVE_TOL * scale)]
 
 
-def _basis_terms(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int], band: float = 0.0):
+def _basis_terms(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int]):
     """For the basis rows B of one LP (rows, d) or of each LP of a stack
-    (K, rows, d): B^-1, the vertex B^-1 b_B, the multipliers -B^-T c, every
-    row's residual and scale at that vertex, and whether the vertex is
-    provably the unique optimum (see `verified_vertices`). Raises LinAlgError
-    unless B is square and nonsingular."""
+    (K, rows, d): B^-1, the vertex B^-1 b_B, the multipliers -B^-T c, and
+    every row's residual and scale at that vertex. Raises LinAlgError unless
+    B is square and nonsingular."""
     B_inv = np.linalg.inv(A[..., basis, :])
+    multipliers = -(np.swapaxes(B_inv, -1, -2) @ c)
+    x = np.matmul(B_inv, b[..., basis, None])[..., 0]
+    return B_inv, x, multipliers, *_slack(A, b, x)
+
+
+def _verified(A: np.ndarray, c: np.ndarray, basis: list[int], terms, band: float = 0.0) -> np.ndarray:
+    """Whether the vertex of each `_basis_terms` is provably the unique
+    optimum (see `verified_vertices`)."""
+    B_inv, _, multipliers, resid, scale = terms
     abs_inv = np.abs(B_inv)
     # infinity-norm condition number: leave ill-conditioned bases to the simplex
     cond = np.abs(A[..., basis, :]).sum(axis=-1).max(axis=-1) * abs_inv.sum(axis=-1).max(axis=-1)
-    multipliers = -(np.swapaxes(B_inv, -1, -2) @ c)
     multiplier_scale = abs_inv.sum(axis=-2).max(axis=-1) * np.abs(c).max()  # bounds |B^-T| |c|
-    x = np.matmul(B_inv, b[..., basis, None])[..., 0]
-    resid, scale = _slack(A, b, x)
     active = resid <= (ACTIVE_TOL - band) * scale
     inactive = resid > (ACTIVE_TOL + band) * scale  # a row between the two is neither
-    ok = (
+    return (
         (cond * (1.0 + band) <= 1e8)
         & np.all(multipliers > COST_TOL + band * multiplier_scale[..., None], axis=-1)
         & np.all(active[..., basis], axis=-1)
         & (np.count_nonzero(inactive, axis=-1) == A.shape[-2] - len(basis))
     )
-    return B_inv, x, multipliers, resid, scale, ok
 
 
 def verified_vertices(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int], band: float = 0.0):
@@ -139,73 +145,115 @@ def verified_vertices(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[i
     """
     K, _, d = A.shape
     try:
-        _, x, _, _, _, ok = _basis_terms(A, b, c, basis, band)
+        terms = _basis_terms(A, b, c, basis)
     except np.linalg.LinAlgError:
         return np.full((K, d), math.nan), np.zeros(K, dtype=bool)
-    return x, ok
+    return terms[1], _verified(A, c, basis, terms, band)
 
 
-def _restart_pivot(p: LpProblem, basis: list[int], B_inv, multipliers, resid, scale) -> list[int] | None:
-    """The basis one pivot on from a rejected one, or None when neither pivot
-    applies. From a feasible vertex with a negative multiplier, the row of the
-    most negative one leaves along the edge the others keep active, and the
-    first row that edge meets enters (primal). With every multiplier positive
-    at an infeasible vertex, the most violated row enters, and the ratio test
-    that keeps the multipliers nonnegative picks the row that leaves (dual).
-    Ties go to the lowest index."""
-    slack = resid / scale
-    violated = slack < -ACTIVE_TOL
-    if multipliers.min() < 0.0 and not violated.any():
-        leave = int(np.argmin(multipliers))
-        closing = p.A @ -B_inv[:, leave]  # how fast each row's residual falls along the edge
-        closing[basis] = 0.0
-        rows = np.flatnonzero(closing > PIVOT_TOL)
-        if rows.size == 0:
-            return None
-        enter = int(rows[np.argmin(resid[rows] / closing[rows])])
-    elif multipliers.min() > 0.0 and violated.any():
-        enter = int(np.argmin(slack))
-        shift = B_inv.T @ p.A[enter]  # the entering row as a combination of the basis rows
-        rows = np.flatnonzero(shift > PIVOT_TOL)
-        if rows.size == 0:
-            return None
-        leave = int(rows[np.argmin(multipliers[rows] / shift[rows])])
-    else:
+def _replace_row(B_inv: np.ndarray, pos: int, shift: np.ndarray) -> np.ndarray:
+    """B^-1, updated in place, once row `pos` of B is replaced by a row a with
+    shift = a B^-1: the rank-one (product-form) update, pivot shift[pos]."""
+    col = B_inv[:, pos] / shift[pos]
+    B_inv -= np.multiply.outer(col, shift)
+    B_inv[:, pos] = col
+    return B_inv
+
+
+def _least(values: np.ndarray, basis: list[int]) -> int:
+    """The position of the least value, ties to the lowest basis row."""
+    pos, last = int(values.argmin()), values.size - 1 - int(values[::-1].argmin())
+    if pos == last:
+        return pos
+    return int(min(np.flatnonzero(values == values[pos]).tolist(), key=basis.__getitem__))
+
+
+def _pivot_from(p: LpProblem, start: list[int]) -> LpSolution | None:
+    """The optimum reached by pivots from the basis `start` (d rows), once
+    verified to be the unique optimum; None if no vertex verifies.
+
+    From a feasible vertex with a negative multiplier, the row of the most
+    negative one leaves along the edge the others keep active, and the first
+    row that edge meets enters (primal). With the multipliers nonnegative at
+    an infeasible vertex, the most violated row enters, and the ratio test
+    that keeps the multipliers nonnegative picks the row that leaves (dual);
+    after a degenerate dual pivot the lowest violated row enters until the
+    dual objective moves again. Ties go to the lowest row. B^-1 is kept by
+    rank-one updates, so a pivot costs O(rows d). The vertex where the cheap
+    test (feasible, multipliers nonnegative) stops the pivots is verified on
+    the sorted basis, with its terms computed afresh after any pivot, so its
+    point is the one a warm start from that basis gives. The loop ends
+    without a vertex when neither pivot applies, a ratio test has no
+    candidate, or after one pivot per row.
+    """
+    A, b, c = p.A, p.b, p.c
+    basis = sorted(start)
+    try:
+        terms = _basis_terms(A, b, c, basis)
+    except np.linalg.LinAlgError:
         return None
-    return sorted(basis[:leave] + basis[leave + 1 :] + [enter])
-
-
-def _warm(p: LpProblem, basis: list[int]) -> LpSolution | None:
-    """The vertex of `basis`, or of a basis at most one pivot per row away,
-    once verified to be the unique optimum; None if no basis verifies."""
-    basis = sorted(basis)
-    for _ in range(p.A.shape[0] + 1):  # the given basis, then at most one pivot per row
+    B_inv, _, lam, resid, scale = terms
+    slack = resid / scale
+    bland = False
+    for pivots in range(A.shape[0] + 1):
+        enter = int(slack.argmin())
+        if slack[enter] >= -ACTIVE_TOL:
+            leave = _least(lam, basis)
+            if lam[leave] >= 0.0:
+                break
+            closing = A @ -B_inv[:, leave]  # how fast each row's residual falls along the edge
+            closing[basis] = 0.0
+            rows = (closing > PIVOT_TOL).nonzero()[0]
+            if rows.size == 0:
+                return None
+            enter = int(rows[(resid[rows] / closing[rows]).argmin()])
+            shift = A[enter] @ B_inv
+        elif lam.min() >= -COST_TOL:
+            if bland:
+                enter = int((slack < -ACTIVE_TOL).argmax())
+            shift = A[enter] @ B_inv  # the entering row as a combination of the basis rows
+            ratios = np.full(shift.size, math.inf)
+            np.divide(np.maximum(lam, 0.0), shift, out=ratios, where=shift > PIVOT_TOL)
+            leave = _least(ratios, basis)
+            if ratios[leave] == math.inf:
+                return None
+            bland = ratios[leave] <= 0.0
+        else:
+            return None
+        if pivots == A.shape[0]:
+            return None
+        if pivots == 0:  # a start basis that verifies needs none of this
+            abs_A, scale_b, b_basis = np.abs(A), 1.0 + np.abs(b), b[basis]
+        B_inv = _replace_row(B_inv, leave, shift)
+        basis[leave], b_basis[leave] = enter, b[enter]
+        x = B_inv @ b_basis
+        resid = b - A @ x
+        slack = resid / (scale_b + abs_A @ np.abs(x))
+        lam = -(c @ B_inv)
+    if pivots > 0:
+        basis = sorted(basis)
         try:
-            B_inv, x, multipliers, resid, scale, ok = _basis_terms(p.A, p.b, p.c, basis)
+            terms = _basis_terms(A, b, c, basis)
         except np.linalg.LinAlgError:
             return None
-        if ok:
-            return LpSolution(x, "optimal", basis)
-        basis = _restart_pivot(p, basis, B_inv, multipliers, resid, scale)
-        if basis is None:
-            return None
-    return None
+    return LpSolution(terms[1], "optimal", basis) if _verified(A, c, basis, terms) else None
 
 
-def solve(p: LpProblem, basis: list[int] | None = None) -> LpSolution:
+def solve(p: LpProblem, basis: list[int] | None = None, dual_start: list[int] | None = None) -> LpSolution:
     """Minimize <c, x> over {x : A x <= b}.
 
     Returns a vertex of the optimal face when the feasible set is bounded
-    around the optimum. Status reports infeasibility and unboundedness. A
-    given basis is tried first, then restarted by primal or dual pivots, at
-    most one per row of the LP; a basis is used only once its vertex is
-    verified to be the unique optimum. Otherwise the simplex solves from the
-    all-slack basis.
+    around the optimum. Status reports infeasibility and unboundedness. The
+    pivot loop of `_pivot_from` runs from a given basis, then from `dual_start`:
+    d rows whose vertex has nonnegative multipliers, from which the loop is a
+    dual simplex. A vertex is returned from there only once verified to be
+    the unique optimum. Otherwise the simplex solves from the all-slack basis.
     """
-    if basis is not None:
-        warm = _warm(p, basis)
-        if warm is not None:
-            return warm
+    for start in (basis, dual_start):
+        if start is not None:
+            sol = _pivot_from(p, start)
+            if sol is not None:
+                return sol
     m, d = p.A.shape
     A = p.A.copy()
     b = p.b.copy()

@@ -6,7 +6,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -56,15 +55,25 @@ class Polytope:
 
 @dataclass
 class Objective:
-    """Smooth convex objective with exact gradients.
+    """The smooth convex objective f(x) = 0.5 ||x - x'||^2, gradient x - x'.
 
     M bounds the gradient norm over the feasible set (Lipschitz constant of
     the values).
     """
 
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
+    x_prime: np.ndarray
     M: float
+
+    def __post_init__(self):
+        self.x_prime = np.asarray(self.x_prime, dtype=float)
+        self.M = float(self.M)
+
+    def value(self, x: np.ndarray) -> float:
+        diff = np.asarray(x, dtype=float) - self.x_prime
+        return 0.5 * float(diff @ diff)
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(x, dtype=float) - self.x_prime
 
 
 @dataclass
@@ -85,20 +94,6 @@ def box_polytope(d: int, half_width: float = 1.0) -> Polytope:
         A[2 * i, i] = 1.0
         A[2 * i + 1, i] = -1.0
     return Polytope(A, np.full(2 * d, float(half_width)))
-
-
-def quadratic_objective(x_prime: np.ndarray, M: float) -> Objective:
-    """f(x) = 0.5 ||x - x'||^2 with exact gradient x - x'."""
-    target = np.asarray(x_prime, dtype=float)
-
-    def value(x):
-        diff = np.asarray(x, dtype=float) - target
-        return 0.5 * float(diff @ diff)
-
-    def gradient(x):
-        return np.asarray(x, dtype=float) - target
-
-    return Objective(value=value, gradient=gradient, M=float(M))
 
 
 def box_quadratic_lipschitz(d: int, half_width: float, x_prime: np.ndarray) -> float:

@@ -164,6 +164,14 @@ def _guarded_rows(beta: np.ndarray, guard: float) -> tuple[np.ndarray, np.ndarra
     return A, b
 
 
+def _guard_start(c: np.ndarray, m: int) -> list[int]:
+    """The d rows of `_guarded_rows` at the guard-box corner against the sign
+    of c: s_i <= guard (row m + i) where c_i < 0, else -s_i <= guard (row
+    m + d + i). Every multiplier there is |c_i| >= 0: a dual-feasible start."""
+    d = len(c)
+    return [m + i if c_i < 0.0 else m + d + i for i, c_i in enumerate(np.asarray(c, dtype=float).tolist())]
+
+
 def dfs_problem(est: ConstraintEstimator, c: np.ndarray, guard: float) -> lp.LpProblem:
     """min <c, s> over the estimated polytope inside the box |s_i| <= guard.
 
@@ -175,9 +183,15 @@ def dfs_problem(est: ConstraintEstimator, c: np.ndarray, guard: float) -> lp.LpP
 
 
 def solve_dfs(est: ConstraintEstimator, guard: float, grad: np.ndarray, basis: list[int] | None = None) -> lp.LpSolution:
-    """Linear minimization of <grad, s> over the guarded estimated polytope,
-    warm-started from `basis` when it is verified optimal."""
-    return lp.solve(dfs_problem(est, grad, guard), basis=basis)
+    """Linear minimization of <grad, s> over the guarded estimated polytope.
+
+    The pivot loop of `lp.solve` restarts from `basis` when one is given. If
+    there is none, or the restart ends without a verified vertex, the loop
+    runs a dual simplex from the guard vertex (`_guard_start`), where every
+    multiplier is |grad_i| >= 0. The simplex serves only what neither start
+    verifies.
+    """
+    return lp.solve(dfs_problem(est, grad, guard), basis=basis, dual_start=_guard_start(grad, est.m))
 
 
 def _absorb_cross(

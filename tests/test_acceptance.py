@@ -15,10 +15,10 @@ from safefw.estimator import ConstraintEstimator
 from safefw.harness import ExperimentConfig, compare_sfw_ro, resolve, run_single
 from safefw.oracle import ConstraintOracle, NoiseModel
 from safefw.problem import (
+    Objective,
     box_geometry_constants,
     box_polytope,
     box_quadratic_lipschitz,
-    quadratic_objective,
 )
 from safefw.safety import SafetyConfig, c_delta_constant, fact2_check, soc_check
 from safefw.sfw import ProblemSetup, SfwConfig, run
@@ -66,7 +66,7 @@ def zero_noise_run():
     d = 2
     p = box_polytope(d)
     xp = np.array([2.0, 0.5])
-    obj = quadratic_objective(xp, box_quadratic_lipschitz(d, 1.0, xp))
+    obj = Objective(xp, box_quadratic_lipschitz(d, 1.0, xp))
     geo = box_geometry_constants(d, 1.0, np.zeros(d))
     scfg = SafetyConfig(T=50, omega0=0.01, phi_delta=0.0, cn=0.0)
     oracle = ConstraintOracle(p, NoiseModel("gaussian", 0.0, 0), 0.01)

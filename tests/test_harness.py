@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -465,6 +466,33 @@ def test_config_too_large_to_allocate_is_a_config_error(tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert "Unable to allocate" in err
+
+
+def test_overflowing_polytope_prints_only_the_config_error(tmp_path):
+    """Entries of 1e200 overflow the row norms while the polytope is built and
+    checked; numpy's warning must not print ahead of the one config error."""
+    path = tmp_path / "cfg.json"
+    big = 1e200
+    path.write_text(json.dumps({"problem": {"type": "polytope", "A": [[big, 0], [0, big], [-big, 0], [0, -big]],
+                                            "b": [1, 1, 1, 1]}, "repetitions": 1}))
+    out = subprocess.run([sys.executable, "-m", "safefw.cli", "validate-config", "--config", str(path)],
+                         capture_output=True, text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert out.returncode == 1
+    assert out.stderr.startswith("config error: ") and out.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("problem", [{"type": "box", "d": 2}, GENERAL_POLYTOPE], ids=["box", "polytope"])
+def test_resolved_experiment_pickles(problem):
+    """A resolved config round-trips through pickle (a process pool needs
+    that) and runs the same seed to the same record, bit for bit."""
+    res = resolve(d2_config(problem=problem, repetitions=1))
+    copy = pickle.loads(pickle.dumps(res))
+    (rec, rep), (rec_copy, rep_copy) = run_single(res, 3), run_single(copy, 3)
+    assert [row.x.tobytes() for row in rec.rows] == [row.x.tobytes() for row in rec_copy.rows]
+    assert [row.f for row in rec.rows] == [row.f for row in rec_copy.rows]
+    assert (rec.status, rec.extra_batches, rec.total_measurements) == (rec_copy.status, rec_copy.extra_batches,
+                                                                      rec_copy.total_measurements)
+    assert rep.normalized == rep_copy.normalized and rep.n_total == rep_copy.n_total
 
 
 def test_failed_repetition_recorded(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Simplex solver against exhaustive vertex enumeration, scipy's HiGHS,
-hand cases and the scalar-read Bland kernel; the verified warm start and its
-pivot restart against the cold solve."""
+hand cases and the scalar-read Bland kernel; the pivot loop (verified warm
+start, its restart and the guard-start dual simplex) against the cold solve
+and HiGHS."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from safefw import lp
 from safefw.problem import EnumerationCapError, box_polytope
+from safefw.sfw import _guard_start, _guarded_rows
 
 from helpers import bland_simplex_reference, enumerate_vertices, random_bounded_polytope
 
@@ -344,3 +346,73 @@ def test_guard_band_rejects_narrow_passes(c, extra_row):
     c = np.array(c)
     assert lp.verified_vertices(A[None], b[None], c, [0, 2])[1][0]
     assert not lp.verified_vertices(A[None], b[None], c, [0, 2], band=1e-9)[1][0]
+
+
+def random_guarded_lp(rng, d):
+    """A DFS-shaped LP: rows [a_hat^T; I; -I] as `_guarded_rows` lays them out,
+    the estimated rows around a random interior point (some on a half grid,
+    some repeated), and now and then a pair of rows that contradict each
+    other, so that the LP is infeasible."""
+    m = int(rng.integers(1, 2 * d + 5))
+    A_hat = rng.normal(0.0, 1.0, (m, d))
+    b_hat = A_hat @ rng.uniform(-1.0, 1.0, d) + rng.uniform(0.05, 2.0, m)
+    if rng.random() < 0.3:
+        b_hat = np.round(2.0 * b_hat) / 2.0 + 0.5  # ratio ties
+    if rng.random() < 0.2:
+        dup = rng.integers(0, m, size=2)
+        A_hat, b_hat = np.vstack([A_hat, A_hat[dup]]), np.append(b_hat, b_hat[dup])
+    if rng.random() < 0.2:
+        row = rng.normal(0.0, 1.0, d)
+        A_hat, b_hat = np.vstack([A_hat, row, -row]), np.append(b_hat, [0.3, -0.3 - rng.uniform(0.01, 1.0)])
+    beta = np.vstack([A_hat.T, b_hat[None, :]])
+    A, b = _guarded_rows(beta, float(rng.uniform(2.0, 20.0)))
+    return lp.LpProblem(rng.normal(0.0, 1.0, d), A, b), A_hat.shape[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_pivot_loop_matches_scipy_on_guarded_lps(d, seed):
+    """From a random d-subset of the rows and from no basis, with the guard
+    start, a solve gives HiGHS's status; on a vertex the pivot loop verified
+    it gives HiGHS's objective within 1e-9 relative and the cold tableau's
+    point and active set. The loop's rank-one B^-1 matches a fresh inverse of
+    its final basis within 1e-10 relative."""
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(seed)
+    prob, m = random_guarded_lp(rng, d)
+    ref = optimize.linprog(prob.c, A_ub=prob.A, b_ub=prob.b, bounds=[(None, None)] * d, method="highs")
+    assert ref.status in (0, 2)
+    cold = lp.solve(prob)
+    assert cold.status == ("optimal" if ref.status == 0 else "infeasible")
+    for basis in (sorted(rng.choice(prob.A.shape[0], size=d, replace=False).tolist()), None):
+        updated, verified = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            replace_row, descend = lp._replace_row, lp._pivot_from
+            mp.setattr(lp, "_replace_row", lambda *args: updated.append(replace_row(*args)) or updated[-1])
+            mp.setattr(lp, "_pivot_from", lambda p, start: updated.clear() or verified.append(descend(p, start)) or verified[-1])
+            sol = lp.solve(prob, basis=basis, dual_start=_guard_start(prob.c, m))
+        assert sol.status == cold.status
+        if verified and verified[-1] is not None:
+            assert abs(prob.c @ sol.point - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+            assert sol.active_set == cold.active_set
+            assert np.abs(sol.point - cold.point).max() <= 1e-9 * max(1.0, np.abs(cold.point).max())
+            if updated:
+                # the loop's columns follow its pivot order: match them to the sorted basis
+                fresh = np.linalg.inv(prob.A[sol.active_set])
+                order = np.argmax(np.abs(prob.A[sol.active_set] @ updated[-1]), axis=0)
+                assert sorted(order.tolist()) == list(range(d))
+                assert np.abs(updated[-1] - fresh[:, order]).max() <= 1e-10 * np.abs(fresh).max()
+
+
+def test_rank_one_update_matches_a_fresh_inverse():
+    rng = np.random.default_rng(11)
+    A = rng.normal(0.0, 1.0, (12, 4))
+    basis = [0, 1, 2, 3]
+    B_inv = np.linalg.inv(A[basis])
+    for enter in range(4, 12):
+        shift = A[enter] @ B_inv
+        pos = int(np.argmax(np.abs(shift)))
+        B_inv = lp._replace_row(B_inv, pos, shift)
+        basis[pos] = enter
+        fresh = np.linalg.inv(A[basis])
+        assert np.abs(B_inv - fresh).max() <= 1e-12 * np.abs(fresh).max()

@@ -10,13 +10,13 @@ import pytest
 from safefw import lp, problem
 from safefw.harness import ExperimentConfig, resolve
 from safefw.problem import (
+    Objective,
     Polytope,
     box_geometry_constants,
     box_polytope,
     box_quadratic_lipschitz,
     geometry_constants,
     minimize_quadratic,
-    quadratic_objective,
     validate,
     vertex_sweep,
 )
@@ -26,7 +26,7 @@ from helpers import check_gradient, random_bounded_polytope
 
 def quadratic_d2():
     x_prime = np.array([2.0, 0.5])
-    return quadratic_objective(x_prime, box_quadratic_lipschitz(2, 1.0, x_prime))
+    return Objective(x_prime, box_quadratic_lipschitz(2, 1.0, x_prime))
 
 
 def geometry(p, x0):
@@ -196,7 +196,7 @@ def test_gradient_consistency():
     points = rng.uniform(-0.9, 0.9, size=(10, 2))
     assert check_gradient(obj, points)
 
-    broken = quadratic_objective(np.array([2.0, 0.5]), M=1.0)
+    broken = Objective(np.array([2.0, 0.5]), M=1.0)
     broken.gradient = lambda x: np.asarray(x) * 0.5  # wrong on purpose
     assert not check_gradient(broken, points)
 

@@ -9,10 +9,10 @@ from safefw import lp
 from safefw.estimator import ConstraintEstimator
 from safefw.oracle import ConstraintOracle, NoiseModel
 from safefw.problem import (
+    Objective,
     box_geometry_constants,
     box_polytope,
     box_quadratic_lipschitz,
-    quadratic_objective,
 )
 from safefw.ro import ro_run, soc_linmin, soc_violation
 from safefw.safety import SafetyConfig, make_safety_config
@@ -24,7 +24,7 @@ from helpers import cross_fed_estimator, soc_linmin_reference
 def setup_d2(sigma, seed=0, omega0=0.05, phi_delta=None):
     p = box_polytope(2)
     xp = np.array([2.0, 0.5])
-    obj = quadratic_objective(xp, box_quadratic_lipschitz(2, 1.0, xp))
+    obj = Objective(xp, box_quadratic_lipschitz(2, 1.0, xp))
     geo = box_geometry_constants(2, 1.0, np.zeros(2))
     if phi_delta is None:
         scfg = make_safety_config(delta=0.1, T=15, m=4, d=2, sigma=sigma, omega0=omega0)
