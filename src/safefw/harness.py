@@ -123,6 +123,14 @@ class RunSummary:
     failed_fraction: float
 
 
+def _finite(value: int | float) -> bool:
+    """Whether a number converts to a finite float (an integer past the float range overflows)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_types(cfg: ExperimentConfig) -> None:
     """Reject non-object sections, non-finite reals and non-integer counts (bools included)."""
     for name, section in (("problem", cfg.problem), ("objective", cfg.objective)):
@@ -139,11 +147,13 @@ def _check_types(cfg: ExperimentConfig) -> None:
         ints["problem.d"] = cfg.problem.get("d", 0)
         reals["problem.half_width"] = cfg.problem.get("half_width", 1.0)
     for name, value in reals.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not _finite(value):
             raise ConfigError(f"{name} must be a finite number, got {value!r}")
     for name, value in ints.items():
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not _finite(value):
+            raise ConfigError(f"{name} must be an integer within the float range, got {value!r}")
     if not isinstance(cfg.out_dir, str):
         raise ConfigError(f"out_dir must be a string, got {cfg.out_dir!r}")
 
@@ -157,7 +167,7 @@ def _reject_unknown(name: str, section: dict, allowed: set[str]) -> None:
 def _vector(name: str, value, d: int) -> np.ndarray:
     try:
         out = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         out = None
     if out is None or out.shape != (d,) or not np.all(np.isfinite(out)):
         raise ConfigError(f"{name} must be a list of {d} finite numbers, got {value!r}")
@@ -199,7 +209,7 @@ def resolve(cfg: ExperimentConfig, variant: str | None = None) -> ResolvedExperi
         _reject_unknown("problem", cfg.problem, {"type", "A", "b"})
         try:
             polytope = Polytope(np.array(cfg.problem["A"], dtype=float), np.array(cfg.problem["b"], dtype=float))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad polytope description: {exc}") from exc
         if not (np.all(np.isfinite(polytope.A)) and np.all(np.isfinite(polytope.b))):
             raise ConfigError("polytope A and b must be finite")

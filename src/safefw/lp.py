@@ -2,13 +2,14 @@
 
 A solve given a start basis (d rows) runs one pivot loop from it: primal
 pivots from a feasible vertex with a negative multiplier, dual pivots from an
-infeasible vertex with nonnegative multipliers, B^-1 kept by rank-one
-(product-form) updates. A vertex is returned only once verified, on the
-sorted basis, to be the unique optimum. The loop runs first from a warm basis
-(typically the active set of a previous solve of a nearby LP), then from a
-dual-feasible start the caller supplies (the direction-finding LP's guard
-vertex), where it is a dual simplex. A solve with no start, or whose loop
-ends without a verified vertex, goes to the two-phase primal simplex on the
+infeasible vertex with nonnegative multipliers, and, from a vertex that is
+neither, dual pivots under a shifted cost that makes the start dual feasible,
+then primal pivots under the true cost once the vertex is feasible. B^-1 is
+kept by rank-one (product-form) updates. A vertex is returned only once
+verified, on the sorted basis, to be the unique optimum. The direction-finding
+LP starts from the active set of a previous solve of a nearby LP, or from its
+guard vertex when there is none. A solve with no start, or whose loop ends
+without a verified vertex, goes to the two-phase primal simplex on the
 split-variable standard form (x = u - v plus slacks), with Bland's rule for
 anti-cycling; at the optimum the simplex pivots each nonbasic free variable
 in, so a bounded optimum ends at a vertex.
@@ -178,13 +179,18 @@ def _pivot_from(p: LpProblem, start: list[int]) -> LpSolution | None:
     an infeasible vertex, the most violated row enters, and the ratio test
     that keeps the multipliers nonnegative picks the row that leaves (dual);
     after a degenerate dual pivot the lowest violated row enters until the
-    dual objective moves again. Ties go to the lowest row. B^-1 is kept by
-    rank-one updates, so a pivot costs O(rows d). The vertex where the cheap
-    test (feasible, multipliers nonnegative) stops the pivots is verified on
-    the sorted basis, with its terms computed afresh after any pivot, so its
-    point is the one a warm start from that basis gives. The loop ends
-    without a vertex when neither pivot applies, a ratio test has no
-    candidate, or after one pivot per row.
+    dual objective moves again. Ties go to the lowest row. At an infeasible
+    vertex with a negative multiplier the cost c is shifted to
+    c' = -A_B^T max(lambda, 0), for which the basis is dual feasible (dual
+    phase 1 by cost modification): the dual pivots run under c' until the
+    vertex is feasible, then c is restored and the primal pivots finish. B^-1
+    is kept by rank-one updates, so a pivot costs O(rows d). The vertex where
+    the cheap test (feasible, multipliers nonnegative under c) stops the
+    pivots is verified on the sorted basis, with its terms computed afresh
+    after any pivot, so its point is the one a warm start from that basis
+    gives. The loop ends without a vertex when neither pivot applies, a
+    ratio test has no candidate, a second shift is needed, or after one
+    pivot per row.
     """
     A, b, c = p.A, p.b, p.c
     basis = sorted(start)
@@ -194,10 +200,13 @@ def _pivot_from(p: LpProblem, start: list[int]) -> LpSolution | None:
         return None
     B_inv, _, lam, resid, scale = terms
     slack = resid / scale
-    bland = False
+    cost, shifted, bland = c, False, False
     for pivots in range(A.shape[0] + 1):
         enter = int(slack.argmin())
         if slack[enter] >= -ACTIVE_TOL:
+            if cost is not c:  # the shifted dual phase reached a feasible vertex: back to the true cost
+                cost = c
+                lam = -(c @ B_inv)
             leave = _least(lam, basis)
             if lam[leave] >= 0.0:
                 break
@@ -208,7 +217,12 @@ def _pivot_from(p: LpProblem, start: list[int]) -> LpSolution | None:
                 return None
             enter = int(rows[(resid[rows] / closing[rows]).argmin()])
             shift = A[enter] @ B_inv
-        elif lam.min() >= -COST_TOL:
+        else:
+            if lam.min() < -COST_TOL:  # neither feasible: shift the cost so the basis is dual feasible
+                if shifted:
+                    return None
+                lam = np.maximum(lam, 0.0)
+                cost, shifted = -(lam @ A[basis]), True
             if bland:
                 enter = int((slack < -ACTIVE_TOL).argmax())
             shift = A[enter] @ B_inv  # the entering row as a combination of the basis rows
@@ -218,8 +232,6 @@ def _pivot_from(p: LpProblem, start: list[int]) -> LpSolution | None:
             if ratios[leave] == math.inf:
                 return None
             bland = ratios[leave] <= 0.0
-        else:
-            return None
         if pivots == A.shape[0]:
             return None
         if pivots == 0:  # a start basis that verifies needs none of this
@@ -229,7 +241,7 @@ def _pivot_from(p: LpProblem, start: list[int]) -> LpSolution | None:
         x = B_inv @ b_basis
         resid = b - A @ x
         slack = resid / (scale_b + abs_A @ np.abs(x))
-        lam = -(c @ B_inv)
+        lam = -(cost @ B_inv)
     if pivots > 0:
         basis = sorted(basis)
         try:
@@ -239,21 +251,19 @@ def _pivot_from(p: LpProblem, start: list[int]) -> LpSolution | None:
     return LpSolution(terms[1], "optimal", basis) if _verified(A, c, basis, terms) else None
 
 
-def solve(p: LpProblem, basis: list[int] | None = None, dual_start: list[int] | None = None) -> LpSolution:
+def solve(p: LpProblem, basis: list[int] | None = None) -> LpSolution:
     """Minimize <c, x> over {x : A x <= b}.
 
     Returns a vertex of the optimal face when the feasible set is bounded
-    around the optimum. Status reports infeasibility and unboundedness. The
-    pivot loop of `_pivot_from` runs from a given basis, then from `dual_start`:
-    d rows whose vertex has nonnegative multipliers, from which the loop is a
-    dual simplex. A vertex is returned from there only once verified to be
-    the unique optimum. Otherwise the simplex solves from the all-slack basis.
+    around the optimum. Status reports infeasibility and unboundedness. Given
+    a start basis (d rows), the pivot loop of `_pivot_from` runs from it and
+    returns a vertex only once verified to be the unique optimum. Otherwise,
+    and with no start, the simplex solves from the all-slack basis.
     """
-    for start in (basis, dual_start):
-        if start is not None:
-            sol = _pivot_from(p, start)
-            if sol is not None:
-                return sol
+    if basis is not None:
+        sol = _pivot_from(p, basis)
+        if sol is not None:
+            return sol
     m, d = p.A.shape
     A = p.A.copy()
     b = p.b.copy()

@@ -31,9 +31,18 @@ class Polytope:
         m, d = self.A.shape
         if self.b.shape != (m,):
             raise ValueError(f"A is {m}x{d} but b has shape {self.b.shape}")
-        row_norms = np.linalg.norm(self.A, axis=1)
-        if np.any(row_norms == 0.0):
+        if not np.all(self.A.any(axis=1)):
             raise ValueError("constraint matrix contains an all-zero row")
+        with np.errstate(over="ignore", under="ignore"):
+            squares = np.einsum("ij,ij->i", self.A, self.A)
+        # KKT systems (A_s A_s^T) and row norms square the rows: each square must be a normal float
+        # (rows with a non-finite entry are left to the caller's finiteness check)
+        normal = (np.finfo(float).tiny <= squares) & (squares <= np.finfo(float).max)
+        bad = np.flatnonzero(np.isfinite(self.A).all(axis=1) & ~normal)
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"row {i} of A has norm {math.hypot(*self.A[i].tolist()):.6g}, whose square "
+                             f"{'overflows' if squares[i] > 1.0 else 'underflows'}")
 
     @property
     def m(self) -> int:

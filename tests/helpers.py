@@ -66,6 +66,16 @@ def enumerate_vertices(p):
     return list(vertex_sweep(Polytope(p.A, p.b))[0])
 
 
+def neither_feasible(p, basis):
+    """Whether the vertex of `basis` is infeasible with a negative multiplier,
+    where the pivot loop shifts the cost before its first pivot."""
+    try:
+        _, _, lam, resid, scale = lp._basis_terms(p.A, p.b, p.c, sorted(basis))
+    except np.linalg.LinAlgError:
+        return False
+    return bool((resid / scale).min() < -lp.ACTIVE_TOL and lam.min() < -lp.COST_TOL)
+
+
 def _bland_pivot_reference(T, basis, row, col):
     T[row] /= T[row, col]
     coeffs = T[:, col].copy()

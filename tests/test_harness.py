@@ -279,6 +279,11 @@ UNIT_SQUARE = {"type": "polytope", "A": [[1, 0], [0, 1], [-1, 0], [0, -1]], "b":
                      id="misspelled-x-prime"),
         pytest.param({"problem": {"type": "box", "d": 2, "A": [[1, 0]]}}, "unknown problem fields: ['A']", id="box-with-A"),
         pytest.param({"base_seed": -1}, "base_seed must be >= 0", id="negative-seed"),
+        pytest.param({"sigma": 10**400}, "sigma must be a finite number", id="huge-int-sigma"),
+        pytest.param({"T": 10**400}, "T must be an integer within the float range", id="huge-int-T"),
+        pytest.param({"x0": [10**400, 0]}, "x0 must be a list of 2 finite numbers", id="huge-int-x0"),
+        pytest.param({"problem": {**UNIT_SQUARE, "b": [10**400, 1, 1, 1]}}, "bad polytope description",
+                     id="huge-int-b"),
     ],
 )
 def test_validate_config_rejects_bad_values(tmp_path, capsys, recwarn, overrides, message):
@@ -479,6 +484,27 @@ def test_overflowing_polytope_prints_only_the_config_error(tmp_path):
                          capture_output=True, text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert out.returncode == 1
     assert out.stderr.startswith("config error: ") and out.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "scale, b, message",
+    [
+        (1e200, 1.0, "row 0 of A has norm 1e+200, whose square overflows"),
+        (1e200, 1e200, "row 0 of A has norm 1e+200, whose square overflows"),
+        (1e-200, 1e-200, "row 0 of A has norm 1e-200, whose square underflows"),
+    ],
+    ids=["overflow-b1", "overflow-b1e200", "underflow"],
+)
+def test_polytope_row_out_of_float_range_is_named(tmp_path, capsys, recwarn, scale, b, message):
+    """The box |x_i| <= 1/scale written as rows of +-scale is rejected for the
+    row whose squared norm leaves the float range, not for a wrong reason
+    (no KKT point, an all-zero row)."""
+    path = tmp_path / "cfg.json"
+    A = (scale * np.vstack([np.eye(2), -np.eye(2)])).tolist()
+    path.write_text(json.dumps({"problem": {"type": "polytope", "A": A, "b": [b] * 4}, "repetitions": 1}))
+    assert cli_main(["validate-config", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"config error: bad polytope description: {message}\n"
+    assert not recwarn.list
 
 
 @pytest.mark.parametrize("problem", [{"type": "box", "d": 2}, GENERAL_POLYTOPE], ids=["box", "polytope"])

@@ -1,7 +1,7 @@
 """Simplex solver against exhaustive vertex enumeration, scipy's HiGHS,
 hand cases and the scalar-read Bland kernel; the pivot loop (verified warm
-start, its restart and the guard-start dual simplex) against the cold solve
-and HiGHS."""
+start, its restart, the shifted-cost restart and the guard-start dual
+simplex) against the cold solve and HiGHS."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from safefw import lp
 from safefw.problem import EnumerationCapError, box_polytope
 from safefw.sfw import _guard_start, _guarded_rows
 
-from helpers import bland_simplex_reference, enumerate_vertices, random_bounded_polytope
+from helpers import bland_simplex_reference, enumerate_vertices, neither_feasible, random_bounded_polytope
 
 
 def box_problem(c):
@@ -170,8 +170,9 @@ def counting_simplex(monkeypatch):
     [
         ([-2.0, -0.5], None, [1, 3]),  # feasible vertex, negative multipliers: two primal pivots
         ([-2.0, -0.5], ([1.0, 1.0], 1.5), [0, 2]),  # positive multipliers, vertex cut off: one dual pivot
+        ([2.0, -0.5], ([1.0, 1.0], 1.5), [0, 2]),  # vertex cut off and a negative multiplier: shifted cost
     ],
-    ids=["wrong", "infeasible-vertex"],
+    ids=["wrong", "infeasible-vertex", "neither"],
 )
 def test_rejected_basis_restarts_to_the_cold_vertex(c, extra_row, basis, monkeypatch):
     prob = with_row(c, extra_row)
@@ -191,9 +192,8 @@ def test_rejected_basis_restarts_to_the_cold_vertex(c, extra_row, basis, monkeyp
         ([-1.0, 0.0], None, [0, 2]),  # zero multiplier: optimal face is an edge
         ([-2.0, -0.5], ([1.0, 1.0], 2.0), [0, 2]),  # a third row through the vertex: degenerate
         ([-1.0, -5e-10], ([1.0, 1e-9], 1.0 + 3e-10), [0, 4]),  # nearly parallel rows: condition ~4e9
-        ([2.0, -0.5], ([1.0, 1.0], 1.5), [0, 2]),  # vertex cut off and a negative multiplier
     ],
-    ids=["singular", "short", "zero-multiplier", "degenerate", "ill-conditioned", "neither"],
+    ids=["singular", "short", "zero-multiplier", "degenerate", "ill-conditioned"],
 )
 def test_rejected_basis_falls_back_to_cold(c, extra_row, basis, monkeypatch):
     prob = with_row(c, extra_row)
@@ -369,39 +369,51 @@ def random_guarded_lp(rng, d):
     return lp.LpProblem(rng.normal(0.0, 1.0, d), A, b), A_hat.shape[0]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
-def test_pivot_loop_matches_scipy_on_guarded_lps(d, seed):
-    """From a random d-subset of the rows and from no basis, with the guard
-    start, a solve gives HiGHS's status; on a vertex the pivot loop verified
-    it gives HiGHS's objective within 1e-9 relative and the cold tableau's
-    point and active set. The loop's rank-one B^-1 matches a fresh inverse of
-    its final basis within 1e-10 relative."""
+def test_pivot_loop_matches_scipy_on_guarded_lps():
+    """Over 300 random guarded LPs, from a random d-subset of the rows and,
+    as a separate solve, from the guard start, a solve gives HiGHS's status;
+    on a vertex the pivot loop verified it gives HiGHS's objective within
+    1e-9 relative and the cold tableau's point and active set. The loop's
+    rank-one B^-1 matches a fresh inverse of its final basis within 1e-10
+    relative. Some random starts are neither primal nor dual feasible, and
+    most of those restart by the shifted cost to a verified vertex."""
     optimize = pytest.importorskip("scipy.optimize")
-    rng = np.random.default_rng(seed)
-    prob, m = random_guarded_lp(rng, d)
-    ref = optimize.linprog(prob.c, A_ub=prob.A, b_ub=prob.b, bounds=[(None, None)] * d, method="highs")
-    assert ref.status in (0, 2)
-    cold = lp.solve(prob)
-    assert cold.status == ("optimal" if ref.status == 0 else "infeasible")
-    for basis in (sorted(rng.choice(prob.A.shape[0], size=d, replace=False).tolist()), None):
-        updated, verified = [], []
-        with pytest.MonkeyPatch.context() as mp:
-            replace_row, descend = lp._replace_row, lp._pivot_from
-            mp.setattr(lp, "_replace_row", lambda *args: updated.append(replace_row(*args)) or updated[-1])
-            mp.setattr(lp, "_pivot_from", lambda p, start: updated.clear() or verified.append(descend(p, start)) or verified[-1])
-            sol = lp.solve(prob, basis=basis, dual_start=_guard_start(prob.c, m))
-        assert sol.status == cold.status
-        if verified and verified[-1] is not None:
-            assert abs(prob.c @ sol.point - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
-            assert sol.active_set == cold.active_set
-            assert np.abs(sol.point - cold.point).max() <= 1e-9 * max(1.0, np.abs(cold.point).max())
-            if updated:
-                # the loop's columns follow its pivot order: match them to the sorted basis
-                fresh = np.linalg.inv(prob.A[sol.active_set])
-                order = np.argmax(np.abs(prob.A[sol.active_set] @ updated[-1]), axis=0)
-                assert sorted(order.tolist()) == list(range(d))
-                assert np.abs(updated[-1] - fresh[:, order]).max() <= 1e-10 * np.abs(fresh).max()
+    shifted = []  # per random start that is neither feasible: whether the loop verified a vertex
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def check(d, seed):
+        rng = np.random.default_rng(seed)
+        prob, m = random_guarded_lp(rng, d)
+        ref = optimize.linprog(prob.c, A_ub=prob.A, b_ub=prob.b, bounds=[(None, None)] * d, method="highs")
+        assert ref.status in (0, 2)
+        cold = lp.solve(prob)
+        assert cold.status == ("optimal" if ref.status == 0 else "infeasible")
+        random_start = sorted(rng.choice(prob.A.shape[0], size=d, replace=False).tolist())
+        for basis in (random_start, _guard_start(prob.c, m)):
+            updated, verified = [], []
+            with pytest.MonkeyPatch.context() as mp:
+                replace_row, descend = lp._replace_row, lp._pivot_from
+                mp.setattr(lp, "_replace_row", lambda *args: updated.append(replace_row(*args)) or updated[-1])
+                mp.setattr(lp, "_pivot_from", lambda p, start: updated.clear() or verified.append(descend(p, start)) or verified[-1])
+                sol = lp.solve(prob, basis)
+            assert len(verified) == 1
+            assert sol.status == cold.status
+            if basis is random_start and neither_feasible(prob, basis):
+                shifted.append(verified[0] is not None)
+            if verified[0] is not None:
+                assert abs(prob.c @ sol.point - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+                assert sol.active_set == cold.active_set
+                assert np.abs(sol.point - cold.point).max() <= 1e-9 * max(1.0, np.abs(cold.point).max())
+                if updated:
+                    # the loop's columns follow its pivot order: match them to the sorted basis
+                    fresh = np.linalg.inv(prob.A[sol.active_set])
+                    order = np.argmax(np.abs(prob.A[sol.active_set] @ updated[-1]), axis=0)
+                    assert sorted(order.tolist()) == list(range(d))
+                    assert np.abs(updated[-1] - fresh[:, order]).max() <= 1e-10 * np.abs(fresh).max()
+
+    check()
+    assert 2 * sum(shifted) > len(shifted) > 0
 
 
 def test_rank_one_update_matches_a_fresh_inverse():

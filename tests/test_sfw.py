@@ -20,13 +20,14 @@ from safefw.safety import make_safety_config, nt_schedule
 from safefw.sfw import (
     ProblemSetup,
     SfwConfig,
+    _guard_start,
     et_bound,
     run,
     run_fw_reference,
     surrogate_gap,
 )
 
-from helpers import run_adaptive_reference
+from helpers import neither_feasible, run_adaptive_reference
 
 
 def box_setup(d=2, x_prime=None, sigma=0.01, seed=0, omega0=0.01, T=15, cn=0.0, kind="gaussian"):
@@ -227,17 +228,18 @@ def test_committed_blocks_are_not_measured_again(monkeypatch):
 
 
 def test_dfs_restart_is_invisible_to_the_driver(monkeypatch):
-    """The DFS pivot loop (rank-one restarts from the previous basis, then a
-    dual simplex from the guard vertex) gives the adaptive runs of the rule it
-    replaced (a verified basis, else a cold solve): the same totals, per-row
-    extras, statuses, DFS statuses and out-of-reach count, and every f within
-    1e-9, over 32 runs at d = 2 and 5 with both noise kinds, while the
-    simplex serves no DFS solve."""
+    """The DFS pivot loop (rank-one restarts from the previous basis, by a
+    shifted cost where that basis is neither primal nor dual feasible, and a
+    dual simplex from the guard vertex for the first solve) gives the
+    adaptive runs of the rule it replaced (a verified basis, else a cold
+    solve): the same totals, per-row extras, statuses, DFS statuses and
+    out-of-reach count, and every f within 1e-9, over 32 runs at d = 2 and 5
+    with both noise kinds, while the simplex serves no DFS solve."""
     simplex_runs = []
     simplex, solve = lp._simplex, lp.solve
     monkeypatch.setattr(lp, "_simplex", lambda *args: simplex_runs.append(1) or simplex(*args))
 
-    def verified_or_cold(p, basis=None, dual_start=None):
+    def verified_or_cold(p, basis=None):
         if basis is not None:
             x, ok = lp.verified_vertices(p.A[None], p.b[None], p.c, basis)
             if ok[0]:
@@ -267,3 +269,37 @@ def test_dfs_restart_is_invisible_to_the_driver(monkeypatch):
                 assert len(restarted.rows) == len(ref.rows), case
                 assert max(abs(a.f - b.f) for a, b in zip(restarted.rows, ref.rows)) <= 1e-9, case
     assert simplex_in_restarted == 0 < simplex_in_ref
+
+
+def test_every_warm_dfs_solve_starts_once_from_its_basis(monkeypatch):
+    """The first DFS solve of an adaptive run starts from the guard vertex;
+    every later one runs the pivot loop once, from the previous solve's
+    active set, even where that basis is neither primal nor dual feasible,
+    and no DFS solve reaches the simplex: on d = 5 box seeds and on the
+    adaptive-d20 config (d = 20, sigma = 0.01, 150,000 measurements)."""
+    solves, simplex_runs, neither = [], [], []
+    pivot_from, solve, simplex = lp._pivot_from, lp.solve, lp._simplex
+    monkeypatch.setattr(lp, "_simplex", lambda *args: simplex_runs.append(1) or simplex(*args))
+
+    def traced_pivots(p, start):
+        solves[-1]["starts"].append(list(start))
+        neither.append(neither_feasible(p, start))
+        return pivot_from(p, start)
+
+    def traced(p, basis=None):
+        solves.append({"c": p.c, "m": p.A.shape[0] - 2 * p.c.size, "starts": []})
+        sol = solve(p, basis)
+        solves[-1]["active"] = sol.active_set
+        return sol
+
+    monkeypatch.setattr(lp, "_pivot_from", traced_pivots)
+    monkeypatch.setattr(lp, "solve", traced)
+    for d, sigma, budget, seeds in ((5, 0.015, 10_000_000, range(4)), (20, 0.01, 150_000, range(2))):
+        for seed in seeds:
+            solves.clear()
+            _, setup, oracle, est, scfg = box_setup(d=d, sigma=sigma, seed=seed)
+            run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-6, variant="adaptive", max_total_measurements=budget))
+            assert solves[0]["starts"] == [_guard_start(solves[0]["c"], solves[0]["m"])]
+            for before, after in zip(solves, solves[1:]):
+                assert after["starts"] == [before["active"]], (d, seed)
+    assert not simplex_runs and any(neither)
