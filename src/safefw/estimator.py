@@ -3,12 +3,24 @@
 Each probe point x with measurement row y (one value per constraint)
 contributes an extended regressor v = [x, -1], so the i-th column of the
 estimate stacks [a_i; b_i]. The normal-equation inverse P = (VtV)^-1 is the
-only inverse kept. Once the design spans R^(d+1), one eigen-form step does
-every update: an absorb of a stack of points (a whole cross, or one point)
-measured k times each, and a forecast of K more crosses, the step at
-k = 1..K. It adds positive terms only, so no accuracy is lost as counts
-grow. A block absorb lands on the forecast's state bit for bit, so `commit`
-adopts the forecast at k instead of absorbing those k crosses again.
+only inverse kept.
+
+Once the design spans R^(d+1), each probe stack (a whole cross, or one
+point) is factored once, where it is first absorbed: with that state's
+P0 = L L^T and beta0, L^T V^T V L = Z diag(mu) Z^T, F = L Z and W = (V F)^T,
+the state after k more measurements of each row of V, whose values sum to
+SY, is
+
+    P_k = F diag(1 / (1 + k mu)) F^T,
+    beta_k = beta0 + F diag(1 / (1 + k mu)) (W SY - k W V beta0).
+
+Every later absorb at the same points (equal bit for bit), a forecast of K
+more crosses (k = 1..K) and a commit of the first of them advance only k and
+W SY. The form adds positive terms only, so no accuracy is lost as counts
+grow; a block absorb lands on the forecast's state bit for bit, so `commit`
+adopts the forecast at k instead of absorbing those crosses again; and every
+P adopted must have a positive smallest eigenvalue, else the design is
+beyond double precision and ScatterSingularError is raised.
 
 Until the design spans, rows are taken one at a time and estimates fall back
 to a pseudo-inverse solve: P is formed by a dense inverse at the row where
@@ -47,24 +59,72 @@ def phi_inverse(d: int, delta_bar: float) -> float:
 
 @dataclass
 class Forecast:
-    """Estimates after k = 1..K more crosses: beta[k-1], and P_k = F diag(shrink[k-1]) F^T."""
+    """Estimates after k = 1..K more crosses: beta[k-1], and P_k = F diag(shrink[k-1]) F^T;
+    wsums[k-1] is W SY after them, SY summing every value absorbed at the
+    anchor's points since it was factored."""
 
     beta: np.ndarray    # (K, d+1, m)
     F: np.ndarray       # (d+1, d+1)
     shrink: np.ndarray  # (K, d+1), 1 / (1 + k mu)
+    wsums: np.ndarray   # (K, d+1, m)
 
     def quadratic(self, Z: np.ndarray) -> np.ndarray:
         """z_k^T P_k z_k for each row z_k of the (K, d+1) stack Z."""
         return ((Z @ self.F) ** 2 * self.shrink).sum(axis=1)
 
 
+SINGULAR_DESIGN = (
+    "probe design became numerically singular: the probe points' magnitude |x| is too large "
+    "relative to the probe radius omega0 for double precision"
+)
+
+
+class _Anchor:
+    """One factorization of a probe stack X (n, d), made at the state (P0, beta0)
+    where the stack was first absorbed: P0 = L L^T, L^T V^T V L = Z diag(mu) Z^T,
+    F = L Z, W = (V F)^T and W V beta0. k counts the measurements of each row
+    absorbed since, and wsum is W times their sums."""
+
+    __slots__ = ("shape", "key", "sum_x", "outer", "beta0", "F", "mu", "W", "wvb", "k", "wsum")
+
+    def __init__(self, X: np.ndarray, P0: np.ndarray, beta0: np.ndarray):
+        try:
+            L = np.linalg.cholesky(P0)
+        except np.linalg.LinAlgError as exc:
+            raise ScatterSingularError(SINGULAR_DESIGN) from exc
+        V = np.hstack([X, -np.ones((X.shape[0], 1))])
+        mu, Z = np.linalg.eigh(L.T @ (V.T @ V) @ L)
+        self.shape, self.key = X.shape, X.tobytes()  # equal points, bit for bit, reuse the anchor
+        self.sum_x, self.outer = X.sum(axis=0), X.T @ X
+        self.beta0, self.F, self.mu = beta0, L @ Z, np.maximum(mu, 0.0)  # mu >= 0 but for rounding
+        self.W = (V @ self.F).T
+        self.wvb = self.W @ (V @ beta0)
+        self.k, self.wsum = 0, np.zeros_like(self.wvb)
+
+    def holds(self, X: np.ndarray) -> bool:
+        return X.shape == self.shape and X.tobytes() == self.key
+
+    def closed_form(self, k: np.ndarray, wsums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """beta (K, d+1, m) and shrink (K, d+1) after k[i] measurements of each
+        row since the anchor, whose values sum to SY with W SY = wsums[i]."""
+        shrink = 1.0 / (1.0 + k[:, None] * self.mu)
+        innovations = k[:, None, None] * self.wvb
+        np.subtract(wsums, innovations, out=innovations)
+        innovations *= shrink[:, :, None]
+        beta = np.matmul(self.F, innovations)
+        beta += self.beta0
+        return beta, shrink
+
+
 class ConstraintEstimator:
     """Running least squares for m affine constraints in d variables.
 
-    Absorbing n probe points costs O(d^3 + n d^2 + (n + d) d m) once the
-    design spans R^(d+1): one Cholesky factor and one eigendecomposition of
-    (d+1) x (d+1) matrices. Repeated measurements at one point are absorbed
-    in aggregate: summing the measurement rows leaves the normal equations
+    Once the design spans R^(d+1), the first absorb of a probe stack of n
+    points costs O(d^3 + n d^2 + (n + d) d m): one Cholesky factor and one
+    eigendecomposition of (d+1) x (d+1) matrices. A later absorb at the same
+    points costs O(d^3 + n d m), its d^3 the product that forms P and the
+    eigenvalue test of P. Repeated measurements at one point are absorbed in
+    aggregate: summing the measurement rows leaves the normal equations
     unchanged.
     """
 
@@ -80,6 +140,7 @@ class ConstraintEstimator:
         self.G = np.zeros((k, m))  # V^T Y, summed only until the design spans
         self.P: np.ndarray | None = None
         self.beta_hat: np.ndarray | None = None
+        self._anchor: _Anchor | None = None
 
     def xtx(self) -> np.ndarray:
         """Extended normal matrix VtV assembled from the running sums."""
@@ -111,17 +172,18 @@ class ConstraintEstimator:
         if Y.shape != X.shape[:-1] + (self.m,):
             raise ValueError(f"value sum must have length {self.m} per point")
         X, Y = np.atleast_2d(X), np.atleast_2d(Y)
-        V = np.hstack([X, -np.ones((X.shape[0], 1))])
         if self.P is not None:
-            self._add_counts(X, count)
-            beta, F, shrink = self._step(V, np.array([count], dtype=float), Y[None])
-            self.beta_hat, self.P = beta[0], (F * shrink[0]) @ F.T
+            a = self._anchor_on(X)
+            wsum = a.wsum + np.matmul(a.W, Y[None])  # stacked as in `forecast`, so a block absorb matches it bit for bit
+            beta, shrink = a.closed_form(np.array([a.k + count], dtype=float), wsum)
+            self._adopt(a, count, beta[0], (a.F * shrink[0]) @ a.F.T, wsum[0])
             return
         # Row by row, so the first cross gives the same P bit for bit as
         # per-point absorbs: the RO baseline rests on that one cross, and
         # its cutting planes turn a one-ulp change of P into another answer.
+        V = np.hstack([X, -np.ones((X.shape[0], 1))])
         for i in range(X.shape[0]):
-            self._add_counts(X[i : i + 1], count)
+            self._add_counts(X[i], X[i : i + 1].T @ X[i : i + 1], 1, count)
             self.G += V[i : i + 1].T @ Y[i : i + 1]
             if self.P is not None:
                 pv = self.P @ V[i]
@@ -136,14 +198,16 @@ class ConstraintEstimator:
 
     def forecast(self, points: np.ndarray, values: np.ndarray) -> Forecast:
         """The estimates after each of K crosses of single measurements `values`
-        (K, n, m) at the points (n, d), not absorbed: the absorb step at
-        k = 1..K with the running sums of `values`."""
+        (K, n, m) at the points (n, d), not absorbed: the closed form at k = 1..K
+        more crosses with the running sums of `values`."""
         if self.P is None:
             raise ScatterSingularError("centered probe scatter is singular")
-        X = np.asarray(points, dtype=float)
-        V = np.hstack([X, -np.ones((X.shape[0], 1))])
-        k = np.arange(1, values.shape[0] + 1, dtype=float)
-        return Forecast(*self._step(V, k, _running_sums(values)))
+        a = self._anchor_on(np.asarray(points, dtype=float))
+        k = a.k + np.arange(1, values.shape[0] + 1, dtype=float)
+        wsums = np.matmul(a.W, _running_sums(values))
+        wsums += a.wsum
+        beta, shrink = a.closed_form(k, wsums)
+        return Forecast(beta, a.F, shrink, wsums)
 
     def commit(self, points: np.ndarray, ahead: Forecast, count: int) -> None:
         """Absorb the first `count` crosses at the points (n, d) that `ahead`
@@ -151,34 +215,36 @@ class ConstraintEstimator:
         absorb_repeated of their summed values gives, bit for bit."""
         if not 1 <= count <= ahead.beta.shape[0]:
             raise ValueError(f"count must lie in 1..{ahead.beta.shape[0]}")
-        self._add_counts(np.asarray(points, dtype=float), count)
-        self.beta_hat = ahead.beta[count - 1].copy()
-        self.P = (ahead.F * ahead.shrink[count - 1]) @ ahead.F.T
+        a = self._anchor
+        if a is None or not a.holds(np.asarray(points, dtype=float)):
+            raise ValueError("commit needs the points of the forecast")
+        P = (ahead.F * ahead.shrink[count - 1]) @ ahead.F.T
+        self._adopt(a, count, ahead.beta[count - 1].copy(), P, ahead.wsums[count - 1])
 
-    def _step(self, V: np.ndarray, k: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The posterior after measuring the rows of V k times each, for each
-        count in k (K,) with measurement sums (K, n, m): beta (K, d+1, m), and F
-        and shrink (K, d+1) with P_k = F diag(shrink[i]) F^T for k = k[i]. With
-        P = L L^T and L^T V^T V L = Z diag(mu) Z^T, F = L Z and shrink =
-        1 / (1 + k mu), and beta_k = beta_hat + P_k V^T (sums_k - k V beta_hat)."""
-        try:
-            L = np.linalg.cholesky(self.P)
-        except np.linalg.LinAlgError as exc:
-            raise ScatterSingularError(
-                "probe design became numerically singular: the probe points' magnitude |x| is too large "
-                "relative to the probe radius omega0 for double precision"
-            ) from exc
-        mu, Z = np.linalg.eigh(L.T @ (V.T @ V) @ L)
-        F = L @ Z
-        shrink = 1.0 / (1.0 + k[:, None] * np.maximum(mu, 0.0))  # mu >= 0 but for rounding
-        W = (V @ F).T
-        innovations = np.matmul(W, sums) - k[:, None, None] * (W @ (V @ self.beta_hat))
-        return self.beta_hat + np.matmul(F, shrink[:, :, None] * innovations), F, shrink
+    def _anchor_on(self, X: np.ndarray) -> _Anchor:
+        """The anchor at the stack X (n, d): the current one if it holds these
+        points, else a new one factored at the current state."""
+        if self._anchor is None or not self._anchor.holds(X):
+            self._anchor = _Anchor(X, self.P, self.beta_hat)
+        return self._anchor
 
-    def _add_counts(self, X: np.ndarray, count: int) -> None:
-        self.N += count * X.shape[0]
-        self.sum_x += count * X.sum(axis=0)
-        self.sum_outer += count * (X.T @ X)
+    def _adopt(self, a: _Anchor, count: int, beta: np.ndarray, P: np.ndarray, wsum: np.ndarray) -> None:
+        """Take the state after `count` more measurements of each row of the
+        anchor's stack, which bring W SY to wsum; refuse a P that is not
+        positive definite in floating point."""
+        if np.linalg.eigvalsh(P)[0] <= 0.0:
+            raise ScatterSingularError(SINGULAR_DESIGN)
+        self._add_counts(a.sum_x, a.outer, a.shape[0], count)
+        self.beta_hat, self.P = beta, P
+        a.k += count
+        a.wsum = wsum
+
+    def _add_counts(self, sum_x: np.ndarray, outer: np.ndarray, n: int, count: int) -> None:
+        """Add `count` measurements at each of n points with coordinate sums
+        sum_x and outer-product sum `outer`."""
+        self.N += count * n
+        self.sum_x += count * sum_x
+        self.sum_outer += count * outer
 
     def _spans(self) -> bool:
         """The rank test that forms P: the design spans R^(d+1)."""
@@ -210,7 +276,7 @@ def spans(points: np.ndarray) -> bool:
     """Whether one probe row at each of the points (n, d) spans R^(d+1) under
     the rank test with which an estimator forms P."""
     est = ConstraintEstimator(points.shape[1], 1)
-    est._add_counts(points, 1)
+    est._add_counts(points.sum(axis=0), points.T @ points, points.shape[0], 1)
     return est._spans()
 
 

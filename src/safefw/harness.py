@@ -35,6 +35,9 @@ from .safety import SafetyConfig, cn_lower_bound, make_safety_config
 from .sfw import ProblemSetup, SfwConfig, TrajectoryRecord
 
 VARIANTS = ("prescribed", "adaptive", "ro", "fw-oracle")
+# Largest box dimension a config may ask for: resolving d = 1000 takes about
+# half a second and 90 MB, and time and memory grow as d^2 beyond it.
+MAX_BOX_D = 1000
 
 CSV_COLUMNS = [
     "t",
@@ -203,6 +206,8 @@ def resolve(cfg: ExperimentConfig, variant: str | None = None) -> ResolvedExperi
         half_width = float(cfg.problem.get("half_width", 1.0))
         if d < 1 or half_width <= 0:
             raise ConfigError("box problem needs d >= 1 and half_width > 0")
+        if d > MAX_BOX_D:
+            raise ConfigError(f"box problem d must be at most {MAX_BOX_D}, got {d}")
         polytope = box_polytope(d, half_width)
         is_box = True
     elif ptype == "polytope":

@@ -8,7 +8,9 @@ per-point calls and returns the same sums bit for bit. `lookahead` peeks at
 future calls; their noise waits in a buffer that every later draw reads first.
 `commit` then takes the first peeked calls as made: it consumes their noise
 and counts their out-of-reach events, so the stream and the count stand where
-the measurements themselves would leave them.
+the measurements themselves would leave them. The signal A x - b and the
+out-of-reach count of a stack are computed once for the last stack seen, so
+the repeated passes at one probe cross read them instead of recomputing.
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ class ConstraintOracle:
         self.omega0 = float(omega0)
         self._rng = np.random.default_rng(noise.seed)
         self._pushback = np.empty(0)  # variates peeked at, not yet consumed
+        self._last: tuple | None = None  # ((shape, bytes) of the last stack, its signal, its reach count)
         self.out_of_reach_events = 0
 
     @property
@@ -108,18 +111,23 @@ class ConstraintOracle:
             head = np.concatenate([head, self._fresh(size - head.size)])
         return head.reshape(shape)
 
-    def _signal(self, X: np.ndarray) -> np.ndarray:
-        # one matrix-vector product per point, the same arithmetic as A @ x
-        return np.matmul(self._A, X[:, :, None])[:, :, 0] - self._b
-
-    def _count_reach(self, values: np.ndarray, count: int) -> None:
-        deficits = np.max(values / self._row_norms, axis=1)
-        self.out_of_reach_events += count * int(np.count_nonzero(deficits > self.omega0 + 1e-12))
+    def _stack(self, points: np.ndarray) -> tuple[np.ndarray, int]:
+        """The signal A x - b (n, m) at each point of the stack and its number of
+        out-of-reach points, computed once for the last stack seen (compared bit
+        for bit) and never handed to a caller."""
+        X = np.atleast_2d(np.asarray(points, dtype=float))
+        key = (X.shape, X.tobytes())  # equal points, bit for bit, give equal values
+        if self._last is None or self._last[0] != key:
+            # one matrix-vector product per point, the same arithmetic as A @ x
+            values = np.matmul(self._A, X[:, :, None])[:, :, 0] - self._b
+            deficits = np.max(values / self._row_norms, axis=1)
+            self._last = (key, values, int(np.count_nonzero(deficits > self.omega0 + 1e-12)))
+        return self._last[1], self._last[2]
 
     def lookahead(self, points: np.ndarray, count: int) -> np.ndarray:
         """Values (count, n, m) that the next `count` calls measure_repeated(points, 1)
         on a stack of n points will return; counts no reach events."""
-        values = self._signal(np.atleast_2d(np.asarray(points, dtype=float)))
+        values = self._stack(points)[0]
         if self.noise.sigma == 0.0:
             return np.broadcast_to(values, (count,) + values.shape).copy()
         size = count * values.size
@@ -131,12 +139,12 @@ class ConstraintOracle:
         """Make the first `count` of the calls that `lookahead(points, K)` peeked
         at, without measuring them again: their noise leaves the buffer and
         each counts the stack's out-of-reach events."""
-        values = self._signal(np.atleast_2d(np.asarray(points, dtype=float)))
+        values, reach = self._stack(points)
         size = count * values.size if self.noise.sigma > 0.0 else 0
         if count < 1 or self._pushback.size < size:
             raise ValueError(f"cannot commit {count} calls: the lookahead holds {self._pushback.size} values")
         self._pushback = self._pushback[size:]
-        self._count_reach(values, count)
+        self.out_of_reach_events += count * reach
 
     def measure_repeated(self, x: np.ndarray, count: int) -> np.ndarray:
         """Componentwise sums of `count` independent measurements at x.
@@ -147,9 +155,8 @@ class ConstraintOracle:
         """
         if count < 1:
             raise ValueError("count must be >= 1")
-        X = np.asarray(x, dtype=float)
-        values = self._signal(np.atleast_2d(X))
-        self._count_reach(values, 1)
+        values, reach = self._stack(x)
+        self.out_of_reach_events += reach
         total = count * values
         if self.noise.sigma > 0.0:
             n, m = total.shape
@@ -162,4 +169,4 @@ class ConstraintOracle:
                         block = min(remaining, max(1, _DRAW_CHUNK // m))
                         row += self._draw((block, m)).sum(axis=0)
                         remaining -= block
-        return total if X.ndim == 2 else total[0]
+        return total if np.ndim(x) == 2 else total[0]

@@ -2,8 +2,9 @@
 independent references: a vertex enumerator, a finite-difference gradient
 check, covariance norms, a solver for the cone-constrained linear
 subproblem, the adaptive driver that absorbs one cross per pass, the block
-absorb that a committed forecast must equal, and the simplex kernel that
-reads the tableau one numpy scalar at a time."""
+absorb that a committed forecast must equal, the estimator update that
+refactors P at every step, and the simplex kernel that reads the tableau one
+numpy scalar at a time."""
 
 import math
 
@@ -277,6 +278,28 @@ def absorb_crosses_reference(oracle, est, points, count):
     n = points.shape[0]
     sums = oracle.measure_repeated(np.tile(points, (count, 1)), 1).reshape(count, n, -1).sum(axis=0)
     est.absorb_repeated(points, sums, count)
+
+
+class StepChainReference:
+    """The posterior (beta, P) advanced one step per update, each step factoring
+    the current P afresh: with P = L L^T and L^T V^T V L = Z diag(mu) Z^T,
+    F = L Z, P <- F diag(1 / (1 + k mu)) F^T and beta <- beta + P_new V^T (sums
+    - k V beta) for the rows V measured k times each with measurement sums
+    `sums`. The estimator factors each probe stack once instead; this chain is
+    the reference it must follow."""
+
+    def __init__(self, est):
+        self.beta, self.P = est.beta_hat.copy(), est.P.copy()
+
+    def absorb(self, points, sums, count):
+        V = np.hstack([points, -np.ones((points.shape[0], 1))])
+        L = np.linalg.cholesky(self.P)
+        mu, Z = np.linalg.eigh(L.T @ (V.T @ V) @ L)
+        F = L @ Z
+        shrink = 1.0 / (1.0 + count * np.maximum(mu, 0.0))
+        W = (V @ F).T
+        self.beta = self.beta + F @ (shrink[:, None] * (W @ sums - count * (W @ (V @ self.beta))))
+        self.P = (F * shrink) @ F.T
 
 
 def run_adaptive_reference(setup, oracle, est, scfg, cfg):

@@ -3,16 +3,19 @@ covariance machinery, block identities, confidence radii and coverage."""
 
 import copy
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from safefw.estimator import ConstraintEstimator, ScatterSingularError, confidence_membership_arrays, phi_inverse
+from safefw.harness import ExperimentConfig, resolve, run_single
 from safefw.oracle import cross_pattern
 from safefw.problem import box_polytope
 
 from helpers import (
     RecordingEstimator,
+    StepChainReference,
     covariance_sqrt_norm,
     covariance_sqrt_norm_bound,
     cross_fed_estimator,
@@ -281,3 +284,63 @@ def test_absorb_and_forecast_at_tiny_probe_radii():
             ahead = est.forecast(points, clean + rng.normal(0.0, 0.1, (4,) + clean.shape))
             assert np.all(ahead.shrink > 0.0)
         np.linalg.cholesky(est.P)
+
+
+def test_one_factorization_follows_the_step_chain():
+    """10,000 single crosses at one d = 2, sigma = 0.1 cross, with forecast and
+    commit blocks of up to 64 crosses interleaved: the estimator, which factors
+    the cross once, keeps beta_hat and P within 1e-10 relative of the chain
+    that refactors P at every step."""
+    polytope = box_polytope(2)
+    est, oracle = cross_fed_estimator(polytope, 0.1, 3, 0.01, [np.zeros(2)], [4])
+    ref = StepChainReference(est)
+    points = cross_pattern(np.array([0.3, -0.2]), 0.01, 4).points
+    rng = np.random.default_rng(3)
+    singles = 0
+    while singles < 10_000:
+        for _ in range(int(rng.integers(1, 200))):
+            sums = oracle.measure_repeated(points, 1)
+            est.absorb_repeated(points, sums, 1)
+            ref.absorb(points, sums, 1)
+            singles += 1
+        K = int(rng.integers(2, 65))
+        values = oracle.lookahead(points, K)
+        count = int(rng.integers(1, K + 1))
+        ahead = est.forecast(points, values)
+        est.commit(points, ahead, count)
+        oracle.commit(points, count)
+        ref.absorb(points, values[:count].sum(axis=0), count)
+    assert np.abs(est.beta_hat - ref.beta).max() <= 1e-10 * np.abs(ref.beta).max()
+    assert np.abs(est.P - ref.P).max() <= 1e-10 * np.abs(ref.P).max()
+    with pytest.raises(ValueError):  # a forecast commits only at its own points
+        est.commit(points + 0.5, ahead, 1)
+
+
+def test_one_eigendecomposition_per_cross(monkeypatch):
+    """Adaptive d = 5 runs call np.linalg.eigh from the estimator once per
+    distinct probe cross absorbed once P exists, however many passes and
+    forecast blocks measure that cross again."""
+    calls = {"eigh": 0, "passes": 0}
+    crosses = set()  # of the current run
+    eigh, absorb = np.linalg.eigh, ConstraintEstimator.absorb_repeated
+
+    def counted_eigh(*args, **kwargs):
+        calls["eigh"] += sys._getframe(1).f_globals["__name__"] == "safefw.estimator"
+        return eigh(*args, **kwargs)
+
+    def recorded_absorb(self, point, value_sum, count):
+        if self.P is not None:
+            crosses.add(np.asarray(point, dtype=float).tobytes())
+            calls["passes"] += 1
+        return absorb(self, point, value_sum, count)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(ConstraintEstimator, "absorb_repeated", recorded_absorb)
+    res = resolve(ExperimentConfig(problem={"type": "box", "d": 5}, sigma=0.05, T=15, max_total_measurements=100_000))
+    distinct = 0
+    for seed in range(2):
+        crosses.clear()
+        run_single(res, seed)
+        distinct += len(crosses)
+    assert calls["passes"] > 2 * distinct
+    assert calls["eigh"] == distinct

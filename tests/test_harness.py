@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from safefw.cli import main as cli_main
+from safefw.estimator import ScatterSingularError
 from safefw.harness import (
     CSV_COLUMNS,
+    MAX_BOX_D,
     ConfigError,
     ExperimentConfig,
     compare_sfw_ro,
@@ -461,16 +463,33 @@ def test_failures_outside_a_seed_are_config_errors(tmp_path, monkeypatch, capsys
 
 @pytest.mark.parametrize("command", ["validate-config", "run", "compare"])
 def test_config_too_large_to_allocate_is_a_config_error(tmp_path, capsys, command):
-    """A box of 10^8 dimensions asks numpy for a 142 PiB constraint matrix,
-    which it refuses before touching memory: exit 1 with one stderr line, not
-    a MemoryError traceback."""
+    """A box of 10^8 dimensions would ask numpy for a 142 PiB constraint
+    matrix; the dimension cap refuses it before anything is allocated: exit 1
+    with one stderr line, not a MemoryError traceback."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"problem": {"type": "box", "d": 100_000_000}, "repetitions": 1,
                                 "out_dir": str(tmp_path / "out")}))
     assert cli_main([command, "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
-    assert "Unable to allocate" in err
+    assert f"d must be at most {MAX_BOX_D}, got 100000000" in err
+
+
+def test_box_dimension_above_the_cap_is_refused_before_building_it(tmp_path, capsys, monkeypatch):
+    """A box one dimension past MAX_BOX_D (whose resolve would take about 0.5 s
+    and 90 MB, growing as d^2) prints one config error naming the cap, and
+    no box constraint matrix is built."""
+    import safefw.harness as hmod
+
+    def refuse(*args):
+        raise AssertionError("box_polytope called")
+
+    monkeypatch.setattr(hmod, "box_polytope", refuse)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": {"type": "box", "d": MAX_BOX_D + 1}}))
+    assert cli_main(["validate-config", "--config", str(path)]) == 1
+    out = capsys.readouterr()
+    assert not out.out and out.err == f"config error: box problem d must be at most {MAX_BOX_D}, got {MAX_BOX_D + 1}\n"
 
 
 def test_overflowing_polytope_prints_only_the_config_error(tmp_path):
@@ -570,6 +589,23 @@ def test_probe_scale_beyond_double_precision_is_named(tmp_path):
     reps = json.loads((tmp_path / "out" / "summary.json").read_text())["reps"]
     assert len(reps) == 2
     assert all(r["error"].startswith("ScatterSingularError: probe design became numerically singular") for r in reps)
+
+
+@pytest.mark.parametrize("half_width", [3e6, 1e7, 1e8])
+def test_probe_scale_is_refused_or_run_safely(half_width):
+    """Seeds 0-7 of a d = 2 box with omega0 = 0.01: at half_width 3e6 every run
+    completes; at 1e7 and 1e8, where P's eigenvalues lie some 1e16 apart, a
+    run either stops with ScatterSingularError or completes with every
+    iterate feasible."""
+    res = resolve(ExperimentConfig(problem={"type": "box", "d": 2, "half_width": half_width}, omega0=0.01,
+                                   max_total_measurements=20_000))
+    for seed in range(8):
+        try:
+            rep = run_single(res, seed)[1]
+        except ScatterSingularError:
+            assert half_width > 3e6, seed
+            continue
+        assert (rep.status, rep.iterate_violations) == ("completed", 0), seed
 
 
 def test_compare_records_a_failed_pair(tmp_path, monkeypatch, capsys):

@@ -163,3 +163,43 @@ def test_lookahead_returns_the_next_calls_without_consuming(kind, sigma, monkeyp
     if sigma > 0.0:
         with pytest.raises(ValueError):  # nothing peeked is left to commit
             peeker.commit(points, 1)
+
+
+def _signal_and_reach(points, count):
+    """What a fresh noise-free oracle returns and counts for one call."""
+    fresh = make_oracle()
+    return fresh.measure_repeated(points, count), fresh.out_of_reach_events
+
+
+def test_cached_signal_matches_a_fresh_oracle():
+    """The oracle computes the signal and reach count once per stack; its
+    values and counts stay bit for bit those of a fresh oracle when stacks
+    alternate between two crosses (and a single point), when the caller
+    changes the points array in place after a call, and when the caller
+    changes an array the oracle returned."""
+    o = make_oracle()
+    inside = cross_pattern(np.array([0.3, -0.2]), 0.01, 4).points
+    outside = cross_pattern(np.array([1.5, 0.0]), 0.01, 4).points  # every point past reach
+    events = 0
+    for points in (inside, outside, inside, outside[0], outside, inside, outside):
+        values, reach = _signal_and_reach(points, 3)
+        assert np.array_equal(o.measure_repeated(points, 3), values)
+        events += reach
+        assert o.out_of_reach_events == events
+        assert np.array_equal(o.lookahead(points, 2), np.stack([np.atleast_2d(_signal_and_reach(points, 1)[0])] * 2))
+        o.commit(points, 2)
+        events += 2 * reach
+        assert o.out_of_reach_events == events
+    points = inside.copy()
+    o.measure_repeated(points, 1)
+    points[0, 0] += 1.0  # now past reach
+    values, reach = _signal_and_reach(points, 1)
+    assert reach == 1 and np.array_equal(o.measure_repeated(points, 1), values)
+    assert o.out_of_reach_events == events + reach
+    returned = o.measure_repeated(points, 1)
+    returned[:] = 7.0
+    assert np.array_equal(o.measure_repeated(points, 1), values)
+    peeked = o.lookahead(points, 3)
+    peeked[:] = 7.0
+    assert np.array_equal(o.lookahead(points, 3), np.stack([values] * 3))
+    assert np.array_equal(o.measure_repeated(points[0], 1), values[0])

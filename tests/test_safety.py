@@ -220,7 +220,7 @@ def test_unsafe_ahead_leaves_ties_and_near_ties_to_the_loop():
     1e-12 unsafe only without the band."""
     b = np.array([0.4, 0.5, 0.5 - 1e-12])
     ahead = Forecast(
-        beta=np.stack([[[1.0], [v]] for v in b]), F=np.eye(2), shrink=np.ones((3, 2))
+        beta=np.stack([[[1.0], [v]] for v in b]), F=np.eye(2), shrink=np.ones((3, 2)), wsums=np.zeros((3, 2, 1))
     )  # d = 1, m = 1: a = 1, z^T P_k z = x^2 + 1
     X = np.zeros((3, 1))
     assert unsafe_ahead(ahead, config(0.5), X, 0.0).tolist() == [True, False, True]
