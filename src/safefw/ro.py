@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp
+from . import lp, sfw
 from .estimator import ConstraintEstimator
 from .oracle import ConstraintOracle, cross_pattern
 from .safety import SafetyConfig, cone_terms, fact2_check, soc_check
-from .sfw import ProblemSetup, TrajectoryRecord, dfs_problem, surrogate_gap
+from .sfw import ProblemSetup, TrajectoryRecord, dfs_problem
 
 
 LINMIN_TOL = 1e-7  # largest cone-constraint violation a linmin point may keep
@@ -98,6 +98,30 @@ def soc_linmin(
     return SocLinminResult(anchor + lo * (point - anchor), MAX_CUTS, True)
 
 
+@dataclass
+class _EstimateThenOptimize(sfw._Estimated):
+    """The one-shot estimate of `total` measurements around x0 at t = 0, and
+    soc_linmin over the frozen safety set as the linear step. A run whose
+    safety set does not hold x0 ends there with `safety-set-empty`."""
+
+    total: int
+    et = math.nan  # no stop rule, so no bound on the gap error
+
+    def annotate(self, row: sfw.IterationRow) -> None:  # through this module's fact2_check, which bench/ traces
+        row.record_verdict(fact2_check(self.est, self.scfg, row.x), self.est)
+
+    def step(self, t, row, grad, gamma, stop):
+        if t == 0:
+            pattern = cross_pattern(row.x, self.scfg.omega0, self.total)
+            value_sums = self.oracle.measure_repeated(pattern.points, pattern.multiplicity)
+            self.est.absorb_repeated(pattern.points, value_sums, pattern.multiplicity)
+        self.annotate(row)
+        if t == 0 and not row.verdict.safe:
+            return None, None, "safety-set-empty"
+        res = soc_linmin(self.est, self.scfg, grad, self.setup.dfs_guard, self.setup.x0)
+        return res.point, "soc-warning" if res.warning else "soc-optimal", None
+
+
 def ro_run(
     setup: ProblemSetup,
     oracle: ConstraintOracle,
@@ -107,28 +131,7 @@ def ro_run(
 ) -> TrajectoryRecord:
     """One-shot estimation of total_measurements around x0, then scfg.T
     Frank-Wolfe iterations over the frozen safety set."""
-    obj = setup.objective
     if total_measurements < 2 * (setup.d + 1):
         raise ValueError(f"total_measurements must be at least 2(d+1) = {2 * (setup.d + 1)}")
-    pattern = cross_pattern(setup.x0, scfg.omega0, total_measurements)
-    value_sums = oracle.measure_repeated(pattern.points, pattern.multiplicity)
-    est.absorb_repeated(pattern.points, value_sums, pattern.multiplicity)
-
-    rec = TrajectoryRecord()
-    x = setup.x0.copy()
-    verdict = fact2_check(est, scfg, x)
-    if not verdict.safe:
-        rec.add(x, obj.value(x), est.N, verdict, est)
-        rec.status = "safety-set-empty"
-        return rec
-    for t in range(scfg.T):
-        grad = obj.gradient(x)
-        res = soc_linmin(est, scfg, grad, setup.dfs_guard, setup.x0)
-        gap = surrogate_gap(grad, x, res.point)
-        status = "soc-warning" if res.warning else "soc-optimal"
-        n_t = pattern.total if t == 0 else 0
-        rec.add(x, obj.value(x), est.N, verdict, est).record_step(res.point, gap, math.nan, n_t, est.N, status)
-        x = x + (res.point - x) / (t + 2)
-        verdict = fact2_check(est, scfg, x)
-    rec.add(x, obj.value(x), est.N, verdict, est)
-    return rec
+    policy = _EstimateThenOptimize(setup, oracle, est, scfg, total_measurements)
+    return sfw._drive(setup.objective, setup.x0, scfg.T, policy)

@@ -1,9 +1,10 @@
 """Feasible Frank-Wolfe driver over a polytope learned from noisy measurements.
 
-Each iteration measures around the current point, refreshes the least-squares
-constraint estimates, solves the estimated direction-finding LP, and steps
-with gamma_t = 1/(t+2). The prescribed variant takes the scheduled counts and
-asserts safety; the adaptive variant keeps measuring until the stepped
+One loop, `_drive`, runs every variant: at each iterate x_t a per-variant
+policy measures, refreshes the least-squares constraint estimates and finds
+the linear step s_t; the loop records the row, applies the stop rule and steps
+with gamma_t = 1/(t+2). The prescribed policy takes the scheduled counts and
+asserts safety; the adaptive policy keeps measuring until the stepped
 candidate passes the scalar safety test.
 """
 
@@ -97,9 +98,9 @@ class IterationRow:
         self.ghat, self.et, self.n_t, self.N_t = ghat, et, n_t, N_t
         self.dfs_status, self.extras = dfs_status, extras
 
-
-def _snapshot(est: ConstraintEstimator) -> tuple[np.ndarray, np.ndarray]:
-    return est.beta_hat.copy(), est.xtx()
+    def record_verdict(self, verdict: SafetyVerdict, est: ConstraintEstimator):
+        """Record this iterate's safety verdict and the estimate (beta_hat, xtx) behind it."""
+        self.verdict, self.snapshot = verdict, (est.beta_hat.copy(), est.xtx())
 
 
 @dataclass
@@ -109,10 +110,9 @@ class TrajectoryRecord:
     rows: list[IterationRow] = field(default_factory=list)
     status: str = "completed"
 
-    def add(self, x, f: float, N_t: int, verdict: SafetyVerdict | None = None, est=None) -> IterationRow:
-        """Append the row of a new iterate; est is the estimate behind the verdict."""
-        snapshot = None if est is None else _snapshot(est)
-        row = IterationRow(np.asarray(x, dtype=float).copy(), float(f), verdict, snapshot, N_t=N_t)
+    def add(self, x, f: float, N_t: int) -> IterationRow:
+        """Append the row of a new iterate."""
+        row = IterationRow(np.asarray(x, dtype=float).copy(), float(f), N_t=N_t)
         self.rows.append(row)
         return row
 
@@ -220,6 +220,148 @@ def _direction(sol: lp.LpSolution, x: np.ndarray) -> tuple[np.ndarray, str]:
     return x.copy(), f"{sol.status}-fallback"
 
 
+@dataclass
+class _TruePolytope:
+    """Classical Frank-Wolfe: the LP over the true polytope, with nothing measured."""
+
+    polytope: Polytope
+    N = extras = 0
+    et = 0.0
+
+    def annotate(self, row: IterationRow) -> None:
+        pass
+
+    def step(self, t, row, grad, gamma, stop):
+        sol = lp.solve(lp.LpProblem(grad, self.polytope.A, self.polytope.b))
+        if sol.status != "optimal":
+            raise ValueError(f"linear subproblem over the true polytope is {sol.status}")
+        return sol.point, "optimal", None
+
+
+@dataclass
+class _Estimated:
+    """A policy that measures through `oracle` into `est`, and checks rows against est."""
+
+    setup: ProblemSetup
+    oracle: ConstraintOracle
+    est: ConstraintEstimator
+    scfg: SafetyConfig
+    extras = 0
+
+    @property
+    def N(self) -> int:
+        return self.est.N
+
+    @property
+    def et(self) -> float:
+        return et_bound(self.scfg, self.setup.geometry, self.setup.objective.M, self.est.N, self.setup.d)
+
+    def annotate(self, row: IterationRow) -> None:
+        row.record_verdict(fact2_check(self.est, self.scfg, row.x), self.est)
+
+
+class _Prescribed(_Estimated):
+    """The scheduled cross at x_t, with safety asserted, not enforced; one
+    extra cross batch and a re-solve when the DFS is not optimal."""
+
+    def step(self, t, row, grad, gamma, stop):
+        x, d, guard = row.x, self.setup.d, self.setup.dfs_guard
+        _absorb_cross(self.oracle, self.est, x, self.scfg.omega0, max(nt_schedule(self.scfg.cn, t), 2 * d))
+        self.annotate(row)
+        sol = solve_dfs(self.est, guard, grad)
+        if sol.status != "optimal":
+            _absorb_cross(self.oracle, self.est, x, self.scfg.omega0, 2 * d)
+            sol = solve_dfs(self.est, guard, grad)
+        s_hat, status = _direction(sol, x)
+        return s_hat, status, stop(s_hat)
+
+
+@dataclass
+class _Adaptive(_Estimated):
+    """From each x_t take the 2d*t warm-up batch (one full cross at t = 0),
+    solve the DFS and ask the stop rule, then keep adding single cross batches
+    at x_t, re-estimating and re-solving (warm-started from the previous
+    active set), until the stepped candidate passes the scalar safety test.
+    Once a basis has come back twice, the passes a lookahead shows would keep
+    it and stay unsafe are committed as one block from the forecast, not
+    measured again; blocks double after one skipped whole. The row of an
+    iterate after x0 carries the verdict that certified it."""
+
+    budget: int
+    basis: list[int] | None = None
+    repeats: int = 0
+    verdict: SafetyVerdict | None = None  # of the last candidate tested
+
+    def annotate(self, row: IterationRow) -> None:
+        row.record_verdict(self.verdict, self.est)
+
+    def step(self, t, row, grad, gamma, stop):
+        x, d, est, guard = row.x, self.setup.d, self.est, self.setup.dfs_guard
+        warm_up = 2 * d * max(t, 1)
+        if t > 0:
+            self.annotate(row)
+            if est.N + warm_up > self.budget:
+                return None, None, "budget-exhausted"
+        cross = _absorb_cross(self.oracle, est, x, self.scfg.omega0, warm_up).points  # the 2d points of every extra
+        self.extras, block = 0, AHEAD_START
+        while True:
+            sol = solve_dfs(est, guard, grad, self.basis)
+            s_hat, status = _direction(sol, x)
+            self.repeats = self.repeats + 1 if sol.active_set == self.basis else 0
+            self.basis = sol.active_set
+            self.verdict = fact2_check(est, self.scfg, x + gamma * (s_hat - x))
+            end = stop(s_hat) if self.extras == 0 else None
+            if end is not None or self.verdict.safe:
+                break
+            room = (self.budget - est.N) // (2 * d)
+            if room < 1:
+                end = "budget-exhausted"
+                break
+            count, size = 1, min(block, room, AHEAD_MAX_VALUES // (cross.shape[0] * est.m))
+            if self.repeats >= 2 and size > 1:
+                ahead = est.forecast(cross, self.oracle.lookahead(cross, size))
+                count = _skippable_passes(ahead, self.scfg, guard, x, grad, gamma, self.basis)
+                block = min(2 * block, AHEAD_MAX) if count == size else max(AHEAD_MIN, 2 * count)
+                self.oracle.commit(cross, count)
+                est.commit(cross, ahead, count)
+            else:
+                est.absorb_repeated(cross, self.oracle.measure_repeated(cross, 1), 1)
+            self.extras += count
+        if t == 0:  # no step certified x0: check it against the estimate after its passes
+            row.record_verdict(fact2_check(est, self.scfg, x), est)
+        return s_hat, status, end
+
+
+def _drive(objective: Objective, x0, T: int, policy, epsilon: float | None = None) -> TrajectoryRecord:
+    """The Frank-Wolfe loop of every variant. At each iterate x_t,
+    `policy.step(t, row, grad, gamma, stop)` measures, gives the row its
+    verdict and returns the linear step s_t (None ends the run at x_t), its
+    status, and a status that ends the run after the step, or None; a policy
+    that may stop early asks `stop(s_t)`, the rule ghat + e_t <= epsilon, on
+    its first linear step. The policy's N, extras and et (e_t) fill the row,
+    and its annotate() gives the row of x_T a verdict."""
+    rec, x = TrajectoryRecord(), np.asarray(x0, dtype=float)
+    for t in range(T):
+        grad, gamma, N = objective.gradient(x), 1.0 / (t + 2), policy.N
+        row = rec.add(x, objective.value(x), N)
+
+        def stop(s_hat):
+            return "stopped-early" if surrogate_gap(grad, x, s_hat) + policy.et <= epsilon else None
+
+        s_hat, status, end = policy.step(t, row, grad, gamma, stop)
+        if s_hat is None:
+            row.N_t = policy.N
+        else:
+            ghat = surrogate_gap(grad, x, s_hat)
+            row.record_step(s_hat, ghat, policy.et, policy.N - N, policy.N, status, policy.extras)
+        if end is not None:
+            rec.status = end
+            return rec
+        x = x + gamma * (s_hat - x)
+    policy.annotate(rec.add(x, objective.value(x), policy.N))
+    return rec
+
+
 def run(
     setup: ProblemSetup,
     oracle: ConstraintOracle,
@@ -231,96 +373,10 @@ def run(
     if cfg.variant == "prescribed" and safety_cfg.cn <= 0.0:
         raise ValueError("prescribed schedule needs a positive cn")
     if cfg.variant == "adaptive":
-        return _run_adaptive(setup, oracle, est, safety_cfg, cfg)
-    return _run_prescribed(setup, oracle, est, safety_cfg, cfg)
-
-
-def _run_prescribed(setup, oracle, est, scfg, cfg) -> TrajectoryRecord:
-    obj = setup.objective
-    rec = TrajectoryRecord()
-    x = setup.x0.copy()
-    for t in range(scfg.T):
-        n_t = _absorb_cross(oracle, est, x, scfg.omega0, max(nt_schedule(scfg.cn, t), 2 * setup.d)).total
-        row = rec.add(x, obj.value(x), est.N, fact2_check(est, scfg, x), est)  # asserted, not enforced
-        grad = obj.gradient(x)
-        sol = solve_dfs(est, setup.dfs_guard, grad)
-        extra = 0
-        if sol.status != "optimal":  # one extra cross batch, then re-solve
-            extra = _absorb_cross(oracle, est, x, scfg.omega0, 2 * setup.d).total
-            sol = solve_dfs(est, setup.dfs_guard, grad)
-        s_hat, status = _direction(sol, x)
-        gap = surrogate_gap(grad, x, s_hat)
-        bound = et_bound(scfg, setup.geometry, obj.M, est.N, setup.d)
-        row.record_step(s_hat, gap, bound, n_t + extra, est.N, status)
-        if gap + bound <= cfg.epsilon:
-            rec.status = "stopped-early"
-            return rec
-        gamma = 1.0 / (t + 2)
-        x = x + gamma * (s_hat - x)
-    rec.add(x, obj.value(x), est.N, fact2_check(est, scfg, x), est)
-    return rec
-
-
-def _run_adaptive(setup, oracle, est, scfg, cfg) -> TrajectoryRecord:
-    """From each x_t take the 2d*t warm-up batch (one full cross at t = 0),
-    solve the DFS and check the stopping rule, then keep adding single cross
-    batches at x_t, re-estimating and re-solving (warm-started from the
-    previous active set), until the stepped candidate passes the scalar safety
-    test. Extra safety batches never precede the stop check. Once a basis has
-    come back twice, the passes a lookahead shows would keep it and stay unsafe
-    are committed as one block from the forecast, not measured again; blocks
-    double after one skipped whole."""
-    d, obj, geo = setup.d, setup.objective, setup.geometry
-    rec = TrajectoryRecord()
-    row = rec.add(setup.x0, obj.value(setup.x0), 0)
-    basis, repeats = None, 0
-    for t in range(scfg.T):
-        x = row.x
-        warm_up = 2 * d * max(t, 1)
-        if t > 0 and est.N + warm_up > cfg.max_total_measurements:
-            rec.status = "budget-exhausted"
-            break
-        warm = _absorb_cross(oracle, est, x, scfg.omega0, warm_up)
-        taken, cross = warm.total, warm.points  # every extra cross at x reuses these 2d points
-        grad = obj.gradient(x)
-        gamma = 1.0 / (t + 2)
-        extras = 0
-        block = AHEAD_START
-        while True:
-            sol = solve_dfs(est, setup.dfs_guard, grad, basis)
-            s_hat, status = _direction(sol, x)
-            repeats = repeats + 1 if sol.active_set == basis else 0
-            basis = sol.active_set
-            candidate = x + gamma * (s_hat - x)
-            verdict = fact2_check(est, scfg, candidate)
-            if extras == 0 and surrogate_gap(grad, x, s_hat) + et_bound(scfg, geo, obj.M, est.N, d) <= cfg.epsilon:
-                rec.status = "stopped-early"
-                break
-            if verdict.safe:
-                break
-            room = (cfg.max_total_measurements - est.N) // (2 * d)
-            if room < 1:
-                rec.status = "budget-exhausted"
-                break
-            count, size = 1, min(block, room, AHEAD_MAX_VALUES // (cross.shape[0] * est.m))
-            if repeats >= 2 and size > 1:
-                ahead = est.forecast(cross, oracle.lookahead(cross, size))
-                count = _skippable_passes(ahead, scfg, setup.dfs_guard, x, grad, gamma, basis)
-                block = min(2 * block, AHEAD_MAX) if count == size else max(AHEAD_MIN, 2 * count)
-                oracle.commit(cross, count)
-                est.commit(cross, ahead, count)
-            else:
-                est.absorb_repeated(cross, oracle.measure_repeated(cross, 1), 1)
-            taken += count * cross.shape[0]
-            extras += count
-        ghat, et = surrogate_gap(grad, x, s_hat), et_bound(scfg, geo, obj.M, est.N, d)
-        row.record_step(s_hat, ghat, et, taken, est.N, status, extras)
-        if t == 0:
-            row.verdict, row.snapshot = fact2_check(est, scfg, x), _snapshot(est)
-        if rec.status != "completed":
-            break
-        row = rec.add(candidate, obj.value(candidate), est.N, verdict, est)
-    return rec
+        policy = _Adaptive(setup, oracle, est, safety_cfg, cfg.max_total_measurements)
+    else:
+        policy = _Prescribed(setup, oracle, est, safety_cfg)
+    return _drive(setup.objective, setup.x0, safety_cfg.T, policy, cfg.epsilon)
 
 
 def run_fw_reference(polytope: Polytope, objective: Objective, x0: np.ndarray, T: int) -> TrajectoryRecord:
@@ -328,15 +384,4 @@ def run_fw_reference(polytope: Polytope, objective: Objective, x0: np.ndarray, T
 
     Zero-uncertainty reference used for comparisons and envelope checks.
     """
-    rec = TrajectoryRecord()
-    x = np.asarray(x0, dtype=float).copy()
-    for t in range(T):
-        grad = objective.gradient(x)
-        sol = lp.solve(lp.LpProblem(grad, polytope.A, polytope.b))
-        if sol.status != "optimal":
-            raise ValueError(f"linear subproblem over the true polytope is {sol.status}")
-        gap = surrogate_gap(grad, x, sol.point)
-        rec.add(x, objective.value(x), 0).record_step(sol.point, gap, 0.0, 0, 0, "optimal")
-        x = x + (sol.point - x) / (t + 2)
-    rec.add(x, objective.value(x), 0)
-    return rec
+    return _drive(objective, x0, T, _TruePolytope(polytope))

@@ -342,5 +342,6 @@ def run_adaptive_reference(setup, oracle, est, scfg, cfg):
             row.verdict = fact2_check(est, scfg, x)
         if rec.status != "completed":
             break
-        row = rec.add(candidate, obj.value(candidate), est.N, verdict, est)
+        row = rec.add(candidate, obj.value(candidate), est.N)
+        row.record_verdict(verdict, est)
     return rec

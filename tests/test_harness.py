@@ -16,6 +16,8 @@ from safefw.estimator import ScatterSingularError
 from safefw.harness import (
     CSV_COLUMNS,
     MAX_BOX_D,
+    MAX_T,
+    VARIANTS,
     ConfigError,
     ExperimentConfig,
     compare_sfw_ro,
@@ -29,6 +31,7 @@ from safefw.sfw import TrajectoryRecord
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PIN = json.loads((Path(__file__).with_name("data") / "pin_box_d2_seed3.json").read_text())
+PIN_SIGMA01 = json.loads((Path(__file__).with_name("data") / "pin_box_d2_sigma01_seed0.json").read_text())
 
 
 def d2_config(**overrides) -> ExperimentConfig:
@@ -410,6 +413,38 @@ def test_trajectory_csv_matches_pinned_rows(tmp_path, variant):
                 assert abs(got - want) <= 1e-9, (t, name)
             else:
                 assert got == want or (math.isnan(got) and math.isnan(want)), (t, name)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_each_variant_follows_its_pinned_trajectory(variant):
+    """d = 2 box, sigma = 0.1, T = 15, seed 0, a budget of 20,000 measurements
+    (cn 96 for prescribed, 2,000 measurements for ro): every row's n_t, N_t,
+    extras, DFS status and safe flag, and the run status, as recorded when each
+    variant still ran its own loop; the normalized gaps within 1e-9."""
+    cfg = d2_config(variant=variant, sigma=0.1, max_total_measurements=20_000, cn=96.0, ro_total_measurements=2000)
+    rec, rep = run_single(resolve(cfg), 0)
+    pin = PIN_SIGMA01[variant]
+    assert rec.status == pin["status"]
+    rows = [[r.n_t, r.N_t, r.extras, r.dfs_status, None if r.verdict is None else r.verdict.safe] for r in rec.rows]
+    assert rows == [want[:5] for want in pin["rows"]]
+    assert np.max(np.abs(np.array(rep.normalized) - [want[5] for want in pin["rows"]])) <= 1e-9
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_T_past_the_cap_is_a_config_error(tmp_path, capsys, variant):
+    """resolve refuses T = MAX_T + 1 and T = 10^20 (a JSON integer within the
+    float range) for every variant, and validate-config and run exit 1 with one
+    stderr line instead of starting a loop that would not end."""
+    for T in (MAX_T + 1, 10**20):
+        with pytest.raises(ConfigError, match=f"T must be at most {MAX_T}, got {T}"):
+            resolve(d2_config(variant=variant, T=T, ro_total_measurements=2000))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": {"type": "box", "d": 2}, "T": 10**20, "variant": variant,
+                                "ro_total_measurements": 2000, "repetitions": 1}))
+    for argv in (["validate-config", "--config", str(path)], ["run", "--config", str(path), "--out", str(tmp_path)]):
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: T must be at most {MAX_T}, got {10**20}\n"
 
 
 GENERAL_POLYTOPE = {
