@@ -296,6 +296,9 @@ def resolve(cfg: ExperimentConfig, variant: str | None = None) -> ResolvedExperi
         raise ConfigError("the gradient bound M is not finite for this problem and objective.x_prime")
     if variant == "ro" and cfg.ro_total_measurements is None:
         raise ConfigError("variant 'ro' needs ro_total_measurements")
+    if variant == "ro" and cfg.ro_total_measurements > cfg.max_total_measurements:
+        raise ConfigError(f"ro_total_measurements must be at most max_total_measurements = "
+                          f"{cfg.max_total_measurements}, got {cfg.ro_total_measurements}")
     if cfg.ro_total_measurements is not None and cfg.ro_total_measurements < 2 * (d + 1):
         raise ConfigError(f"ro_total_measurements must be at least 2(d+1) = {2 * (d + 1)}")
     if cfg.max_total_measurements < 2 * d:

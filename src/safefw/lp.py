@@ -95,61 +95,76 @@ def _simplex(T: np.ndarray, basis: list[int], allowed: int) -> str:
     raise PivotLimitError(f"simplex made no verdict within {MAX_PIVOTS} pivots")
 
 
-def _slack(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals b - A x and their scales 1 + |b| + |A| |x|, for one LP or a
-    stack (K, rows, d) of them."""
+def _slack(A: np.ndarray, b: np.ndarray, x: np.ndarray, abs_A: np.ndarray, scale_b: np.ndarray):
+    """Residuals b - A x and their scales 1 + |b| + |A| |x|, given |A| and
+    1 + |b|, for one LP or a stack (K, rows, d) of them."""
     resid = b - np.matmul(A, x[..., None])[..., 0]
-    return resid, 1.0 + np.abs(b) + np.matmul(np.abs(A), np.abs(x)[..., None])[..., 0]
+    return resid, scale_b + np.matmul(abs_A, np.abs(x)[..., None])[..., 0]
 
 
 def _active_rows(p: LpProblem, x: np.ndarray) -> list[int]:
-    resid, scale = _slack(p.A, p.b, x)
+    resid, scale = _slack(p.A, p.b, x, np.abs(p.A), 1.0 + np.abs(p.b))
     return [int(i) for i in np.flatnonzero(resid <= ACTIVE_TOL * scale)]
 
 
-def _basis_terms(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int]):
-    """For the basis rows B of one LP (rows, d) or of each LP of a stack
-    (K, rows, d): B^-1, the vertex B^-1 b_B, the multipliers -B^-T c, and
-    every row's residual and scale at that vertex. Raises LinAlgError unless
-    B is square and nonsingular."""
-    B_inv = np.linalg.inv(A[..., basis, :])
-    multipliers = -(np.swapaxes(B_inv, -1, -2) @ c)
-    x = np.matmul(B_inv, b[..., basis, None])[..., 0]
-    return B_inv, x, multipliers, *_slack(A, b, x)
+def _basis_terms(A: np.ndarray, b: np.ndarray, c: np.ndarray, rows: np.ndarray, abs_A: np.ndarray, scale_b: np.ndarray):
+    """For the basis rows B (an index array) of one LP (rows, d) or of each LP
+    of a stack (K, rows, d): B, B^-1, the vertex B^-1 b_B, the multipliers
+    -B^-T c, and every row's residual and scale at that vertex (`_slack`).
+    Raises LinAlgError unless B is square and nonsingular."""
+    B = A.take(rows, axis=-2)
+    B_inv = np.linalg.inv(B)
+    multipliers = -(B_inv.swapaxes(-1, -2) @ c)
+    x = np.matmul(B_inv, b.take(rows, axis=-1)[..., None])[..., 0]
+    return B, B_inv, x, multipliers, *_slack(A, b, x, abs_A, scale_b)
 
 
-def _verified(A: np.ndarray, c: np.ndarray, basis: list[int], terms, band: float = 0.0) -> np.ndarray:
-    """Whether the vertex of each `_basis_terms` is provably the unique
-    optimum (see `verified_vertices`)."""
-    B_inv, _, multipliers, resid, scale = terms
+def _sizes(B: np.ndarray, B_inv: np.ndarray, c: np.ndarray):
+    """For one basis or a stack: the infinity-norm condition number of B and
+    the bound |B^-T| |c| on the size of the multipliers."""
+    add, largest = np.add.reduce, np.maximum.reduce  # what sum() and max() run, without their Python wrappers
     abs_inv = np.abs(B_inv)
-    # infinity-norm condition number: leave ill-conditioned bases to the simplex
-    cond = np.abs(A[..., basis, :]).sum(axis=-1).max(axis=-1) * abs_inv.sum(axis=-1).max(axis=-1)
-    multiplier_scale = abs_inv.sum(axis=-2).max(axis=-1) * np.abs(c).max()  # bounds |B^-T| |c|
-    active = resid <= (ACTIVE_TOL - band) * scale
-    inactive = resid > (ACTIVE_TOL + band) * scale  # a row between the two is neither
-    return (
-        (cond * (1.0 + band) <= 1e8)
-        & np.all(multipliers > COST_TOL + band * multiplier_scale[..., None], axis=-1)
-        & np.all(active[..., basis], axis=-1)
-        & (np.count_nonzero(inactive, axis=-1) == A.shape[-2] - len(basis))
-    )
+    cond = largest(add(np.abs(B), axis=-1), axis=-1) * largest(add(abs_inv, axis=-1), axis=-1)
+    return cond, largest(add(abs_inv, axis=-2), axis=-1) * largest(np.abs(c))
+
+
+def _verified(terms, rows: np.ndarray, c: np.ndarray) -> bool:
+    """Whether the vertex of one LP's `_basis_terms` is provably the unique
+    optimum: the rules of `verified_vertices` at band 0, decided one at a
+    time on scalars, the cheapest first."""
+    B, B_inv, _, multipliers, resid, scale = terms
+    least, tol = multipliers[multipliers.argmin()], ACTIVE_TOL * scale  # argmin finds a NaN as min() does, faster
+    if not (least > COST_TOL and np.count_nonzero(resid > tol) == resid.size - rows.size
+            and np.count_nonzero(resid[rows] <= tol[rows]) == rows.size):  # exactly the basis rows are active
+        return False
+    cond, multiplier_scale = _sizes(B, B_inv, c)
+    return bool(cond <= 1e8 and least > COST_TOL + 0.0 * multiplier_scale)  # fails where the scale overflows
 
 
 def verified_vertices(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int], band: float = 0.0):
     """For a stack of LPs min <c, x> over A[k] x <= b[k], the vertex of `basis`
     in each (K, d) and whether it is provably the unique optimum (K,): the
-    basis has d rows, its system is nonsingular and well conditioned, every
-    multiplier is positive, and exactly the basis rows are active at a
+    basis has d rows, its system is nonsingular and well conditioned (the
+    infinity-norm condition number is at most 1e8; others go to the simplex),
+    every multiplier is positive, and exactly the basis rows are active at a
     feasible vertex. A positive `band` tightens each test by that share of
     the size of the terms compared.
     """
     K, _, d = A.shape
+    rows = np.asarray(basis, dtype=np.intp)
     try:
-        terms = _basis_terms(A, b, c, basis)
+        B, B_inv, x, multipliers, resid, scale = _basis_terms(A, b, c, rows, np.abs(A), 1.0 + np.abs(b))
     except np.linalg.LinAlgError:
         return np.full((K, d), math.nan), np.zeros(K, dtype=bool)
-    return terms[1], _verified(A, c, basis, terms, band)
+    cond, multiplier_scale = _sizes(B, B_inv, c)
+    active = resid <= (ACTIVE_TOL - band) * scale
+    inactive = resid > (ACTIVE_TOL + band) * scale  # a row between the two is neither
+    return x, (
+        (cond * (1.0 + band) <= 1e8)
+        & (multipliers > COST_TOL + band * multiplier_scale[:, None]).all(axis=-1)
+        & active[:, rows].all(axis=-1)
+        & (inactive.sum(axis=-1) == A.shape[-2] - rows.size)
+    )
 
 
 def _replace_row(B_inv: np.ndarray, pos: int, shift: np.ndarray) -> np.ndarray:
@@ -193,12 +208,12 @@ def _pivot_from(p: LpProblem, start: list[int]) -> LpSolution | None:
     pivot per row.
     """
     A, b, c = p.A, p.b, p.c
-    basis = sorted(start)
+    basis, abs_A, scale_b = np.sort(np.asarray(start, dtype=np.intp)), np.abs(A), 1.0 + np.abs(b)
     try:
-        terms = _basis_terms(A, b, c, basis)
+        terms = _basis_terms(A, b, c, basis, abs_A, scale_b)
     except np.linalg.LinAlgError:
         return None
-    B_inv, _, lam, resid, scale = terms
+    _, B_inv, _, lam, resid, scale = terms
     slack = resid / scale
     cost, shifted, bland = c, False, False
     for pivots in range(A.shape[0] + 1):
@@ -207,9 +222,9 @@ def _pivot_from(p: LpProblem, start: list[int]) -> LpSolution | None:
             if cost is not c:  # the shifted dual phase reached a feasible vertex: back to the true cost
                 cost = c
                 lam = -(c @ B_inv)
-            leave = _least(lam, basis)
-            if lam[leave] >= 0.0:
+            if lam[lam.argmin()] >= 0.0:
                 break
+            leave = _least(lam, basis)
             closing = A @ -B_inv[:, leave]  # how fast each row's residual falls along the edge
             closing[basis] = 0.0
             rows = (closing > PIVOT_TOL).nonzero()[0]
@@ -218,7 +233,7 @@ def _pivot_from(p: LpProblem, start: list[int]) -> LpSolution | None:
             enter = int(rows[(resid[rows] / closing[rows]).argmin()])
             shift = A[enter] @ B_inv
         else:
-            if lam.min() < -COST_TOL:  # neither feasible: shift the cost so the basis is dual feasible
+            if lam[lam.argmin()] < -COST_TOL:  # neither feasible: shift the cost so the basis is dual feasible
                 if shifted:
                     return None
                 lam = np.maximum(lam, 0.0)
@@ -235,7 +250,7 @@ def _pivot_from(p: LpProblem, start: list[int]) -> LpSolution | None:
         if pivots == A.shape[0]:
             return None
         if pivots == 0:  # a start basis that verifies needs none of this
-            abs_A, scale_b, b_basis = np.abs(A), 1.0 + np.abs(b), b[basis]
+            b_basis = b[basis]
         B_inv = _replace_row(B_inv, leave, shift)
         basis[leave], b_basis[leave] = enter, b[enter]
         x = B_inv @ b_basis
@@ -243,12 +258,12 @@ def _pivot_from(p: LpProblem, start: list[int]) -> LpSolution | None:
         slack = resid / (scale_b + abs_A @ np.abs(x))
         lam = -(cost @ B_inv)
     if pivots > 0:
-        basis = sorted(basis)
+        basis.sort()
         try:
-            terms = _basis_terms(A, b, c, basis)
+            terms = _basis_terms(A, b, c, basis, abs_A, scale_b)
         except np.linalg.LinAlgError:
             return None
-    return LpSolution(terms[1], "optimal", basis) if _verified(A, c, basis, terms) else None
+    return LpSolution(terms[2], "optimal", basis.tolist()) if _verified(terms, basis, c) else None
 
 
 def solve(p: LpProblem, basis: list[int] | None = None) -> LpSolution:

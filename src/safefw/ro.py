@@ -16,7 +16,7 @@ import numpy as np
 from . import lp, sfw
 from .estimator import ConstraintEstimator
 from .oracle import ConstraintOracle, cross_pattern
-from .safety import SafetyConfig, cone_terms, fact2_check, soc_check
+from .safety import SafetyConfig, cone_terms, fact2_check, margins, soc_check
 from .sfw import ProblemSetup, TrajectoryRecord, dfs_problem
 
 
@@ -67,14 +67,13 @@ def soc_linmin(
         if sol.status != "optimal":
             return SocLinminResult(anchor.copy(), cut, True)
         point = sol.point
-        verdict = soc_check(est, cfg, point)
-        violations = verdict.lhs - verdict.margins
+        pz, norm = cone_terms(est, point)  # P z and its norm, for both the test and the cut
+        violations = cfg.phi_delta * norm - margins(est, point)  # soc_check's lhs - margins
         worst = int(np.argmax(violations))
         if violations[worst] <= LINMIN_TOL:
             return SocLinminResult(point, cut, False)
         if cut == MAX_CUTS:
             break
-        pz, norm = cone_terms(est, point)
         if norm <= 0.0:
             break  # cone term vanished; nothing differentiable to cut on
         grad_norm = pz[:d] / norm

@@ -154,13 +154,16 @@ def et_bound(cfg: SafetyConfig, geo: GeometryConstants, M: float, N: int, d: int
 def _guarded_rows(beta: np.ndarray, guard: float) -> tuple[np.ndarray, np.ndarray]:
     """Rows [a_hat^T; I; -I] and right-hand sides [b_hat; guard] of the DFS LP,
     for one estimate (d+1, m) or a stack (K, d+1, m) of them."""
-    d, m = beta.shape[-2] - 1, beta.shape[-1]
-    A = np.empty(beta.shape[:-2] + (m + 2 * d, d))
-    A[..., :m, :] = np.swapaxes(beta[..., :d, :], -1, -2)
-    A[..., m : m + d, :] = np.eye(d)
-    A[..., m + d :, :] = -np.eye(d)
-    b = np.full(beta.shape[:-2] + (m + 2 * d,), guard)
+    d, m, stack = beta.shape[-2] - 1, beta.shape[-1], beta.shape[:-2]
+    A = np.zeros(stack + (m + 2 * d, d))
+    A[..., :m, :] = beta[..., :d, :].swapaxes(-1, -2)
+    A[..., m + d :, :] = -0.0  # -I as -1 times I: a signed zero can reach the sign of a zero in the vertex
+    flat = A.reshape(stack + (-1,))  # a view of the fresh A, one row of entries per LP
+    flat[..., m * d : (m + d) * d : d + 1] = 1.0  # the diagonal of I
+    flat[..., (m + d) * d :: d + 1] = -1.0  # the diagonal of -I
+    b = np.empty(stack + (m + 2 * d,))
     b[..., :m] = beta[..., d, :]
+    b[..., m:] = guard
     return A, b
 
 

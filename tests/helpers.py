@@ -71,7 +71,7 @@ def neither_feasible(p, basis):
     """Whether the vertex of `basis` is infeasible with a negative multiplier,
     where the pivot loop shifts the cost before its first pivot."""
     try:
-        _, _, lam, resid, scale = lp._basis_terms(p.A, p.b, p.c, sorted(basis))
+        _, _, _, lam, resid, scale = lp._basis_terms(p.A, p.b, p.c, np.sort(basis), np.abs(p.A), 1.0 + np.abs(p.b))
     except np.linalg.LinAlgError:
         return False
     return bool((resid / scale).min() < -lp.ACTIVE_TOL and lam.min() < -lp.COST_TOL)

@@ -99,11 +99,12 @@ def test_mutated_configs_validate_or_print_one_config_error(config_path, source,
 # The run/compare half draws the fields that set how much work a run asks for
 # from fixed sets: T from small values and from values past MAX_T, never from
 # accepted values near the cap (RO takes about 3 ms per iteration at d = 2), and
-# at most 20,000 measurements. The prescribed schedule and RO's one-shot
-# estimate do not read max_total_measurements, so cn and ro_total_measurements
-# are drawn from values whose runs stay short as well: an auto cn asks for
-# 10^6 to 10^9 measurements on these problems. `compare` runs on the d = 2
-# configs only: at d = 10 its RO half takes about a second per iteration.
+# at most 20,000 measurements. The prescribed schedule does not read
+# max_total_measurements, so cn is drawn from values whose runs stay short as
+# well: an auto cn asks for 10^6 to 10^9 measurements on these problems. RO's
+# one-shot estimate past max_total_measurements is a config error. `compare`
+# runs on the d = 2 configs only: at d = 10 its RO half takes about a second
+# per iteration.
 WORK_FIELDS = {"T", "max_total_measurements", "cn", "ro_total_measurements", "repetitions", "variant"}
 RUN_T = [3, 4, 5, 6, MAX_T + 1, 10**20]
 RUN_SECONDS = 10  # deadline per example; every example ends in well under a second

@@ -268,6 +268,9 @@ UNIT_SQUARE = {"type": "polytope", "A": [[1, 0], [0, 1], [-1, 0], [0, -1]], "b":
         pytest.param({"variant": "ro", "ro_total_measurements": -5}, "ro_total_measurements must be at least",
                      id="negative-ro-budget"),
         pytest.param({"ro_total_measurements": 5}, "ro_total_measurements must be at least", id="small-ro-budget"),
+        pytest.param({"variant": "ro", "ro_total_measurements": 9007199254740993, "max_total_measurements": 20000},
+                     "ro_total_measurements must be at most max_total_measurements = 20000, got 9007199254740993",
+                     id="ro-budget-past-the-run-budget"),
         pytest.param({"out_dir": 5}, "out_dir must be a string", id="int-out-dir"),
         pytest.param({"variant": "prescribed", "cn": 0}, "needs a positive cn", id="zero-cn-prescribed"),
         pytest.param({"variant": "prescribed", "sigma": 0.0}, "needs a positive cn", id="auto-cn-zero-noise-prescribed"),

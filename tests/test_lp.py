@@ -348,6 +348,17 @@ def test_guard_band_rejects_narrow_passes(c, extra_row):
     assert not lp.verified_vertices(A[None], b[None], c, [0, 2], band=1e-9)[1][0]
 
 
+def test_overflowing_multiplier_scale_rejects_the_basis():
+    """At band 0 the multiplier rule reads lambda > COST_TOL + 0 |B^-T| |c|,
+    which fails where that scale overflows: the stack and the warm start both
+    reject such a basis, so a single LP decides as its stack entry does."""
+    p = box_polytope(2)
+    prob = lp.LpProblem(np.array([-1e308, -1e308]), 0.5 * p.A, p.b)  # B^-1 = 2 I: the scale is 2e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not lp.verified_vertices(prob.A[None], prob.b[None], prob.c, [0, 2])[1][0]
+        assert lp._pivot_from(prob, [0, 2]) is None
+
+
 def random_guarded_lp(rng, d):
     """A DFS-shaped LP: rows [a_hat^T; I; -I] as `_guarded_rows` lays them out,
     the estimated rows around a random interior point (some on a half grid,
@@ -414,6 +425,64 @@ def test_pivot_loop_matches_scipy_on_guarded_lps():
 
     check()
     assert 2 * sum(shifted) > len(shifted) > 0
+
+
+def guarded_stack(rng, d, K):
+    """K DFS-shaped LPs that share c, as a forecast stacks them: a
+    `random_guarded_lp` and K - 1 copies whose estimated rows move by
+    relative steps from 1e-14 to 1e-1."""
+    prob, m = random_guarded_lp(rng, d)
+    A, b = np.repeat(prob.A[None], K, axis=0), np.repeat(prob.b[None], K, axis=0)
+    steps = 10.0 ** rng.uniform(-14.0, -1.0, (K - 1, 1))
+    A[1:, :m] += steps[:, :, None] * rng.normal(0.0, 1.0, (K - 1, m, d))
+    b[1:, :m] += steps * rng.normal(0.0, 1.0, (K - 1, m))
+    return prob.c, A, b, m
+
+
+def test_stack_verdicts_match_single_solves():
+    """For each LP k of a guarded stack and each start basis (the cold active
+    set of the first LP, a random d-subset of the rows, the guard start),
+    entry k of `verified_vertices` at band 0 holds exactly when `lp.solve`
+    from that basis returns it with no pivot and no simplex, at the stack's
+    point bit for bit; and every entry verified under the 1e-9 band is
+    verified at band 0. This is what keeps a committed forecast exact."""
+    counts = {"verified": 0, "rejected": 0, "band-only": 0}
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def check(d, seed):
+        rng = np.random.default_rng(seed)
+        c, A, b, m = guarded_stack(rng, d, 6)
+        cold = lp.solve(lp.LpProblem(c, A[0], b[0]))
+        starts = [sorted(rng.choice(A.shape[1], size=d, replace=False).tolist()), _guard_start(c, m)]
+        if cold.status == "optimal":
+            starts.append(cold.active_set)
+            # the last LP: the first with an estimated row off the cold basis moved to
+            # about ACTIVE_TOL of its scale from the cold vertex, where the band decides
+            off = [i for i in range(m) if i not in cold.active_set]
+            if off:
+                i, x = off[0], cold.point
+                A[-1], b[-1] = A[0], b[0]
+                scale = 1.0 + abs(b[0, i]) + np.abs(A[0, i]) @ np.abs(x)
+                b[-1, i] = A[0, i] @ x + 10.0 ** rng.uniform(-8.3, -7.7) * scale
+        for basis in starts:
+            points, verified = lp.verified_vertices(A, b, c, basis)
+            banded = lp.verified_vertices(A, b, c, basis, band=1e-9)[1]
+            assert not np.any(banded & ~verified)
+            for k in range(A.shape[0]):
+                calls = []
+                with pytest.MonkeyPatch.context() as mp:
+                    for name in ("_replace_row", "_simplex"):
+                        mp.setattr(lp, name, lambda *args, name=name, run=getattr(lp, name): calls.append(name) or run(*args))
+                    sol = lp.solve(lp.LpProblem(c, A[k], b[k]), basis)
+                first_try = (not calls and sol.active_set == sorted(basis)
+                             and sol.point.tobytes() == points[k].tobytes())
+                assert first_try == verified[k], (basis, k, calls)
+                counts["verified" if verified[k] else "rejected"] += 1
+                counts["band-only"] += bool(verified[k] and not banded[k])
+
+    check()
+    assert min(counts.values()) > 0, counts
 
 
 def test_rank_one_update_matches_a_fresh_inverse():
