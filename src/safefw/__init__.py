@@ -17,9 +17,7 @@ from .problem import (
     box_geometry_constants,
     box_polytope,
     geometry_constants,
-    minimize_quadratic,
-    validate,
-    vertex_sweep,
+    sweep,
 )
 from .ro import ro_run, soc_linmin
 from .safety import (
@@ -67,7 +65,6 @@ __all__ = [
     "geometry_constants",
     "make_safety_config",
     "margins",
-    "minimize_quadratic",
     "nt_schedule",
     "phi_inverse",
     "ro_run",
@@ -78,8 +75,7 @@ __all__ = [
     "soc_linmin",
     "solve",
     "surrogate_gap",
-    "validate",
-    "vertex_sweep",
+    "sweep",
 ]
 
 __version__ = "0.1.0"

@@ -26,6 +26,18 @@ def _load_config(path: str, args) -> ExperimentConfig:
     return cfg
 
 
+def _resolve_for_some_command(cfg: ExperimentConfig):
+    """The config resolved for run, which implies compare (its adaptive variant reads
+    the fewest fields), or else for compare; run's error when neither resolves."""
+    try:
+        return resolve(cfg), "run and compare"
+    except ValueError as run_error:
+        try:
+            return resolve(cfg, "adaptive"), f"compare only (run: {run_error})"
+        except ValueError:
+            raise run_error from None
+
+
 def _add_common(parser):
     parser.add_argument("--config", required=True, help="path to the JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="override base_seed")
@@ -46,7 +58,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config, args)
         if args.command == "validate-config":
-            resolved = resolve(cfg)
+            resolved, commands = _resolve_for_some_command(cfg)
         elif args.command == "run":
             summary = run_experiment(cfg)
         else:
@@ -56,7 +68,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     if args.command == "validate-config":
-        print(f"config ok: variant={cfg.variant}, d={resolved.polytope.d}, "
+        print(f"config ok for {commands}: variant={cfg.variant}, d={resolved.polytope.d}, "
               f"m={resolved.polytope.m}, phi_delta={resolved.safety.phi_delta:.6g}, "
               f"cn={resolved.safety.cn:.6g}")
         return EXIT_OK

@@ -18,7 +18,6 @@ import numpy as np
 from . import ro as ro_mod
 from . import sfw as sfw_mod
 from .estimator import ConstraintEstimator, confidence_membership_arrays, spans
-from .lp import FEAS_TOL
 from .oracle import NOISE_KINDS, ConstraintOracle, NoiseModel, cross_pattern
 from .problem import (
     Objective,
@@ -27,9 +26,7 @@ from .problem import (
     box_polytope,
     box_quadratic_lipschitz,
     geometry_constants,
-    minimize_quadratic,
-    validate,
-    vertex_sweep,
+    sweep,
 )
 from .safety import SafetyConfig, cn_lower_bound, make_safety_config
 from .sfw import ProblemSetup, SfwConfig, TrajectoryRecord
@@ -226,16 +223,10 @@ def resolve(cfg: ExperimentConfig, variant: str | None = None) -> ResolvedExperi
             raise ConfigError("polytope A and b must be finite")
         d = polytope.d
         is_box = False
-        status = validate(polytope)
-        if status != "bounded":
-            raise ConfigError("polytope is empty" if status == "infeasible" else "polytope is unbounded")
     else:
         raise ConfigError("problem.type must be 'box' or 'polytope'")
 
     x0 = np.zeros(d) if cfg.x0 is None else _vector("x0", cfg.x0, d)
-    if np.min(polytope.margins(x0)) <= 0:
-        raise ConfigError("x0 must be strictly feasible")
-
     _reject_unknown("objective", cfg.objective, {"type", "x_prime"})
     otype = cfg.objective.get("type", "quadratic")
     if otype != "quadratic":
@@ -247,15 +238,19 @@ def resolve(cfg: ExperimentConfig, variant: str | None = None) -> ResolvedExperi
 
     if is_box:
         M = box_quadratic_lipschitz(d, half_width, x_prime)
-        objective = Objective(x_prime, M)
-        geometry = box_geometry_constants(d, half_width, x0)
-        f_star = objective.value(np.clip(x_prime, -half_width, half_width))
+        x_star = np.clip(x_prime, -half_width, half_width)
     else:
-        sweep = vertex_sweep(polytope)
-        M = max(float(np.linalg.norm(v - x_prime)) for v in sweep[0])
-        objective = Objective(x_prime, M)
-        geometry = geometry_constants(polytope, x0, sweep)
-        f_star = minimize_quadratic(polytope, x_prime)[1]
+        try:  # the polytope's verdict (empty, unbounded, over the subset cap) comes before x0's
+            found = sweep(polytope, x_prime)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        M = max(float(np.linalg.norm(v - x_prime)) for v in found.vertices)
+        x_star = found.x_star
+    if np.min(polytope.margins(x0)) <= 0:
+        raise ConfigError("x0 must be strictly feasible")
+    objective = Objective(x_prime, M)
+    geometry = box_geometry_constants(d, half_width, x0) if is_box else geometry_constants(polytope, x0, found)
+    f_star = objective.value(x_star)
     h0 = objective.value(x0) - f_star
     if not math.isfinite(h0):
         raise ConfigError("f(x0) - f* is not finite for this problem, x0 and objective.x_prime")
@@ -320,7 +315,7 @@ def _annotate_ground_truth(res: ResolvedExperiment, rec: TrajectoryRecord) -> tu
     iterate_violations = fact1_violations = 0
     phi = res.safety.phi_delta / res.cfg.sigma if res.cfg.sigma > 0 else 0.0
     for row in rec.rows:
-        row.feasible = res.polytope.max_violation(row.x) <= FEAS_TOL
+        row.feasible = res.polytope.contains(row.x)
         iterate_violations += not row.feasible
         if row.feasible or row.snapshot is None or not row.verdict.safe:
             continue

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-FEAS_TOL = 1e-9
 COST_TOL = 1e-10
 PIVOT_TOL = 1e-11
 ACTIVE_TOL = 1e-8  # a row is active when its residual is within this share of its scale

@@ -49,15 +49,11 @@ class NoiseModel:
 class CrossPattern:
     points: np.ndarray      # 2d rows, center +/- omega0 e_i
     multiplicity: int       # measurements per point
-    total: int              # realized measurement count, 2d * multiplicity
 
 
 def cross_pattern(x: np.ndarray, omega0: float, n: int) -> CrossPattern:
-    """2d probe points x +/- omega0 e_i, each measured ceil(n / 2d) times.
-
-    The realized total 2d * ceil(n / 2d) is reported back so measurement
-    bookkeeping stays exact; rounding up preserves scheduled lower bounds.
-    """
+    """2d probe points x +/- omega0 e_i, each measured ceil(n / 2d) times;
+    rounding up preserves scheduled lower bounds."""
     x = np.asarray(x, dtype=float)
     d = x.size
     if n < 2 * d:
@@ -69,7 +65,7 @@ def cross_pattern(x: np.ndarray, omega0: float, n: int) -> CrossPattern:
         points[2 * i, i] += omega0
         points[2 * i + 1, i] -= omega0
     mult = -(-n // (2 * d))
-    return CrossPattern(points=points, multiplicity=int(mult), total=int(2 * d * mult))
+    return CrossPattern(points=points, multiplicity=int(mult))
 
 
 class ConstraintOracle:

@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp
-
+FEAS_TOL = 1e-9  # a point is feasible when it lies no farther than this outside any row
 SUBSET_CAP = 10**6  # most constraint subsets an exact enumeration may sweep
 
 
@@ -43,6 +42,7 @@ class Polytope:
             i = int(bad[0])
             raise ValueError(f"row {i} of A has norm {math.hypot(*self.A[i].tolist()):.6g}, whose square "
                              f"{'overflows' if squares[i] > 1.0 else 'underflows'}")
+        self.row_norms = np.linalg.norm(self.A, axis=1)
 
     @property
     def m(self) -> int:
@@ -55,11 +55,9 @@ class Polytope:
     def margins(self, x: np.ndarray) -> np.ndarray:
         return self.b - self.A @ np.asarray(x, dtype=float)
 
-    def max_violation(self, x: np.ndarray) -> float:
-        return float(np.max(self.A @ np.asarray(x, dtype=float) - self.b))
-
     def contains(self, x: np.ndarray) -> bool:
-        return self.max_violation(x) <= lp.FEAS_TOL
+        """x lies within FEAS_TOL of every row's half-space: a_i x - b_i <= FEAS_TOL |a_i|."""
+        return bool(np.all(self.A @ np.asarray(x, dtype=float) - self.b <= FEAS_TOL * self.row_norms))
 
 
 @dataclass
@@ -112,56 +110,82 @@ def box_quadratic_lipschitz(d: int, half_width: float, x_prime: np.ndarray) -> f
     return float(np.linalg.norm(far))
 
 
-def validate(p: Polytope) -> str:
-    """"bounded", "unbounded" or "infeasible", from the 2d support LPs min/max x_i."""
-    for i in range(p.d):
-        for sign in (1.0, -1.0):
-            c = np.zeros(p.d)
-            c[i] = sign
-            status = lp.solve(lp.LpProblem(c, p.A, p.b)).status
-            if status != "optimal":
-                return status
-    return "bounded"
+@dataclass
+class Sweep:
+    vertices: np.ndarray  # one row per distinct vertex
+    rho_min: float        # min over the feasible bases of their smallest singular value
+    x_star: np.ndarray    # the exact minimizer of 0.5 ||x - x'||^2
 
 
-def _independent_subsets(p: Polytope, sizes: range):
-    """One sweep of the row subsets of the given sizes: (A_S, b_S, sigma_min(A_S))
-    for each subset whose rows are independent, sigma_min > 1e-10 max(1, sigma_max)."""
+def sweep(p: Polytope, x_prime: np.ndarray) -> Sweep:
+    """Decide p, and read its vertices, rho_min and the minimizer of 0.5 ||x - x'||^2,
+    from one pass over the row subsets S whose rows are independent, sigma_min(A_S) >
+    1e-10 sigma_max(A_S): of size d alone when x' lies in p (then x' is the minimizer),
+    else of sizes 1..d. At size d a feasible v = A_S^-1 b_S is a vertex (one row per
+    distinct vertex) and sigma_min(A_S) enters rho_min; each of its edges, the column
+    y of -A_S^-1 that leaves one row of S and keeps the others tight, is a recession
+    ray when A y is nowhere above 1e-10 |a_i| |y|. At sizes below d, and at size d with
+    lam = A_S^-T (x' - v), the face's KKT point is a candidate when feasible with
+    lam >= -1e-9. With d independent rows p is empty when no vertex is feasible and
+    unbounded when a vertex has a ray (a pointed unbounded polyhedron has an
+    unbounded edge from a vertex); without them it is empty when neither x' nor a
+    KKT point is feasible and otherwise holds a line (Schrijver 1986, section 8)."""
+    A, b, d, target = p.A, p.b, p.d, np.asarray(x_prime, dtype=float)
+    inside = p.contains(target)
+    sizes = [d] if inside else range(1, d + 1)
     total = sum(math.comb(p.m, k) for k in sizes)
     if total > SUBSET_CAP:
         raise EnumerationCapError(f"{total} constraint subsets exceed the cap {SUBSET_CAP}; "
                                   "supply analytic geometry for this instance")
+    V, rho_min, pointed, feasible = np.empty((0, d)), math.inf, False, []
+    tol = FEAS_TOL * p.row_norms  # p.contains, inlined in the loop
+    x_star, f_star = (target.copy(), 0.0) if inside else (None, math.inf)
     for k in sizes:
         for rows in map(list, itertools.combinations(range(p.m), k)):
-            A_s = p.A[rows]
+            A_s, b_s = A[rows], b[rows]
             svals = np.linalg.svd(A_s, compute_uv=False)
-            if svals[-1] > 1e-10 * max(1.0, svals[0]):
-                yield A_s, p.b[rows], float(svals[-1])
-
-
-def vertex_sweep(p: Polytope) -> tuple[np.ndarray, float]:
-    """The vertices of p, one row per distinct vertex (a basis whose point lies
-    within lp.FEAS_TOL of a kept vertex adds none), and rho_min, the smallest
-    singular value over every feasible basis."""
-    V, rho_min = np.empty((0, p.d)), math.inf
-    for A_s, b_s, s_min in _independent_subsets(p, range(p.d, p.d + 1)):
-        v = np.linalg.solve(A_s, b_s)
-        if np.all(p.A @ v - p.b <= lp.FEAS_TOL):
-            rho_min = min(rho_min, s_min)
-            if np.all(np.linalg.norm(V - v, axis=1) > lp.FEAS_TOL):
-                V = np.vstack([V, v])
+            if not svals[-1] > 1e-10 * svals[0]:
+                continue
+            if k == d:
+                pointed = True
+                x = np.linalg.solve(A_s, b_s)
+            else:
+                lam = np.linalg.solve(A_s @ A_s.T, A_s @ target - b_s)
+                x = target - A_s.T @ lam
+            if not np.all(A @ x - b <= tol):
+                continue
+            if k == d:
+                rho_min = min(rho_min, float(svals[-1]))
+                if np.all(np.linalg.norm(V - x, axis=1) > FEAS_TOL):
+                    V = np.vstack([V, x])
+                feasible.extend(rows)
+                if inside:
+                    continue
+                lam = np.linalg.solve(A_s.T, target - x)
+            f = 0.5 * float((x - target) @ (x - target))
+            if f < f_star and np.all(lam >= -1e-9):
+                x_star, f_star = x, f
+    if not pointed:
+        raise ValueError("polytope is empty" if x_star is None else "polytope is unbounded")
     if not len(V):
-        raise ValueError("no vertices found; polytope is unbounded or empty")
-    return V, rho_min
+        raise ValueError("polytope is empty")
+    bases, unit_rows = np.array(feasible, dtype=np.intp).reshape(-1, d), A / p.row_norms[:, None]
+    for lo in range(0, len(bases), 4096):  # the edges of 4096 feasible bases at a time, one per column
+        edges = -np.linalg.inv(A[bases[lo:lo + 4096]]).transpose(1, 0, 2).reshape(d, -1)
+        if np.any(np.all(unit_rows @ edges <= 1e-10 * np.linalg.norm(edges, axis=0), axis=0)):
+            raise ValueError("polytope is unbounded")
+    if x_star is None:
+        raise ValueError("no KKT point passes the tolerances")
+    return Sweep(V, rho_min, x_star)
 
 
-def geometry_constants(p: Polytope, x0: np.ndarray, sweep: tuple[np.ndarray, float]) -> GeometryConstants:
-    """Exact geometric constants from the vertex sweep of p (small instances)."""
+def geometry_constants(p: Polytope, x0: np.ndarray, found: Sweep) -> GeometryConstants:
+    """Exact geometric constants from the sweep of p (small instances)."""
     x0 = np.asarray(x0, dtype=float)
     eps0 = float(np.min(p.margins(x0)))
     if eps0 <= 0.0:
         raise ValueError("x0 must be strictly feasible")
-    V, rho_min = sweep
+    V = found.vertices
     gamma0 = float(np.max(np.linalg.norm(V, axis=1)))
     diffs = V[:, None, :] - V[None, :, :]
     gamma = float(np.max(np.linalg.norm(diffs, axis=2)))
@@ -170,7 +194,7 @@ def geometry_constants(p: Polytope, x0: np.ndarray, sweep: tuple[np.ndarray, flo
         gamma0=gamma0,
         eps0=eps0,
         l_a=float(np.max(np.linalg.norm(p.A, axis=1))),
-        rho_min=rho_min,
+        rho_min=found.rho_min,
     )
 
 
@@ -188,29 +212,3 @@ def box_geometry_constants(d: int, half_width: float, x0: np.ndarray) -> Geometr
         l_a=1.0,
         rho_min=1.0,
     )
-
-
-def minimize_quadratic(p: Polytope, x_prime: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exact minimizer of 0.5 ||x - x'||^2 over the polytope.
-
-    Active-set enumeration over the independent row subsets of sizes 1..d with
-    KKT sign checks; exact on instances small enough to enumerate.
-    """
-    target = np.asarray(x_prime, dtype=float)
-    if p.contains(target):
-        return target.copy(), 0.0
-    best_x = None
-    best_f = math.inf
-    for A_s, b_s, _ in _independent_subsets(p, range(1, p.d + 1)):
-        lam = np.linalg.solve(A_s @ A_s.T, A_s @ target - b_s)
-        if np.any(lam < -1e-9):
-            continue
-        x = target - A_s.T @ lam
-        if not p.contains(x):
-            continue
-        f = 0.5 * float((x - target) @ (x - target))
-        if f < best_f:
-            best_f, best_x = f, x
-    if best_x is None:
-        raise ValueError("no KKT point found; polytope may be empty")
-    return best_x, best_f

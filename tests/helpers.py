@@ -14,7 +14,7 @@ import pytest
 from safefw import lp
 from safefw.estimator import ConstraintEstimator
 from safefw.oracle import ConstraintOracle, NoiseModel, cross_pattern
-from safefw.problem import EnumerationCapError, Polytope, box_polytope, vertex_sweep
+from safefw.problem import EnumerationCapError, Polytope, box_polytope, sweep
 from safefw.safety import fact2_check
 from safefw.sfw import TrajectoryRecord, et_bound, solve_dfs, surrogate_gap
 
@@ -57,14 +57,14 @@ ENUM_CAP_M, ENUM_CAP_D = 16, 6  # enumerate_vertices is for small instances
 
 
 def enumerate_vertices(p):
-    """All vertices of the LpProblem's {x : A x <= b} from the vertex sweep,
+    """All vertices of the LpProblem's {x : A x <= b} from the polytope sweep,
     one per distinct vertex; capped at m <= ENUM_CAP_M and d <= ENUM_CAP_D."""
     m, d = p.A.shape
     if m > ENUM_CAP_M or d > ENUM_CAP_D:
         raise EnumerationCapError(
             f"vertex enumeration capped at m<={ENUM_CAP_M}, d<={ENUM_CAP_D} (got m={m}, d={d})"
         )
-    return list(vertex_sweep(Polytope(p.A, p.b))[0])
+    return list(sweep(Polytope(p.A, p.b), np.zeros(d)).vertices)
 
 
 def neither_feasible(p, basis):
@@ -268,7 +268,7 @@ def soc_linmin_reference(est, cfg, c, anchor, radius=2.0):
 def _reference_absorb_cross(oracle, est, center, omega0, n):
     pattern = cross_pattern(center, omega0, n)
     est.absorb_repeated(pattern.points, oracle.measure_repeated(pattern.points, pattern.multiplicity), pattern.multiplicity)
-    return pattern.total
+    return len(pattern.points) * pattern.multiplicity
 
 
 def absorb_crosses_reference(oracle, est, points, count):

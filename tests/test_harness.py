@@ -244,63 +244,80 @@ def test_cli_round_trip(tmp_path):
     assert "config error" in bad.stderr
 
 
+def assert_refused(path, capsys, message, compare_only):
+    """validate-config exits 1 with one stderr line holding `message`; or, for a
+    config that compare runs (`message` is about a field that only the
+    configured variant reads), exits 0 naming `message` as run's reason, and
+    run then exits 1 with that line."""
+    code = cli_main(["validate-config", "--config", str(path)])
+    out = capsys.readouterr()
+    if compare_only:
+        assert code == 0 and out.out.startswith("config ok for compare only (run: ") and message in out.out
+        code = cli_main(["run", "--config", str(path), "--reps", "1", "--out", str(path.parent / "out")])
+        out = capsys.readouterr()
+    assert code == 1 and not out.out
+    assert out.err.startswith("config error: ") and out.err.count("\n") == 1
+    assert message in out.err
+
+
 UNIT_SQUARE = {"type": "polytope", "A": [[1, 0], [0, 1], [-1, 0], [0, -1]], "b": [1, 1, 1, 1]}
 
 
 @pytest.mark.parametrize(
-    "overrides, message",
+    "overrides, message, compare_only",
     [
-        pytest.param({"sigma": math.nan}, "sigma must be a finite number", id="nan-sigma"),
-        pytest.param({"T": "15"}, "T must be an integer", id="string-T"),
-        pytest.param({"problem": {"type": "box", "d": 2.7}}, "problem.d must be an integer", id="fractional-d"),
-        pytest.param({"problem": [2]}, "problem must be a JSON object", id="list-problem"),
-        pytest.param({"objective": "quadratic"}, "objective must be a JSON object", id="string-objective"),
+        pytest.param({"sigma": math.nan}, "sigma must be a finite number", False, id="nan-sigma"),
+        pytest.param({"T": "15"}, "T must be an integer", False, id="string-T"),
+        pytest.param({"problem": {"type": "box", "d": 2.7}}, "problem.d must be an integer", False, id="fractional-d"),
+        pytest.param({"problem": [2]}, "problem must be a JSON object", False, id="list-problem"),
+        pytest.param({"objective": "quadratic"}, "objective must be a JSON object", False, id="string-objective"),
         pytest.param({"problem": {"type": "box", "d": 2, "half_width": None}}, "problem.half_width must be a finite",
-                     id="null-half-width"),
-        pytest.param({"x0": {"a": 1}}, "x0 must be a list of 2 finite numbers", id="dict-x0"),
+                     False, id="null-half-width"),
+        pytest.param({"x0": {"a": 1}}, "x0 must be a list of 2 finite numbers", False, id="dict-x0"),
         pytest.param({"confidence_mode": "bogus"}, "unknown config fields: ['confidence_mode']",
-                     id="bogus-confidence-mode"),
+                     False, id="bogus-confidence-mode"),
         pytest.param({"phi_delta_override": 1.0}, "unknown config fields: ['phi_delta_override']",
-                     id="phi-delta-override"),
-        pytest.param({"cn": None}, "cn must be a finite number, got None", id="null-cn"),
-        pytest.param({"noise_kind": "cauchy"}, "unknown noise_kind 'cauchy'", id="cauchy-noise"),
-        pytest.param({"objective": {"x_prime": [0, 0]}}, "x0 is already optimal", id="optimal-x0"),
+                     False, id="phi-delta-override"),
+        pytest.param({"cn": None}, "cn must be a finite number, got None", False, id="null-cn"),
+        pytest.param({"noise_kind": "cauchy"}, "unknown noise_kind 'cauchy'", False, id="cauchy-noise"),
+        pytest.param({"objective": {"x_prime": [0, 0]}}, "x0 is already optimal", False, id="optimal-x0"),
         pytest.param({"variant": "ro", "ro_total_measurements": -5}, "ro_total_measurements must be at least",
-                     id="negative-ro-budget"),
-        pytest.param({"ro_total_measurements": 5}, "ro_total_measurements must be at least", id="small-ro-budget"),
+                     False, id="negative-ro-budget"),
+        pytest.param({"ro_total_measurements": 5}, "ro_total_measurements must be at least", False,
+                     id="small-ro-budget"),
         pytest.param({"variant": "ro", "ro_total_measurements": 9007199254740993, "max_total_measurements": 20000},
                      "ro_total_measurements must be at most max_total_measurements = 20000, got 9007199254740993",
-                     id="ro-budget-past-the-run-budget"),
-        pytest.param({"out_dir": 5}, "out_dir must be a string", id="int-out-dir"),
-        pytest.param({"variant": "prescribed", "cn": 0}, "needs a positive cn", id="zero-cn-prescribed"),
-        pytest.param({"variant": "prescribed", "sigma": 0.0}, "needs a positive cn", id="auto-cn-zero-noise-prescribed"),
-        pytest.param({"max_total_measurements": -5}, "must cover one cross", id="negative-measurement-budget"),
-        pytest.param({"max_total_measurements": 3}, "must cover one cross", id="sub-cross-measurement-budget"),
+                     True, id="ro-budget-past-the-run-budget"),
+        pytest.param({"out_dir": 5}, "out_dir must be a string", False, id="int-out-dir"),
+        pytest.param({"variant": "prescribed", "cn": 0}, "needs a positive cn", True, id="zero-cn-prescribed"),
+        pytest.param({"variant": "prescribed", "sigma": 0.0}, "needs a positive cn", True,
+                     id="auto-cn-zero-noise-prescribed"),
+        pytest.param({"max_total_measurements": -5}, "must cover one cross", False, id="negative-measurement-budget"),
+        pytest.param({"max_total_measurements": 3}, "must cover one cross", False, id="sub-cross-measurement-budget"),
         pytest.param({"problem": {**UNIT_SQUARE, "b": [1, 1, 1, math.nan]}}, "polytope A and b must be finite",
-                     id="nan-b"),
+                     False, id="nan-b"),
         pytest.param({"problem": {**UNIT_SQUARE, "A": [[1, 0], [0, 1], [-1, math.inf], [0, -1]]}},
-                     "polytope A and b must be finite", id="inf-A"),
-        pytest.param({"omega0": 1e300}, "omega0 must not exceed the polytope's diameter 2.82843", id="huge-omega0"),
+                     "polytope A and b must be finite", False, id="inf-A"),
+        pytest.param({"omega0": 1e300}, "omega0 must not exceed the polytope's diameter 2.82843", False,
+                     id="huge-omega0"),
         pytest.param({"problem": {"type": "box", "d": 2, "halfwidth": 0.5}}, "unknown problem fields: ['halfwidth']",
-                     id="misspelled-half-width"),
+                     False, id="misspelled-half-width"),
         pytest.param({"objective": {"x_prme": [0.1, 0.1]}}, "unknown objective fields: ['x_prme']",
-                     id="misspelled-x-prime"),
-        pytest.param({"problem": {"type": "box", "d": 2, "A": [[1, 0]]}}, "unknown problem fields: ['A']", id="box-with-A"),
-        pytest.param({"base_seed": -1}, "base_seed must be >= 0", id="negative-seed"),
-        pytest.param({"sigma": 10**400}, "sigma must be a finite number", id="huge-int-sigma"),
-        pytest.param({"T": 10**400}, "T must be an integer within the float range", id="huge-int-T"),
-        pytest.param({"x0": [10**400, 0]}, "x0 must be a list of 2 finite numbers", id="huge-int-x0"),
+                     False, id="misspelled-x-prime"),
+        pytest.param({"problem": {"type": "box", "d": 2, "A": [[1, 0]]}}, "unknown problem fields: ['A']", False,
+                     id="box-with-A"),
+        pytest.param({"base_seed": -1}, "base_seed must be >= 0", False, id="negative-seed"),
+        pytest.param({"sigma": 10**400}, "sigma must be a finite number", False, id="huge-int-sigma"),
+        pytest.param({"T": 10**400}, "T must be an integer within the float range", False, id="huge-int-T"),
+        pytest.param({"x0": [10**400, 0]}, "x0 must be a list of 2 finite numbers", False, id="huge-int-x0"),
         pytest.param({"problem": {**UNIT_SQUARE, "b": [10**400, 1, 1, 1]}}, "bad polytope description",
-                     id="huge-int-b"),
+                     False, id="huge-int-b"),
     ],
 )
-def test_validate_config_rejects_bad_values(tmp_path, capsys, recwarn, overrides, message):
+def test_validate_config_rejects_bad_values(tmp_path, capsys, recwarn, overrides, message, compare_only):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"problem": {"type": "box", "d": 2}, **overrides}))
-    assert cli_main(["validate-config", "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.count("\n") == 1
-    assert message in err
+    assert_refused(path, capsys, message, compare_only)
     assert not recwarn.list
 
 
@@ -318,28 +335,27 @@ def test_omega0_too_small_to_span_is_a_config_error(tmp_path, capsys, command, o
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("overrides, message", [
-    pytest.param({"sigma": 1e308}, "sigma 1e+308 and delta 0.1 give a non-finite confidence radius", id="huge-sigma"),
+@pytest.mark.parametrize("overrides, message, compare_only", [
+    pytest.param({"sigma": 1e308}, "sigma 1e+308 and delta 0.1 give a non-finite confidence radius", False,
+                 id="huge-sigma"),
     pytest.param({"problem": {"type": "box", "d": 2, "half_width": 1e300}, "omega0": 1, "variant": "prescribed"},
-                 "cn 'auto' is not finite", id="overflowing-cn"),
+                 "cn 'auto' is not finite", False, id="overflowing-cn"),
     pytest.param({"problem": {"type": "polytope", "A": [[1, 0], [0, 1], [-1, -1]], "b": [1, 1, 1e-300]},
-                  "variant": "prescribed"}, "cn 'auto' is not finite", id="underflowing-eps0"),
-    pytest.param({"objective": {"x_prime": [1e308, 0.5]}}, "f(x0) - f* is not finite", id="overflowing-h0"),
+                  "variant": "prescribed"}, "cn 'auto' is not finite", True, id="underflowing-eps0"),
+    pytest.param({"objective": {"x_prime": [1e308, 0.5]}}, "f(x0) - f* is not finite", False, id="overflowing-h0"),
     pytest.param({"problem": {"type": "box", "d": 2, "half_width": 1e300}, "omega0": 1, "cn": 5},
-                 "the gradient bound M is not finite for this problem and objective.x_prime", id="overflowing-M"),
+                 "the gradient bound M is not finite for this problem and objective.x_prime", False,
+                 id="overflowing-M"),
     pytest.param({"delta": 5e-324}, "delta 5e-324 split over T = 15 iterations and m = 4 constraints underflows",
-                 id="underflowing-delta"),
+                 False, id="underflowing-delta"),
 ])
-def test_non_finite_derived_constants_are_config_errors(tmp_path, capsys, recwarn, overrides, message):
+def test_non_finite_derived_constants_are_config_errors(tmp_path, capsys, recwarn, overrides, message, compare_only):
     """Constants that overflow, divide by zero or underflow exit 1 with one
     stderr line naming the fields, not with config ok, a traceback or a run
     that never ends."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"problem": {"type": "box", "d": 2}, **overrides}))
-    assert cli_main(["validate-config", "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.count("\n") == 1
-    assert message in err
+    assert_refused(path, capsys, message, compare_only)
     assert not recwarn.list
 
 
@@ -366,6 +382,54 @@ def test_fields_of_other_variants_are_not_checked(tmp_path, capsys, command, ove
     else:
         assert out.startswith("pairs=2 ")
         assert json.loads((tmp_path / "out" / "comparison.json").read_text())["errors"] == [None, None]
+
+
+def test_validate_config_accepts_a_config_that_only_compare_runs(tmp_path, capsys):
+    """validate-config exits 0 when the config resolves for run or for compare,
+    names the commands it resolves for and gives run's reason when only compare
+    resolves; it exits 1 only when neither does."""
+    raw = {"problem": {"type": "box", "d": 2}, "variant": "ro", "repetitions": 1, "out_dir": str(tmp_path / "out")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli_main(["validate-config", "--config", str(path)]) == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("config ok for compare only (run: variant 'ro' needs ro_total_measurements): variant=ro")
+    assert not out.err
+    assert cli_main(["compare", "--config", str(path)]) == 0
+    assert cli_main(["run", "--config", str(path)]) == 1
+    capsys.readouterr()
+    path.write_text(json.dumps({**raw, "ro_total_measurements": 2000}))
+    assert cli_main(["validate-config", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("config ok for run and compare: variant=ro")
+    path.write_text(json.dumps({**raw, "T": 2}))
+    assert cli_main(["validate-config", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "config error: T must be >= 3\n"
+
+
+@pytest.mark.parametrize("scale, b, message", [
+    (1e-100, 1e-100, None),
+    (1e12, 1.0, "config error: omega0 must not exceed the polytope's diameter"),
+], ids=["rows-1e-100", "rows-1e12"])
+def test_polytope_verdict_does_not_depend_on_the_row_scale(tmp_path, capsys, scale, b, message):
+    """The sweep's independence and ray tests are relative to the rows and its
+    feasibility test is a distance, so a square written as rows of 1e-100
+    resolves with the f* of the unit square, and the box |x_i| <= 1e-12 written
+    as rows of 1e12 finds its minimizer at a vertex and is refused for omega0
+    (its vertices merge under the absolute FEAS_TOL), not as unbounded or for
+    want of a KKT point."""
+    path = tmp_path / "cfg.json"
+    A = (scale * np.vstack([np.eye(2), -np.eye(2)])).tolist()
+    raw = {"problem": {"type": "polytope", "A": A, "b": [b] * 4}}
+    path.write_text(json.dumps(raw))
+    code = cli_main(["validate-config", "--config", str(path)])
+    out = capsys.readouterr()
+    if message is None:
+        assert code == 0 and out.out.startswith("config ok for run and compare: ") and not out.err
+        res = resolve(ExperimentConfig.from_dict(raw))
+        assert (res.f_star, res.h0) == (0.5, 1.625)  # x* = (1, 0.5) for x' = (2, 0.5); f(x0) = 2.125
+        assert res.polytope.contains([1.0, 0.5]) and not res.polytope.contains([1.0 + 2e-9, 0.5])
+    else:
+        assert code == 1 and out.err.startswith(message)
 
 
 def test_validate_config_resolves_a_tiny_delta(tmp_path, capsys):
@@ -466,16 +530,38 @@ def test_general_polytope_config(tmp_path):
 
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_one_resolve_per_command(tmp_path, monkeypatch, command):
-    """run and compare resolve the config once, so a polytope's vertices are swept once."""
+    """run and compare resolve the config once, so a polytope's row subsets are swept once."""
     import safefw.harness as hmod
 
     calls = []
-    real = hmod.vertex_sweep
-    monkeypatch.setattr(hmod, "vertex_sweep", lambda p: calls.append(p) or real(p))
+    real = hmod.sweep
+    monkeypatch.setattr(hmod, "sweep", lambda p, x_prime: calls.append(p) or real(p, x_prime))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"problem": GENERAL_POLYTOPE, "repetitions": 1, "out_dir": str(tmp_path / "out")}))
     assert cli_main([command, "--config", str(path)]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("x_prime, sizes, f_star", [
+    ([2.0, 0.5], [1] * 5 + [2] * 10, 0.5),  # x* = (1, 0.5), where x1 <= 1 and x1 + x2 <= 1.5 meet
+    ([0.5, 0.25], [2] * 10, 0.0),  # x' lies in the polytope: only the bases, for the vertices and rays
+], ids=["x-prime-outside", "x-prime-inside"])
+def test_polytope_resolve_visits_each_row_subset_once_and_solves_no_lp(monkeypatch, x_prime, sizes, f_star):
+    """resolve decides a polytope, and reads its geometry and f*, from one pass
+    over the C(5, k) row subsets of each size k it needs, with no LP solve."""
+    import itertools
+
+    import safefw.lp as lp
+    import safefw.problem as problem
+
+    visited = []
+    real = itertools.combinations
+    monkeypatch.setattr(problem.itertools, "combinations",
+                        lambda rows, k: (visited.append(k) or s for s in real(rows, k)))
+    monkeypatch.setattr(lp, "solve", lambda *args: pytest.fail("resolve solved an LP"))
+    res = resolve(d2_config(problem=GENERAL_POLYTOPE, objective={"x_prime": x_prime}))
+    assert sorted(visited) == sizes
+    assert res.f_star == pytest.approx(f_star, abs=1e-12)
 
 
 @pytest.mark.parametrize("command, written", [("run", "summary.json"), ("compare", "comparison.json")])

@@ -66,19 +66,19 @@ def test_cross_pattern_d2():
     pat = cross_pattern(np.zeros(2), 0.01, 4)
     expected = {(0.01, 0.0), (-0.01, 0.0), (0.0, 0.01), (0.0, -0.01)}
     assert {tuple(p) for p in pat.points} == expected
-    assert pat.multiplicity == 1 and pat.total == 4
+    assert pat.multiplicity == 1 and len(pat.points) * pat.multiplicity == 4
 
 
 def test_cross_pattern_d1_even_split():
     pat = cross_pattern(np.zeros(1), 0.5, 10)
     assert pat.points.shape == (2, 1)
-    assert pat.multiplicity == 5 and pat.total == 10
+    assert pat.multiplicity == 5 and len(pat.points) * pat.multiplicity == 10
 
 
 def test_cross_pattern_ceiling():
     pat = cross_pattern(np.zeros(3), 0.1, 7)
     assert pat.points.shape == (6, 3)
-    assert pat.multiplicity == 2 and pat.total == 12
+    assert pat.multiplicity == 2 and len(pat.points) * pat.multiplicity == 12
 
 
 def test_cross_pattern_too_few():

@@ -1,4 +1,4 @@
-"""Polytope validation, geometric constants, and the exact quadratic minimizer."""
+"""The polytope sweep's verdicts, geometric constants, and exact quadratic minimizer."""
 
 import itertools
 import math
@@ -16,9 +16,7 @@ from safefw.problem import (
     box_polytope,
     box_quadratic_lipschitz,
     geometry_constants,
-    minimize_quadratic,
-    validate,
-    vertex_sweep,
+    sweep,
 )
 
 from helpers import check_gradient, random_bounded_polytope
@@ -30,15 +28,38 @@ def quadratic_d2():
 
 
 def geometry(p, x0):
-    return geometry_constants(p, x0, vertex_sweep(p))
+    return geometry_constants(p, x0, sweep(p, x0))
+
+
+def validate(p):
+    """The sweep's verdict: "bounded", or the message it raises."""
+    try:
+        sweep(p, np.zeros(p.d))
+    except ValueError as exc:
+        return str(exc)
+    return "bounded"
 
 
 def test_validate_unit_box():
     assert validate(box_polytope(2)) == "bounded"
+    assert validate(box_polytope(1)) == "bounded"
 
 
 def test_validate_half_space_unbounded():
-    assert validate(Polytope(np.array([[1.0, 0.0]]), np.array([1.0]))) == "unbounded"
+    # rank 1 < d and nonempty: the half-plane holds a line
+    assert validate(Polytope(np.array([[1.0, 0.0]]), np.array([1.0]))) == "polytope is unbounded"
+    # the quadrant is pointed (a vertex at the origin) and has the rays e1 and e2
+    assert validate(Polytope(-np.eye(2), np.zeros(2))) == "polytope is unbounded"
+    # d = 1: the half-line's vertex x = 1 has the edge y = -1, a ray
+    assert validate(Polytope(np.array([[1.0]]), np.array([1.0]))) == "polytope is unbounded"
+    # the half-strip 0 <= x2 <= 1, x1 >= 0: each of its two vertices has the ray e1
+    strip = Polytope(np.array([[0.0, -1.0], [0.0, 1.0], [-1.0, 0.0]]), np.array([0.0, 1.0, 0.0]))
+    assert validate(strip) == "polytope is unbounded"
+    # the 20-facet pyramid without its base: a cone whose only vertex, the apex, lies on
+    # all 20 rows; a ray appears only among the edges of some of its C(20, 3) bases
+    cone = pyramid(20)
+    assert validate(Polytope(cone.A[:-1], cone.b[:-1])) == "polytope is unbounded"
+    assert validate(cone) == "bounded"
 
 
 def test_validate_degenerate_box():
@@ -49,7 +70,9 @@ def test_validate_degenerate_box():
 def test_validate_empty_polytope():
     # x1 <= -1 and x1 >= 1 cannot both hold
     p = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.array([-1.0, -1.0, 1.0, 1.0]))
-    assert validate(p) == "infeasible"
+    assert validate(p) == "polytope is empty"
+    # the same two rows alone in R^2: no two rows are independent, and no KKT point is feasible
+    assert validate(Polytope(p.A[:2], p.b[:2])) == "polytope is empty"
 
 
 def test_zero_row_rejected():
@@ -119,11 +142,11 @@ def test_geometry_requires_strict_feasibility():
 
 
 def test_geometry_subset_cap(monkeypatch):
-    monkeypatch.setattr(problem, "SUBSET_CAP", 5)  # the box has C(4, 2) = 6 bases
-    with pytest.raises(problem.EnumerationCapError):
-        vertex_sweep(box_polytope(2))
-    with pytest.raises(problem.EnumerationCapError):
-        minimize_quadratic(box_polytope(2), np.array([2.0, 0.5]))
+    # the box has C(4, 2) = 6 bases, and C(4, 1) = 4 more subsets when x' lies outside it
+    monkeypatch.setattr(problem, "SUBSET_CAP", 6)
+    assert sweep(box_polytope(2), np.array([0.2, -0.3])).x_star.tolist() == [0.2, -0.3]
+    with pytest.raises(problem.EnumerationCapError, match="10 constraint subsets exceed the cap 6"):
+        sweep(box_polytope(2), np.array([2.0, 0.5]))
 
 
 def regular_17gon() -> Polytope:
@@ -134,7 +157,8 @@ def regular_17gon() -> Polytope:
 def test_vertex_sweep_regular_17gon_vs_brute_force():
     # 136 bases: beyond enumerate_vertices' m <= 16 cap, well inside SUBSET_CAP
     p = regular_17gon()
-    V, rho_min = vertex_sweep(p)
+    found = sweep(p, np.zeros(2))
+    V, rho_min = found.vertices, found.rho_min
     verts, sig = [], []
     for i, j in itertools.combinations(range(17), 2):
         v = np.linalg.solve(p.A[[i, j]], p.b[[i, j]])
@@ -146,7 +170,7 @@ def test_vertex_sweep_regular_17gon_vs_brute_force():
     # adjacent unit normals 2 pi / 17 apart: sigma_min = sqrt(2) sin(pi / 17)
     assert rho_min == pytest.approx(min(sig), abs=1e-12)
     assert rho_min == pytest.approx(math.sqrt(2.0) * math.sin(math.pi / 17), abs=1e-12)
-    geo = geometry_constants(p, np.zeros(2), (V, rho_min))
+    geo = geometry_constants(p, np.zeros(2), found)
     radius = 1.0 / math.cos(math.pi / 17)
     assert geo.gamma0 == pytest.approx(max(np.linalg.norm(v) for v in verts), abs=1e-12)
     assert geo.gamma0 == pytest.approx(radius, abs=1e-12)
@@ -166,7 +190,8 @@ def pyramid(n: int) -> Polytope:
 def test_degenerate_vertex_costs_one_row():
     # C(20, 3) = 1,140 bases meet at the apex; the sweep keeps one row for it
     p = pyramid(20)
-    V, rho_min = vertex_sweep(p)
+    found = sweep(p, np.zeros(3))
+    V, rho_min = found.vertices, found.rho_min
     verts = []
     for rows in map(list, itertools.combinations(range(p.m), 3)):
         if abs(np.linalg.det(p.A[rows])) > 1e-12:
@@ -202,15 +227,15 @@ def test_gradient_consistency():
 
 
 def test_minimize_quadratic_box_projection():
-    x_star, f_star = minimize_quadratic(box_polytope(2), np.array([2.0, 0.5]))
+    x_star = sweep(box_polytope(2), np.array([2.0, 0.5])).x_star
     assert np.allclose(x_star, [1.0, 0.5], atol=1e-12)
-    assert f_star == pytest.approx(0.5, abs=1e-12)
+    assert quadratic_d2().value(x_star) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_minimize_quadratic_interior_target():
-    x_star, f_star = minimize_quadratic(box_polytope(2), np.array([0.2, -0.3]))
-    assert np.allclose(x_star, [0.2, -0.3])
-    assert f_star == 0.0
+    # the empty row subset's KKT point is the target itself
+    x_star = sweep(box_polytope(2), np.array([0.2, -0.3])).x_star
+    assert np.array_equal(x_star, [0.2, -0.3])
 
 
 def test_minimize_quadratic_gap_certificate():
@@ -219,12 +244,11 @@ def test_minimize_quadratic_gap_certificate():
     for _ in range(5):
         p = random_bounded_polytope(rng, 3, 8)
         target = rng.uniform(1.0, 2.5, 3)
-        x_star, f_star = minimize_quadratic(p, target)
-        assert p.max_violation(x_star) <= 1e-9
+        x_star = sweep(p, target).x_star
+        assert p.contains(x_star)
         grad = x_star - target
         sol = lp.solve(lp.LpProblem(grad, p.A, p.b))
         assert float(grad @ (x_star - sol.point)) <= 1e-8
-        assert 0.5 * float((x_star - target) @ (x_star - target)) == pytest.approx(f_star, abs=1e-12)
 
 
 def test_box_quadratic_lipschitz_value():

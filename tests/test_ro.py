@@ -115,7 +115,7 @@ def test_run_iterates_stay_in_safety_set():
     assert rec.status == "completed"
     for row in rec.rows:
         assert soc_violation(est, scfg, row.x) <= 1e-6
-    assert all(p.max_violation(row.x) <= 1e-9 for row in rec.rows)
+    assert all(p.contains(row.x) for row in rec.rows)
     assert rec.total_measurements >= 4000
 
 
