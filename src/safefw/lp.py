@@ -12,7 +12,9 @@ guard vertex when there is none. A solve with no start, or whose loop ends
 without a verified vertex, goes to the two-phase primal simplex on the
 split-variable standard form (x = u - v plus slacks), with Bland's rule for
 anti-cycling; at the optimum the simplex pivots each nonbasic free variable
-in, so a bounded optimum ends at a vertex.
+in, so a bounded optimum ends at a vertex. A cutting-plane loop grows one LP
+a row at a time in a `Tableau`, whose solves replay the recorded pivots of
+the one before and give what that simplex gives on the grown LP, bit for bit.
 """
 
 from __future__ import annotations
@@ -57,17 +59,23 @@ class LpSolution:
     active_set: list[int] = field(default_factory=list)
 
 
-def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    T[row] /= T[row, col]
+def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> np.ndarray:
+    """Pivot T on (row, col); returns the pivot row after the division, the
+    row every other row is reduced by."""
+    prow = T[row] / T[row, col]
+    T[row] = prow
     coeffs = T[:, col].copy()
     coeffs[row] = 0.0
-    T -= coeffs[:, None] * T[row]
+    T -= coeffs[:, None] * prow
     basis[row] = col
+    return prow
 
 
-def _leaving_row(a: list[float], rhs: list[float], basis: list[int]) -> int:
+def _leaving_row(a: list[float], rhs: list[float], basis: list[int]) -> tuple[int, float]:
     """Bland's ratio test for an entering column a: the row of the least
-    rhs / a over a > PIVOT_TOL, ties to the lowest basic index; -1 if none."""
+    rhs / a over a > PIVOT_TOL, ties to the lowest basic index; -1 if none.
+    Also the running best ratio, which only a row below it by more than the
+    1e-12 tie band displaces."""
     leave, best = -1, math.inf
     for i, (a_i, rhs_i) in enumerate(zip(a, rhs)):
         if a_i > PIVOT_TOL:
@@ -76,21 +84,52 @@ def _leaving_row(a: list[float], rhs: list[float], basis: list[int]) -> int:
                 best, leave = ratio, i
             elif abs(ratio - best) <= 1e-12 and leave >= 0 and basis[i] < basis[leave]:
                 leave = i
-    return leave
+    return leave, best
 
 
-def _simplex(T: np.ndarray, basis: list[int], allowed: int) -> str:
+@dataclass(slots=True)
+class _Step:
+    """One ratio test of a recorded solve: the entering column, the test's
+    running best, the tableau and basis before it (kept at every other step,
+    from the first; None at the others), the leaving row and the pivot row
+    after the division (-1 and None where no row qualified), and the free
+    variable j whose pivot it tries (None in phase 2)."""
+
+    col: int
+    best: float
+    T: np.ndarray | None
+    basis: list[int] | None
+    row: int
+    prow: np.ndarray | None
+    free: int | None
+
+
+def _bland_step(T: np.ndarray, basis: list[int], col: int, a: list[float], steps: list[_Step] | None,
+                free: int | None = None) -> bool:
+    """Bland's ratio test on column col, whose rows read a, and its pivot;
+    whether a row qualified. Appends the step to `steps` when given."""
+    leave, best = _leaving_row(a, T[:-1, -1].tolist(), basis)
+    if steps is not None:
+        kept = (T.copy(), basis.copy()) if len(steps) % 2 == 0 else (None, None)
+        steps.append(_Step(col, best, *kept, leave, None, free))
+    if leave < 0:
+        return False
+    prow = _pivot(T, basis, leave, col)
+    if steps is not None:
+        steps[-1].prow = prow
+    return True
+
+
+def _simplex(T: np.ndarray, basis: list[int], allowed: int, steps: list[_Step] | None = None) -> str:
     """Minimize the bottom-row objective over the first `allowed` columns.
-    Bland's rule on entering and leaving, scanned over Python floats."""
-    m = T.shape[0] - 1
-    for _ in range(MAX_PIVOTS):
+    Bland's rule on entering and leaving, scanned over Python floats. Each
+    step already in `steps` counts against MAX_PIVOTS."""
+    for _ in range(len(steps) if steps else 0, MAX_PIVOTS):
         enter = next((j for j, cost in enumerate(T[-1, :allowed].tolist()) if cost < -COST_TOL), -1)
         if enter < 0:
             return "optimal"
-        leave = _leaving_row(T[:m, enter].tolist(), T[:m, -1].tolist(), basis)
-        if leave < 0:
+        if not _bland_step(T, basis, enter, T[:-1, enter].tolist(), steps):
             return "unbounded"
-        _pivot(T, basis, leave, enter)
     raise PivotLimitError(f"simplex made no verdict within {MAX_PIVOTS} pivots")
 
 
@@ -265,19 +304,23 @@ def _pivot_from(p: LpProblem, start: list[int]) -> LpSolution | None:
     return LpSolution(terms[2], "optimal", basis.tolist()) if _verified(terms, basis, c) else None
 
 
-def solve(p: LpProblem, basis: list[int] | None = None) -> LpSolution:
-    """Minimize <c, x> over {x : A x <= b}.
+def _rows(A: np.ndarray, b: np.ndarray, first: int, width: int) -> np.ndarray:
+    """The tableau rows of A x <= b over x = u - v, `width` columns wide,
+    with the slack of row i in column 2d + first + i."""
+    k, d = A.shape
+    R = np.zeros((k, width))
+    R[:, :d] = A
+    R[:, d:2 * d] = -A
+    np.fill_diagonal(R[:, 2 * d + first:], 1.0)
+    R[:, -1] = b
+    return R
 
-    Returns a vertex of the optimal face when the feasible set is bounded
-    around the optimum. Status reports infeasibility and unboundedness. Given
-    a start basis (d rows), the pivot loop of `_pivot_from` runs from it and
-    returns a vertex only once verified to be the unique optimum. Otherwise,
-    and with no start, the simplex solves from the all-slack basis.
-    """
-    if basis is not None:
-        sol = _pivot_from(p, basis)
-        if sol is not None:
-            return sol
+
+def _feasible(p: LpProblem) -> tuple[np.ndarray, list[int]] | None:
+    """The tableau of p over x = u - v with a slack per row, at a feasible
+    basis, its bottom row the reduced cost of p; None if p is infeasible.
+    Rows with a negative b are negated and given an artificial column, which
+    phase 1 drives out of the basis."""
     m, d = p.A.shape
     A = p.A.copy()
     b = p.b.copy()
@@ -290,11 +333,9 @@ def solve(p: LpProblem, basis: list[int] | None = None) -> LpSolution:
     ncols = n_struct + m + n_art
 
     T = np.zeros((m + 1, ncols + 1))
-    T[:m, :d] = A
-    T[:m, d:n_struct] = -A
-    T[np.arange(m), n_struct + np.arange(m)] = np.where(flip, -1.0, 1.0)
+    T[:m] = _rows(A, b, 0, ncols + 1)
+    T[art_rows, n_struct + art_rows] = -1.0
     T[art_rows, n_struct + m + np.arange(n_art)] = 1.0
-    T[:m, -1] = b
 
     start = n_struct + np.arange(m)
     start[art_rows] = n_struct + m + np.arange(n_art)
@@ -306,7 +347,7 @@ def solve(p: LpProblem, basis: list[int] | None = None) -> LpSolution:
             T[-1] -= T[i]
         _simplex(T, basic, ncols)
         if -T[-1, -1] > 1e-7 * (1.0 + float(np.abs(b).sum())):
-            return LpSolution(None, "infeasible")
+            return None
         # drive surviving artificials out of the basis where possible
         for i in range(m):
             if basic[i] >= n_struct + m:
@@ -321,23 +362,144 @@ def solve(p: LpProblem, basis: list[int] | None = None) -> LpSolution:
     for i, cost in enumerate(T[-1, basic].tolist()):
         if cost != 0.0:
             T[-1] -= cost * T[i]
-    status = _simplex(T, basic, n_struct + m)
-    if status == "unbounded":
-        return LpSolution(None, "unbounded")
+    return T, basic
 
+
+def _optimum(T: np.ndarray, basis: list[int], d: int, steps: list[_Step] | None = None, free: int | None = None):
+    """Phase 2 of the simplex from the feasible basis of T, whose bottom row
+    holds the reduced cost, then the pivots that end it at a vertex: the
+    point, or None if unbounded. Records every ratio test into `steps` when
+    given; `free` = j resumes at the pivots of free variable j."""
+    if free is None:
+        if _simplex(T, basis, 2 * d + T.shape[0] - 1, steps) == "unbounded":  # over the structural and slack columns
+            return None
     # pivot in each free variable left nonbasic, u_j before v_j; only rows with a
     # slack or artificial basic bound the step, as a free variable has no sign, so
     # it slides along the optimal face to the next active row: a vertex if bounded
-    for j in range(d):
-        if j not in basic and d + j not in basic:
-            signed = np.asarray(basic) >= n_struct
+    for j in range(free or 0, d):
+        if j not in basis and d + j not in basis:
+            signed = np.asarray(basis) >= 2 * d
             for col in (j, d + j):
-                leave = _leaving_row(np.where(signed, T[:m, col], 0.0).tolist(), T[:m, -1].tolist(), basic)
-                if leave >= 0:
-                    _pivot(T, basic, leave, col)
+                if _bland_step(T, basis, col, np.where(signed, T[:-1, col], 0.0).tolist(), steps, j):
                     break
-    vals = np.zeros(ncols)
-    vals[basic] = T[:m, -1]
-    x = vals[:d] - vals[d:n_struct]
+    vals = np.zeros(T.shape[1] - 1)
+    vals[basis] = T[:-1, -1]
+    return vals[:d] - vals[d:2 * d]
+
+
+def solve(p: LpProblem, basis: list[int] | None = None) -> LpSolution:
+    """Minimize <c, x> over {x : A x <= b}.
+
+    Returns a vertex of the optimal face when the feasible set is bounded
+    around the optimum. Status reports infeasibility and unboundedness. Given
+    a start basis (d rows), the pivot loop of `_pivot_from` runs from it and
+    returns a vertex only once verified to be the unique optimum. Otherwise,
+    and with no start, the simplex solves from the all-slack basis.
+    """
+    if basis is not None:
+        sol = _pivot_from(p, basis)
+        if sol is not None:
+            return sol
+    start = _feasible(p)
+    if start is None:
+        return LpSolution(None, "infeasible")
+    x = _optimum(*start, p.c.size)
+    if x is None:
+        return LpSolution(None, "unbounded")
     return LpSolution(x, "optimal", _active_rows(p, x))
 
+
+def _with_row(S: np.ndarray, r: np.ndarray, m: int) -> np.ndarray:
+    """The tableau S of m rows, held in the corner (m + 1, W) of its array
+    with W = r.size - 1, and the row r added: r above the cost row, its slack
+    column before the rhs. The array grows by a quarter when it has no room."""
+    W = r.size - 1
+    if S.shape[0] < m + 2 or S.shape[1] < W + 1:
+        grown = np.empty((m + 2 + (m + 2) // 4, W + 1 + (W + 1) // 4))
+        grown[:m + 1, :W] = S[:m + 1, :W]
+        S = grown
+    S[:m + 1, W] = S[:m + 1, W - 1]
+    S[:m + 1, W - 1] = 0.0
+    S[m + 1, :W + 1] = S[m, :W + 1]
+    S[m, :W + 1] = r
+    return S
+
+
+class Tableau:
+    """min <c, x> over A x <= b, grown a row at a time, for a cutting-plane loop.
+
+    `solve` gives what `solve(LpProblem(c, A, b))` gives for the rows so far,
+    bit for bit while the entries stay finite, but with no active set. Each
+    solve records its ratio tests (`_Step`). `add_row` reduces the new row
+    through them by the operations a cold solve applies to it, and
+    appends its state to each kept tableau (above the cost row, its slack
+    column before the rhs), up to the first step whose ratio test it would
+    win: scanned last, with the highest slack index, it wins only below the
+    step's running best by more than the tie band. The next solve resumes
+    Bland's rule from the tableau before that step, counting the steps
+    before it against MAX_PIVOTS; with no such step the last solution stands.
+    A tableau is kept before every other step, which halves the memory
+    (about 0.5 MB each at d = 10 and 200 cuts); the one before an odd step is
+    the one before it, pivoted once. A row with a negative right-hand side
+    needs phase 1: that solve and every later one are cold.
+    """
+
+    def __init__(self, p: LpProblem):
+        self.c = p.c
+        self._A, self._b = [p.A], [p.b]  # every row, for the cold solve
+        self._rows = p.A.shape[0]
+        self._solution: LpSolution | None = None
+        self._steps: list[_Step] | None = None  # None while every solve is cold
+        self._resume = None  # the tableau, basis and free variable the next solve resumes from
+        if not (p.b < -0.0).any():
+            self._steps = []
+            self._resume = *_feasible(p), None
+
+    def add_row(self, a: np.ndarray, b: float) -> None:
+        """Add the row a x <= b."""
+        a = np.asarray(a, dtype=float)
+        self._A.append(a)
+        self._b.append(b)
+        if self._steps is None or b < -0.0:
+            self._steps = self._resume = None
+            return
+        m = self._rows
+        W = 2 * a.size + m + 1  # the width before
+        r = _rows(a[None, :], b, m, W + 1)[0]
+        self._rows += 1
+        for e, step in enumerate(self._steps):
+            if step.T is not None:
+                step.T = _with_row(step.T, r, m)
+                step.basis.append(W - 1)
+            a_e = r.item(step.col)
+            if a_e > PIVOT_TOL and r.item(W) / a_e < step.best - 1e-12:
+                if step.T is None:  # the tableau before the step before, pivoted once
+                    last = self._steps[e - 1]
+                    S, basis = last.T.copy(), last.basis.copy()
+                    if last.prow is not None:
+                        _pivot(S[:m + 2, :W + 1], basis, last.row, last.col)
+                    self._resume = S, basis, step.free
+                else:
+                    self._resume = step.T, step.basis, step.free
+                del self._steps[e:]
+                return
+            if step.prow is not None:  # its entries in the slack columns added since are +0, which leave r as it is
+                w = step.prow.size - 1
+                r[:w] -= a_e * step.prow[:w]
+                r[W] = r.item(W) - a_e * step.prow.item(w)
+        if self._resume is not None:
+            S, basis, free = self._resume
+            basis.append(W - 1)
+            self._resume = _with_row(S, r, m), basis, free
+
+    def solve(self) -> LpSolution:
+        """The solution for the rows added so far, as `solve` gives it."""
+        if self._steps is None:
+            return solve(LpProblem(self.c, np.vstack(self._A), np.hstack(self._b)))
+        if self._resume is not None:
+            S, basis, free = self._resume
+            self._resume = None
+            d, m = self.c.size, self._rows
+            x = _optimum(S[:m + 1, :2 * d + m + 1], basis, d, self._steps, free)
+            self._solution = LpSolution(None, "unbounded") if x is None else LpSolution(x, "optimal")
+        return self._solution

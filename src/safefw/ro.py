@@ -48,22 +48,21 @@ def soc_linmin(
 
     Starts from the LP relaxation over the estimated polytope (inside a guard
     box); each round adds the linearization of the most-violated cone
-    constraint at the current LP solution. Stops when the worst violation is
-    at most LINMIN_TOL. If the MAX_CUTS budget runs out, the final LP point is
-    pulled back toward the safe anchor by bisection and flagged with
-    warning=True.
+    constraint at the current LP solution as a row of one `lp.Tableau`, which
+    solves the grown LP from the previous round's pivots. Stops when the worst
+    violation is at most LINMIN_TOL. If the MAX_CUTS budget runs out, the
+    final LP point is pulled back toward the safe anchor by bisection and
+    flagged with warning=True.
     """
     if est.P is None:
         raise ValueError("design does not yet span R^(d+1)")
     c = np.asarray(c, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
     d = est.d
-    relaxation = dfs_problem(est, c, guard)
-    rows = [relaxation.A]
-    rhs = [relaxation.b]
+    tableau = lp.Tableau(dfs_problem(est, c, guard))
     point = anchor.copy()
     for cut in range(MAX_CUTS + 1):
-        sol = lp.solve(lp.LpProblem(c, np.vstack(rows), np.concatenate(rhs)))
+        sol = tableau.solve()
         if sol.status != "optimal":
             return SocLinminResult(anchor.copy(), cut, True)
         point = sol.point
@@ -83,8 +82,7 @@ def soc_linmin(
             - cfg.phi_delta * norm
             + cfg.phi_delta * float(grad_norm @ point)
         )
-        rows.append(a_cut[None, :])
-        rhs.append(np.array([b_cut]))
+        tableau.add_row(a_cut, b_cut)
     # cut budget exhausted: bisect back toward the known safe anchor
     lo, hi = 0.0, 1.0
     for _ in range(60):

@@ -3,8 +3,8 @@ independent references: a vertex enumerator, a finite-difference gradient
 check, covariance norms, a solver for the cone-constrained linear
 subproblem, the adaptive driver that absorbs one cross per pass, the block
 absorb that a committed forecast must equal, the estimator update that
-refactors P at every step, and the simplex kernel that reads the tableau one
-numpy scalar at a time."""
+refactors P at every step, the simplex kernel that reads the tableau one
+numpy scalar at a time, and RO's cut loop with every cut LP solved cold."""
 
 import math
 
@@ -15,8 +15,9 @@ from safefw import lp
 from safefw.estimator import ConstraintEstimator
 from safefw.oracle import ConstraintOracle, NoiseModel, cross_pattern
 from safefw.problem import EnumerationCapError, Polytope, box_polytope, sweep
-from safefw.safety import fact2_check
-from safefw.sfw import TrajectoryRecord, et_bound, solve_dfs, surrogate_gap
+from safefw.ro import LINMIN_TOL, MAX_CUTS, SocLinminResult, soc_violation
+from safefw.safety import cone_terms, fact2_check, margins
+from safefw.sfw import TrajectoryRecord, dfs_problem, et_bound, solve_dfs, surrogate_gap
 
 
 def random_bounded_polytope(rng, d, m):
@@ -263,6 +264,41 @@ def soc_linmin_reference(est, cfg, c, anchor, radius=2.0):
             center = S[j]
         half *= 0.55
     return best_val
+
+
+def soc_linmin_cold(est, cfg, c, guard, anchor):
+    """`ro.soc_linmin` with each cut LP stacked and solved cold by
+    `lp.solve`: the reference its growing tableau must follow bit for bit."""
+    c = np.asarray(c, dtype=float)
+    anchor = np.asarray(anchor, dtype=float)
+    d = est.d
+    relaxation = dfs_problem(est, c, guard)
+    rows = [relaxation.A]
+    rhs = [relaxation.b]
+    point = anchor.copy()
+    for cut in range(MAX_CUTS + 1):
+        sol = lp.solve(lp.LpProblem(c, np.vstack(rows), np.concatenate(rhs)))
+        if sol.status != "optimal":
+            return SocLinminResult(anchor.copy(), cut, True)
+        point = sol.point
+        pz, norm = cone_terms(est, point)
+        violations = cfg.phi_delta * norm - margins(est, point)
+        worst = int(np.argmax(violations))
+        if violations[worst] <= LINMIN_TOL:
+            return SocLinminResult(point, cut, False)
+        if cut == MAX_CUTS or norm <= 0.0:
+            break
+        grad_norm = pz[:d] / norm
+        rows.append((est.a_hat()[:, worst] + cfg.phi_delta * grad_norm)[None, :])
+        rhs.append(np.array([est.b_hat()[worst] - cfg.phi_delta * norm + cfg.phi_delta * float(grad_norm @ point)]))
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if soc_violation(est, cfg, anchor + mid * (point - anchor)) <= LINMIN_TOL:
+            lo = mid
+        else:
+            hi = mid
+    return SocLinminResult(anchor + lo * (point - anchor), MAX_CUTS, True)
 
 
 def _reference_absorb_cross(oracle, est, center, omega0, n):

@@ -233,7 +233,7 @@ def test_simplex_kernel_matches_scalar_bland_reference(d, extra_rows, seed):
     prob = random_lp(np.random.default_rng(seed), d, extra_rows)
     fast = lp.solve(prob)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, "_simplex", lambda T, basis, allowed: bland_simplex_reference(T, basis, range(allowed)))
+        mp.setattr(lp, "_simplex", lambda T, basis, allowed, steps=None: bland_simplex_reference(T, basis, range(allowed)))
         ref = lp.solve(prob)
     assert fast.status == ref.status
     assert (fast.point is None and ref.point is None) or fast.point.tobytes() == ref.point.tobytes()
@@ -497,3 +497,144 @@ def test_rank_one_update_matches_a_fresh_inverse():
         basis[pos] = enter
         fresh = np.linalg.inv(A[basis])
         assert np.abs(B_inv - fresh).max() <= 1e-12 * np.abs(fresh).max()
+
+
+def grow_against_cold(c, A, b, rows, count=None):
+    """Grow an `lp.Tableau` from min <c, x> over A x <= b by one row at a
+    time, and check each solve against `lp.solve` of the stacked LP: the
+    status, the point's bits and the signs of its zeros. `rows` is a list of
+    (a, b), or a function of the last solution that gives the next row,
+    called `count` times. Returns the tableau and the solutions."""
+    c, A, b = (np.asarray(v, dtype=float) for v in (c, A, b))
+    tableau = lp.Tableau(lp.LpProblem(c, A, b))
+    solutions = []
+    for k in range((len(rows) if count is None else count) + 1):
+        if k:
+            a_k, b_k = rows[k - 1] if count is None else rows(solutions[-1])
+            tableau.add_row(np.asarray(a_k, dtype=float), b_k)
+            A, b = np.vstack([A, a_k]), np.append(b, b_k)
+        grown, cold = tableau.solve(), lp.solve(lp.LpProblem(c, A, b))
+        assert grown.status == cold.status, k
+        if cold.point is None:
+            assert grown.point is None, k
+        else:
+            assert grown.point.tobytes() == cold.point.tobytes(), k
+            assert np.array_equal(np.signbit(grown.point), np.signbit(cold.point)), k
+        solutions.append(grown)
+    return tableau, solutions
+
+
+def cutter(rng, A, b, negative=0.0):
+    """The rows a cutting-plane loop might add, as a function of the last
+    solution: mostly a cut that separates its point from the inside (a x <= b
+    with b > 0 just below a times that point); now and then a scaled copy of a row
+    with its rhs moved by less than the 1e-12 tie band or just more, or a
+    random row; with probability `negative`, a row with a negative rhs."""
+    rows = [(a_i, b_i) for a_i, b_i in zip(A, b)]
+
+    def next_row(sol):
+        kind = rng.random()
+        if kind < 0.2:
+            a_i, b_i = rows[int(rng.integers(0, len(rows)))]
+            scale = rng.choice([1.0, 2.0, 0.5])
+            row = scale * a_i, scale * b_i + rng.choice([-2e-12, -5e-13, 0.0, 5e-13, 2e-12])
+        elif kind < 0.3 or sol.point is None or not sol.point.any():
+            a = rng.normal(0.0, 1.0, A.shape[1])
+            row = a, float(rng.uniform(0.1, 1.0))
+        else:
+            point = sol.point
+            a = point + rng.normal(0.0, 0.3, point.size) * np.abs(point).max()
+            a /= np.linalg.norm(a)
+            row = a, float(a @ point) * rng.uniform(0.7, 0.999)
+        if rng.random() < negative:
+            row = row[0], -abs(row[1]) - 0.01
+        rows.append(row)
+        return row
+
+    return next_row
+
+
+@settings(max_examples=90, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 3, 10]), st.integers(0, 2**32 - 1))
+def test_grown_tableau_matches_cold_solves(d, seed):
+    """Each row added to an `lp.Tableau` replays the previous solve's pivots:
+    at every step it gives the status and point bits of `lp.solve` on the
+    stacked LP, over cuts of the last point, near-duplicate rows within the
+    tie band, sparse objectives, and now and then a row with a negative
+    right-hand side."""
+    rng = np.random.default_rng(seed)
+    p = random_bounded_polytope(rng, d, 2 * d + int(rng.integers(0, 4)))
+    c = rng.normal(0.0, 1.0, d)
+    if rng.random() < 0.3:
+        c[rng.random(d) < 0.5] = 0.0
+    grow_against_cold(c, p.A, p.b, cutter(rng, p.A, p.b, negative=0.02), count=12 if d == 10 else 20)
+
+
+@pytest.mark.parametrize("shift", [0.0, 5e-13, -5e-13, 1e-12, -2e-12, 2e-12])
+def test_added_row_in_a_ratio_tie(shift):
+    """A row whose ratio lies within 1e-12 of the best one ties, and the older
+    row stays, as the new slack has the highest index; below the band the
+    new row wins the ratio test and the solve turns there."""
+    box = box_polytope(2)
+    for scale in (1.0, 2.0):
+        rows = [(scale * np.array([1.0, 0.0]), scale * (1.0 + shift)), ([0.3, 1.0], 1.2)]
+        _, solutions = grow_against_cold([-1.0, -0.5], box.A, box.b, rows)
+        assert solutions[1].point[0] == (1.0 if shift >= -1e-12 else scale * (1.0 + shift) / scale)
+
+
+def test_free_variable_pivots_replayed():
+    """Rows that leave free variables nonbasic at the simplex's end, so the
+    free-variable pivots run and are replayed, and rows that turn the solve
+    among them."""
+    box = box_polytope(2, 2.0)
+    grow_against_cold([-1.0, -1.0], box.A, box.b, [([1.0, 1.0], 1.0), ([-1.0, 3.0], 5.0), ([0.0, 1.0], 1.5)])
+    tableau, _ = grow_against_cold([0.0, 1.0], [[0.0, -1.0], [-1.0, 0.0]], [0.0, 1.0], [([1.0, -1.0], 1.0), ([1.0, 1.0], 0.5)])
+    assert any(step.free is not None for step in tableau._steps)
+
+
+def test_unbounded_lp_bounded_by_a_later_row():
+    _, solutions = grow_against_cold(
+        [-1.0, 0.0], [[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 1.0, 1.0],
+        [([0.0, 1.0], 0.5), ([1.0, 0.5], 2.0), ([1.0, -1.0], 1.0)],
+    )
+    assert [sol.status for sol in solutions] == ["unbounded", "unbounded", "optimal", "optimal"]
+
+
+def test_negative_rhs_row_solves_cold():
+    """A row with a negative right-hand side needs phase 1, so that solve and
+    every later one are cold solves: feasible, then infeasible."""
+    box = box_polytope(2)
+    _, solutions = grow_against_cold(
+        [1.0, 0.3], box.A, box.b, [([0.5, 1.0], 1.0), ([-1.0, 0.0], -0.5), ([1.0, 1.0], 1.2), ([1.0, 0.0], 0.25)],
+    )
+    assert [sol.status for sol in solutions] == ["optimal"] * 4 + ["infeasible"]
+
+
+def test_long_run_outgrows_the_first_room():
+    """Forty cuts on a six-row LP at d = 3: the kept tableaux and pivot rows
+    grow their arrays several times over."""
+    rng = np.random.default_rng(5)
+    p = random_bounded_polytope(rng, 3, 6)
+    _, solutions = grow_against_cold(-np.ones(3), p.A, p.b, cutter(rng, p.A, p.b), count=40)
+    assert all(sol.status == "optimal" for sol in solutions)
+
+
+def test_rows_added_between_solves():
+    """Several rows added before a solve, after a row that turned the solve
+    and before any solve at all, and a first LP that needs phase 1."""
+    rng = np.random.default_rng(9)
+    for start_b in (1.0, -0.25):
+        p = random_bounded_polytope(rng, 3, 8)
+        b = p.b.copy()
+        b[0] = start_b * abs(b[0])
+        c = rng.normal(0.0, 1.0, 3)
+        next_row = cutter(rng, p.A, b)
+        tableau = lp.Tableau(lp.LpProblem(c, p.A, b))
+        A, sol = p.A, lp.solve(lp.LpProblem(c, p.A, b))
+        for batch in (2, 1, 3, 1):
+            for _ in range(batch):
+                a_k, b_k = next_row(sol)
+                tableau.add_row(a_k, b_k)
+                A, b = np.vstack([A, a_k]), np.append(b, b_k)
+            sol, cold = tableau.solve(), lp.solve(lp.LpProblem(c, A, b))
+            assert (sol.status, sol.point.tobytes()) == (cold.status, cold.point.tobytes())

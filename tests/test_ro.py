@@ -14,11 +14,11 @@ from safefw.problem import (
     box_polytope,
     box_quadratic_lipschitz,
 )
-from safefw.ro import ro_run, soc_linmin, soc_violation
+from safefw.ro import MAX_CUTS, ro_run, soc_linmin, soc_violation
 from safefw.safety import SafetyConfig, make_safety_config
 from safefw.sfw import ProblemSetup, run_fw_reference
 
-from helpers import cross_fed_estimator, soc_linmin_reference
+from helpers import cross_fed_estimator, soc_linmin_cold, soc_linmin_reference
 
 
 def setup_d2(sigma, seed=0, omega0=0.05, phi_delta=None):
@@ -68,14 +68,14 @@ def test_value_dominates_lp_relaxation():
 
 def test_outputs_pass_cone_test_and_cuts_monotone(monkeypatch):
     lp_values = []
-    real_solve = lp.solve
+    real_solve = lp.Tableau.solve
 
-    def recording_solve(problem, basis=None):
-        sol = real_solve(problem, basis)
-        lp_values.append(float(problem.c @ sol.point))
+    def recording_solve(tableau):
+        sol = real_solve(tableau)
+        lp_values.append(float(tableau.c @ sol.point))
         return sol
 
-    monkeypatch.setattr(lp, "solve", recording_solve)
+    monkeypatch.setattr(lp.Tableau, "solve", recording_solve)
     rng = np.random.default_rng(3)
     scfg = make_safety_config(delta=0.1, T=15, m=4, d=2, sigma=0.1, omega0=0.05)
     for seed in range(5):
@@ -87,6 +87,37 @@ def test_outputs_pass_cone_test_and_cuts_monotone(monkeypatch):
         assert soc_violation(est, scfg, res.point) <= 1e-7
         assert len(lp_values) == res.cuts + 1
         assert np.all(np.diff(lp_values) >= -1e-9)
+
+
+def assert_same_linmin(res, ref):
+    assert res.point.tobytes() == ref.point.tobytes()
+    assert (res.cuts, res.warning) == (ref.cuts, ref.warning)
+
+
+def test_cut_loop_matches_cold_solves_bit_for_bit():
+    """Each cut LP is the previous one grown by a row, solved by replaying its
+    pivots; the loop gives the point, cut count and warning of solving every
+    cut LP cold, on the estimators of these tests."""
+    rng = np.random.default_rng(7)
+    for sigma, seeds in ((0.0, (1,)), (0.1, (2, 10, 11, 12, 13, 14, 20, 21, 22, 23))):
+        scfg = make_safety_config(delta=0.1, T=15, m=4, d=2, sigma=sigma, omega0=0.05)
+        for seed in seeds:
+            est = estimated_state(sigma, seed)
+            for c in rng.normal(0, 1, (4, 2)):
+                args = (est, scfg, c, 14.0, np.zeros(2))
+                assert_same_linmin(soc_linmin(*args), soc_linmin_cold(*args))
+
+
+def test_cut_loop_matches_cold_solves_through_the_cut_budget():
+    """At d = 10 the loop runs out of its MAX_CUTS cuts and bisects toward the
+    anchor; it still matches the loop that solves each cut LP cold."""
+    est, _ = cross_fed_estimator(box_polytope(10), 0.01, 0, 0.01, [np.zeros(10)], [6000])
+    scfg = make_safety_config(delta=0.1, T=15, m=20, d=10, sigma=0.01, omega0=0.01)
+    c = np.random.default_rng(0).normal(0, 1, (3, 10))[2]
+    args = (est, scfg, c, 14.0, np.zeros(10))
+    res = soc_linmin(*args)
+    assert res.warning and res.cuts == MAX_CUTS
+    assert_same_linmin(res, soc_linmin_cold(*args))
 
 
 def test_agrees_with_independent_reference():
