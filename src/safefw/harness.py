@@ -39,6 +39,13 @@ MAX_BOX_D = 1000
 # 3.6 s for 1,000 iterations, 10.2 s for 3,000 and 30.2 s for 10,000 on a
 # 2-vCPU VM. The loops end with T, but a prescribed run's schedule grows as T^2.
 MAX_T = 10_000
+# Largest probe scale max(gamma0, 1) / min(omega0, 1). P inverts the normal
+# matrix of the design rows [x, -1], whose condition grows as this scale
+# squared. Against an exact (Fraction) inverse of the design after every
+# absorb of adaptive d = 2 box runs at omega0 = sigma = 0.01, the relative
+# error of z^T P z read at most 1.8e-9 at scale 1.4e4, 2.4e-7 at 2e5, 7.3e-7
+# at 3e5, 1.5e-6 at 4.2e5 and 9.2e-6 at 1.4e6; so it stays below 1e-6 here.
+MAX_PROBE_SCALE = 2e5
 
 CSV_COLUMNS = [
     "t",
@@ -298,6 +305,10 @@ def resolve(cfg: ExperimentConfig, variant: str | None = None) -> ResolvedExperi
         raise ConfigError(f"ro_total_measurements must be at least 2(d+1) = {2 * (d + 1)}")
     if cfg.max_total_measurements < 2 * d:
         raise ConfigError(f"max_total_measurements must cover one cross, 2d = {2 * d}")
+    probe_scale = max(geometry.gamma0, 1.0) / min(cfg.omega0, 1.0)
+    if probe_scale > MAX_PROBE_SCALE:
+        raise ConfigError(f"the probe scale max(gamma0, 1) / min(omega0, 1) = {probe_scale:.6g} exceeds the "
+                          f"precision bound {MAX_PROBE_SCALE:g}")
 
     return ResolvedExperiment(
         cfg=cfg,

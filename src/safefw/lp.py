@@ -27,6 +27,8 @@ import numpy as np
 COST_TOL = 1e-10
 PIVOT_TOL = 1e-11
 ACTIVE_TOL = 1e-8  # a row is active when its residual is within this share of its scale
+RATIO_TIE = 1e-12  # Bland's tie band: ratios this close tie, to the lowest basic index
+MAX_COND = 1e8  # largest infinity-norm condition number of a verified basis
 MAX_PIVOTS = 20000
 
 
@@ -75,14 +77,14 @@ def _leaving_row(a: list[float], rhs: list[float], basis: list[int]) -> tuple[in
     """Bland's ratio test for an entering column a: the row of the least
     rhs / a over a > PIVOT_TOL, ties to the lowest basic index; -1 if none.
     Also the running best ratio, which only a row below it by more than the
-    1e-12 tie band displaces."""
+    RATIO_TIE band displaces."""
     leave, best = -1, math.inf
     for i, (a_i, rhs_i) in enumerate(zip(a, rhs)):
         if a_i > PIVOT_TOL:
             ratio = rhs_i / a_i
-            if ratio < best - 1e-12:
+            if ratio < best - RATIO_TIE:
                 best, leave = ratio, i
-            elif abs(ratio - best) <= 1e-12 and leave >= 0 and basis[i] < basis[leave]:
+            elif abs(ratio - best) <= RATIO_TIE and leave >= 0 and basis[i] < basis[leave]:
                 leave = i
     return leave, best
 
@@ -176,14 +178,14 @@ def _verified(terms, rows: np.ndarray, c: np.ndarray) -> bool:
             and np.count_nonzero(resid[rows] <= tol[rows]) == rows.size):  # exactly the basis rows are active
         return False
     cond, multiplier_scale = _sizes(B, B_inv, c)
-    return bool(cond <= 1e8 and least > COST_TOL + 0.0 * multiplier_scale)  # fails where the scale overflows
+    return bool(cond <= MAX_COND and least > COST_TOL + 0.0 * multiplier_scale)  # fails where the scale overflows
 
 
 def verified_vertices(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int], band: float = 0.0):
     """For a stack of LPs min <c, x> over A[k] x <= b[k], the vertex of `basis`
     in each (K, d) and whether it is provably the unique optimum (K,): the
     basis has d rows, its system is nonsingular and well conditioned (the
-    infinity-norm condition number is at most 1e8; others go to the simplex),
+    infinity-norm condition number is at most MAX_COND; others go to the simplex),
     every multiplier is positive, and exactly the basis rows are active at a
     feasible vertex. A positive `band` tightens each test by that share of
     the size of the terms compared.
@@ -198,7 +200,7 @@ def verified_vertices(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[i
     active = resid <= (ACTIVE_TOL - band) * scale
     inactive = resid > (ACTIVE_TOL + band) * scale  # a row between the two is neither
     return x, (
-        (cond * (1.0 + band) <= 1e8)
+        (cond * (1.0 + band) <= MAX_COND)
         & (multipliers > COST_TOL + band * multiplier_scale[:, None]).all(axis=-1)
         & active[:, rows].all(axis=-1)
         & (inactive.sum(axis=-1) == A.shape[-2] - rows.size)
@@ -435,7 +437,7 @@ class Tableau:
     appends its state to each kept tableau (above the cost row, its slack
     column before the rhs), up to the first step whose ratio test it would
     win: scanned last, with the highest slack index, it wins only below the
-    step's running best by more than the tie band. The next solve resumes
+    step's running best by more than the RATIO_TIE band. The next solve resumes
     Bland's rule from the tableau before that step, counting the steps
     before it against MAX_PIVOTS; with no such step the last solution stands.
     A tableau is kept before every other step, which halves the memory
@@ -472,7 +474,7 @@ class Tableau:
                 step.T = _with_row(step.T, r, m)
                 step.basis.append(W - 1)
             a_e = r.item(step.col)
-            if a_e > PIVOT_TOL and r.item(W) / a_e < step.best - 1e-12:
+            if a_e > PIVOT_TOL and r.item(W) / a_e < step.best - RATIO_TIE:
                 if step.T is None:  # the tableau before the step before, pivoted once
                     last = self._steps[e - 1]
                     S, basis = last.T.copy(), last.basis.copy()

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import Polytope
+from .problem import FEAS_TOL, Polytope
 
 NOISE_KINDS = ("gaussian", "bounded-uniform")
 _DRAW_CHUNK = 4_000_000  # bounds per-call memory for huge multiplicities
@@ -73,16 +73,15 @@ class ConstraintOracle:
 
     Probe points outside reach (no feasible point within omega0) are counted,
     not rejected: the reach test uses the max normalized half-space deficit,
-    a lower bound on the distance to the feasible set, so only definite
-    violations are flagged.
+    a lower bound on the distance to the feasible set, so only violations by
+    more than the polytope's tolerance FEAS_TOL L are flagged.
     """
 
     def __init__(self, polytope: Polytope, noise: NoiseModel, omega0: float):
         self._A = polytope.A.copy()
         self._b = polytope.b.copy()
-        self._row_norms = np.linalg.norm(self._A, axis=1)
+        self._row_norms, self._reach = polytope.row_norms, float(omega0) + FEAS_TOL * polytope.length
         self.noise = noise
-        self.omega0 = float(omega0)
         self._rng = np.random.default_rng(noise.seed)
         self._pushback = np.empty(0)  # variates peeked at, not yet consumed
         self._last: tuple | None = None  # ((shape, bytes) of the last stack, its signal, its reach count)
@@ -117,7 +116,7 @@ class ConstraintOracle:
             # one matrix-vector product per point, the same arithmetic as A @ x
             values = np.matmul(self._A, X[:, :, None])[:, :, 0] - self._b
             deficits = np.max(values / self._row_norms, axis=1)
-            self._last = (key, values, int(np.count_nonzero(deficits > self.omega0 + 1e-12)))
+            self._last = (key, values, int(np.count_nonzero(deficits > self._reach)))
         return self._last[1], self._last[2]
 
     def lookahead(self, points: np.ndarray, count: int) -> np.ndarray:

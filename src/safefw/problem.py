@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FEAS_TOL = 1e-9  # a point is feasible when it lies no farther than this outside any row
+FEAS_TOL = 1e-9  # the geometry's one relative tolerance: a distance test compares with FEAS_TOL L
 SUBSET_CAP = 10**6  # most constraint subsets an exact enumeration may sweep
 
 
@@ -32,17 +32,19 @@ class Polytope:
             raise ValueError(f"A is {m}x{d} but b has shape {self.b.shape}")
         if not np.all(self.A.any(axis=1)):
             raise ValueError("constraint matrix contains an all-zero row")
-        with np.errstate(over="ignore", under="ignore"):
+        with np.errstate(all="ignore"):
             squares = np.einsum("ij,ij->i", self.A, self.A)
+            self.row_norms = np.linalg.norm(self.A, axis=1)
+            self.length = float(np.max(np.abs(self.b) / self.row_norms)) or 1.0  # L = max |b_i| / |a_i|, or 1
         # KKT systems (A_s A_s^T) and row norms square the rows: each square must be a normal float
-        # (rows with a non-finite entry are left to the caller's finiteness check)
+        # (rows with a non-finite entry, and a non-finite b, are left to the caller's finiteness check)
         normal = (np.finfo(float).tiny <= squares) & (squares <= np.finfo(float).max)
         bad = np.flatnonzero(np.isfinite(self.A).all(axis=1) & ~normal)
         if bad.size:
             i = int(bad[0])
             raise ValueError(f"row {i} of A has norm {math.hypot(*self.A[i].tolist()):.6g}, whose square "
                              f"{'overflows' if squares[i] > 1.0 else 'underflows'}")
-        self.row_norms = np.linalg.norm(self.A, axis=1)
+        self.tol = FEAS_TOL * self.length * self.row_norms  # every distance test reads L: a_i x - b_i <= tol_i
 
     @property
     def m(self) -> int:
@@ -56,8 +58,8 @@ class Polytope:
         return self.b - self.A @ np.asarray(x, dtype=float)
 
     def contains(self, x: np.ndarray) -> bool:
-        """x lies within FEAS_TOL of every row's half-space: a_i x - b_i <= FEAS_TOL |a_i|."""
-        return bool(np.all(self.A @ np.asarray(x, dtype=float) - self.b <= FEAS_TOL * self.row_norms))
+        """x lies within FEAS_TOL L of every row's half-space: a_i x - b_i <= FEAS_TOL L |a_i|."""
+        return bool(np.all(self.A @ np.asarray(x, dtype=float) - self.b <= self.tol))
 
 
 @dataclass
@@ -120,16 +122,16 @@ class Sweep:
 def sweep(p: Polytope, x_prime: np.ndarray) -> Sweep:
     """Decide p, and read its vertices, rho_min and the minimizer of 0.5 ||x - x'||^2,
     from one pass over the row subsets S whose rows are independent, sigma_min(A_S) >
-    1e-10 sigma_max(A_S): of size d alone when x' lies in p (then x' is the minimizer),
-    else of sizes 1..d. At size d a feasible v = A_S^-1 b_S is a vertex (one row per
-    distinct vertex) and sigma_min(A_S) enters rho_min; each of its edges, the column
-    y of -A_S^-1 that leaves one row of S and keeps the others tight, is a recession
-    ray when A y is nowhere above 1e-10 |a_i| |y|. At sizes below d, and at size d with
-    lam = A_S^-T (x' - v), the face's KKT point is a candidate when feasible with
-    lam >= -1e-9. With d independent rows p is empty when no vertex is feasible and
-    unbounded when a vertex has a ray (a pointed unbounded polyhedron has an
-    unbounded edge from a vertex); without them it is empty when neither x' nor a
-    KKT point is feasible and otherwise holds a line (Schrijver 1986, section 8)."""
+    FEAS_TOL sigma_max(A_S): of size d alone when x' lies in p (then x' is the minimizer),
+    else of sizes 1..d. At size d a feasible v = A_S^-1 b_S is a vertex (one row per vertex,
+    points FEAS_TOL L apart being one) and sigma_min(A_S) enters rho_min; each of its edges,
+    the column y of -A_S^-1 that leaves one row of S and keeps the others tight, is a
+    recession ray when A y is nowhere above FEAS_TOL |a_i| |y|. At sizes below d, and at
+    size d with lam = A_S^-T (x' - v), the face's KKT point is a candidate when feasible
+    with lam_i |a_i| >= -FEAS_TOL (L + |x'|). With d independent rows p is empty when no
+    vertex is feasible and unbounded when a vertex has a ray (a pointed unbounded
+    polyhedron has an unbounded edge from a vertex); without them it is empty when
+    neither x' nor a KKT point is feasible and otherwise holds a line (Schrijver 1986)."""
     A, b, d, target = p.A, p.b, p.d, np.asarray(x_prime, dtype=float)
     inside = p.contains(target)
     sizes = [d] if inside else range(1, d + 1)
@@ -138,13 +140,12 @@ def sweep(p: Polytope, x_prime: np.ndarray) -> Sweep:
         raise EnumerationCapError(f"{total} constraint subsets exceed the cap {SUBSET_CAP}; "
                                   "supply analytic geometry for this instance")
     V, rho_min, pointed, feasible = np.empty((0, d)), math.inf, False, []
-    tol = FEAS_TOL * p.row_norms  # p.contains, inlined in the loop
     x_star, f_star = (target.copy(), 0.0) if inside else (None, math.inf)
     for k in sizes:
         for rows in map(list, itertools.combinations(range(p.m), k)):
             A_s, b_s = A[rows], b[rows]
             svals = np.linalg.svd(A_s, compute_uv=False)
-            if not svals[-1] > 1e-10 * svals[0]:
+            if not svals[-1] > FEAS_TOL * svals[0]:
                 continue
             if k == d:
                 pointed = True
@@ -152,18 +153,18 @@ def sweep(p: Polytope, x_prime: np.ndarray) -> Sweep:
             else:
                 lam = np.linalg.solve(A_s @ A_s.T, A_s @ target - b_s)
                 x = target - A_s.T @ lam
-            if not np.all(A @ x - b <= tol):
+            if not np.all(A @ x - b <= p.tol):  # p.contains, inlined
                 continue
             if k == d:
                 rho_min = min(rho_min, float(svals[-1]))
-                if np.all(np.linalg.norm(V - x, axis=1) > FEAS_TOL):
+                if np.all(np.linalg.norm(V - x, axis=1) > FEAS_TOL * p.length):
                     V = np.vstack([V, x])
                 feasible.extend(rows)
                 if inside:
                     continue
                 lam = np.linalg.solve(A_s.T, target - x)
             f = 0.5 * float((x - target) @ (x - target))
-            if f < f_star and np.all(lam >= -1e-9):
+            if f < f_star and np.all(lam * p.row_norms[rows] >= -FEAS_TOL * (p.length + math.hypot(*target))):
                 x_star, f_star = x, f
     if not pointed:
         raise ValueError("polytope is empty" if x_star is None else "polytope is unbounded")
@@ -172,7 +173,7 @@ def sweep(p: Polytope, x_prime: np.ndarray) -> Sweep:
     bases, unit_rows = np.array(feasible, dtype=np.intp).reshape(-1, d), A / p.row_norms[:, None]
     for lo in range(0, len(bases), 4096):  # the edges of 4096 feasible bases at a time, one per column
         edges = -np.linalg.inv(A[bases[lo:lo + 4096]]).transpose(1, 0, 2).reshape(d, -1)
-        if np.any(np.all(unit_rows @ edges <= 1e-10 * np.linalg.norm(edges, axis=0), axis=0)):
+        if np.any(np.all(unit_rows @ edges <= FEAS_TOL * np.linalg.norm(edges, axis=0), axis=0)):
             raise ValueError("polytope is unbounded")
     if x_star is None:
         raise ValueError("no KKT point passes the tolerances")
@@ -193,7 +194,7 @@ def geometry_constants(p: Polytope, x0: np.ndarray, found: Sweep) -> GeometryCon
         gamma=gamma,
         gamma0=gamma0,
         eps0=eps0,
-        l_a=float(np.max(np.linalg.norm(p.A, axis=1))),
+        l_a=float(np.max(p.row_norms)),
         rho_min=found.rho_min,
     )
 

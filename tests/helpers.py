@@ -105,9 +105,9 @@ def bland_simplex_reference(T, basis, allowed):
             a = T[i, enter]
             if a > lp.PIVOT_TOL:
                 ratio = T[i, -1] / a
-                if ratio < best - 1e-12:
+                if ratio < best - lp.RATIO_TIE:
                     best, leave = ratio, i
-                elif abs(ratio - best) <= 1e-12 and leave >= 0 and basis[i] < basis[leave]:
+                elif abs(ratio - best) <= lp.RATIO_TIE and leave >= 0 and basis[i] < basis[leave]:
                     leave = i
         if leave < 0:
             return "unbounded"

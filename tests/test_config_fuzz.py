@@ -1,14 +1,16 @@
 """A standing fuzzer of the CLI. Under `validate-config` the shipped configs,
 with fields set to extremes, NaN, wrong types or removed, either validate or
-fail with exactly one `config error:` line, and never raise or warn; under
-`run` and `compare` they end within a deadline with exit 0, 1 or 2 and no
-traceback."""
+fail with exactly one `config error:` line, and never raise or warn; written
+at another scale they keep their verdict unless the precision bound refuses
+them; under `run` and `compare` they end within a deadline with exit 0, 1 or 2
+and no traceback."""
 
 import contextlib
 import copy
 import io
 import json
 import math
+import re
 import signal
 import warnings
 from pathlib import Path
@@ -18,9 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safefw.cli import main as cli_main
-from safefw.harness import MAX_T, VARIANTS, ExperimentConfig
+from safefw.harness import MAX_PROBE_SCALE, MAX_T, VARIANTS, ExperimentConfig, resolve
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+# Every shipped config in d = 2, the explicit polytope among them
+PLANE_CONFIGS = [path for path in CONFIGS if json.loads(path.read_text())["problem"].get("d", 2) == 2]
 FIELDS = sorted(ExperimentConfig.__dataclass_fields__)
 SECTION_FIELDS = {"problem": ["type", "d", "half_width", "A", "b"], "objective": ["type", "x_prime"]}
 # No value here asks for a large allocation: a box dimension is either small or
@@ -71,6 +75,16 @@ def _mutate(raw: dict, mutation) -> None:
         target[key] = value
 
 
+def _validate(path: Path) -> tuple[int, str, str]:
+    """validate-config's exit code, stdout and stderr; it must not warn."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli_main(["validate-config", "--config", str(path)])
+    assert not caught, [str(w.message) for w in caught]
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.fixture(scope="module")
 def config_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "cfg.json"
@@ -84,16 +98,57 @@ def test_mutated_configs_validate_or_print_one_config_error(config_path, source,
     for change in changes:
         _mutate(raw, change)
     config_path.write_text(json.dumps(raw))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = cli_main(["validate-config", "--config", str(config_path)])
-    assert not caught, [str(w.message) for w in caught]
+    code, out, err = _validate(config_path)
     if code == 0:
-        assert out.getvalue().startswith("config ok") and not err.getvalue()
+        assert out.startswith("config ok") and not err
     else:
-        assert code == 1 and not out.getvalue()
-        assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1
+        assert code == 1 and not out
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def _scaled(raw: dict, k: int, j: int) -> dict:
+    """A d = 2 config with its polytope (a box written out as rows) scaled: every row
+    and b times 10^k, which leaves the set as it is, and the coordinates x0, x',
+    omega0, b and sigma times 10^j."""
+    raw, rows, coords = copy.deepcopy(raw), 10.0**k, 10.0**j
+    problem = raw["problem"]
+    if problem["type"] == "box":
+        half_width = problem.get("half_width", 1.0)
+        problem = {"type": "polytope", "A": [[1, 0], [-1, 0], [0, 1], [0, -1]], "b": [half_width] * 4}
+    raw["problem"] = {"type": "polytope", "A": [[rows * a for a in row] for row in problem["A"]],
+                      "b": [rows * coords * b for b in problem["b"]]}
+    raw["objective"] = {**raw.get("objective", {}), "x_prime": [coords * x for x in
+                                                              raw.get("objective", {}).get("x_prime", [2.0, 0.5])]}
+    raw.update(x0=[coords * x for x in raw.get("x0", [0.0, 0.0])], omega0=coords * raw.get("omega0", 0.01),
+               sigma=coords * raw.get("sigma", 0.01))
+    return raw
+
+
+def _template(line: str) -> str:
+    """The line with every number masked."""
+    return re.sub(r"[-+]?\d+(\.\d*)?(e[-+]?\d+)?", "#", line)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(PLANE_CONFIGS), st.integers(-100, 100), st.one_of(st.integers(-4, 6), st.integers(-100, 100)))
+def test_scaled_configs_keep_their_verdict(config_path, source, k, j):
+    """A shipped d = 2 config with rows times 10^k and coordinates times 10^j
+    gets the verdict and message of its scale-1 form, numbers masked, while
+    its probe scale max(gamma0, 1) / min(omega0, 1) stays within the precision
+    bound; past it, a precision refusal: the bound, or the estimator's rank
+    test, which refuses crosses too narrow to span at all (all far past it)."""
+    raw = json.loads(source.read_text())
+    config_path.write_text(json.dumps(_scaled(raw, 0, 0)))
+    expected = _validate(config_path)
+    config_path.write_text(json.dumps(_scaled(raw, k, j)))
+    code, out, err = _validate(config_path)
+    assert (out + err).count("\n") == 1
+    res = resolve(ExperimentConfig.from_dict(_scaled(raw, 0, 0)))
+    if max(10.0**j * res.setup.geometry.gamma0, 1.0) / min(10.0**j * res.cfg.omega0, 1.0) <= MAX_PROBE_SCALE:
+        assert (code, _template(out), _template(err)) == (expected[0], _template(expected[1]), _template(expected[2]))
+    else:
+        assert code == 1 and not out and re.match(r"config error: (the probe scale .* exceeds the precision bound|"
+                                                  r"omega0 .* is too small for the probe cross at x0 to span)", err), err
 
 
 # The run/compare half draws the fields that set how much work a run asks for

@@ -2,13 +2,16 @@
 covariance machinery, block identities, confidence radii and coverage."""
 
 import copy
+import itertools
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from safefw.estimator import ConstraintEstimator, ScatterSingularError, confidence_membership_arrays, phi_inverse
+from safefw import harness
 from safefw.harness import ExperimentConfig, resolve, run_single
 from safefw.oracle import cross_pattern
 from safefw.problem import box_polytope
@@ -344,3 +347,54 @@ def test_one_eigendecomposition_per_cross(monkeypatch):
         distinct += len(crosses)
     assert calls["passes"] > 2 * distinct
     assert calls["eigh"] == distinct
+
+
+def exact_quadratic(M, z):
+    """z^T M^-1 z for a nonsingular matrix M and a vector z of Fractions, by
+    Gauss-Jordan elimination with no rounding."""
+    n = len(z)
+    rows = [list(row) + [z[i]] for i, row in enumerate(M)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return sum(z[i] * rows[i][n] / rows[i][i] for i in range(n))
+
+
+@pytest.mark.parametrize("half_width", [1.0, 1e2])
+def test_ellipsoid_quadratic_matches_an_exact_inverse(monkeypatch, half_width):
+    """After every absorb and commit of an adaptive run (d = 2 box, omega0 =
+    sigma = 0.01, seed 0), z^T P z lies within 1e-6 relative of z^T (V^T V)^-1 z
+    over the measured design, kept in Fractions, for z = [x; -1] at the box's
+    corners, the midpoints of its sides and 0."""
+    points = [np.array(c) * half_width for c in itertools.product([-1.0, 0.0, 1.0], repeat=2)]
+    Z = [np.append(x, -1.0) for x in points]
+    design = [[Fraction(0)] * 3 for _ in range(3)]
+    errors = []
+
+    class ExactDesign(ConstraintEstimator):
+        def _check(self, X, count):
+            for x in np.atleast_2d(X):
+                v = [Fraction(float(t)) for t in x] + [Fraction(-1)]
+                for i, j in itertools.product(range(3), repeat=2):
+                    design[i][j] += count * v[i] * v[j]
+            if self.P is not None:
+                for z in Z:
+                    exact = exact_quadratic(design, [Fraction(float(t)) for t in z])
+                    errors.append(abs(float(z @ self.P @ z) - float(exact)) / float(exact))
+
+        def absorb_repeated(self, point, value_sum, count):
+            super().absorb_repeated(point, value_sum, count)
+            self._check(point, count)
+
+        def commit(self, points, ahead, count):
+            super().commit(points, ahead, count)
+            self._check(points, count)
+
+    monkeypatch.setattr(harness, "ConstraintEstimator", ExactDesign)
+    res = resolve(ExperimentConfig(problem={"type": "box", "d": 2, "half_width": half_width}, omega0=0.01))
+    assert run_single(res, 0)[1].status == "completed"
+    assert len(errors) > 100 and max(errors) <= 1e-6

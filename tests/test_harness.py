@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +13,11 @@ import numpy as np
 import pytest
 
 from safefw.cli import main as cli_main
-from safefw.estimator import ScatterSingularError
+from safefw.estimator import ConstraintEstimator, ScatterSingularError
 from safefw.harness import (
     CSV_COLUMNS,
     MAX_BOX_D,
+    MAX_PROBE_SCALE,
     MAX_T,
     VARIANTS,
     ConfigError,
@@ -27,6 +29,7 @@ from safefw.harness import (
     run_single,
     write_trajectory_csv,
 )
+from safefw.oracle import cross_pattern
 from safefw.sfw import TrajectoryRecord
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -408,15 +411,14 @@ def test_validate_config_accepts_a_config_that_only_compare_runs(tmp_path, capsy
 
 @pytest.mark.parametrize("scale, b, message", [
     (1e-100, 1e-100, None),
-    (1e12, 1.0, "config error: omega0 must not exceed the polytope's diameter"),
+    (1e12, 1.0, "config error: omega0 must not exceed the polytope's diameter 2.82843e-12, got 0.01\n"),
 ], ids=["rows-1e-100", "rows-1e12"])
 def test_polytope_verdict_does_not_depend_on_the_row_scale(tmp_path, capsys, scale, b, message):
-    """The sweep's independence and ray tests are relative to the rows and its
-    feasibility test is a distance, so a square written as rows of 1e-100
-    resolves with the f* of the unit square, and the box |x_i| <= 1e-12 written
-    as rows of 1e12 finds its minimizer at a vertex and is refused for omega0
-    (its vertices merge under the absolute FEAS_TOL), not as unbounded or for
-    want of a KKT point."""
+    """The sweep's tests are relative to the rows and its distances to the
+    polytope's length, so a square written as rows of 1e-100 resolves with the
+    f* of the unit square, and the box |x_i| <= 1e-12 written as rows of 1e12
+    keeps its four vertices and is refused for omega0 against its true
+    diameter, not as unbounded or for want of a KKT point."""
     path = tmp_path / "cfg.json"
     A = (scale * np.vstack([np.eye(2), -np.eye(2)])).tolist()
     raw = {"problem": {"type": "polytope", "A": A, "b": [b] * 4}}
@@ -429,7 +431,7 @@ def test_polytope_verdict_does_not_depend_on_the_row_scale(tmp_path, capsys, sca
         assert (res.f_star, res.h0) == (0.5, 1.625)  # x* = (1, 0.5) for x' = (2, 0.5); f(x0) = 2.125
         assert res.polytope.contains([1.0, 0.5]) and not res.polytope.contains([1.0 + 2e-9, 0.5])
     else:
-        assert code == 1 and out.err.startswith(message)
+        assert code == 1 and out.err == message
 
 
 def test_validate_config_resolves_a_tiny_delta(tmp_path, capsys):
@@ -701,35 +703,49 @@ def test_no_completed_repetition_reports_null_rates(tmp_path, monkeypatch, capsy
     assert aggregate["violation_rate"] is None and aggregate["mean_n_total"] is None
 
 
-def test_probe_scale_beyond_double_precision_is_named(tmp_path):
-    """At |x| ~ 4.5e7 with omega0 = 0.01 the design rows [x, -1] leave P with
-    eigenvalues 1e-14 and 4e2, beyond double precision: every repetition fails
-    with the estimator's own error rather than numpy's, and the run exits 2."""
+def test_probe_scale_beyond_double_precision_is_named(tmp_path, capsys):
+    """At half_width 1e8 with omega0 = 0.01 the design rows [x, -1] would leave P
+    with eigenvalues some 1e16 apart: run refuses the config with the precision
+    bound's one line. The estimator still names such a design by its own
+    eigenvalue test: a cross at (5e7, 5e7) after one at 0 raises
+    ScatterSingularError, where a cross at (50, 50) does not."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"problem": {"type": "box", "d": 2, "half_width": 1e8}, "omega0": 0.01,
                                 "max_total_measurements": 20000, "repetitions": 2,
                                 "out_dir": str(tmp_path / "out")}))
-    assert cli_main(["run", "--config", str(path)]) == 2
-    reps = json.loads((tmp_path / "out" / "summary.json").read_text())["reps"]
-    assert len(reps) == 2
-    assert all(r["error"].startswith("ScatterSingularError: probe design became numerically singular") for r in reps)
+    assert cli_main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == ("config error: the probe scale max(gamma0, 1) / min(omega0, 1) = 1.41421e+10 "
+                                       f"exceeds the precision bound {MAX_PROBE_SCALE:g}\n")
+    def crosses_at(*centres):
+        est = ConstraintEstimator(2, 4)
+        for centre in centres:
+            est.absorb_repeated(cross_pattern(np.full(2, centre), 0.01, 4).points, np.ones((4, 4)), 1)
+
+    crosses_at(0.0, 50.0)
+    with pytest.raises(ScatterSingularError, match="probe design became numerically singular"):
+        crosses_at(0.0, 5e7)
 
 
 @pytest.mark.parametrize("half_width", [3e6, 1e7, 1e8])
 def test_probe_scale_is_refused_or_run_safely(half_width):
-    """Seeds 0-7 of a d = 2 box with omega0 = 0.01: at half_width 3e6 every run
-    completes; at 1e7 and 1e8, where P's eigenvalues lie some 1e16 apart, a
-    run either stops with ScatterSingularError or completes with every
-    iterate feasible."""
-    res = resolve(ExperimentConfig(problem={"type": "box", "d": 2, "half_width": half_width}, omega0=0.01,
+    """A d = 2 box with omega0 = 0.01 at half_width 3e6 to 1e8, where runs used
+    to complete or stop with ScatterSingularError as rounding fell, is refused
+    by the precision bound; just under the bound see the test below."""
+    cfg = ExperimentConfig(problem={"type": "box", "d": 2, "half_width": half_width}, omega0=0.01,
+                           max_total_measurements=20_000)
+    with pytest.raises(ConfigError, match=re.escape(f"= {half_width * math.sqrt(2) / 0.01:.6g} exceeds the precision")):
+        resolve(cfg)
+
+
+def test_probe_scale_just_under_the_bound_runs_safely():
+    """half_width 1414 at omega0 = 0.01 puts the probe scale just under
+    MAX_PROBE_SCALE: seeds 0-7 complete with every iterate feasible."""
+    res = resolve(ExperimentConfig(problem={"type": "box", "d": 2, "half_width": 1414.0}, omega0=0.01,
                                    max_total_measurements=20_000))
+    assert 0.999 * MAX_PROBE_SCALE < res.setup.geometry.gamma0 / 0.01 < MAX_PROBE_SCALE
     for seed in range(8):
-        try:
-            rep = run_single(res, seed)[1]
-        except ScatterSingularError:
-            assert half_width > 3e6, seed
-            continue
-        assert (rep.status, rep.iterate_violations) == ("completed", 0), seed
+        rep = run_single(res, seed)[1]
+        assert (rep.status, rep.iterate_violations, rep.probe_violations) == ("completed", 0, 0), seed
 
 
 def test_compare_records_a_failed_pair(tmp_path, monkeypatch, capsys):

@@ -215,6 +215,34 @@ def test_degenerate_vertex_costs_one_row():
     assert peak < 5 * 2**20
 
 
+def heptagon(seed: int) -> tuple[Polytope, np.ndarray]:
+    """Seven unit rows at jittered angles with offsets in [0.5, 1.5], and a target in [-3, 3]^2."""
+    rng = np.random.default_rng(seed)
+    angles = 2.0 * np.pi * (np.arange(7) + rng.uniform(-0.3, 0.3, 7)) / 7
+    return Polytope(np.column_stack([np.cos(angles), np.sin(angles)]), rng.uniform(0.5, 1.5, 7)), rng.uniform(-3, 3, 2)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e8, 1e12])
+def test_sweep_decides_a_polytope_at_its_own_scale(scale):
+    """Scaling b and x' by s scales the polytope and its minimizer by s: the
+    sweep finds as many vertices, the same rho_min and s x* within 1e-9
+    relative on each of 30 heptagons, its tolerances scaling with the length L."""
+    for seed in range(30):
+        p, target = heptagon(seed)
+        ref, found = sweep(p, target), sweep(Polytope(p.A, scale * p.b), scale * target)
+        assert (len(found.vertices), found.rho_min) == (len(ref.vertices), ref.rho_min), seed
+        assert np.linalg.norm(found.x_star - scale * ref.x_star) <= 1e-9 * scale * np.linalg.norm(ref.x_star), seed
+
+
+def test_polytope_length_scales_its_tolerance():
+    """L = max |b_i| / |a_i|, 1 when b = 0; the per-row tolerance is FEAS_TOL L |a_i|."""
+    assert box_polytope(3).length == 1.0 and box_polytope(2, 1e-12).length == 1e-12
+    p = Polytope(np.array([[3.0, 4.0], [-1.0, 0.0]]), np.array([10.0, 1.0]))
+    assert p.length == 2.0 and p.tol.tolist() == [problem.FEAS_TOL * 2.0 * 5.0, problem.FEAS_TOL * 2.0]
+    assert Polytope(box_polytope(2).A, np.zeros(4)).length == 1.0
+    assert p.contains([2.0, 1.0 + 2e-9]) and not p.contains([2.0, 1.0 + 3e-9])  # 4 (y - 1) against 1e-8
+
+
 def test_gradient_consistency():
     rng = np.random.default_rng(8)
     obj = quadratic_d2()
