@@ -73,15 +73,16 @@ class ConstraintOracle:
 
     Probe points outside reach (no feasible point within omega0) are counted,
     not rejected: the reach test uses the max normalized half-space deficit,
-    a lower bound on the distance to the feasible set, so only violations by
-    more than the polytope's tolerance FEAS_TOL L are flagged.
+    a lower bound on the distance to the feasible set, so only a deficit
+    above omega0 by more than FEAS_TOL max(omega0, |x|) is flagged.
     """
 
     def __init__(self, polytope: Polytope, noise: NoiseModel, omega0: float):
         self._A = polytope.A.copy()
         self._b = polytope.b.copy()
-        self._row_norms, self._reach = polytope.row_norms, float(omega0) + FEAS_TOL * polytope.length
+        self._row_norms = polytope.row_norms.copy()
         self.noise = noise
+        self.omega0 = float(omega0)
         self._rng = np.random.default_rng(noise.seed)
         self._pushback = np.empty(0)  # variates peeked at, not yet consumed
         self._last: tuple | None = None  # ((shape, bytes) of the last stack, its signal, its reach count)
@@ -116,7 +117,8 @@ class ConstraintOracle:
             # one matrix-vector product per point, the same arithmetic as A @ x
             values = np.matmul(self._A, X[:, :, None])[:, :, 0] - self._b
             deficits = np.max(values / self._row_norms, axis=1)
-            self._last = (key, values, int(np.count_nonzero(deficits > self._reach)))
+            reach = self.omega0 + FEAS_TOL * np.maximum(self.omega0, np.linalg.norm(X, axis=1))
+            self._last = (key, values, int(np.count_nonzero(deficits > reach)))
         return self._last[1], self._last[2]
 
     def lookahead(self, points: np.ndarray, count: int) -> np.ndarray:

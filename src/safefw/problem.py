@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FEAS_TOL = 1e-9  # the geometry's one relative tolerance: a distance test compares with FEAS_TOL L
+FEAS_TOL = 1e-9  # the geometry's one relative tolerance: a share of the largest term a test compares
 SUBSET_CAP = 10**6  # most constraint subsets an exact enumeration may sweep
 
 
@@ -32,19 +32,17 @@ class Polytope:
             raise ValueError(f"A is {m}x{d} but b has shape {self.b.shape}")
         if not np.all(self.A.any(axis=1)):
             raise ValueError("constraint matrix contains an all-zero row")
-        with np.errstate(all="ignore"):
+        with np.errstate(over="ignore", under="ignore"):
             squares = np.einsum("ij,ij->i", self.A, self.A)
-            self.row_norms = np.linalg.norm(self.A, axis=1)
-            self.length = float(np.max(np.abs(self.b) / self.row_norms)) or 1.0  # L = max |b_i| / |a_i|, or 1
         # KKT systems (A_s A_s^T) and row norms square the rows: each square must be a normal float
-        # (rows with a non-finite entry, and a non-finite b, are left to the caller's finiteness check)
+        # (rows with a non-finite entry are left to the caller's finiteness check)
         normal = (np.finfo(float).tiny <= squares) & (squares <= np.finfo(float).max)
         bad = np.flatnonzero(np.isfinite(self.A).all(axis=1) & ~normal)
         if bad.size:
             i = int(bad[0])
             raise ValueError(f"row {i} of A has norm {math.hypot(*self.A[i].tolist()):.6g}, whose square "
                              f"{'overflows' if squares[i] > 1.0 else 'underflows'}")
-        self.tol = FEAS_TOL * self.length * self.row_norms  # every distance test reads L: a_i x - b_i <= tol_i
+        self.row_norms = np.linalg.norm(self.A, axis=1)
 
     @property
     def m(self) -> int:
@@ -58,8 +56,10 @@ class Polytope:
         return self.b - self.A @ np.asarray(x, dtype=float)
 
     def contains(self, x: np.ndarray) -> bool:
-        """x lies within FEAS_TOL L of every row's half-space: a_i x - b_i <= FEAS_TOL L |a_i|."""
-        return bool(np.all(self.A @ np.asarray(x, dtype=float) - self.b <= self.tol))
+        """Every row holds at x to a share FEAS_TOL of its larger term:
+        a_i x - b_i <= FEAS_TOL max(|a_i| |x|, |b_i|)."""
+        terms = np.maximum(self.row_norms * np.linalg.norm(x), np.abs(self.b))
+        return bool(np.all(self.A @ np.asarray(x, dtype=float) - self.b <= FEAS_TOL * terms))
 
 
 @dataclass
@@ -120,18 +120,19 @@ class Sweep:
 
 
 def sweep(p: Polytope, x_prime: np.ndarray) -> Sweep:
-    """Decide p, and read its vertices, rho_min and the minimizer of 0.5 ||x - x'||^2,
-    from one pass over the row subsets S whose rows are independent, sigma_min(A_S) >
-    FEAS_TOL sigma_max(A_S): of size d alone when x' lies in p (then x' is the minimizer),
-    else of sizes 1..d. At size d a feasible v = A_S^-1 b_S is a vertex (one row per vertex,
-    points FEAS_TOL L apart being one) and sigma_min(A_S) enters rho_min; each of its edges,
-    the column y of -A_S^-1 that leaves one row of S and keeps the others tight, is a
-    recession ray when A y is nowhere above FEAS_TOL |a_i| |y|. At sizes below d, and at
-    size d with lam = A_S^-T (x' - v), the face's KKT point is a candidate when feasible
-    with lam_i |a_i| >= -FEAS_TOL (L + |x'|). With d independent rows p is empty when no
-    vertex is feasible and unbounded when a vertex has a ray (a pointed unbounded
-    polyhedron has an unbounded edge from a vertex); without them it is empty when
-    neither x' nor a KKT point is feasible and otherwise holds a line (Schrijver 1986)."""
+    """Decide p, and read its vertices, rho_min and the minimizer of 0.5 ||x - x'||^2, from
+    one pass over the row subsets S whose rows are independent, sigma_min(A_S) > FEAS_TOL
+    sigma_max(A_S): of size d alone when x' lies in p (then x' is the minimizer), else of
+    sizes 1..d. At size d a feasible (p.contains) v = A_S^-1 b_S is a vertex, one row per
+    vertex (u within FEAS_TOL max(|u|, |v|) of v is v), and sigma_min(A_S) enters rho_min;
+    each of its edges, a column y of -A_S^-1, is a recession ray when A y is nowhere above
+    FEAS_TOL |a_i| |y|. At sizes below d, and at size d with lam = A_S^-T (x' - v), the
+    face's KKT point x is a candidate when feasible with lam_i |a_i| >= -FEAS_TOL
+    max(|x'|, |x|). Every test is relative to the terms it compares, so p scaled by s is
+    decided as at scale 1. With d independent rows p is empty when no vertex is feasible
+    and unbounded when a vertex has a ray (a pointed unbounded polyhedron has an unbounded
+    edge from a vertex); without them it is empty when neither x' nor a KKT point is
+    feasible and otherwise holds a line (Schrijver 1986, section 8)."""
     A, b, d, target = p.A, p.b, p.d, np.asarray(x_prime, dtype=float)
     inside = p.contains(target)
     sizes = [d] if inside else range(1, d + 1)
@@ -153,18 +154,20 @@ def sweep(p: Polytope, x_prime: np.ndarray) -> Sweep:
             else:
                 lam = np.linalg.solve(A_s @ A_s.T, A_s @ target - b_s)
                 x = target - A_s.T @ lam
-            if not np.all(A @ x - b <= p.tol):  # p.contains, inlined
+            if not p.contains(x):
                 continue
             if k == d:
                 rho_min = min(rho_min, float(svals[-1]))
-                if np.all(np.linalg.norm(V - x, axis=1) > FEAS_TOL * p.length):
+                terms = np.maximum(np.linalg.norm(V, axis=1), np.linalg.norm(x))
+                if np.all(np.linalg.norm(V - x, axis=1) > FEAS_TOL * terms):
                     V = np.vstack([V, x])
                 feasible.extend(rows)
                 if inside:
                     continue
                 lam = np.linalg.solve(A_s.T, target - x)
             f = 0.5 * float((x - target) @ (x - target))
-            if f < f_star and np.all(lam * p.row_norms[rows] >= -FEAS_TOL * (p.length + math.hypot(*target))):
+            floor = -FEAS_TOL * max(np.linalg.norm(target), np.linalg.norm(x))
+            if f < f_star and np.all(lam * p.row_norms[rows] >= floor):
                 x_star, f_star = x, f
     if not pointed:
         raise ValueError("polytope is empty" if x_star is None else "polytope is unbounded")

@@ -414,11 +414,11 @@ def test_validate_config_accepts_a_config_that_only_compare_runs(tmp_path, capsy
     (1e12, 1.0, "config error: omega0 must not exceed the polytope's diameter 2.82843e-12, got 0.01\n"),
 ], ids=["rows-1e-100", "rows-1e12"])
 def test_polytope_verdict_does_not_depend_on_the_row_scale(tmp_path, capsys, scale, b, message):
-    """The sweep's tests are relative to the rows and its distances to the
-    polytope's length, so a square written as rows of 1e-100 resolves with the
-    f* of the unit square, and the box |x_i| <= 1e-12 written as rows of 1e12
-    keeps its four vertices and is refused for omega0 against its true
-    diameter, not as unbounded or for want of a KKT point."""
+    """The sweep's tests are relative to the terms they compare, so a square
+    written as rows of 1e-100 resolves with the f* of the unit square, and the
+    box |x_i| <= 1e-12 written as rows of 1e12 keeps its four vertices and is
+    refused for omega0 against its true diameter, not as unbounded or for
+    want of a KKT point."""
     path = tmp_path / "cfg.json"
     A = (scale * np.vstack([np.eye(2), -np.eye(2)])).tolist()
     raw = {"problem": {"type": "polytope", "A": A, "b": [b] * 4}}

@@ -5,7 +5,7 @@ import pytest
 
 from safefw import oracle as oracle_mod
 from safefw.oracle import NOISE_KINDS, ConstraintOracle, NoiseModel, cross_pattern
-from safefw.problem import box_polytope
+from safefw.problem import Polytope, box_polytope
 
 from helpers import random_bounded_polytope
 
@@ -96,6 +96,20 @@ def test_out_of_reach_accounting():
     assert o.out_of_reach_events == 1
     o.measure_repeated(np.array([[2.0, 0.0], [0.5, 0.5], [0.0, -3.0]]), 3)  # one event per point
     assert o.out_of_reach_events == 3
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_out_of_reach_threshold(scale):
+    """A point counts when its deficit passes omega0 by more than FEAS_TOL
+    max(omega0, |x|), about 1.01e-9 at (1.01, 0) in the unit box, and the
+    slack scales with the box; a redundant far row x_1 <= 1e10 s leaves it."""
+    box = box_polytope(2, scale)
+    p = Polytope(np.vstack([box.A, [1.0, 0.0]]), np.append(box.b, 1e10 * scale))
+    o = ConstraintOracle(p, NoiseModel("gaussian", 0.0, 0), 0.01 * scale)
+    o.measure_repeated(np.array([(1.01 + 0.9e-9) * scale, 0.0]), 1)
+    assert o.out_of_reach_events == 0
+    o.measure_repeated(np.array([(1.01 + 1.1e-9) * scale, 0.0]), 1)
+    assert o.out_of_reach_events == 1
 
 
 def test_cross_pattern_radius_invariant():

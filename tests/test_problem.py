@@ -226,7 +226,7 @@ def heptagon(seed: int) -> tuple[Polytope, np.ndarray]:
 def test_sweep_decides_a_polytope_at_its_own_scale(scale):
     """Scaling b and x' by s scales the polytope and its minimizer by s: the
     sweep finds as many vertices, the same rho_min and s x* within 1e-9
-    relative on each of 30 heptagons, its tolerances scaling with the length L."""
+    relative on each of 30 heptagons, as each test is relative to its terms."""
     for seed in range(30):
         p, target = heptagon(seed)
         ref, found = sweep(p, target), sweep(Polytope(p.A, scale * p.b), scale * target)
@@ -234,13 +234,26 @@ def test_sweep_decides_a_polytope_at_its_own_scale(scale):
         assert np.linalg.norm(found.x_star - scale * ref.x_star) <= 1e-9 * scale * np.linalg.norm(ref.x_star), seed
 
 
-def test_polytope_length_scales_its_tolerance():
-    """L = max |b_i| / |a_i|, 1 when b = 0; the per-row tolerance is FEAS_TOL L |a_i|."""
-    assert box_polytope(3).length == 1.0 and box_polytope(2, 1e-12).length == 1e-12
+def test_polytope_tolerance_is_relative_to_the_terms_compared():
+    """A row holds up to FEAS_TOL max(|a_i| |x|, |b_i|): 5 |x| = 11.18 at x = (2, 1)."""
     p = Polytope(np.array([[3.0, 4.0], [-1.0, 0.0]]), np.array([10.0, 1.0]))
-    assert p.length == 2.0 and p.tol.tolist() == [problem.FEAS_TOL * 2.0 * 5.0, problem.FEAS_TOL * 2.0]
-    assert Polytope(box_polytope(2).A, np.zeros(4)).length == 1.0
-    assert p.contains([2.0, 1.0 + 2e-9]) and not p.contains([2.0, 1.0 + 3e-9])  # 4 (y - 1) against 1e-8
+    assert p.contains([2.0, 1.0 + 2.7e-9]) and not p.contains([2.0, 1.0 + 2.9e-9])  # 4 (y - 1) against 1.118e-8
+    tiny = Polytope(p.A, 1e-12 * p.b)
+    assert tiny.contains([2e-12, 1e-12 + 2.7e-21]) and not tiny.contains([2e-12, 1e-12 + 2.9e-21])
+
+
+@pytest.mark.parametrize("far", [1e6, 1e9, 1e10])
+def test_a_redundant_far_row_leaves_the_unit_box_decided(far):
+    """The row x_1 <= far lies outside the unit box and changes nothing: its
+    large b widens no other row's tolerance, so a point 1e-3 outside the box
+    is outside, the four corners stay apart and x* = (1, 0.5) with f* = 0.5."""
+    box = box_polytope(2)
+    p = Polytope(np.vstack([box.A, [1.0, 0.0]]), np.append(box.b, far))
+    assert p.contains([1.0, 0.5]) and not p.contains([1.001, 0.5]) and not p.contains([2.0, 0.5])
+    found = sweep(p, np.array([2.0, 0.5]))
+    assert len(found.vertices) == 4 and found.rho_min == 1.0
+    assert np.array_equal(found.x_star, [1.0, 0.5]) and quadratic_d2().value(found.x_star) == 0.5
+    assert geometry_constants(p, np.zeros(2), found).gamma == 2.0 * math.sqrt(2.0)
 
 
 def test_gradient_consistency():
