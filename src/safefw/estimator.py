@@ -14,13 +14,13 @@ SY, is
     P_k = F diag(1 / (1 + k mu)) F^T,
     beta_k = beta0 + F diag(1 / (1 + k mu)) (W SY - k W V beta0).
 
-Every later absorb at the same points (equal bit for bit), a forecast of K
-more crosses (k = 1..K) and a commit of the first of them advance only k and
-W SY. The form adds positive terms only, so no accuracy is lost as counts
-grow; a block absorb lands on the forecast's state bit for bit, so `commit`
-adopts the forecast at k instead of absorbing those crosses again; and every
-P adopted must have a positive smallest eigenvalue, else the design is
-beyond double precision and ScatterSingularError is raised.
+Every later absorb at the same points (equal bit for bit) and a forecast of
+K more crosses (k = 1..K) advance only k and W SY. The form adds positive
+terms only, so no accuracy is lost as counts grow; a block absorb of the
+first k forecast crosses' summed values lands on the forecast's state at k
+bit for bit; and every P adopted must have a positive smallest eigenvalue,
+else the design is beyond double precision and ScatterSingularError is
+raised. `absorb_repeated` is the one update: a forecast changes no estimate.
 
 Until the design spans, rows are taken one at a time and estimates fall back
 to a pseudo-inverse solve: P is formed by a dense inverse at the row where
@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .problem import FEAS_TOL
 from .special import chi_squared_upper_quantile
 
 # Values per cross from which the forecast's running sums are added one cross
@@ -59,14 +60,11 @@ def phi_inverse(d: int, delta_bar: float) -> float:
 
 @dataclass
 class Forecast:
-    """Estimates after k = 1..K more crosses: beta[k-1], and P_k = F diag(shrink[k-1]) F^T;
-    wsums[k-1] is W SY after them, SY summing every value absorbed at the
-    anchor's points since it was factored."""
+    """Estimates after k = 1..K more crosses: beta[k-1], and P_k = F diag(shrink[k-1]) F^T."""
 
     beta: np.ndarray    # (K, d+1, m)
     F: np.ndarray       # (d+1, d+1)
     shrink: np.ndarray  # (K, d+1), 1 / (1 + k mu)
-    wsums: np.ndarray   # (K, d+1, m)
 
     def quadratic(self, Z: np.ndarray) -> np.ndarray:
         """z_k^T P_k z_k for each row z_k of the (K, d+1) stack Z."""
@@ -176,7 +174,12 @@ class ConstraintEstimator:
             a = self._anchor_on(X)
             wsum = a.wsum + np.matmul(a.W, Y[None])  # stacked as in `forecast`, so a block absorb matches it bit for bit
             beta, shrink = a.closed_form(np.array([a.k + count], dtype=float), wsum)
-            self._adopt(a, count, beta[0], (a.F * shrink[0]) @ a.F.T, wsum[0])
+            P = (a.F * shrink[0]) @ a.F.T
+            if np.linalg.eigvalsh(P)[0] <= 0.0:
+                raise ScatterSingularError(SINGULAR_DESIGN)
+            self._add_counts(a.sum_x, a.outer, a.shape[0], count)
+            self.beta_hat, self.P = beta[0], P
+            a.k, a.wsum = a.k + count, wsum[0]
             return
         # Row by row, so the first cross gives the same P bit for bit as
         # per-point absorbs: the RO baseline rests on that one cross, and
@@ -207,19 +210,7 @@ class ConstraintEstimator:
         wsums = np.matmul(a.W, _running_sums(values))
         wsums += a.wsum
         beta, shrink = a.closed_form(k, wsums)
-        return Forecast(beta, a.F, shrink, wsums)
-
-    def commit(self, points: np.ndarray, ahead: Forecast, count: int) -> None:
-        """Absorb the first `count` crosses at the points (n, d) that `ahead`
-        forecast from this state: its estimates at k = count, the state that
-        absorb_repeated of their summed values gives, bit for bit."""
-        if not 1 <= count <= ahead.beta.shape[0]:
-            raise ValueError(f"count must lie in 1..{ahead.beta.shape[0]}")
-        a = self._anchor
-        if a is None or not a.holds(np.asarray(points, dtype=float)):
-            raise ValueError("commit needs the points of the forecast")
-        P = (ahead.F * ahead.shrink[count - 1]) @ ahead.F.T
-        self._adopt(a, count, ahead.beta[count - 1].copy(), P, ahead.wsums[count - 1])
+        return Forecast(beta, a.F, shrink)
 
     def _anchor_on(self, X: np.ndarray) -> _Anchor:
         """The anchor at the stack X (n, d): the current one if it holds these
@@ -227,17 +218,6 @@ class ConstraintEstimator:
         if self._anchor is None or not self._anchor.holds(X):
             self._anchor = _Anchor(X, self.P, self.beta_hat)
         return self._anchor
-
-    def _adopt(self, a: _Anchor, count: int, beta: np.ndarray, P: np.ndarray, wsum: np.ndarray) -> None:
-        """Take the state after `count` more measurements of each row of the
-        anchor's stack, which bring W SY to wsum; refuse a P that is not
-        positive definite in floating point."""
-        if np.linalg.eigvalsh(P)[0] <= 0.0:
-            raise ScatterSingularError(SINGULAR_DESIGN)
-        self._add_counts(a.sum_x, a.outer, a.shape[0], count)
-        self.beta_hat, self.P = beta, P
-        a.k += count
-        a.wsum = wsum
 
     def _add_counts(self, sum_x: np.ndarray, outer: np.ndarray, n: int, count: int) -> None:
         """Add `count` measurements at each of n points with coordinate sums
@@ -296,6 +276,6 @@ def confidence_membership_arrays(
     diff = np.asarray(beta_hat, dtype=float) - beta_true
     if sigma == 0.0:
         scale = 1.0 + np.abs(beta_true).max(axis=0)
-        return np.max(np.abs(diff), axis=0) <= 1e-9 * scale
+        return np.max(np.abs(diff), axis=0) <= FEAS_TOL * scale
     mahal = np.einsum("ki,kl,li->i", diff, xtx, diff) / (sigma * sigma)
     return mahal <= phi * phi + 1e-12

@@ -6,11 +6,12 @@ measured in one call. A stack draws its noise as one (n, count, m) array when
 that fits the draw chunk, which reads the generator in the same order as
 per-point calls and returns the same sums bit for bit. `lookahead` peeks at
 future calls; their noise waits in a buffer that every later draw reads first.
-`commit` then takes the first peeked calls as made: it consumes their noise
-and counts their out-of-reach events, so the stream and the count stand where
-the measurements themselves would leave them. The signal A x - b and the
-out-of-reach count of a stack are computed once for the last stack seen, so
-the repeated passes at one probe cross read them instead of recomputing.
+`commit` then takes the first peeked calls as made: it consumes their noise,
+counts their out-of-reach events and returns their summed peeked values, so
+the stream and the count stand where the measurements themselves would leave
+them. The signal A x - b and the out-of-reach count of a stack are computed
+once for the last stack seen, so the repeated passes at one probe cross read
+them instead of recomputing.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class ConstraintOracle:
 
     def lookahead(self, points: np.ndarray, count: int) -> np.ndarray:
         """Values (count, n, m) that the next `count` calls measure_repeated(points, 1)
-        on a stack of n points will return; counts no reach events."""
+        on a stack of n points will return, C-contiguous; counts no reach events."""
         values = self._stack(points)[0]
         if self.noise.sigma == 0.0:
             return np.broadcast_to(values, (count,) + values.shape).copy()
@@ -132,16 +133,20 @@ class ConstraintOracle:
             self._pushback = np.concatenate([self._pushback, self._fresh(size - self._pushback.size)])
         return values + self._pushback[:size].reshape((count,) + values.shape)
 
-    def commit(self, points: np.ndarray, count: int) -> None:
+    def commit(self, points: np.ndarray, count: int) -> np.ndarray:
         """Make the first `count` of the calls that `lookahead(points, K)` peeked
-        at, without measuring them again: their noise leaves the buffer and
-        each counts the stack's out-of-reach events."""
+        at, without measuring them again: their noise leaves the buffer, each
+        counts the stack's out-of-reach events, and their peeked values come
+        back summed (n, m), added call after call as the forecast's running
+        sums add them."""
         values, reach = self._stack(points)
         size = count * values.size if self.noise.sigma > 0.0 else 0
         if count < 1 or self._pushback.size < size:
             raise ValueError(f"cannot commit {count} calls: the lookahead holds {self._pushback.size} values")
+        sums = self.lookahead(points, count).sum(axis=0)  # the buffer holds them: nothing is drawn
         self._pushback = self._pushback[size:]
         self.out_of_reach_events += count * reach
+        return sums
 
     def measure_repeated(self, x: np.ndarray, count: int) -> np.ndarray:
         """Componentwise sums of `count` independent measurements at x.

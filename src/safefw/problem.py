@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FEAS_TOL = 1e-9  # the geometry's one relative tolerance: a share of the largest term a test compares
+FEAS_TOL = 1e-9  # the one relative tolerance: a share of the largest term a test compares
 SUBSET_CAP = 10**6  # most constraint subsets an exact enumeration may sweep
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import lp
 from .estimator import ConstraintEstimator
 from .oracle import ConstraintOracle, CrossPattern, cross_pattern
-from .problem import GeometryConstants, Objective, Polytope
+from .problem import FEAS_TOL, GeometryConstants, Objective, Polytope
 from .safety import SafetyConfig, SafetyVerdict, c_delta_constant, fact2_check, nt_schedule, unsafe_ahead
 
 VARIANTS = ("prescribed", "adaptive")
@@ -27,7 +27,6 @@ VARIANTS = ("prescribed", "adaptive")
 # the least after a short block, the most; at most 2^21 peeked values (16 MB),
 # which also keeps a block's measurement in one noise draw.
 AHEAD_START, AHEAD_MIN, AHEAD_MAX, AHEAD_MAX_VALUES = 8, 4, 4096, 1 << 21
-TIE_BAND = 1e-9  # relative guard band of every predicted test: near ties are left to the loop
 
 
 @dataclass
@@ -208,10 +207,12 @@ def _absorb_cross(
 def _skippable_passes(ahead, scfg, guard, x, grad, gamma, basis) -> int:
     """How many forecast crosses at x to commit at once: the first k after
     which a pass might not see `basis` verified and a clearly unsafe
-    candidate, else all K. The passes before it would each absorb one cross."""
+    candidate, else all K. The passes before it would each absorb one cross.
+    Every predicted test keeps a relative guard band FEAS_TOL: near ties are
+    left to the loop."""
     A, b = _guarded_rows(ahead.beta, guard)
-    s_hat, verified = lp.verified_vertices(A, b, grad, basis, TIE_BAND)
-    skippable = verified & unsafe_ahead(ahead, scfg, x + gamma * (s_hat - x), TIE_BAND)
+    s_hat, verified = lp.verified_vertices(A, b, grad, basis, FEAS_TOL)
+    skippable = verified & unsafe_ahead(ahead, scfg, x + gamma * (s_hat - x), FEAS_TOL)
     return skippable.size if skippable.all() else int(np.argmin(skippable)) + 1
 
 
@@ -286,9 +287,10 @@ class _Adaptive(_Estimated):
     at x_t, re-estimating and re-solving (warm-started from the previous
     active set), until the stepped candidate passes the scalar safety test.
     Once a basis has come back twice, the passes a lookahead shows would keep
-    it and stay unsafe are committed as one block from the forecast, not
-    measured again; blocks double after one skipped whole. The row of an
-    iterate after x0 carries the verdict that certified it."""
+    it and stay unsafe are committed as one block, not measured again, and
+    their summed peeked values absorbed in one call, as a pass absorbs its
+    cross; blocks double after one skipped whole. The row of an iterate
+    after x0 carries the verdict that certified it."""
 
     budget: int
     basis: list[int] | None = None
@@ -325,10 +327,10 @@ class _Adaptive(_Estimated):
                 ahead = est.forecast(cross, self.oracle.lookahead(cross, size))
                 count = _skippable_passes(ahead, self.scfg, guard, x, grad, gamma, self.basis)
                 block = min(2 * block, AHEAD_MAX) if count == size else max(AHEAD_MIN, 2 * count)
-                self.oracle.commit(cross, count)
-                est.commit(cross, ahead, count)
+                sums = self.oracle.commit(cross, count)
             else:
-                est.absorb_repeated(cross, self.oracle.measure_repeated(cross, 1), 1)
+                sums = self.oracle.measure_repeated(cross, 1)
+            est.absorb_repeated(cross, sums, count)
             self.extras += count
         if t == 0:  # no step certified x0: check it against the estimate after its passes
             row.record_verdict(fact2_check(est, self.scfg, x), est)

@@ -2,7 +2,7 @@
 independent references: a vertex enumerator, a finite-difference gradient
 check, covariance norms, a solver for the cone-constrained linear
 subproblem, the adaptive driver that absorbs one cross per pass, the block
-absorb that a committed forecast must equal, the estimator update that
+absorb that a committed lookahead block must equal, the estimator update that
 refactors P at every step, the simplex kernel that reads the tableau one
 numpy scalar at a time, and RO's cut loop with every cut LP solved cold."""
 
@@ -310,7 +310,8 @@ def _reference_absorb_cross(oracle, est, center, omega0, n):
 def absorb_crosses_reference(oracle, est, points, count):
     """Measure `count` crosses at the points in the stream order of `count`
     calls and absorb their summed values in one call: the state that
-    committing a forecast of those crosses must reach bit for bit."""
+    absorbing the sums of a committed lookahead block of those crosses must
+    reach bit for bit."""
     n = points.shape[0]
     sums = oracle.measure_repeated(np.tile(points, (count, 1)), 1).reshape(count, n, -1).sum(axis=0)
     est.absorb_repeated(points, sums, count)

@@ -248,8 +248,8 @@ def test_forecast_matches_one_cross_at_a_time():
     """The forecast after k more crosses equals the estimate after absorbing
     those k crosses one call each: beta and the cone quadratic z^T P_k z,
     over 300 crosses at one point set; and one absorb of the k crosses'
-    summed values lands on the forecast's beta and P bit for bit. A commit
-    outside the forecast's 1..K is refused."""
+    summed values lands on the forecast's beta and P bit for bit. The oracle
+    refuses to commit a count outside the peeked 1..K."""
     polytope = box_polytope(3)
     est, oracle = cross_fed_estimator(polytope, 0.1, 4, 0.01, [np.zeros(3), [0.3, -0.2, 0.1]], [6, 60])
     points = cross_pattern(np.array([0.4, -0.3, 0.2]), 0.01, 6).points
@@ -269,9 +269,10 @@ def test_forecast_matches_one_cross_at_a_time():
         assert quadratics[k] == pytest.approx(Z[k] @ est.P @ Z[k], rel=1e-9)
     with pytest.raises(ScatterSingularError):  # no P yet
         ConstraintEstimator(3, 6).forecast(points, np.zeros((2, 6, 6)))
-    for count in (0, K + 1):  # outside the forecast
+    oracle.lookahead(points, K)
+    for count in (0, K + 1):  # outside the lookahead
         with pytest.raises(ValueError):
-            est.commit(points, ahead, count)
+            oracle.commit(points, count)
 
 
 def test_absorb_and_forecast_at_tiny_probe_radii():
@@ -290,8 +291,9 @@ def test_absorb_and_forecast_at_tiny_probe_radii():
 
 
 def test_one_factorization_follows_the_step_chain():
-    """10,000 single crosses at one d = 2, sigma = 0.1 cross, with forecast and
-    commit blocks of up to 64 crosses interleaved: the estimator, which factors
+    """10,000 single crosses at one d = 2, sigma = 0.1 cross, with forecast
+    blocks of up to 64 crosses interleaved, each committed and its sums
+    absorbed in one call: the estimator, which factors
     the cross once, keeps beta_hat and P within 1e-10 relative of the chain
     that refactors P at every step."""
     polytope = box_polytope(2)
@@ -310,13 +312,11 @@ def test_one_factorization_follows_the_step_chain():
         values = oracle.lookahead(points, K)
         count = int(rng.integers(1, K + 1))
         ahead = est.forecast(points, values)
-        est.commit(points, ahead, count)
-        oracle.commit(points, count)
+        est.absorb_repeated(points, oracle.commit(points, count), count)
+        assert np.array_equal(est.beta_hat, ahead.beta[count - 1])
         ref.absorb(points, values[:count].sum(axis=0), count)
     assert np.abs(est.beta_hat - ref.beta).max() <= 1e-10 * np.abs(ref.beta).max()
     assert np.abs(est.P - ref.P).max() <= 1e-10 * np.abs(ref.P).max()
-    with pytest.raises(ValueError):  # a forecast commits only at its own points
-        est.commit(points + 0.5, ahead, 1)
 
 
 def test_one_eigendecomposition_per_cross(monkeypatch):
@@ -366,8 +366,8 @@ def exact_quadratic(M, z):
 
 @pytest.mark.parametrize("half_width", [1.0, 1e2])
 def test_ellipsoid_quadratic_matches_an_exact_inverse(monkeypatch, half_width):
-    """After every absorb and commit of an adaptive run (d = 2 box, omega0 =
-    sigma = 0.01, seed 0), z^T P z lies within 1e-6 relative of z^T (V^T V)^-1 z
+    """After every absorb of an adaptive run, committed blocks included (d = 2
+    box, omega0 = sigma = 0.01, seed 0), z^T P z lies within 1e-6 relative of z^T (V^T V)^-1 z
     over the measured design, kept in Fractions, for z = [x; -1] at the box's
     corners, the midpoints of its sides and 0."""
     points = [np.array(c) * half_width for c in itertools.product([-1.0, 0.0, 1.0], repeat=2)]
@@ -376,8 +376,9 @@ def test_ellipsoid_quadratic_matches_an_exact_inverse(monkeypatch, half_width):
     errors = []
 
     class ExactDesign(ConstraintEstimator):
-        def _check(self, X, count):
-            for x in np.atleast_2d(X):
+        def absorb_repeated(self, point, value_sum, count):
+            super().absorb_repeated(point, value_sum, count)
+            for x in np.atleast_2d(point):
                 v = [Fraction(float(t)) for t in x] + [Fraction(-1)]
                 for i, j in itertools.product(range(3), repeat=2):
                     design[i][j] += count * v[i] * v[j]
@@ -385,14 +386,6 @@ def test_ellipsoid_quadratic_matches_an_exact_inverse(monkeypatch, half_width):
                 for z in Z:
                     exact = exact_quadratic(design, [Fraction(float(t)) for t in z])
                     errors.append(abs(float(z @ self.P @ z) - float(exact)) / float(exact))
-
-        def absorb_repeated(self, point, value_sum, count):
-            super().absorb_repeated(point, value_sum, count)
-            self._check(point, count)
-
-        def commit(self, points, ahead, count):
-            super().commit(points, ahead, count)
-            self._check(points, count)
 
     monkeypatch.setattr(harness, "ConstraintEstimator", ExactDesign)
     res = resolve(ExperimentConfig(problem={"type": "box", "d": 2, "half_width": half_width}, omega0=0.01))

@@ -17,6 +17,7 @@ from safefw.estimator import ConstraintEstimator, ScatterSingularError
 from safefw.harness import (
     CSV_COLUMNS,
     MAX_BOX_D,
+    MAX_PRESCRIBED_VALUES,
     MAX_PROBE_SCALE,
     MAX_T,
     VARIANTS,
@@ -24,6 +25,7 @@ from safefw.harness import (
     ExperimentConfig,
     compare_sfw_ro,
     load_trajectory_csv,
+    prescribed_values,
     resolve,
     run_experiment,
     run_single,
@@ -295,6 +297,13 @@ UNIT_SQUARE = {"type": "polytope", "A": [[1, 0], [0, 1], [-1, 0], [0, -1]], "b":
         pytest.param({"variant": "prescribed", "cn": 0}, "needs a positive cn", True, id="zero-cn-prescribed"),
         pytest.param({"variant": "prescribed", "sigma": 0.0}, "needs a positive cn", True,
                      id="auto-cn-zero-noise-prescribed"),
+        pytest.param({"variant": "prescribed", "problem": {"type": "box", "d": 10}, "T": 6},
+                     "the prescribed schedule measures 1.87056e+10 values (measurements times constraints), "
+                     f"more than the bound {MAX_PRESCRIBED_VALUES:g}", True, id="prescribed-d10-T6"),
+        pytest.param({"variant": "prescribed", "problem": {"type": "box", "d": 10}, "T": MAX_T},
+                     "the prescribed schedule measures 2.31404e+19 values", True, id="prescribed-d10-max-T"),
+        pytest.param({"variant": "prescribed", "cn": 1e308}, "the prescribed schedule measures inf values", True,
+                     id="overflowing-prescribed-schedule"),
         pytest.param({"max_total_measurements": -5}, "must cover one cross", False, id="negative-measurement-budget"),
         pytest.param({"max_total_measurements": 3}, "must cover one cross", False, id="sub-cross-measurement-budget"),
         pytest.param({"problem": {**UNIT_SQUARE, "b": [1, 1, 1, math.nan]}}, "polytope A and b must be finite",
@@ -514,6 +523,21 @@ def test_T_past_the_cap_is_a_config_error(tmp_path, capsys, variant):
         assert cli_main(argv) == 1
         err = capsys.readouterr().err
         assert err == f"config error: T must be at most {MAX_T}, got {10**20}\n"
+
+
+@pytest.mark.parametrize("cfg,values", [
+    pytest.param(d2_config(variant="prescribed", cn="auto"), 203_825_680, id="prescribed-bulk"),
+    pytest.param(ExperimentConfig.from_dict(json.loads((SRC.parent / "configs" / "box_d2_prescribed.json").read_text())),
+                 1_160_448, id="box_d2_prescribed"),
+])
+def test_prescribed_schedule_within_the_bound_resolves(cfg, values):
+    """resolve admits a prescribed schedule of at most MAX_PRESCRIBED_VALUES
+    values; on box_d2_prescribed a run measures exactly the values counted.
+    The schedules past the bound are in test_validate_config_rejects_bad_values."""
+    res = resolve(cfg)
+    assert prescribed_values(res.safety.cn, cfg.T, 2, 4) == values <= MAX_PRESCRIBED_VALUES
+    if values < 10**7:
+        assert run_single(res, 0)[0].total_measurements * 4 == values
 
 
 GENERAL_POLYTOPE = {
@@ -770,7 +794,7 @@ def test_compare_records_a_failed_pair(tmp_path, monkeypatch, capsys):
     assert saved["errors"] == [None, "RuntimeError: synthetic failure"] * 2
     for key in ("sfw_final", "ro_final", "budgets"):
         assert [v is None for v in saved[key]] == [False, True, False, True]
-    wins = sum(a <= b + hmod.TIE_TOL for a, b in zip(saved["sfw_final"][::2], saved["ro_final"][::2]))
+    wins = sum(a <= b + hmod.FEAS_TOL for a, b in zip(saved["sfw_final"][::2], saved["ro_final"][::2]))
     assert saved["sfw_wins"] == wins and saved["fraction_sfw_better"] == wins / 4
     assert capsys.readouterr().out == f"pairs=4 sfw_wins={wins} fraction_sfw_better={wins / 4:.3f}\n"
     assert sorted(f.name for f in (tmp_path / "cmp").glob("*.csv")) == [

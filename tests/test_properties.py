@@ -2,7 +2,8 @@
 recorded design, and the scalar safety test against its cone form, over
 generated sequences of single-point and stacked absorbs; the estimator
 against an extended-precision solve at counts up to 10^6; and a committed
-forecast against measuring and absorbing the same crosses."""
+lookahead block against its forecast and against measuring and absorbing
+the same crosses."""
 
 import copy
 import math
@@ -111,12 +112,14 @@ def test_fact2_matches_soc_lhs(est, phi, point):
 )
 @example(20, 0, "gaussian", 0.1, 7, 3, (28, 17))
 def test_commit_equals_block_absorb(d, cuts, kind, sigma, seed, warm, block):
-    """Committing the first `count` of K forecast crosses leaves the estimator
-    (beta_hat, P, N, sum_x, sum_outer) and the oracle (out-of-reach count and
-    noise stream) bit for bit where measuring those crosses and absorbing
-    their summed values leaves them. The cross pokes past facet 0 by more
-    than omega0, so its reach events count; d = 20 runs the forecast's
-    running sums on the loop side of LOOP_SUM_MIN."""
+    """Absorbing the sums that committing the first `count` of K peeked
+    crosses returns lands on the forecast's beta and P at `count`, and leaves
+    the estimator (beta_hat, P, N, sum_x, sum_outer) and the oracle
+    (out-of-reach count and noise stream) bit for bit where measuring those
+    crosses and absorbing their summed values leaves them. The cross pokes
+    past facet 0 by more than omega0, so its reach events count; d = 20 runs
+    the forecast's running sums on the loop side of LOOP_SUM_MIN; sigma = 0
+    sums the broadcast signal."""
     K, count = block
     rng = np.random.default_rng(seed)
     polytope = random_bounded_polytope(rng, d, 2 * d + cuts)
@@ -132,9 +135,10 @@ def test_commit_equals_block_absorb(d, cuts, kind, sigma, seed, warm, block):
 
     values = oracle.lookahead(points, K)
     ahead = est.forecast(points, values)
-    oracle.commit(points, count)
-    est.commit(points, ahead, count)
+    est.absorb_repeated(points, oracle.commit(points, count), count)
     absorb_crosses_reference(ref_oracle, ref_est, points, count)
+    assert np.array_equal(est.beta_hat, ahead.beta[count - 1])
+    assert np.array_equal(est.P, (ahead.F * ahead.shrink[count - 1]) @ ahead.F.T)
 
     for name in ("beta_hat", "P", "sum_x", "sum_outer"):
         assert np.array_equal(getattr(est, name), getattr(ref_est, name)), name

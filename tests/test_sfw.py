@@ -201,12 +201,13 @@ def test_fast_forward_matches_one_cross_per_pass(monkeypatch):
 
 
 def test_committed_blocks_are_not_measured_again(monkeypatch):
-    """A committed block calls neither measure_repeated nor absorb_repeated:
-    over adaptive runs at d = 5 each is called once per warm-up and once per
-    pass that is not part of a committed block."""
+    """A committed block calls measure_repeated no times and absorb_repeated
+    once: over adaptive runs at d = 5, measure_repeated is called once per
+    warm-up and once per pass that is not part of a committed block, and
+    absorb_repeated once more per committed block."""
     calls = {"measure": 0, "absorb": 0}
     committed = []
-    measure, absorb, commit = ConstraintOracle.measure_repeated, ConstraintEstimator.absorb_repeated, ConstraintEstimator.commit
+    measure, absorb, commit = ConstraintOracle.measure_repeated, ConstraintEstimator.absorb_repeated, ConstraintOracle.commit
 
     def counted(name, fn):
         def wrapper(*args):
@@ -216,7 +217,7 @@ def test_committed_blocks_are_not_measured_again(monkeypatch):
 
     monkeypatch.setattr(ConstraintOracle, "measure_repeated", counted("measure", measure))
     monkeypatch.setattr(ConstraintEstimator, "absorb_repeated", counted("absorb", absorb))
-    monkeypatch.setattr(ConstraintEstimator, "commit", lambda self, pts, ahead, count: committed.append(count) or commit(self, pts, ahead, count))
+    monkeypatch.setattr(ConstraintOracle, "commit", lambda self, pts, count: committed.append(count) or commit(self, pts, count))
     warm_ups = extras = 0
     for seed in range(3):
         _, setup, oracle, est, scfg = box_setup(d=5, sigma=0.015, seed=seed)
@@ -224,7 +225,8 @@ def test_committed_blocks_are_not_measured_again(monkeypatch):
         warm_ups += rec.steps()
         extras += sum(rec.extra_batches)
     assert 2 * sum(committed) > extras  # most extra crosses were committed in blocks
-    assert calls["measure"] == calls["absorb"] == warm_ups + extras - sum(committed)
+    assert calls["measure"] == warm_ups + extras - sum(committed)
+    assert calls["absorb"] == calls["measure"] + len(committed)
 
 
 def test_dfs_restart_is_invisible_to_the_driver(monkeypatch):
