@@ -34,7 +34,8 @@ from .sfw import ProblemSetup, SfwConfig, TrajectoryRecord
 
 VARIANTS = ("prescribed", "adaptive", "ro", "fw-oracle")
 # Largest box dimension a config may ask for: resolving d = 1000 takes about
-# half a second and 90 MB, and time and memory grow as d^2 beyond it.
+# half a second and 90 MB, and time and memory grow as d^2 beyond it. A run
+# costs far more; README gives the largest d measured to finish one.
 MAX_BOX_D = 1000
 # Largest iteration count T: RO at d = 2, sigma = 0.1 (2,000 measurements) took
 # 3.6 s for 1,000 iterations, 10.2 s for 3,000 and 30.2 s for 10,000 on a

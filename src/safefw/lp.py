@@ -1,20 +1,21 @@
 """Dense linear programming over inequality systems A x <= b with free variables.
 
-A solve given a start basis (d rows) runs one pivot loop from it: primal
-pivots from a feasible vertex with a negative multiplier, dual pivots from an
-infeasible vertex with nonnegative multipliers, and, from a vertex that is
-neither, dual pivots under a shifted cost that makes the start dual feasible,
-then primal pivots under the true cost once the vertex is feasible. B^-1 is
-kept by rank-one (product-form) updates. A vertex is returned only once
-verified, on the sorted basis, to be the unique optimum. The direction-finding
-LP starts from the active set of a previous solve of a nearby LP, or from its
-guard vertex when there is none. A solve with no start, or whose loop ends
-without a verified vertex, goes to the two-phase primal simplex on the
-split-variable standard form (x = u - v plus slacks), with Bland's rule for
-anti-cycling; at the optimum the simplex pivots each nonbasic free variable
-in, so a bounded optimum ends at a vertex. A cutting-plane loop grows one LP
-a row at a time in a `Tableau`, whose solves replay the recorded pivots of
-the one before and give what that simplex gives on the grown LP, bit for bit.
+A solve runs one pivot loop over its start bases (d rows each) in order:
+primal pivots from a feasible vertex with a negative multiplier, dual pivots
+from an infeasible one, whose ratio test reads the multipliers clipped at
+zero, B^-1 kept by rank-one (product-form) updates. Its verdict is a vertex
+verified to be the unique optimum, or infeasibility or unboundedness proved
+by a ray; a start with no verdict hands over to the next. The DFS LP starts
+from the active set of a previous solve of a nearby LP, then from its guard
+vertex, which is dual feasible. A solve with no start or no verdict (a tied
+or ill-conditioned optimum) goes to the two-phase primal simplex on the
+split-variable standard form (x = u - v plus slacks), whose Bland's rule
+keeps it from cycling and picks among tied optima the vertex that RO's
+`Tableau` picks and zero-noise runs expect; at the optimum it pivots each
+nonbasic free variable in, so a bounded optimum ends at a vertex. A
+cutting-plane loop grows one LP a row at a time in a `Tableau`, whose solves
+replay the recorded pivots of the one before and give what that simplex
+gives on the grown LP, bit for bit.
 """
 
 from __future__ import annotations
@@ -224,86 +225,83 @@ def _least(values: np.ndarray, basis: list[int]) -> int:
     return int(min(np.flatnonzero(values == values[pos]).tolist(), key=basis.__getitem__))
 
 
-def _pivot_from(p: LpProblem, start: list[int]) -> LpSolution | None:
-    """The optimum reached by pivots from the basis `start` (d rows), once
-    verified to be the unique optimum; None if no vertex verifies.
+def _pivot_from(p: LpProblem, starts) -> LpSolution | None:
+    """The verdict of the pivots from the bases `starts` (d rows each) in
+    order: a vertex verified to be the unique optimum, or the status a ray
+    proves; None sends the solve to the simplex.
 
     From a feasible vertex with a negative multiplier, the row of the most
     negative one leaves along the edge the others keep active, and the first
-    row that edge meets enters (primal). With the multipliers nonnegative at
-    an infeasible vertex, the most violated row enters, and the ratio test
-    that keeps the multipliers nonnegative picks the row that leaves (dual);
-    after a degenerate dual pivot the lowest violated row enters until the
-    dual objective moves again. Ties go to the lowest row. At an infeasible
-    vertex with a negative multiplier the cost c is shifted to
-    c' = -A_B^T max(lambda, 0), for which the basis is dual feasible (dual
-    phase 1 by cost modification): the dual pivots run under c' until the
-    vertex is feasible, then c is restored and the primal pivots finish. B^-1
-    is kept by rank-one updates, so a pivot costs O(rows d). The vertex where
-    the cheap test (feasible, multipliers nonnegative under c) stops the
-    pivots is verified on the sorted basis, with its terms computed afresh
-    after any pivot, so its point is the one a warm start from that basis
-    gives. The loop ends without a vertex when neither pivot applies, a
-    ratio test has no candidate, a second shift is needed, or after one
-    pivot per row.
+    row that edge meets enters (primal); an edge that meets no row is a ray
+    (unbounded). At an infeasible vertex the most violated row enters, and
+    the ratio test over the multipliers clipped at zero, max(lambda, 0),
+    picks the row that leaves (dual): from a dual-feasible basis the row
+    that keeps them nonnegative, else first a row of negative multiplier, at
+    ratio zero. A test with no candidate is a dual ray (infeasible: the
+    entering row is violated wherever the basis rows hold). After a
+    degenerate dual pivot the lowest violated row enters until the dual
+    objective moves again. Ties go to the lowest row. The vertex where the
+    cheap test (feasible, multipliers nonnegative) stops the pivots is
+    verified on the sorted basis, with its terms computed afresh after any
+    pivot, so its point is the one a warm start from that basis gives. A
+    start that is singular, out of pivots (one per row, MAX_PIVOTS for the
+    last start) or stopped at a vertex that does not verify hands over to
+    the next; the last one out of pivots raises PivotLimitError.
     """
     A, b, c = p.A, p.b, p.c
-    basis, abs_A, scale_b = np.sort(np.asarray(start, dtype=np.intp)), np.abs(A), 1.0 + np.abs(b)
-    try:
-        terms = _basis_terms(A, b, c, basis, abs_A, scale_b)
-    except np.linalg.LinAlgError:
-        return None
-    _, B_inv, _, lam, resid, scale = terms
-    slack = resid / scale
-    cost, shifted, bland = c, False, False
-    for pivots in range(A.shape[0] + 1):
-        enter = int(slack.argmin())
-        if slack[enter] >= -ACTIVE_TOL:
-            if cost is not c:  # the shifted dual phase reached a feasible vertex: back to the true cost
-                cost = c
-                lam = -(c @ B_inv)
-            if lam[lam.argmin()] >= 0.0:
-                break
-            leave = _least(lam, basis)
-            closing = A @ -B_inv[:, leave]  # how fast each row's residual falls along the edge
-            closing[basis] = 0.0
-            rows = (closing > PIVOT_TOL).nonzero()[0]
-            if rows.size == 0:
-                return None
-            enter = int(rows[(resid[rows] / closing[rows]).argmin()])
-            shift = A[enter] @ B_inv
-        else:
-            if lam[lam.argmin()] < -COST_TOL:  # neither feasible: shift the cost so the basis is dual feasible
-                if shifted:
-                    return None
-                lam = np.maximum(lam, 0.0)
-                cost, shifted = -(lam @ A[basis]), True
-            if bland:
-                enter = int((slack < -ACTIVE_TOL).argmax())
-            shift = A[enter] @ B_inv  # the entering row as a combination of the basis rows
-            ratios = np.full(shift.size, math.inf)
-            np.divide(np.maximum(lam, 0.0), shift, out=ratios, where=shift > PIVOT_TOL)
-            leave = _least(ratios, basis)
-            if ratios[leave] == math.inf:
-                return None
-            bland = ratios[leave] <= 0.0
-        if pivots == A.shape[0]:
-            return None
-        if pivots == 0:  # a start basis that verifies needs none of this
-            b_basis = b[basis]
-        B_inv = _replace_row(B_inv, leave, shift)
-        basis[leave], b_basis[leave] = enter, b[enter]
-        x = B_inv @ b_basis
-        resid = b - A @ x
-        slack = resid / (scale_b + abs_A @ np.abs(x))
-        lam = -(cost @ B_inv)
-    if pivots > 0:
-        basis.sort()
+    for left, start in enumerate(starts, 1 - len(starts)):  # left == 0 at the last start
+        basis, abs_A, scale_b = np.sort(np.asarray(start, dtype=np.intp)), np.abs(A), 1.0 + np.abs(b)
         try:
             terms = _basis_terms(A, b, c, basis, abs_A, scale_b)
         except np.linalg.LinAlgError:
-            return None
-    return LpSolution(terms[2], "optimal", basis.tolist()) if _verified(terms, basis, c) else None
+            continue
+        _, B_inv, _, lam, resid, scale = terms
+        slack, bland = resid / scale, False
+        budget = MAX_PIVOTS if left == 0 else A.shape[0]  # before the last start, one pivot per row
+        for pivots in range(budget + 1):
+            enter = int(slack.argmin())
+            if slack[enter] >= -ACTIVE_TOL:
+                if lam[lam.argmin()] >= 0.0:
+                    break
+                leave = _least(lam, basis)
+                closing = A @ -B_inv[:, leave]  # how fast each row's residual falls along the edge
+                closing[basis] = 0.0
+                rows = (closing > PIVOT_TOL).nonzero()[0]
+                if rows.size == 0:
+                    return LpSolution(None, "unbounded")
+                enter = int(rows[(resid[rows] / closing[rows]).argmin()])
+                shift = A[enter] @ B_inv
+            else:
+                if bland:
+                    enter = int((slack < -ACTIVE_TOL).argmax())
+                shift = A[enter] @ B_inv  # the entering row as a combination of the basis rows
+                ratios = np.full(shift.size, math.inf)  # over max(lambda, 0): a negative multiplier's row leaves first
+                np.divide(np.maximum(lam, 0.0), shift, out=ratios, where=shift > PIVOT_TOL)
+                leave = _least(ratios, basis)
+                if ratios[leave] == math.inf:  # the entering row is violated wherever the basis rows hold
+                    return LpSolution(None, "infeasible")
+                bland = ratios[leave] <= 0.0
+            if pivots == budget:
+                if left == 0:
+                    raise PivotLimitError(f"pivot loop made no verdict within {MAX_PIVOTS} pivots")
+                break
+            if pivots == 0:  # a start basis that verifies needs none of this
+                b_basis = b[basis]
+            B_inv = _replace_row(B_inv, leave, shift)
+            basis[leave], b_basis[leave] = enter, b[enter]
+            x = B_inv @ b_basis
+            resid = b - A @ x
+            slack = resid / (scale_b + abs_A @ np.abs(x))
+            lam = -(c @ B_inv)
+        if pivots > 0:
+            basis.sort()
+            try:
+                terms = _basis_terms(A, b, c, basis, abs_A, scale_b)
+            except np.linalg.LinAlgError:
+                continue
+        if _verified(terms, basis, c):
+            return LpSolution(terms[2], "optimal", basis.tolist())
+    return None
 
 
 def _rows(A: np.ndarray, b: np.ndarray, first: int, width: int) -> np.ndarray:
@@ -389,19 +387,18 @@ def _optimum(T: np.ndarray, basis: list[int], d: int, steps: list[_Step] | None 
     return vals[:d] - vals[d:2 * d]
 
 
-def solve(p: LpProblem, basis: list[int] | None = None) -> LpSolution:
+def solve(p: LpProblem, starts=()) -> LpSolution:
     """Minimize <c, x> over {x : A x <= b}.
 
     Returns a vertex of the optimal face when the feasible set is bounded
-    around the optimum. Status reports infeasibility and unboundedness. Given
-    a start basis (d rows), the pivot loop of `_pivot_from` runs from it and
-    returns a vertex only once verified to be the unique optimum. Otherwise,
-    and with no start, the simplex solves from the all-slack basis.
+    around the optimum. Status reports infeasibility and unboundedness. The
+    pivot loop of `_pivot_from` runs over the bases `starts` (d rows each);
+    with no start, or where it gives no verdict, the simplex solves from the
+    all-slack basis.
     """
-    if basis is not None:
-        sol = _pivot_from(p, basis)
-        if sol is not None:
-            return sol
+    sol = _pivot_from(p, starts)
+    if sol is not None:
+        return sol
     start = _feasible(p)
     if start is None:
         return LpSolution(None, "infeasible")

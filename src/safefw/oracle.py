@@ -6,12 +6,12 @@ measured in one call. A stack draws its noise as one (n, count, m) array when
 that fits the draw chunk, which reads the generator in the same order as
 per-point calls and returns the same sums bit for bit. `lookahead` peeks at
 future calls; their noise waits in a buffer that every later draw reads first.
-`commit` then takes the first peeked calls as made: it consumes their noise,
-counts their out-of-reach events and returns their summed peeked values, so
-the stream and the count stand where the measurements themselves would leave
-them. The signal A x - b and the out-of-reach count of a stack are computed
-once for the last stack seen, so the repeated passes at one probe cross read
-them instead of recomputing.
+`commit` then takes the first peeked calls, and no others, as made: it
+consumes their noise, counts their out-of-reach events and returns their
+summed peeked values, so the stream and the count stand where the
+measurements would leave them. The signal A x - b and the out-of-reach count
+of a stack are computed once for the last stack seen, so the repeated passes
+at one probe cross read them instead of recomputing.
 """
 
 from __future__ import annotations
@@ -87,6 +87,7 @@ class ConstraintOracle:
         self._rng = np.random.default_rng(noise.seed)
         self._pushback = np.empty(0)  # variates peeked at, not yet consumed
         self._last: tuple | None = None  # ((shape, bytes) of the last stack, its signal, its reach count)
+        self._peeked = 0  # calls at the last stack that a lookahead peeked at and none has made yet
         self.out_of_reach_events = 0
 
     @property
@@ -119,13 +120,14 @@ class ConstraintOracle:
             values = np.matmul(self._A, X[:, :, None])[:, :, 0] - self._b
             deficits = np.max(values / self._row_norms, axis=1)
             reach = self.omega0 + FEAS_TOL * np.maximum(self.omega0, np.linalg.norm(X, axis=1))
-            self._last = (key, values, int(np.count_nonzero(deficits > reach)))
+            self._last, self._peeked = (key, values, int(np.count_nonzero(deficits > reach))), 0
         return self._last[1], self._last[2]
 
     def lookahead(self, points: np.ndarray, count: int) -> np.ndarray:
         """Values (count, n, m) that the next `count` calls measure_repeated(points, 1)
         on a stack of n points will return, C-contiguous; counts no reach events."""
         values = self._stack(points)[0]
+        self._peeked = max(self._peeked, count)
         if self.noise.sigma == 0.0:
             return np.broadcast_to(values, (count,) + values.shape).copy()
         size = count * values.size
@@ -138,13 +140,13 @@ class ConstraintOracle:
         at, without measuring them again: their noise leaves the buffer, each
         counts the stack's out-of-reach events, and their peeked values come
         back summed (n, m), added call after call as the forecast's running
-        sums add them."""
+        sums add them. A count that no lookahead at these points peeked at,
+        or that a call has made since, is refused, with or without noise."""
         values, reach = self._stack(points)
-        size = count * values.size if self.noise.sigma > 0.0 else 0
-        if count < 1 or self._pushback.size < size:
-            raise ValueError(f"cannot commit {count} calls: the lookahead holds {self._pushback.size} values")
-        sums = self.lookahead(points, count).sum(axis=0)  # the buffer holds them: nothing is drawn
-        self._pushback = self._pushback[size:]
+        if not 1 <= count <= self._peeked:
+            raise ValueError(f"cannot commit {count} calls: a lookahead at these points peeked at {self._peeked}")
+        sums = self.lookahead(points, count).sum(axis=0)  # the buffer holds them (none without noise): nothing is drawn
+        self._pushback, self._peeked = self._pushback[count * values.size:], self._peeked - count
         self.out_of_reach_events += count * reach
         return sums
 
@@ -159,6 +161,7 @@ class ConstraintOracle:
             raise ValueError("count must be >= 1")
         values, reach = self._stack(x)
         self.out_of_reach_events += reach
+        self._peeked = max(self._peeked - count, 0)  # each call made takes the noise of the next peeked one
         total = count * values
         if self.noise.sigma > 0.0:
             n, m = total.shape

@@ -185,14 +185,12 @@ def dfs_problem(est: ConstraintEstimator, c: np.ndarray, guard: float) -> lp.LpP
 
 
 def solve_dfs(est: ConstraintEstimator, guard: float, grad: np.ndarray, basis: list[int] | None = None) -> lp.LpSolution:
-    """Linear minimization of <grad, s> over the guarded estimated polytope.
-
-    The pivot loop of `lp.solve` starts from `basis`, or from the guard vertex
-    (`_guard_start`), where every multiplier is |grad_i| >= 0, when there is
-    no basis; a warm basis that is neither primal nor dual feasible restarts
-    by cost shifting. The simplex serves only what the loop does not verify.
-    """
-    return lp.solve(dfs_problem(est, grad, guard), _guard_start(grad, est.m) if basis is None else basis)
+    """Linear minimization of <grad, s> over the guarded estimated polytope,
+    by the pivot loop of `lp.solve` from `basis`, when there is one, then from
+    the guard vertex (`_guard_start`), which is dual feasible. The simplex
+    serves only a tied optimum."""
+    guard_start = _guard_start(grad, est.m)
+    return lp.solve(dfs_problem(est, grad, guard), (basis, guard_start) if basis else (guard_start,))
 
 
 def _absorb_cross(

@@ -70,7 +70,7 @@ def enumerate_vertices(p):
 
 def neither_feasible(p, basis):
     """Whether the vertex of `basis` is infeasible with a negative multiplier,
-    where the pivot loop shifts the cost before its first pivot."""
+    where the pivot loop hands over to the next start before its first pivot."""
     try:
         _, _, _, lam, resid, scale = lp._basis_terms(p.A, p.b, p.c, np.sort(basis), np.abs(p.A), 1.0 + np.abs(p.b))
     except np.linalg.LinAlgError:

@@ -1,7 +1,9 @@
 """Simplex solver against exhaustive vertex enumeration, scipy's HiGHS,
-hand cases and the scalar-read Bland kernel; the pivot loop (verified warm
-start, its restart, the shifted-cost restart and the guard-start dual
-simplex) against the cold solve and HiGHS."""
+hand cases and the scalar-read Bland kernel; the pivot loop over its start
+bases (a verified warm start, primal and dual pivots from it, clipped dual
+pivots from a basis that is neither primal nor dual feasible, the hand-over
+to the next start, its own infeasible and unbounded verdicts and its pivot
+budget) against the cold solve and HiGHS."""
 
 import numpy as np
 import pytest
@@ -38,16 +40,23 @@ def test_zero_objective_returns_a_vertex():
     assert np.allclose(np.abs(sol.point), 1.0, atol=1e-9)
 
 
-def test_infeasible_system():
+def test_infeasible_system(monkeypatch):
     # x <= -1 and x >= 1 in one dimension
     prob = lp.LpProblem(np.array([1.0]), np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]))
     assert lp.solve(prob).status == "infeasible"
+    # from the dual-feasible vertex x = 1 the violated row has no dual ratio: a dual ray
+    simplex_runs = counting_simplex(monkeypatch)
+    assert lp.solve(prob, starts=([1],)).status == "infeasible" and not simplex_runs
 
 
-def test_unbounded_direction():
+def test_unbounded_direction(monkeypatch):
     # minimize -x2 subject only to x1 <= 1
     prob = lp.LpProblem(np.array([0.0, -1.0]), np.array([[1.0, 0.0]]), np.array([1.0]))
     assert lp.solve(prob).status == "unbounded"
+    # with x2 >= 0 too, the edge from the vertex (1, 0) along +x2 meets no row: a primal ray
+    prob = lp.LpProblem(prob.c, np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([1.0, 0.0]))
+    simplex_runs = counting_simplex(monkeypatch)
+    assert lp.solve(prob, starts=([0, 1],)).status == "unbounded" and not simplex_runs
 
 
 def test_enumerate_box_vertices():
@@ -131,7 +140,7 @@ def test_warm_start_from_cold_basis_matches_cold(d, extra_rows, seed):
     p = random_bounded_polytope(rng, d, 2 * d + extra_rows)
     prob = lp.LpProblem(rng.normal(0.0, 1.0, d), p.A, p.b)
     cold = lp.solve(prob)
-    warm = lp.solve(prob, basis=cold.active_set)
+    warm = lp.solve(prob, starts=(cold.active_set,))
     assert cold.status == warm.status == "optimal"
     assert np.abs(warm.point - cold.point).max() <= 1e-12
     assert abs(prob.c @ warm.point - prob.c @ cold.point) <= 1e-12
@@ -145,7 +154,7 @@ def test_verified_basis_skips_the_simplex(monkeypatch):
         raise AssertionError("simplex called for a verified basis")
 
     monkeypatch.setattr(lp, "_simplex", no_simplex)
-    warm = lp.solve(box_problem([-2.0, -0.5]), basis=cold.active_set)
+    warm = lp.solve(box_problem([-2.0, -0.5]), starts=(cold.active_set,))
     assert np.array_equal(warm.point, cold.point) and warm.active_set == cold.active_set
 
 
@@ -165,44 +174,86 @@ def counting_simplex(monkeypatch):
     return runs
 
 
+def corner(c):
+    """The start of the unit box of R^2 (rows x1 <= 1, -x1 <= 1, x2 <= 1,
+    -x2 <= 1) at the corner against the sign of c, as `_guard_start` picks
+    it: every multiplier there is |c_i| >= 0."""
+    return [2 * i + (c_i >= 0.0) for i, c_i in enumerate(c)]
+
+
 @pytest.mark.parametrize(
     "c, extra_row, basis",
     [
         ([-2.0, -0.5], None, [1, 3]),  # feasible vertex, negative multipliers: two primal pivots
         ([-2.0, -0.5], ([1.0, 1.0], 1.5), [0, 2]),  # positive multipliers, vertex cut off: one dual pivot
-        ([2.0, -0.5], ([1.0, 1.0], 1.5), [0, 2]),  # vertex cut off and a negative multiplier: shifted cost
+        ([2.0, -0.5], ([1.0, 1.0], 1.5), [0, 2]),  # vertex cut off and a negative multiplier: clipped dual pivots
     ],
     ids=["wrong", "infeasible-vertex", "neither"],
 )
 def test_rejected_basis_restarts_to_the_cold_vertex(c, extra_row, basis, monkeypatch):
+    """A start pivots to the cold vertex on its own, without the simplex,
+    whether it is primal feasible, dual feasible or neither."""
     prob = with_row(c, extra_row)
     cold = lp.solve(prob)
     simplex_runs = counting_simplex(monkeypatch)
-    warm = lp.solve(prob, basis=basis)
+    warm = lp.solve(prob, starts=(basis,))
     assert not simplex_runs
     assert warm.status == cold.status == "optimal"
     assert np.array_equal(warm.point, cold.point) and warm.active_set == cold.active_set
 
 
 @pytest.mark.parametrize(
-    "c, extra_row, basis",
+    "c, extra_row, basis, tied",
     [
-        ([-2.0, -0.5], None, [0, 1]),  # parallel rows: singular
-        ([-2.0, -0.5], None, [0]),  # too few rows
-        ([-1.0, 0.0], None, [0, 2]),  # zero multiplier: optimal face is an edge
-        ([-2.0, -0.5], ([1.0, 1.0], 2.0), [0, 2]),  # a third row through the vertex: degenerate
-        ([-1.0, -5e-10], ([1.0, 1e-9], 1.0 + 3e-10), [0, 4]),  # nearly parallel rows: condition ~4e9
+        ([-2.0, -0.5], None, [0, 1], False),  # parallel rows: singular
+        ([-2.0, -0.5], None, [0], False),  # too few rows
+        ([-1.0, 0.0], None, [0, 2], True),  # zero multiplier: optimal face is an edge
+        ([-2.0, -0.5], ([1.0, 1.0], 2.0), [0, 2], True),  # a third row through the vertex: degenerate
+        ([-1.0, -5e-10], ([1.0, 1e-9], 1.0 + 3e-10), [0, 4], True),  # nearly parallel rows: condition ~4e9
     ],
     ids=["singular", "short", "zero-multiplier", "degenerate", "ill-conditioned"],
 )
-def test_rejected_basis_falls_back_to_cold(c, extra_row, basis, monkeypatch):
+def test_rejected_basis_falls_back_to_cold(c, extra_row, basis, tied, monkeypatch):
+    """A start with no vertex hands over to the next one, the corner, which
+    verifies without the simplex. Only an optimum the loop cannot prove
+    unique, tied or too ill-conditioned to verify, reaches the simplex."""
     prob = with_row(c, extra_row)
     cold = lp.solve(prob)
     simplex_runs = counting_simplex(monkeypatch)
-    warm = lp.solve(prob, basis=basis)
-    assert simplex_runs  # the basis was rejected
+    warm = lp.solve(prob, starts=(basis, corner(c)))
+    assert len(simplex_runs) == tied
     assert warm.status == cold.status == "optimal"
     assert np.array_equal(warm.point, cold.point) and warm.active_set == cold.active_set
+
+
+def test_each_start_has_its_own_pivot_budget(monkeypatch):
+    """A start before the last has one pivot per row and then hands over to
+    the next; the last start has MAX_PIVOTS, and once out of them raises
+    PivotLimitError. The LP is a guarded one whose random start needs more
+    pivots than rows."""
+    rng = np.random.default_rng(13)
+    prob, m = random_guarded_lp(rng, int(rng.integers(8, 30)))
+    rows = prob.A.shape[0]
+    start = sorted(rng.choice(rows, size=prob.c.size, replace=False).tolist())
+    cold = lp.solve(prob)
+    events = []  # "terms" per fresh basis, "pivot" per rank-one update
+    terms, replace_row = lp._basis_terms, lp._replace_row
+    monkeypatch.setattr(lp, "_basis_terms", lambda *args: events.append("terms") or terms(*args))
+    monkeypatch.setattr(lp, "_replace_row", lambda *args: events.append("pivot") or replace_row(*args))
+    simplex_runs = counting_simplex(monkeypatch)
+    for starts in ((start,), (start, _guard_start(prob.c, m))):
+        events.clear()
+        sol = lp.solve(prob, starts)
+        assert not simplex_runs and sol.active_set == cold.active_set
+        assert np.abs(sol.point - cold.point).max() <= 1e-9 * max(1.0, np.abs(cold.point).max())
+        pivots = events[:events.index("terms", 1)].count("pivot")  # the first start's
+        if len(starts) == 1:
+            assert pivots > rows
+        else:
+            assert pivots == rows and events.count("terms") > 2  # then the guard start
+    monkeypatch.setattr(lp, "MAX_PIVOTS", rows)
+    with pytest.raises(lp.PivotLimitError):
+        lp.solve(prob, (start,))
 
 
 def random_lp(rng, d, extra_rows):
@@ -250,7 +301,7 @@ def test_restart_from_any_basis_lands_on_the_cold_vertex(d, extra_rows, seed):
     p = random_bounded_polytope(rng, d, 2 * d + extra_rows)
     prob = lp.LpProblem(rng.normal(0.0, 1.0, d), p.A, p.b)
     cold = lp.solve(prob)
-    warm = lp.solve(prob, basis=sorted(rng.choice(p.m, size=d, replace=False).tolist()))
+    warm = lp.solve(prob, starts=(sorted(rng.choice(p.m, size=d, replace=False).tolist()),))
     assert warm.status == cold.status == "optimal"
     assert warm.active_set == cold.active_set
     assert np.abs(warm.point - cold.point).max() <= 1e-12
@@ -325,7 +376,7 @@ def test_verified_vertices_decides_each_lp_of_a_stack():
     c = np.array([-2.0, -0.5])
     points, ok = lp.verified_vertices(A, b, c, [0, 2])
     assert ok.tolist() == [True, False]
-    assert np.array_equal(points[0], lp.solve(lp.LpProblem(c, A[0], b[0]), basis=[0, 2]).point)
+    assert np.array_equal(points[0], lp.solve(lp.LpProblem(c, A[0], b[0]), starts=([0, 2],)).point)
 
 
 @pytest.mark.parametrize(
@@ -356,7 +407,7 @@ def test_overflowing_multiplier_scale_rejects_the_basis():
     prob = lp.LpProblem(np.array([-1e308, -1e308]), 0.5 * p.A, p.b)  # B^-1 = 2 I: the scale is 2e308
     with np.errstate(over="ignore", invalid="ignore"):
         assert not lp.verified_vertices(prob.A[None], prob.b[None], prob.c, [0, 2])[1][0]
-        assert lp._pivot_from(prob, [0, 2]) is None
+        assert lp._pivot_from(prob, ([0, 2],)) is None
 
 
 def random_guarded_lp(rng, d):
@@ -381,15 +432,21 @@ def random_guarded_lp(rng, d):
 
 
 def test_pivot_loop_matches_scipy_on_guarded_lps():
-    """Over 300 random guarded LPs, from a random d-subset of the rows and,
-    as a separate solve, from the guard start, a solve gives HiGHS's status;
-    on a vertex the pivot loop verified it gives HiGHS's objective within
-    1e-9 relative and the cold tableau's point and active set. The loop's
-    rank-one B^-1 matches a fresh inverse of its final basis within 1e-10
-    relative. Some random starts are neither primal nor dual feasible, and
-    most of those restart by the shifted cost to a verified vertex."""
+    """Over 300 random guarded LPs, from a random d-subset of the rows and then
+    the guard start, as a DFS solve starts, and, as a separate solve, from the
+    guard start alone, a solve gives HiGHS's status. The loop proves every
+    infeasible LP so by a dual ray, with no simplex. On a vertex the loop
+    verified, a solve gives HiGHS's objective within 1e-9 relative
+    and the cold tableau's point and active set, and the loop's rank-one
+    B^-1 matches a fresh inverse of its final basis within 1e-10 relative.
+    Most random starts that are neither primal nor dual feasible reach a
+    verdict on their own, by the clipped dual ratio test. Some random starts
+    give none (singular, or stopped at a vertex that does not verify), and
+    most of those restart from the guard start to a verdict."""
     optimize = pytest.importorskip("scipy.optimize")
-    shifted = []  # per random start that is neither feasible: whether the loop verified a vertex
+    neither = []  # per random start that is neither primal nor dual feasible: whether it gave a verdict alone
+    restarts = []  # per random start with no verdict of its own: whether the guard start gave one
+    infeasible = []  # per infeasible solve: whether the loop proved it
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
@@ -400,31 +457,38 @@ def test_pivot_loop_matches_scipy_on_guarded_lps():
         assert ref.status in (0, 2)
         cold = lp.solve(prob)
         assert cold.status == ("optimal" if ref.status == 0 else "infeasible")
-        random_start = sorted(rng.choice(prob.A.shape[0], size=d, replace=False).tolist())
-        for basis in (random_start, _guard_start(prob.c, m)):
-            updated, verified = [], []
+        random_start, guard = sorted(rng.choice(prob.A.shape[0], size=d, replace=False).tolist()), _guard_start(prob.c, m)
+        alone = lp._pivot_from(prob, (random_start,))
+        if neither_feasible(prob, random_start):
+            neither.append(alone is not None)
+        for starts in ((random_start, guard), (guard,)):
+            events, simplex_runs = [], []  # events: None per fresh basis, B^-1 per rank-one update
             with pytest.MonkeyPatch.context() as mp:
-                replace_row, descend = lp._replace_row, lp._pivot_from
-                mp.setattr(lp, "_replace_row", lambda *args: updated.append(replace_row(*args)) or updated[-1])
-                mp.setattr(lp, "_pivot_from", lambda p, start: updated.clear() or verified.append(descend(p, start)) or verified[-1])
-                sol = lp.solve(prob, basis)
-            assert len(verified) == 1
+                terms, replace_row, simplex = lp._basis_terms, lp._replace_row, lp._simplex
+                mp.setattr(lp, "_basis_terms", lambda *args: events.append(None) or terms(*args))
+                mp.setattr(lp, "_replace_row", lambda *args: events.append(replace_row(*args)) or events[-1])
+                mp.setattr(lp, "_simplex", lambda *args: simplex_runs.append(1) or simplex(*args))
+                sol = lp.solve(prob, starts)
             assert sol.status == cold.status
-            if basis is random_start and neither_feasible(prob, basis):
-                shifted.append(verified[0] is not None)
-            if verified[0] is not None:
-                assert abs(prob.c @ sol.point - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
-                assert sol.active_set == cold.active_set
-                assert np.abs(sol.point - cold.point).max() <= 1e-9 * max(1.0, np.abs(cold.point).max())
-                if updated:
-                    # the loop's columns follow its pivot order: match them to the sorted basis
-                    fresh = np.linalg.inv(prob.A[sol.active_set])
-                    order = np.argmax(np.abs(prob.A[sol.active_set] @ updated[-1]), axis=0)
-                    assert sorted(order.tolist()) == list(range(d))
-                    assert np.abs(updated[-1] - fresh[:, order]).max() <= 1e-10 * np.abs(fresh).max()
+            if alone is None and len(starts) == 2:
+                restarts.append(not simplex_runs)
+            if sol.status == "infeasible":
+                infeasible.append(not simplex_runs)
+            if simplex_runs or sol.status != "optimal":
+                continue
+            assert abs(prob.c @ sol.point - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+            assert sol.active_set == cold.active_set
+            assert np.abs(sol.point - cold.point).max() <= 1e-9 * max(1.0, np.abs(cold.point).max())
+            if len(events) > 1 and events[-2] is not None:  # the verified start pivoted: its last update
+                # the loop's columns follow its pivot order: match them to the sorted basis
+                fresh = np.linalg.inv(prob.A[sol.active_set])
+                order = np.argmax(np.abs(prob.A[sol.active_set] @ events[-2]), axis=0)
+                assert sorted(order.tolist()) == list(range(d))
+                assert np.abs(events[-2] - fresh[:, order]).max() <= 1e-10 * np.abs(fresh).max()
 
     check()
-    assert 2 * sum(shifted) > len(shifted) > 0
+    assert 2 * sum(neither) > len(neither) > 0 and 2 * sum(restarts) > len(restarts) > 0
+    assert all(infeasible) and infeasible
 
 
 def guarded_stack(rng, d, K):
@@ -474,7 +538,7 @@ def test_stack_verdicts_match_single_solves():
                 with pytest.MonkeyPatch.context() as mp:
                     for name in ("_replace_row", "_simplex"):
                         mp.setattr(lp, name, lambda *args, name=name, run=getattr(lp, name): calls.append(name) or run(*args))
-                    sol = lp.solve(lp.LpProblem(c, A[k], b[k]), basis)
+                    sol = lp.solve(lp.LpProblem(c, A[k], b[k]), (basis,))
                 first_try = (not calls and sol.active_set == sorted(basis)
                              and sol.point.tobytes() == points[k].tobytes())
                 assert first_try == verified[k], (basis, k, calls)

@@ -150,8 +150,8 @@ def test_lookahead_returns_the_next_calls_without_consuming(kind, sigma, monkeyp
     second peek reuses the kept noise, and the stream then reads on (a cross
     with multiplicity 5, then a chunked draw) exactly as without any peek.
     Peeking counts no out-of-reach event. Committing peeked calls leaves the
-    stream and the count where measuring them would, and a noisy commit past
-    the peek is refused."""
+    stream and the count where measuring them would, and a commit past the
+    peek is refused."""
     polytope = random_bounded_polytope(np.random.default_rng(1), 2, 6)
     points = np.vstack([cross_pattern(np.array([0.1, -0.2]), 0.01, 4).points, [[3.0, 0.0]]])  # last out of reach
     peeker = ConstraintOracle(polytope, NoiseModel(kind, sigma, 5), 0.01)
@@ -174,9 +174,31 @@ def test_lookahead_returns_the_next_calls_without_consuming(kind, sigma, monkeyp
         plain.measure_repeated(points, 1)
     assert peeker.out_of_reach_events == plain.out_of_reach_events == 8
     assert np.array_equal(peeker.measure_repeated(points, 1), plain.measure_repeated(points, 1))  # the kept fourth
-    if sigma > 0.0:
-        with pytest.raises(ValueError):  # nothing peeked is left to commit
-            peeker.commit(points, 1)
+    with pytest.raises(ValueError):  # nothing peeked is left to commit
+        peeker.commit(points, 1)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_commit_takes_only_peeked_calls(sigma):
+    """With or without noise, `commit` takes only calls that a lookahead at the
+    same points peeked at and no call has made since: a fresh oracle refuses
+    every count, a peek at other points does not count, and each measured
+    call uses up one peeked call. What it takes comes back as measured."""
+    cross = cross_pattern(np.zeros(2), 0.01, 4).points
+    o, plain = make_oracle(sigma=sigma, seed=3), make_oracle(sigma=sigma, seed=3)
+    for count in (1, 5):
+        with pytest.raises(ValueError, match="peeked at 0"):
+            o.commit(cross, count)
+    o.lookahead(cross + 0.1, 3)
+    with pytest.raises(ValueError, match="peeked at 0"):
+        o.commit(cross, 1)
+    o.lookahead(cross, 3)
+    assert np.array_equal(o.measure_repeated(cross, 1), plain.measure_repeated(cross, 1))
+    with pytest.raises(ValueError, match="peeked at 2"):
+        o.commit(cross, 3)
+    assert np.array_equal(o.commit(cross, 2), plain.measure_repeated(cross, 1) + plain.measure_repeated(cross, 1))
+    with pytest.raises(ValueError, match="peeked at 0"):
+        o.commit(cross, 1)
 
 
 def _signal_and_reach(points, count):

@@ -230,10 +230,10 @@ def test_committed_blocks_are_not_measured_again(monkeypatch):
 
 
 def test_dfs_restart_is_invisible_to_the_driver(monkeypatch):
-    """The DFS pivot loop (rank-one restarts from the previous basis, by a
-    shifted cost where that basis is neither primal nor dual feasible, and a
-    dual simplex from the guard vertex for the first solve) gives the
-    adaptive runs of the rule it replaced (a verified basis, else a cold
+    """The DFS pivot loop (rank-one restarts from the previous basis, then
+    from the guard vertex where that basis gives no verdict, and a dual
+    simplex from the guard vertex for the first solve) gives the adaptive
+    runs of the rule it replaced (a verified first start, else a cold
     solve): the same totals, per-row extras, statuses, DFS statuses and
     out-of-reach count, and every f within 1e-9, over 32 runs at d = 2 and 5
     with both noise kinds, while the simplex serves no DFS solve."""
@@ -241,11 +241,11 @@ def test_dfs_restart_is_invisible_to_the_driver(monkeypatch):
     simplex, solve = lp._simplex, lp.solve
     monkeypatch.setattr(lp, "_simplex", lambda *args: simplex_runs.append(1) or simplex(*args))
 
-    def verified_or_cold(p, basis=None):
-        if basis is not None:
-            x, ok = lp.verified_vertices(p.A[None], p.b[None], p.c, basis)
+    def verified_or_cold(p, starts=()):
+        if starts:
+            x, ok = lp.verified_vertices(p.A[None], p.b[None], p.c, starts[0])
             if ok[0]:
-                return lp.LpSolution(x[0], "optimal", sorted(basis))
+                return lp.LpSolution(x[0], "optimal", sorted(starts[0]))
         return solve(p)
 
     cfg = SfwConfig(epsilon=1e-6, variant="adaptive")
@@ -274,34 +274,47 @@ def test_dfs_restart_is_invisible_to_the_driver(monkeypatch):
 
 
 def test_every_warm_dfs_solve_starts_once_from_its_basis(monkeypatch):
-    """The first DFS solve of an adaptive run starts from the guard vertex;
-    every later one runs the pivot loop once, from the previous solve's
-    active set, even where that basis is neither primal nor dual feasible,
-    and no DFS solve reaches the simplex: on d = 5 box seeds and on the
-    adaptive-d20 config (d = 20, sigma = 0.01, 150,000 measurements)."""
-    solves, simplex_runs, neither = [], [], []
-    pivot_from, solve, simplex = lp._pivot_from, lp.solve, lp._simplex
+    """Each DFS solve enters `lp.solve` once. The first of an adaptive run
+    starts from the guard vertex; every later one starts from the previous
+    solve's active set and then the guard vertex, which takes over where
+    that basis is neither primal nor dual feasible. No DFS solve reaches the
+    simplex: on d = 5 box seeds and on the adaptive-d20 config (d = 20,
+    sigma = 0.01, 150,000 measurements)."""
+    solves, simplex_runs = [], []
+    solve, simplex = lp.solve, lp._simplex
     monkeypatch.setattr(lp, "_simplex", lambda *args: simplex_runs.append(1) or simplex(*args))
 
-    def traced_pivots(p, start):
-        solves[-1]["starts"].append(list(start))
-        neither.append(neither_feasible(p, start))
-        return pivot_from(p, start)
-
-    def traced(p, basis=None):
-        solves.append({"c": p.c, "m": p.A.shape[0] - 2 * p.c.size, "starts": []})
-        sol = solve(p, basis)
-        solves[-1]["active"] = sol.active_set
+    def traced(p, starts=()):
+        sol = solve(p, starts)
+        solves.append({"guard": _guard_start(p.c, p.A.shape[0] - 2 * p.c.size), "starts": [list(s) for s in starts],
+                       "neither": neither_feasible(p, starts[0]), "active": sol.active_set})
         return sol
 
-    monkeypatch.setattr(lp, "_pivot_from", traced_pivots)
     monkeypatch.setattr(lp, "solve", traced)
+    neither = []
     for d, sigma, budget, seeds in ((5, 0.015, 10_000_000, range(4)), (20, 0.01, 150_000, range(2))):
         for seed in seeds:
             solves.clear()
             _, setup, oracle, est, scfg = box_setup(d=d, sigma=sigma, seed=seed)
             run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-6, variant="adaptive", max_total_measurements=budget))
-            assert solves[0]["starts"] == [_guard_start(solves[0]["c"], solves[0]["m"])]
+            assert solves[0]["starts"] == [solves[0]["guard"]]
             for before, after in zip(solves, solves[1:]):
-                assert after["starts"] == [before["active"]], (d, seed)
+                assert after["starts"] == [before["active"], after["guard"]], (d, seed)
+            neither += [after["neither"] for after in solves[1:]]
     assert not simplex_runs and any(neither)
+
+
+def test_no_adaptive_dfs_solve_reaches_the_simplex_at_large_d(monkeypatch):
+    """On adaptive boxes at sigma = omega0 = 0.01, d = 40, 60 and 100, seeds
+    0-3, every DFS solve gets its verdict from the pivot loop: the simplex
+    runs for none. Each budget reaches, at every d, solves that need more
+    pivots than the LP has rows or start from a basis that is neither primal
+    nor dual feasible."""
+    simplex_runs = []
+    simplex = lp._simplex
+    monkeypatch.setattr(lp, "_simplex", lambda *args: simplex_runs.append(1) or simplex(*args))
+    for d, budget in ((40, 5_000), (60, 5_000), (100, 2_000)):
+        for seed in range(4):
+            _, setup, oracle, est, scfg = box_setup(d=d, sigma=0.01, seed=seed)
+            rec = run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-6, variant="adaptive", max_total_measurements=budget))
+            assert rec.status == "budget-exhausted" and not simplex_runs, (d, seed)
