@@ -265,14 +265,20 @@ def resolve(cfg: ExperimentConfig, variant: str | None = None) -> ResolvedExperi
         raise ConfigError("x0 must be strictly feasible")
     objective = Objective(x_prime, M)
     geometry = box_geometry_constants(d, half_width, x0) if is_box else geometry_constants(polytope, x0, found)
+    probe_scale = max(geometry.gamma0, 1.0) / min(cfg.omega0, 1.0)
+    # Past the bound, vertices closer than FEAS_TOL times their norm may have merged, so a
+    # refusal read from them (x0 optimal, omega0 past the diameter) gives the bound as its reason.
+    beyond_precision = ConfigError(f"the probe scale max(gamma0, 1) / min(omega0, 1) = {probe_scale:.6g} exceeds "
+                                   f"the precision bound {MAX_PROBE_SCALE:g}") if probe_scale > MAX_PROBE_SCALE else None
     f_star = objective.value(x_star)
     h0 = objective.value(x0) - f_star
     if not math.isfinite(h0):
         raise ConfigError("f(x0) - f* is not finite for this problem, x0 and objective.x_prime")
     if h0 <= 0:
-        raise ConfigError("x0 is already optimal; normalized curves are undefined")
+        raise beyond_precision or ConfigError("x0 is already optimal; normalized curves are undefined")
     if cfg.omega0 > geometry.gamma:
-        raise ConfigError(f"omega0 must not exceed the polytope's diameter {geometry.gamma:.6g}, got {cfg.omega0!r}")
+        raise beyond_precision or ConfigError(f"omega0 must not exceed the polytope's diameter {geometry.gamma:.6g}, "
+                                              f"got {cfg.omega0!r}")
     if not spans(cross_pattern(x0, cfg.omega0, 2 * d).points):
         raise ConfigError(f"omega0 {cfg.omega0!r} is too small for the probe cross at x0 to span R^{d + 1}")
 
@@ -313,10 +319,8 @@ def resolve(cfg: ExperimentConfig, variant: str | None = None) -> ResolvedExperi
         raise ConfigError(f"ro_total_measurements must be at least 2(d+1) = {2 * (d + 1)}")
     if cfg.max_total_measurements < 2 * d:
         raise ConfigError(f"max_total_measurements must cover one cross, 2d = {2 * d}")
-    probe_scale = max(geometry.gamma0, 1.0) / min(cfg.omega0, 1.0)
-    if probe_scale > MAX_PROBE_SCALE:
-        raise ConfigError(f"the probe scale max(gamma0, 1) / min(omega0, 1) = {probe_scale:.6g} exceeds the "
-                          f"precision bound {MAX_PROBE_SCALE:g}")
+    if beyond_precision:
+        raise beyond_precision
     total = prescribed_values(scfg.cn, cfg.T, d, polytope.m) if variant == "prescribed" else 0.0
     if total > MAX_PRESCRIBED_VALUES:
         raise ConfigError(f"the prescribed schedule measures {total:.6g} values (measurements times constraints), "

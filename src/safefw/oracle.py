@@ -2,9 +2,14 @@
 probe pattern (2d points at x +/- omega0 e_i).
 
 `measure_repeated` takes one point or a stack of points, so a whole cross is
-measured in one call. A stack draws its noise as one (n, count, m) array when
-that fits the draw chunk, which reads the generator in the same order as
-per-point calls and returns the same sums bit for bit. `lookahead` peeks at
+measured in one call. The noise is written in place into one buffer of about
+_PIECE values per oracle, never into a temporary of the call's size. A stack
+whose noise fits it is drawn at once as (n, count, m); a larger call streams
+each point's noise through it a piece at a time, the running sum carried as
+the piece's first row. Either way each point's rows are added in stream
+order, from zero in blocks of _DRAW_CHUNK // m rows, so a stack returns the
+sums of per-point calls bit for bit (and, for m >= 2, the sums of whole draws
+added with .sum). `lookahead` peeks at
 future calls; their noise waits in a buffer that every later draw reads first.
 `commit` then takes the first peeked calls, and no others, as made: it
 consumes their noise, counts their out-of-reach events and returns their
@@ -16,7 +21,6 @@ at one probe cross read them instead of recomputing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +28,11 @@ import numpy as np
 from .problem import FEAS_TOL, Polytope
 
 NOISE_KINDS = ("gaussian", "bounded-uniform")
-_DRAW_CHUNK = 4_000_000  # bounds per-call memory for huge multiplicities
+# The summation block: each point's noise is summed in blocks of
+# _DRAW_CHUNK // m rows, each from zero, then added to the point's sum. Memory
+# is bounded by _PIECE; this boundary sets the rounding of the sums.
+_DRAW_CHUNK = 4_000_000
+_PIECE = 1 << 16  # values in the noise buffer, which bounds per-call memory
 
 
 @dataclass
@@ -86,6 +94,7 @@ class ConstraintOracle:
         self.omega0 = float(omega0)
         self._rng = np.random.default_rng(noise.seed)
         self._pushback = np.empty(0)  # variates peeked at, not yet consumed
+        self._buf = np.empty((max(2, _PIECE // self.m), self.m))  # the pieces of a streamed noise sum
         self._last: tuple | None = None  # ((shape, bytes) of the last stack, its signal, its reach count)
         self._peeked = 0  # calls at the last stack that a lookahead peeked at and none has made yet
         self.out_of_reach_events = 0
@@ -94,20 +103,39 @@ class ConstraintOracle:
     def m(self) -> int:
         return self._A.shape[0]
 
-    def _fresh(self, size: int) -> np.ndarray:
+    def _fill(self, out: np.ndarray) -> None:
+        """Write the next variates of the stream into the 1-D array `out` in
+        place, the pushback buffer first: sigma times a standard normal, or
+        low plus (high - low) times a standard uniform, the arithmetic of
+        `normal(0, sigma)` and `uniform(-sigma, sigma)`, bit for bit."""
+        k = min(self._pushback.size, out.size)
+        out[:k], self._pushback = self._pushback[:k], self._pushback[k:]
+        fresh, sigma = out[k:], self.noise.sigma
         if self.noise.kind == "gaussian":
-            return self._rng.normal(0.0, self.noise.sigma, size=size)
-        return self._rng.uniform(-self.noise.sigma, self.noise.sigma, size=size)
+            self._rng.standard_normal(out=fresh)
+            fresh *= sigma
+        else:
+            self._rng.random(out=fresh)
+            fresh *= sigma - -sigma
+            fresh += -sigma
 
-    def _draw(self, shape) -> np.ndarray:
-        """The next variates of the stream, the pushback buffer first."""
-        size = math.prod(shape)
-        if self._pushback.size == 0:
-            return self._fresh(size).reshape(shape)
-        head, self._pushback = self._pushback[:size], self._pushback[size:]
-        if head.size < size:
-            head = np.concatenate([head, self._fresh(size - head.size)])
-        return head.reshape(shape)
+    def _noise_sum(self, rows: int) -> np.ndarray:
+        """The next `rows` rows of m variates summed row after row from zero,
+        streamed through the piece buffer: each piece after the first starts
+        with the running sum as its row 0, and einsum adds the rows of a piece
+        in order, as .sum(axis=0) does for m >= 2. The first piece carries no
+        row, so rows that fit one piece are summed as a one-piece stack is,
+        at every m."""
+        buf = self._buf
+        k = min(rows, buf.shape[0])
+        self._fill(buf[:k].reshape(-1))
+        total = np.einsum("km->m", buf[:k])
+        while (rows := rows - k) > 0:
+            k = min(rows, buf.shape[0] - 1)
+            buf[0] = total
+            self._fill(buf[1 : k + 1].reshape(-1))
+            total = np.einsum("km->m", buf[: k + 1])
+        return total
 
     def _stack(self, points: np.ndarray) -> tuple[np.ndarray, int]:
         """The signal A x - b (n, m) at each point of the stack and its number of
@@ -132,7 +160,9 @@ class ConstraintOracle:
             return np.broadcast_to(values, (count,) + values.shape).copy()
         size = count * values.size
         if self._pushback.size < size:
-            self._pushback = np.concatenate([self._pushback, self._fresh(size - self._pushback.size)])
+            grown = np.empty(size)
+            self._fill(grown)  # the whole buffer, then fresh variates
+            self._pushback = grown
         return values + self._pushback[:size].reshape((count,) + values.shape)
 
     def commit(self, points: np.ndarray, count: int) -> np.ndarray:
@@ -145,7 +175,7 @@ class ConstraintOracle:
         values, reach = self._stack(points)
         if not 1 <= count <= self._peeked:
             raise ValueError(f"cannot commit {count} calls: a lookahead at these points peeked at {self._peeked}")
-        sums = self.lookahead(points, count).sum(axis=0)  # the buffer holds them (none without noise): nothing is drawn
+        sums = np.einsum("kij->ij", self.lookahead(points, count))  # the buffer holds them (none without noise): nothing is drawn
         self._pushback, self._peeked = self._pushback[count * values.size:], self._peeked - count
         self.out_of_reach_events += count * reach
         return sums
@@ -165,13 +195,14 @@ class ConstraintOracle:
         total = count * values
         if self.noise.sigma > 0.0:
             n, m = total.shape
-            if n * count * m <= _DRAW_CHUNK:
-                total += self._draw((n, count, m)).sum(axis=1)
+            block = max(1, _DRAW_CHUNK // m)
+            if count <= block and n * count * m <= self._buf.size:  # one piece: the whole stack's noise at once
+                noise = self._buf.reshape(-1)[: n * count * m]
+                self._fill(noise)
+                noise = noise.reshape(n, count, m)
+                total += noise[:, 0] if count == 1 else np.einsum("ncm->nm", noise)
             else:
                 for row in total:
-                    remaining = count
-                    while remaining > 0:
-                        block = min(remaining, max(1, _DRAW_CHUNK // m))
-                        row += self._draw((block, m)).sum(axis=0)
-                        remaining -= block
+                    for done in range(0, count, block):
+                        row += self._noise_sum(min(block, count - done))
         return total if np.ndim(x) == 2 else total[0]

@@ -761,6 +761,18 @@ def test_probe_scale_is_refused_or_run_safely(half_width):
         resolve(cfg)
 
 
+def test_far_narrow_polytope_is_refused_by_the_precision_bound():
+    """The box [1e8, 1e8 + 0.01]^2 reads as one point at its own scale (its
+    corners merge within FEAS_TOL * 1.4e8, a diameter of 0). Past the
+    precision bound a refusal read from merged vertices gives the bound as
+    its reason, not the diameter."""
+    lo, hi = 1e8, 1e8 + 0.01
+    cfg = ExperimentConfig(problem={"type": "polytope", "A": [[1, 0], [-1, 0], [0, 1], [0, -1]], "b": [hi, -lo, hi, -lo]},
+                           x0=[(lo + hi) / 2] * 2, objective={"type": "quadratic", "x_prime": [0.0, 0.0]}, omega0=0.001)
+    with pytest.raises(ConfigError, match=r"^the probe scale .* = 1\.41421e\+11 exceeds the precision bound 200000$"):
+        resolve(cfg)
+
+
 def test_probe_scale_just_under_the_bound_runs_safely():
     """half_width 1414 at omega0 = 0.01 puts the probe scale just under
     MAX_PROBE_SCALE: seeds 0-7 complete with every iterate feasible."""

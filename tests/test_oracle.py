@@ -1,5 +1,7 @@
 """Noisy constraint oracle: exact values, noise statistics, probe pattern."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from safefw import oracle as oracle_mod
 from safefw.oracle import NOISE_KINDS, ConstraintOracle, NoiseModel, cross_pattern
 from safefw.problem import Polytope, box_polytope
 
-from helpers import random_bounded_polytope
+from helpers import WholeDrawOracle, random_bounded_polytope
 
 
 def make_oracle(sigma=0.0, seed=0, kind="gaussian", omega0=0.01, d=2):
@@ -239,3 +241,66 @@ def test_cached_signal_matches_a_fresh_oracle():
     peeked[:] = 7.0
     assert np.array_equal(o.lookahead(points, 3), np.stack([values] * 3))
     assert np.array_equal(o.measure_repeated(points[0], 1), values[0])
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+@pytest.mark.parametrize("m", [2, 3, 8])
+@pytest.mark.parametrize("piece,chunk", [(48, 240), (240, 48)])
+def test_streamed_noise_sums_equal_whole_draws_bit_for_bit(kind, m, piece, chunk, monkeypatch):
+    """The streamed kernel returns the sums of whole draws summed with .sum,
+    bit for bit: for one point and a stack of three, from an empty pushback
+    buffer and after a lookahead left some of it, and at counts below, at and
+    across both the rows of one piece and the rows of one _DRAW_CHUNK block
+    (both lowered here, each in turn the smaller); commits of peeked calls
+    agree too."""
+    monkeypatch.setattr(oracle_mod, "_PIECE", piece)
+    monkeypatch.setattr(oracle_mod, "_DRAW_CHUNK", chunk)
+    rows, block = max(2, piece // m), chunk // m  # of a piece, of a block
+    polytope = random_bounded_polytope(np.random.default_rng(m), 1, m)
+    stack = np.array([[0.1], [-0.2], [0.05]])
+    counts = sorted({1, 2, rows // 3, rows // 3 + 1, rows - 1, rows, rows + 1, 2 * rows + 1,
+                     block - 1, block, block + 1, 2 * block + rows + 1})
+    streamed = ConstraintOracle(polytope, NoiseModel(kind, 0.1, 7), 0.01)
+    whole = WholeDrawOracle(polytope, NoiseModel(kind, 0.1, 7), 0.01)
+    for count in counts:
+        for points in (stack[0], stack):
+            for peek in (0, 2):
+                if peek:
+                    assert streamed.lookahead(points, peek).tobytes() == whole.lookahead(points, peek).tobytes()
+                got, want = streamed.measure_repeated(points, count), whole.measure_repeated(points, count)
+                assert got.tobytes() == want.tobytes(), (count, points.shape, peek)
+        streamed.lookahead(stack, 4)
+        whole.lookahead(stack, 4)
+        assert streamed.commit(stack, 3).tobytes() == whole.commit(stack, 3).tobytes()
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+def test_one_constraint_stack_equals_per_point_calls(kind, monkeypatch):
+    """At m = 1 (a library-only case: a bounded polytope has m >= 2) einsum
+    adds a lane in another order than .sum, so only the stack's agreement
+    with per-point calls is pinned, across the piece and block sizes."""
+    monkeypatch.setattr(oracle_mod, "_PIECE", 24)
+    monkeypatch.setattr(oracle_mod, "_DRAW_CHUNK", 60)
+    polytope = Polytope(np.array([[1.0]]), np.array([1.0]))
+    points = np.array([[0.1], [-0.2], [0.3], [0.0]])
+    for count in (1, 2, 5, 6, 7, 23, 24, 25, 59, 60, 61, 150):
+        stacked = ConstraintOracle(polytope, NoiseModel(kind, 0.1, 2), 0.01)
+        single = ConstraintOracle(polytope, NoiseModel(kind, 0.1, 2), 0.01)
+        sums = stacked.measure_repeated(points, count)
+        assert sums.tobytes() == np.array([single.measure_repeated(x, count) for x in points]).tobytes(), count
+
+
+def test_large_count_memory_is_bounded():
+    """Two million measurements at each point of a d = 2 cross stream through
+    the oracle's buffer (about 0.5 MB, allocated with the oracle): the call
+    peaks below 2 MB, where a draw of each _DRAW_CHUNK block at once would
+    take 32 MB."""
+    cross = cross_pattern(np.zeros(2), 0.01, 4).points
+    o = ConstraintOracle(box_polytope(2), NoiseModel("gaussian", 0.1, 0), 0.01)
+    tracemalloc.start()
+    try:
+        sums = o.measure_repeated(cross, 2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000 and sums.shape == (4, 4)
