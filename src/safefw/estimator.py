@@ -60,11 +60,13 @@ def phi_inverse(d: int, delta_bar: float) -> float:
 
 @dataclass
 class Forecast:
-    """Estimates after k = 1..K more crosses: beta[k-1], and P_k = F diag(shrink[k-1]) F^T."""
+    """Estimates after k = 1..K more crosses: beta[k-1], and P_k = F diag(shrink[k-1]) F^T,
+    reached by absorbing sums[k-1], the first k crosses' values summed."""
 
     beta: np.ndarray    # (K, d+1, m)
     F: np.ndarray       # (d+1, d+1)
     shrink: np.ndarray  # (K, d+1), 1 / (1 + k mu)
+    sums: np.ndarray    # (K, n, m), the running sums of the crosses' values
 
     def quadratic(self, Z: np.ndarray) -> np.ndarray:
         """z_k^T P_k z_k for each row z_k of the (K, d+1) stack Z."""
@@ -202,15 +204,16 @@ class ConstraintEstimator:
     def forecast(self, points: np.ndarray, values: np.ndarray) -> Forecast:
         """The estimates after each of K crosses of single measurements `values`
         (K, n, m) at the points (n, d), not absorbed: the closed form at k = 1..K
-        more crosses with the running sums of `values`."""
+        more crosses with the running sums of `values`, which it keeps."""
         if self.P is None:
             raise ScatterSingularError("centered probe scatter is singular")
         a = self._anchor_on(np.asarray(points, dtype=float))
         k = a.k + np.arange(1, values.shape[0] + 1, dtype=float)
-        wsums = np.matmul(a.W, _running_sums(values))
+        sums = _running_sums(values)
+        wsums = np.matmul(a.W, sums)
         wsums += a.wsum
         beta, shrink = a.closed_form(k, wsums)
-        return Forecast(beta, a.F, shrink)
+        return Forecast(beta, a.F, shrink, sums)
 
     def _anchor_on(self, X: np.ndarray) -> _Anchor:
         """The anchor at the stack X (n, d): the current one if it holds these
@@ -278,4 +281,4 @@ def confidence_membership_arrays(
         scale = 1.0 + np.abs(beta_true).max(axis=0)
         return np.max(np.abs(diff), axis=0) <= FEAS_TOL * scale
     mahal = np.einsum("ki,kl,li->i", diff, xtx, diff) / (sigma * sigma)
-    return mahal <= phi * phi + 1e-12
+    return mahal <= phi * phi * (1.0 + FEAS_TOL)

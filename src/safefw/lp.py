@@ -5,17 +5,18 @@ primal pivots from a feasible vertex with a negative multiplier, dual pivots
 from an infeasible one, whose ratio test reads the multipliers clipped at
 zero, B^-1 kept by rank-one (product-form) updates. Its verdict is a vertex
 verified to be the unique optimum, or infeasibility or unboundedness proved
-by a ray; a start with no verdict hands over to the next. The DFS LP starts
-from the active set of a previous solve of a nearby LP, then from its guard
-vertex, which is dual feasible. A solve with no start or no verdict (a tied
-or ill-conditioned optimum) goes to the two-phase primal simplex on the
-split-variable standard form (x = u - v plus slacks), whose Bland's rule
-keeps it from cycling and picks among tied optima the vertex that RO's
-`Tableau` picks and zero-noise runs expect; at the optimum it pivots each
-nonbasic free variable in, so a bounded optimum ends at a vertex. A
-cutting-plane loop grows one LP a row at a time in a `Tableau`, whose solves
-replay the recorded pivots of the one before and give what that simplex
-gives on the grown LP, bit for bit.
+by a ray; a start with no verdict hands over to the next. One rule,
+`_verdicts`, verifies a vertex, for one LP and for each LP of a stack
+(`verified_vertices`). The DFS LP starts from the active set of a previous
+solve of a nearby LP, then from its guard vertex, which is dual feasible. A
+solve with no start or no verdict (a tied or ill-conditioned optimum) goes
+to the two-phase primal simplex on the split-variable standard form (x = u -
+v plus slacks), whose Bland's rule keeps it from cycling and picks among
+tied optima the vertex that RO's `Tableau` picks and zero-noise runs expect;
+at the optimum it pivots each nonbasic free variable in, so a bounded
+optimum ends at a vertex. A cutting-plane loop grows one LP a row at a time
+in a `Tableau`, whose solves replay the recorded pivots of the one before
+and give what that simplex gives on the grown LP, bit for bit.
 """
 
 from __future__ import annotations
@@ -169,43 +170,37 @@ def _sizes(B: np.ndarray, B_inv: np.ndarray, c: np.ndarray):
     return cond, largest(add(abs_inv, axis=-2), axis=-1) * largest(np.abs(c))
 
 
-def _verified(terms, rows: np.ndarray, c: np.ndarray) -> bool:
-    """Whether the vertex of one LP's `_basis_terms` is provably the unique
-    optimum: the rules of `verified_vertices` at band 0, decided one at a
-    time on scalars, the cheapest first."""
+def _verdicts(terms, rows: np.ndarray, c: np.ndarray, band: float = 0.0):
+    """Whether the vertex of `_basis_terms` at the basis rows, for one LP or
+    for each LP of a stack, is provably the unique optimum: the basis system
+    is well conditioned (the infinity-norm condition number is at most
+    MAX_COND; others go to the simplex), every multiplier is positive, and
+    exactly the basis rows are active at a feasible vertex. A positive `band`
+    tightens each test by that share of the size of the terms compared; at
+    band 0 the multiplier rule still fails where their size overflows."""
     B, B_inv, _, multipliers, resid, scale = terms
-    least, tol = multipliers[multipliers.argmin()], ACTIVE_TOL * scale  # argmin finds a NaN as min() does, faster
-    if not (least > COST_TOL and np.count_nonzero(resid > tol) == resid.size - rows.size
-            and np.count_nonzero(resid[rows] <= tol[rows]) == rows.size):  # exactly the basis rows are active
-        return False
-    cond, multiplier_scale = _sizes(B, B_inv, c)
-    return bool(cond <= MAX_COND and least > COST_TOL + 0.0 * multiplier_scale)  # fails where the scale overflows
+    active = resid <= (ACTIVE_TOL - band) * scale
+    inactive = resid > (ACTIVE_TOL + band) * scale  # a row between the two is neither
+    every, count = np.logical_and.reduce, np.add.reduce  # what all() and sum() run, without their Python wrappers
+    ok = every(active.take(rows, axis=-1), axis=-1) & (count(inactive, axis=-1) == resid.shape[-1] - rows.size)
+    if np.count_nonzero(ok):  # the sizes only where some vertex is feasible with exactly the basis rows active
+        cond, multiplier_scale = _sizes(B, B_inv, c)
+        least = np.minimum.reduce(multipliers, axis=-1)  # NaN where any multiplier is, which fails the test
+        ok = ok & (cond * (1.0 + band) <= MAX_COND) & (least > COST_TOL + band * multiplier_scale)
+    return ok
 
 
 def verified_vertices(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int], band: float = 0.0):
     """For a stack of LPs min <c, x> over A[k] x <= b[k], the vertex of `basis`
-    in each (K, d) and whether it is provably the unique optimum (K,): the
-    basis has d rows, its system is nonsingular and well conditioned (the
-    infinity-norm condition number is at most MAX_COND; others go to the simplex),
-    every multiplier is positive, and exactly the basis rows are active at a
-    feasible vertex. A positive `band` tightens each test by that share of
-    the size of the terms compared.
-    """
+    in each (K, d) and its `_verdicts` (K,); a singular basis system verifies
+    none."""
     K, _, d = A.shape
     rows = np.asarray(basis, dtype=np.intp)
     try:
-        B, B_inv, x, multipliers, resid, scale = _basis_terms(A, b, c, rows, np.abs(A), 1.0 + np.abs(b))
+        terms = _basis_terms(A, b, c, rows, np.abs(A), 1.0 + np.abs(b))
     except np.linalg.LinAlgError:
         return np.full((K, d), math.nan), np.zeros(K, dtype=bool)
-    cond, multiplier_scale = _sizes(B, B_inv, c)
-    active = resid <= (ACTIVE_TOL - band) * scale
-    inactive = resid > (ACTIVE_TOL + band) * scale  # a row between the two is neither
-    return x, (
-        (cond * (1.0 + band) <= MAX_COND)
-        & (multipliers > COST_TOL + band * multiplier_scale[:, None]).all(axis=-1)
-        & active[:, rows].all(axis=-1)
-        & (inactive.sum(axis=-1) == A.shape[-2] - rows.size)
-    )
+    return terms[2], _verdicts(terms, rows, c, band)
 
 
 def _replace_row(B_inv: np.ndarray, pos: int, shift: np.ndarray) -> np.ndarray:
@@ -299,7 +294,7 @@ def _pivot_from(p: LpProblem, starts) -> LpSolution | None:
                 terms = _basis_terms(A, b, c, basis, abs_A, scale_b)
             except np.linalg.LinAlgError:
                 continue
-        if _verified(terms, basis, c):
+        if _verdicts(terms, basis, c):
             return LpSolution(terms[2], "optimal", basis.tolist())
     return None
 

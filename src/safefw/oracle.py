@@ -7,16 +7,16 @@ _PIECE values per oracle, never into a temporary of the call's size. A stack
 whose noise fits it is drawn at once as (n, count, m); a larger call streams
 each point's noise through it a piece at a time, the running sum carried as
 the piece's first row. Either way each point's rows are added in stream
-order, from zero in blocks of _DRAW_CHUNK // m rows, so a stack returns the
-sums of per-point calls bit for bit (and, for m >= 2, the sums of whole draws
-added with .sum). `lookahead` peeks at
-future calls; their noise waits in a buffer that every later draw reads first.
-`commit` then takes the first peeked calls, and no others, as made: it
-consumes their noise, counts their out-of-reach events and returns their
-summed peeked values, so the stream and the count stand where the
-measurements would leave them. The signal A x - b and the out-of-reach count
-of a stack are computed once for the last stack seen, so the repeated passes
-at one probe cross read them instead of recomputing.
+order, from zero, whatever the count, so a stack returns the sums of
+per-point calls bit for bit (and, for m >= 2, the sum of each point's whole
+draw added with .sum). `lookahead` peeks at future calls; their noise waits
+in a buffer that every later draw reads first. `commit` then takes the first
+peeked calls, and no others, as made: it consumes their noise and counts
+their out-of-reach events, so the stream and the count stand where the
+measurements would leave them; their values are the ones peeked at. The
+signal A x - b and the out-of-reach count of a stack are computed once for
+the last stack seen, so the repeated passes at one probe cross read them
+instead of recomputing.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ import numpy as np
 from .problem import FEAS_TOL, Polytope
 
 NOISE_KINDS = ("gaussian", "bounded-uniform")
-# The summation block: each point's noise is summed in blocks of
-# _DRAW_CHUNK // m rows, each from zero, then added to the point's sum. Memory
-# is bounded by _PIECE; this boundary sets the rounding of the sums.
-_DRAW_CHUNK = 4_000_000
 _PIECE = 1 << 16  # values in the noise buffer, which bounds per-call memory
 
 
@@ -109,7 +105,8 @@ class ConstraintOracle:
         low plus (high - low) times a standard uniform, the arithmetic of
         `normal(0, sigma)` and `uniform(-sigma, sigma)`, bit for bit."""
         k = min(self._pushback.size, out.size)
-        out[:k], self._pushback = self._pushback[:k], self._pushback[k:]
+        if k:
+            out[:k], self._pushback = self._pushback[:k], self._pushback[k:]
         fresh, sigma = out[k:], self.noise.sigma
         if self.noise.kind == "gaussian":
             self._rng.standard_normal(out=fresh)
@@ -165,20 +162,17 @@ class ConstraintOracle:
             self._pushback = grown
         return values + self._pushback[:size].reshape((count,) + values.shape)
 
-    def commit(self, points: np.ndarray, count: int) -> np.ndarray:
+    def commit(self, points: np.ndarray, count: int) -> None:
         """Make the first `count` of the calls that `lookahead(points, K)` peeked
-        at, without measuring them again: their noise leaves the buffer, each
-        counts the stack's out-of-reach events, and their peeked values come
-        back summed (n, m), added call after call as the forecast's running
-        sums add them. A count that no lookahead at these points peeked at,
-        or that a call has made since, is refused, with or without noise."""
+        at, without measuring them again: their noise leaves the buffer and
+        each counts the stack's out-of-reach events. A count that no lookahead
+        at these points peeked at, or that a call has made since, is refused,
+        with or without noise."""
         values, reach = self._stack(points)
         if not 1 <= count <= self._peeked:
             raise ValueError(f"cannot commit {count} calls: a lookahead at these points peeked at {self._peeked}")
-        sums = np.einsum("kij->ij", self.lookahead(points, count))  # the buffer holds them (none without noise): nothing is drawn
         self._pushback, self._peeked = self._pushback[count * values.size:], self._peeked - count
         self.out_of_reach_events += count * reach
-        return sums
 
     def measure_repeated(self, x: np.ndarray, count: int) -> np.ndarray:
         """Componentwise sums of `count` independent measurements at x.
@@ -195,14 +189,12 @@ class ConstraintOracle:
         total = count * values
         if self.noise.sigma > 0.0:
             n, m = total.shape
-            block = max(1, _DRAW_CHUNK // m)
-            if count <= block and n * count * m <= self._buf.size:  # one piece: the whole stack's noise at once
+            if n * count * m <= self._buf.size:  # one piece: the whole stack's noise at once
                 noise = self._buf.reshape(-1)[: n * count * m]
                 self._fill(noise)
                 noise = noise.reshape(n, count, m)
                 total += noise[:, 0] if count == 1 else np.einsum("ncm->nm", noise)
             else:
                 for row in total:
-                    for done in range(0, count, block):
-                        row += self._noise_sum(min(block, count - done))
+                    row += self._noise_sum(count)
         return total if np.ndim(x) == 2 else total[0]

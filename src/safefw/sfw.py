@@ -286,9 +286,9 @@ class _Adaptive(_Estimated):
     active set), until the stepped candidate passes the scalar safety test.
     Once a basis has come back twice, the passes a lookahead shows would keep
     it and stay unsafe are committed as one block, not measured again, and
-    their summed peeked values absorbed in one call, as a pass absorbs its
-    cross; blocks double after one skipped whole. The row of an iterate
-    after x0 carries the verdict that certified it."""
+    the forecast's running sum of their peeked values absorbed in one call,
+    as a pass absorbs its cross; blocks double after one skipped whole. The
+    row of an iterate after x0 carries the verdict that certified it."""
 
     budget: int
     basis: list[int] | None = None
@@ -325,7 +325,9 @@ class _Adaptive(_Estimated):
                 ahead = est.forecast(cross, self.oracle.lookahead(cross, size))
                 count = _skippable_passes(ahead, self.scfg, guard, x, grad, gamma, self.basis)
                 block = min(2 * block, AHEAD_MAX) if count == size else max(AHEAD_MIN, 2 * count)
-                sums = self.oracle.commit(cross, count)
+                self.oracle.commit(cross, count)
+                sums = ahead.sums[count - 1].copy()
+                del ahead  # its arrays, up to 2^21 values each, go before the next pass allocates
             else:
                 sums = self.oracle.measure_repeated(cross, 1)
             est.absorb_repeated(cross, sums, count)

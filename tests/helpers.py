@@ -3,7 +3,7 @@ independent references: a vertex enumerator, a finite-difference gradient
 check, covariance norms, a solver for the cone-constrained linear
 subproblem, the adaptive driver that absorbs one cross per pass, the block
 absorb that a committed lookahead block must equal, the oracle that draws
-each block of noise whole and sums it with .sum, the estimator update that
+each point's noise whole and sums it with .sum, the estimator update that
 refactors P at every step, the simplex kernel that reads the tableau one
 numpy scalar at a time, and RO's cut loop with every cut LP solved cold."""
 
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from safefw import lp
-from safefw import oracle as oracle_mod
 from safefw.estimator import ConstraintEstimator
 from safefw.oracle import ConstraintOracle, NoiseModel, cross_pattern
 from safefw.problem import EnumerationCapError, Polytope, box_polytope, sweep
@@ -320,9 +319,8 @@ def absorb_crosses_reference(oracle, est, points, count):
 
 
 class WholeDrawOracle(ConstraintOracle):
-    """The oracle's noise path before the streamed kernel: each block of
-    _DRAW_CHUNK // m rows, or a whole stack when it fits _DRAW_CHUNK values,
-    is drawn into a new array with `normal(0, sigma)` or `uniform(-sigma,
+    """The oracle's noise path before the streamed kernel: each point's noise
+    is drawn whole into a new array with `normal(0, sigma)` or `uniform(-sigma,
     sigma)` and summed with .sum; a lookahead concatenates fresh draws to the
     pushback buffer. The streamed kernel must return its sums bit for bit."""
 
@@ -348,28 +346,13 @@ class WholeDrawOracle(ConstraintOracle):
             self._pushback = np.concatenate([self._pushback, self._fresh(size - self._pushback.size)])
         return values + self._pushback[:size].reshape((count,) + values.shape)
 
-    def commit(self, points, count):
-        values, reach = self._stack(points)
-        sums = self.lookahead(points, count).sum(axis=0)
-        self._pushback, self._peeked = self._pushback[count * values.size:], self._peeked - count
-        self.out_of_reach_events += count * reach
-        return sums
-
     def measure_repeated(self, x, count):
         values, reach = self._stack(x)
         self.out_of_reach_events += reach
         self._peeked = max(self._peeked - count, 0)
         total = count * values
-        n, m = total.shape
-        if n * count * m <= oracle_mod._DRAW_CHUNK:
-            total += self._draw((n, count, m)).sum(axis=1)
-        else:
-            for row in total:
-                remaining = count
-                while remaining > 0:
-                    block = min(remaining, max(1, oracle_mod._DRAW_CHUNK // m))
-                    row += self._draw((block, m)).sum(axis=0)
-                    remaining -= block
+        for row in total:
+            row += self._draw((count, total.shape[1])).sum(axis=0)
         return total if np.ndim(x) == 2 else total[0]
 
 

@@ -202,6 +202,17 @@ def test_membership_center_and_degenerate_radius():
     assert not confidence_membership_arrays(est.beta_hat, est.xtx(), 0.1, 0.0, beta).any()
 
 
+def test_membership_slack_is_relative_to_the_radius():
+    """A Mahalanobis distance r^2 (identity design, sigma 1) counts as inside
+    up to phi^2 (1 + FEAS_TOL): at phi = 2, r^2 = 4 (1 + 0.8e-9) is inside,
+    where an absolute slack of 1e-12 read it outside, and 4 (1 + 1.2e-9) is
+    outside."""
+    truth = np.zeros((2, 1))
+    for share, inside in ((0.4e-9, True), (0.6e-9, False)):
+        beta_hat = np.array([[2.0 * (1.0 + share)], [0.0]])
+        assert confidence_membership_arrays(beta_hat, np.eye(2), 1.0, 2.0, truth).tolist() == [inside]
+
+
 def test_membership_coverage():
     # Gaussian noise, fixed design, chisq radius: coverage is exact by construction
     rng = np.random.default_rng(123)
@@ -275,6 +286,23 @@ def test_forecast_matches_one_cross_at_a_time():
             oracle.commit(points, count)
 
 
+@pytest.mark.parametrize("d", [2, 20])
+def test_forecast_sums_are_the_calls_added_in_order(d):
+    """The forecast's running sum at k equals the values of k calls
+    measure_repeated(cross, 1) on a twin oracle added one after another, bit
+    for bit, on both sides of LOOP_SUM_MIN (d = 2 sums by cumsum, d = 20 by
+    the loop)."""
+    est, oracle = cross_fed_estimator(box_polytope(d), 0.1, 4, 0.01, [np.zeros(d)], [2 * d])
+    twin = copy.deepcopy(oracle)
+    points = cross_pattern(np.full(d, 0.2), 0.01, 2 * d).points
+    ahead = est.forecast(points, oracle.lookahead(points, 9))
+    total = twin.measure_repeated(points, 1)
+    assert ahead.sums.shape == (9, 2 * d, 2 * d)
+    for k in range(1, 10):
+        assert ahead.sums[k - 1].tobytes() == total.tobytes(), k
+        total = total + twin.measure_repeated(points, 1)
+
+
 def test_absorb_and_forecast_at_tiny_probe_radii():
     """300 designs, d = 1..20, probe radius omega0 from 1e-6 to 0.1, eight
     crosses at moving centres with counts up to 3e6: every absorb and every
@@ -292,8 +320,9 @@ def test_absorb_and_forecast_at_tiny_probe_radii():
 
 def test_one_factorization_follows_the_step_chain():
     """10,000 single crosses at one d = 2, sigma = 0.1 cross, with forecast
-    blocks of up to 64 crosses interleaved, each committed and its sums
-    absorbed in one call: the estimator, which factors
+    blocks of up to 64 crosses interleaved, each committed and the
+    forecast's running sum at its count absorbed in one call: the estimator,
+    which factors
     the cross once, keeps beta_hat and P within 1e-10 relative of the chain
     that refactors P at every step."""
     polytope = box_polytope(2)
@@ -312,7 +341,8 @@ def test_one_factorization_follows_the_step_chain():
         values = oracle.lookahead(points, K)
         count = int(rng.integers(1, K + 1))
         ahead = est.forecast(points, values)
-        est.absorb_repeated(points, oracle.commit(points, count), count)
+        oracle.commit(points, count)
+        est.absorb_repeated(points, ahead.sums[count - 1], count)
         assert np.array_equal(est.beta_hat, ahead.beta[count - 1])
         ref.absorb(points, values[:count].sum(axis=0), count)
     assert np.abs(est.beta_hat - ref.beta).max() <= 1e-10 * np.abs(ref.beta).max()

@@ -132,12 +132,13 @@ def test_noise_model_validation():
 @pytest.mark.parametrize("kind", NOISE_KINDS)
 def test_stacked_measure_matches_per_point_calls(kind, monkeypatch):
     """A stack of points returns the per-point sums bit for bit, from one
-    (n, count, m) draw below the chunk limit and from per-point chunked draws
-    above it (a count of 25 with the limit lowered to 40 draws 5 rows at a time)."""
+    (n, count, m) draw when the stack's noise fits the buffer and from
+    per-point streamed sums when it does not (a count of 25 with the buffer
+    lowered to 40 values streams 5 rows at a time)."""
     polytope = random_bounded_polytope(np.random.default_rng(0), 3, 8)
     points = cross_pattern(np.array([0.1, -0.2, 0.05]), 0.01, 6).points
-    for count, chunk in ((5, oracle_mod._DRAW_CHUNK), (25, 40)):
-        monkeypatch.setattr(oracle_mod, "_DRAW_CHUNK", chunk)
+    for count, piece in ((5, oracle_mod._PIECE), (25, 40)):
+        monkeypatch.setattr(oracle_mod, "_PIECE", piece)
         stacked = ConstraintOracle(polytope, NoiseModel(kind, 0.1, 11), 0.01)
         single = ConstraintOracle(polytope, NoiseModel(kind, 0.1, 11), 0.01)
         sums = stacked.measure_repeated(points, count)
@@ -147,13 +148,13 @@ def test_stacked_measure_matches_per_point_calls(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind,sigma", [("gaussian", 0.1), ("bounded-uniform", 0.1), ("gaussian", 0.0)])
-def test_lookahead_returns_the_next_calls_without_consuming(kind, sigma, monkeypatch):
+def test_lookahead_returns_the_next_calls_without_consuming(kind, sigma):
     """Peeked values equal the calls that follow bit for bit, an overlapping
     second peek reuses the kept noise, and the stream then reads on (a cross
-    with multiplicity 5, then a chunked draw) exactly as without any peek.
-    Peeking counts no out-of-reach event. Committing peeked calls leaves the
-    stream and the count where measuring them would, and a commit past the
-    peek is refused."""
+    with multiplicity 5, then a draw streamed through the buffer) exactly as
+    without any peek. Peeking counts no out-of-reach event. Committing peeked
+    calls leaves the stream and the count where measuring them would, and a
+    commit past the peek is refused."""
     polytope = random_bounded_polytope(np.random.default_rng(1), 2, 6)
     points = np.vstack([cross_pattern(np.array([0.1, -0.2]), 0.01, 4).points, [[3.0, 0.0]]])  # last out of reach
     peeker = ConstraintOracle(polytope, NoiseModel(kind, sigma, 5), 0.01)
@@ -166,8 +167,7 @@ def test_lookahead_returns_the_next_calls_without_consuming(kind, sigma, monkeyp
     again = peeker.lookahead(points, 6)
     assert np.array_equal(again[:4], ahead[3:]) and peeker.out_of_reach_events == 3
     assert np.array_equal(peeker.measure_repeated(points, 5), plain.measure_repeated(points, 5))
-    monkeypatch.setattr(oracle_mod, "_DRAW_CHUNK", 40)
-    assert np.array_equal(peeker.measure_repeated(points[:2], 25), plain.measure_repeated(points[:2], 25))
+    assert np.array_equal(peeker.measure_repeated(points[:2], 25_000), plain.measure_repeated(points[:2], 25_000))
     assert np.array_equal(peeker.measure_repeated(points, 1), plain.measure_repeated(points, 1))
     assert peeker.out_of_reach_events == plain.out_of_reach_events == 5
     peeker.lookahead(points, 4)
@@ -185,7 +185,8 @@ def test_commit_takes_only_peeked_calls(sigma):
     """With or without noise, `commit` takes only calls that a lookahead at the
     same points peeked at and no call has made since: a fresh oracle refuses
     every count, a peek at other points does not count, and each measured
-    call uses up one peeked call. What it takes comes back as measured."""
+    call uses up one peeked call. What it takes leaves the stream where
+    measuring those calls would, and nothing comes back."""
     cross = cross_pattern(np.zeros(2), 0.01, 4).points
     o, plain = make_oracle(sigma=sigma, seed=3), make_oracle(sigma=sigma, seed=3)
     for count in (1, 5):
@@ -198,9 +199,12 @@ def test_commit_takes_only_peeked_calls(sigma):
     assert np.array_equal(o.measure_repeated(cross, 1), plain.measure_repeated(cross, 1))
     with pytest.raises(ValueError, match="peeked at 2"):
         o.commit(cross, 3)
-    assert np.array_equal(o.commit(cross, 2), plain.measure_repeated(cross, 1) + plain.measure_repeated(cross, 1))
+    assert o.commit(cross, 2) is None
+    plain.measure_repeated(cross, 1)
+    plain.measure_repeated(cross, 1)
     with pytest.raises(ValueError, match="peeked at 0"):
         o.commit(cross, 1)
+    assert np.array_equal(o.measure_repeated(cross, 1), plain.measure_repeated(cross, 1))
 
 
 def _signal_and_reach(points, count):
@@ -245,42 +249,39 @@ def test_cached_signal_matches_a_fresh_oracle():
 
 @pytest.mark.parametrize("kind", NOISE_KINDS)
 @pytest.mark.parametrize("m", [2, 3, 8])
-@pytest.mark.parametrize("piece,chunk", [(48, 240), (240, 48)])
-def test_streamed_noise_sums_equal_whole_draws_bit_for_bit(kind, m, piece, chunk, monkeypatch):
-    """The streamed kernel returns the sums of whole draws summed with .sum,
-    bit for bit: for one point and a stack of three, from an empty pushback
-    buffer and after a lookahead left some of it, and at counts below, at and
-    across both the rows of one piece and the rows of one _DRAW_CHUNK block
-    (both lowered here, each in turn the smaller); commits of peeked calls
-    agree too."""
+@pytest.mark.parametrize("piece,pushback", [(48, 240), (240, 48)])
+def test_streamed_noise_sums_equal_whole_draws_bit_for_bit(kind, m, piece, pushback, monkeypatch):
+    """The streamed kernel returns the sum of each point's whole draw, summed
+    with .sum, bit for bit: for one point and a stack of three, from an empty
+    pushback buffer and after a lookahead left at least `pushback` values in
+    it (more than a piece holds, or fewer), and at counts below, at and
+    across the rows of one piece (lowered here); peeked calls agree, and
+    commits leave both streams alike."""
     monkeypatch.setattr(oracle_mod, "_PIECE", piece)
-    monkeypatch.setattr(oracle_mod, "_DRAW_CHUNK", chunk)
-    rows, block = max(2, piece // m), chunk // m  # of a piece, of a block
+    rows = max(2, piece // m)  # of a piece
     polytope = random_bounded_polytope(np.random.default_rng(m), 1, m)
     stack = np.array([[0.1], [-0.2], [0.05]])
-    counts = sorted({1, 2, rows // 3, rows // 3 + 1, rows - 1, rows, rows + 1, 2 * rows + 1,
-                     block - 1, block, block + 1, 2 * block + rows + 1})
+    counts = sorted({1, 2, rows // 3, rows // 3 + 1, rows - 1, rows, rows + 1, 2 * rows + 1, 5 * rows + 3})
     streamed = ConstraintOracle(polytope, NoiseModel(kind, 0.1, 7), 0.01)
     whole = WholeDrawOracle(polytope, NoiseModel(kind, 0.1, 7), 0.01)
     for count in counts:
         for points in (stack[0], stack):
-            for peek in (0, 2):
+            for peek in (0, -(-pushback // (points.size * m))):  # calls of points.size points (d = 1)
                 if peek:
                     assert streamed.lookahead(points, peek).tobytes() == whole.lookahead(points, peek).tobytes()
                 got, want = streamed.measure_repeated(points, count), whole.measure_repeated(points, count)
                 assert got.tobytes() == want.tobytes(), (count, points.shape, peek)
-        streamed.lookahead(stack, 4)
-        whole.lookahead(stack, 4)
-        assert streamed.commit(stack, 3).tobytes() == whole.commit(stack, 3).tobytes()
+        assert streamed.lookahead(stack, 4).tobytes() == whole.lookahead(stack, 4).tobytes()
+        streamed.commit(stack, 3)
+        whole.commit(stack, 3)
 
 
 @pytest.mark.parametrize("kind", NOISE_KINDS)
 def test_one_constraint_stack_equals_per_point_calls(kind, monkeypatch):
     """At m = 1 (a library-only case: a bounded polytope has m >= 2) einsum
     adds a lane in another order than .sum, so only the stack's agreement
-    with per-point calls is pinned, across the piece and block sizes."""
+    with per-point calls is pinned, across the piece size."""
     monkeypatch.setattr(oracle_mod, "_PIECE", 24)
-    monkeypatch.setattr(oracle_mod, "_DRAW_CHUNK", 60)
     polytope = Polytope(np.array([[1.0]]), np.array([1.0]))
     points = np.array([[0.1], [-0.2], [0.3], [0.0]])
     for count in (1, 2, 5, 6, 7, 23, 24, 25, 59, 60, 61, 150):
@@ -290,11 +291,23 @@ def test_one_constraint_stack_equals_per_point_calls(kind, monkeypatch):
         assert sums.tobytes() == np.array([single.measure_repeated(x, count) for x in points]).tobytes(), count
 
 
+def test_a_point_past_four_million_values_is_summed_in_one_order():
+    """150,000 measurements at one point of a d = 20 box (6,000,000 noise
+    values) return count (A x - b) plus the whole draw's .sum(axis=0), bit
+    for bit: the noise is added in stream order from zero, with no block
+    boundary however large the count."""
+    polytope, x, count = box_polytope(20), np.full(20, 0.1), 150_000
+    o = ConstraintOracle(polytope, NoiseModel("gaussian", 0.1, 4), 0.01)
+    noise = np.random.default_rng(4).normal(0.0, 0.1, (count, polytope.m)).sum(axis=0)
+    want = count * (polytope.A @ x - polytope.b) + noise
+    assert o.measure_repeated(x, count).tobytes() == want.tobytes()
+
+
 def test_large_count_memory_is_bounded():
     """Two million measurements at each point of a d = 2 cross stream through
     the oracle's buffer (about 0.5 MB, allocated with the oracle): the call
-    peaks below 2 MB, where a draw of each _DRAW_CHUNK block at once would
-    take 32 MB."""
+    peaks below 2 MB, where a whole draw of one point's 8,000,000 values
+    would take 64 MB."""
     cross = cross_pattern(np.zeros(2), 0.01, 4).points
     o = ConstraintOracle(box_polytope(2), NoiseModel("gaussian", 0.1, 0), 0.01)
     tracemalloc.start()

@@ -112,11 +112,11 @@ def test_fact2_matches_soc_lhs(est, phi, point):
 )
 @example(20, 0, "gaussian", 0.1, 7, 3, (28, 17))
 def test_commit_equals_block_absorb(d, cuts, kind, sigma, seed, warm, block):
-    """Absorbing the sums that committing the first `count` of K peeked
-    crosses returns lands on the forecast's beta and P at `count`, and leaves
-    the estimator (beta_hat, P, N, sum_x, sum_outer) and the oracle
-    (out-of-reach count and noise stream) bit for bit where measuring those
-    crosses and absorbing their summed values leaves them. The cross pokes
+    """Committing the first `count` of K peeked crosses and absorbing the
+    forecast's running sum at `count` lands on the forecast's beta and P
+    there, and leaves the estimator (beta_hat, P, N, sum_x, sum_outer) and
+    the oracle (out-of-reach count and noise stream) bit for bit where
+    measuring those crosses and absorbing their summed values leaves them. The cross pokes
     past facet 0 by more than omega0, so its reach events count; d = 20 runs
     the forecast's running sums on the loop side of LOOP_SUM_MIN; sigma = 0
     sums the broadcast signal."""
@@ -135,7 +135,8 @@ def test_commit_equals_block_absorb(d, cuts, kind, sigma, seed, warm, block):
 
     values = oracle.lookahead(points, K)
     ahead = est.forecast(points, values)
-    est.absorb_repeated(points, oracle.commit(points, count), count)
+    oracle.commit(points, count)
+    est.absorb_repeated(points, ahead.sums[count - 1], count)
     absorb_crosses_reference(ref_oracle, ref_est, points, count)
     assert np.array_equal(est.beta_hat, ahead.beta[count - 1])
     assert np.array_equal(est.P, (ahead.F * ahead.shrink[count - 1]) @ ahead.F.T)

@@ -219,7 +219,8 @@ def test_unsafe_ahead_leaves_ties_and_near_ties_to_the_loop():
     radius reads unsafe, an equal one safe (as in fact2_check), and a gap of
     1e-12 unsafe only without the band."""
     b = np.array([0.4, 0.5, 0.5 - 1e-12])
-    ahead = Forecast(beta=np.stack([[[1.0], [v]] for v in b]), F=np.eye(2), shrink=np.ones((3, 2)))  # d = 1, m = 1: a = 1, z^T P_k z = x^2 + 1
+    ahead = Forecast(beta=np.stack([[[1.0], [v]] for v in b]), F=np.eye(2), shrink=np.ones((3, 2)),
+                     sums=np.zeros((3, 2, 1)))  # d = 1, m = 1: a = 1, z^T P_k z = x^2 + 1; a cross of 2 points
     X = np.zeros((3, 1))
     assert unsafe_ahead(ahead, config(0.5), X, 0.0).tolist() == [True, False, True]
     assert unsafe_ahead(ahead, config(0.5), X, 1e-9).tolist() == [True, False, False]
