@@ -29,7 +29,7 @@ from .problem import (
     geometry_constants,
     sweep,
 )
-from .safety import SafetyConfig, cn_lower_bound, make_safety_config, nt_schedule
+from .safety import SafetyConfig, cn_lower_bound, make_safety_config, prescribed_count
 from .sfw import ProblemSetup, SfwConfig, TrajectoryRecord
 
 VARIANTS = ("prescribed", "adaptive", "ro", "fw-oracle")
@@ -339,10 +339,10 @@ def resolve(cfg: ExperimentConfig, variant: str | None = None) -> ResolvedExperi
 
 def prescribed_values(cn: float, T: int, d: int, m: int) -> float:
     """Values the prescribed schedule measures over T iterations: m for each of
-    its 2d ceil(max(n_t, 2d) / 2d) measurements at iteration t (a cross pattern
-    of n_t); inf when the schedule overflows."""
+    its 2d ceil(prescribed_count / 2d) measurements at iteration t (a cross
+    pattern of that count); inf when the schedule overflows."""
     try:
-        return float(m * sum(2 * d * -(-max(nt_schedule(cn, t), 2 * d) // (2 * d)) for t in range(T)))
+        return float(m * sum(2 * d * -(-prescribed_count(cn, t, d) // (2 * d)) for t in range(T)))
     except OverflowError:
         return math.inf
 

@@ -15,8 +15,9 @@ v plus slacks), whose Bland's rule keeps it from cycling and picks among
 tied optima the vertex that RO's `Tableau` picks and zero-noise runs expect;
 at the optimum it pivots each nonbasic free variable in, so a bounded
 optimum ends at a vertex. A cutting-plane loop grows one LP a row at a time
-in a `Tableau`, whose solves replay the recorded pivots of the one before
-and give what that simplex gives on the grown LP, bit for bit.
+in a `Tableau`, whose right-hand sides must be >= 0: its solves start from
+the all-slack basis, replay the recorded pivots of the one before and give
+what that simplex gives on the grown LP, bit for bit.
 """
 
 from __future__ import annotations
@@ -422,41 +423,37 @@ def _with_row(S: np.ndarray, r: np.ndarray, m: int) -> np.ndarray:
 class Tableau:
     """min <c, x> over A x <= b, grown a row at a time, for a cutting-plane loop.
 
-    `solve` gives what `solve(LpProblem(c, A, b))` gives for the rows so far,
-    bit for bit while the entries stay finite, but with no active set. Each
-    solve records its ratio tests (`_Step`). `add_row` reduces the new row
-    through them by the operations a cold solve applies to it, and
-    appends its state to each kept tableau (above the cost row, its slack
-    column before the rhs), up to the first step whose ratio test it would
-    win: scanned last, with the highest slack index, it wins only below the
-    step's running best by more than the RATIO_TIE band. The next solve resumes
-    Bland's rule from the tableau before that step, counting the steps
+    Every right-hand side must be >= 0, so that the simplex starts from the
+    all-slack basis with no phase 1; a negative one, here or in `add_row`,
+    raises ValueError. `solve` gives what `solve(LpProblem(c, A, b))` gives
+    for the rows so far, bit for bit while the entries stay finite, but with
+    no active set. Each solve records its ratio tests (`_Step`). `add_row`
+    reduces the new row through them by the operations a cold solve applies to
+    it, and appends its state to each kept tableau (above the cost row, its
+    slack column before the rhs), up to the first step whose ratio test it
+    would win: scanned last, with the highest slack index, it wins only below
+    the step's running best by more than the RATIO_TIE band. The next solve
+    resumes Bland's rule from the tableau before that step, counting the steps
     before it against MAX_PIVOTS; with no such step the last solution stands.
-    A tableau is kept before every other step, which halves the memory
-    (about 0.5 MB each at d = 10 and 200 cuts); the one before an odd step is
-    the one before it, pivoted once. A row with a negative right-hand side
-    needs phase 1: that solve and every later one are cold.
+    A tableau is kept before every other step, which halves the memory (about
+    0.5 MB each at d = 10 and 200 cuts); the one before an odd step is the one
+    before it, pivoted once.
     """
 
     def __init__(self, p: LpProblem):
+        if (p.b < 0.0).any():
+            raise ValueError("a Tableau needs every right-hand side >= 0")
         self.c = p.c
-        self._A, self._b = [p.A], [p.b]  # every row, for the cold solve
         self._rows = p.A.shape[0]
         self._solution: LpSolution | None = None
-        self._steps: list[_Step] | None = None  # None while every solve is cold
-        self._resume = None  # the tableau, basis and free variable the next solve resumes from
-        if not (p.b < -0.0).any():
-            self._steps = []
-            self._resume = *_feasible(p), None
+        self._steps: list[_Step] = []
+        self._resume = *_feasible(p), None  # the tableau, basis and free variable the next solve resumes from
 
     def add_row(self, a: np.ndarray, b: float) -> None:
-        """Add the row a x <= b."""
+        """Add the row a x <= b, where b >= 0."""
+        if b < 0.0:
+            raise ValueError(f"a Tableau row needs a right-hand side >= 0, got {b!r}")
         a = np.asarray(a, dtype=float)
-        self._A.append(a)
-        self._b.append(b)
-        if self._steps is None or b < -0.0:
-            self._steps = self._resume = None
-            return
         m = self._rows
         W = 2 * a.size + m + 1  # the width before
         r = _rows(a[None, :], b, m, W + 1)[0]
@@ -488,8 +485,6 @@ class Tableau:
 
     def solve(self) -> LpSolution:
         """The solution for the rows added so far, as `solve` gives it."""
-        if self._steps is None:
-            return solve(LpProblem(self.c, np.vstack(self._A), np.hstack(self._b)))
         if self._resume is not None:
             S, basis, free = self._resume
             self._resume = None

@@ -49,23 +49,23 @@ def soc_linmin(
     Starts from the LP relaxation over the estimated polytope (inside a guard
     box); each round adds the linearization of the most-violated cone
     constraint at the current LP solution as a row of one `lp.Tableau`, which
-    solves the grown LP from the previous round's pivots. Stops when the worst
-    violation is at most LINMIN_TOL. If the MAX_CUTS budget runs out, the
-    final LP point is pulled back toward the safe anchor by bisection and
-    flagged with warning=True.
+    solves the grown LP from the previous round's pivots. The LPs are in
+    y = s - anchor, for an anchor in the safety set (RO's x0), so every
+    right-hand side is >= 0 as the Tableau requires: a cut supports the
+    convex set and holds at the anchor (one that rounding takes below 0 is
+    raised to 0). Stops when the worst violation is at most LINMIN_TOL. If
+    the MAX_CUTS budget runs out, the final LP point is pulled back toward the
+    anchor by bisection and flagged with warning=True.
     """
     if est.P is None:
         raise ValueError("design does not yet span R^(d+1)")
     c = np.asarray(c, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
     d = est.d
-    tableau = lp.Tableau(dfs_problem(est, c, guard))
-    point = anchor.copy()
+    relaxation = dfs_problem(est, c, guard)
+    tableau = lp.Tableau(lp.LpProblem(c, relaxation.A, relaxation.b - relaxation.A @ anchor))
     for cut in range(MAX_CUTS + 1):
-        sol = tableau.solve()
-        if sol.status != "optimal":
-            return SocLinminResult(anchor.copy(), cut, True)
-        point = sol.point
+        point = tableau.solve().point + anchor  # the guard box bounds the LP and y = 0 is feasible
         pz, norm = cone_terms(est, point)  # P z and its norm, for both the test and the cut
         violations = cfg.phi_delta * norm - margins(est, point)  # soc_check's lhs - margins
         worst = int(np.argmax(violations))
@@ -77,12 +77,8 @@ def soc_linmin(
             break  # cone term vanished; nothing differentiable to cut on
         grad_norm = pz[:d] / norm
         a_cut = est.a_hat()[:, worst] + cfg.phi_delta * grad_norm
-        b_cut = (
-            est.b_hat()[worst]
-            - cfg.phi_delta * norm
-            + cfg.phi_delta * float(grad_norm @ point)
-        )
-        tableau.add_row(a_cut, b_cut)
+        b_cut = est.b_hat()[worst] - cfg.phi_delta * norm + cfg.phi_delta * float(grad_norm @ point)
+        tableau.add_row(a_cut, max(b_cut - float(a_cut @ anchor), 0.0))
     # cut budget exhausted: bisect back toward the known safe anchor
     lo, hi = 0.0, 1.0
     for _ in range(60):

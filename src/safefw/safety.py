@@ -130,3 +130,8 @@ def nt_schedule(cn: float, t: int) -> int:
         raise ValueError("cn must be non-negative")
     log_term = math.log(t + 2)
     return math.ceil(4.0 * cn * (t + 2) * log_term * log_term)
+
+
+def prescribed_count(cn: float, t: int, d: int) -> int:
+    """The prescribed variant's count at iteration t: n_t, but one cross (2d) at least."""
+    return max(nt_schedule(cn, t), 2 * d)

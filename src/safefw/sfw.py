@@ -19,7 +19,7 @@ from . import lp
 from .estimator import ConstraintEstimator
 from .oracle import ConstraintOracle, CrossPattern, cross_pattern
 from .problem import FEAS_TOL, GeometryConstants, Objective, Polytope
-from .safety import SafetyConfig, SafetyVerdict, c_delta_constant, fact2_check, nt_schedule, unsafe_ahead
+from .safety import SafetyConfig, SafetyVerdict, c_delta_constant, fact2_check, prescribed_count, unsafe_ahead
 
 VARIANTS = ("prescribed", "adaptive")
 
@@ -268,7 +268,7 @@ class _Prescribed(_Estimated):
 
     def step(self, t, row, grad, gamma, stop):
         x, d, guard = row.x, self.setup.d, self.setup.dfs_guard
-        _absorb_cross(self.oracle, self.est, x, self.scfg.omega0, max(nt_schedule(self.scfg.cn, t), 2 * d))
+        _absorb_cross(self.oracle, self.est, x, self.scfg.omega0, prescribed_count(self.scfg.cn, t, d))
         self.annotate(row)
         sol = solve_dfs(self.est, guard, grad)
         if sol.status != "optimal":

@@ -268,20 +268,19 @@ def soc_linmin_reference(est, cfg, c, anchor, radius=2.0):
 
 
 def soc_linmin_cold(est, cfg, c, guard, anchor):
-    """`ro.soc_linmin` with each cut LP stacked and solved cold by
-    `lp.solve`: the reference its growing tableau must follow bit for bit."""
+    """`ro.soc_linmin` with each cut LP, anchored at `anchor` as there, stacked
+    and solved cold by `lp.solve`: the reference its growing tableau must
+    follow bit for bit."""
     c = np.asarray(c, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
     d = est.d
     relaxation = dfs_problem(est, c, guard)
     rows = [relaxation.A]
-    rhs = [relaxation.b]
-    point = anchor.copy()
+    rhs = [relaxation.b - relaxation.A @ anchor]
     for cut in range(MAX_CUTS + 1):
         sol = lp.solve(lp.LpProblem(c, np.vstack(rows), np.concatenate(rhs)))
-        if sol.status != "optimal":
-            return SocLinminResult(anchor.copy(), cut, True)
-        point = sol.point
+        assert sol.status == "optimal"
+        point = sol.point + anchor
         pz, norm = cone_terms(est, point)
         violations = cfg.phi_delta * norm - margins(est, point)
         worst = int(np.argmax(violations))
@@ -290,8 +289,10 @@ def soc_linmin_cold(est, cfg, c, guard, anchor):
         if cut == MAX_CUTS or norm <= 0.0:
             break
         grad_norm = pz[:d] / norm
-        rows.append((est.a_hat()[:, worst] + cfg.phi_delta * grad_norm)[None, :])
-        rhs.append(np.array([est.b_hat()[worst] - cfg.phi_delta * norm + cfg.phi_delta * float(grad_norm @ point)]))
+        a_cut = est.a_hat()[:, worst] + cfg.phi_delta * grad_norm
+        rows.append(a_cut[None, :])
+        b_cut = est.b_hat()[worst] - cfg.phi_delta * norm + cfg.phi_delta * float(grad_norm @ point)
+        rhs.append(np.array([max(b_cut - float(a_cut @ anchor), 0.0)]))
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)

@@ -588,12 +588,12 @@ def grow_against_cold(c, A, b, rows, count=None):
     return tableau, solutions
 
 
-def cutter(rng, A, b, negative=0.0):
+def cutter(rng, A, b):
     """The rows a cutting-plane loop might add, as a function of the last
     solution: mostly a cut that separates its point from the inside (a x <= b
     with b > 0 just below a times that point); now and then a scaled copy of a row
     with its rhs moved by less than the 1e-12 tie band or just more, or a
-    random row; with probability `negative`, a row with a negative rhs."""
+    random row."""
     rows = [(a_i, b_i) for a_i, b_i in zip(A, b)]
 
     def next_row(sol):
@@ -610,8 +610,6 @@ def cutter(rng, A, b, negative=0.0):
             a = point + rng.normal(0.0, 0.3, point.size) * np.abs(point).max()
             a /= np.linalg.norm(a)
             row = a, float(a @ point) * rng.uniform(0.7, 0.999)
-        if rng.random() < negative:
-            row = row[0], -abs(row[1]) - 0.01
         rows.append(row)
         return row
 
@@ -624,14 +622,13 @@ def test_grown_tableau_matches_cold_solves(d, seed):
     """Each row added to an `lp.Tableau` replays the previous solve's pivots:
     at every step it gives the status and point bits of `lp.solve` on the
     stacked LP, over cuts of the last point, near-duplicate rows within the
-    tie band, sparse objectives, and now and then a row with a negative
-    right-hand side."""
+    tie band and sparse objectives."""
     rng = np.random.default_rng(seed)
     p = random_bounded_polytope(rng, d, 2 * d + int(rng.integers(0, 4)))
     c = rng.normal(0.0, 1.0, d)
     if rng.random() < 0.3:
         c[rng.random(d) < 0.5] = 0.0
-    grow_against_cold(c, p.A, p.b, cutter(rng, p.A, p.b, negative=0.02), count=12 if d == 10 else 20)
+    grow_against_cold(c, p.A, p.b, cutter(rng, p.A, p.b), count=12 if d == 10 else 20)
 
 
 @pytest.mark.parametrize("shift", [0.0, 5e-13, -5e-13, 1e-12, -2e-12, 2e-12])
@@ -664,14 +661,15 @@ def test_unbounded_lp_bounded_by_a_later_row():
     assert [sol.status for sol in solutions] == ["unbounded", "unbounded", "optimal", "optimal"]
 
 
-def test_negative_rhs_row_solves_cold():
-    """A row with a negative right-hand side needs phase 1, so that solve and
-    every later one are cold solves: feasible, then infeasible."""
+def test_negative_rhs_raises():
+    """A Tableau starts from the all-slack basis, so a negative right-hand
+    side raises, in the first LP and in an added row; a zero one does not."""
     box = box_polytope(2)
-    _, solutions = grow_against_cold(
-        [1.0, 0.3], box.A, box.b, [([0.5, 1.0], 1.0), ([-1.0, 0.0], -0.5), ([1.0, 1.0], 1.2), ([1.0, 0.0], 0.25)],
-    )
-    assert [sol.status for sol in solutions] == ["optimal"] * 4 + ["infeasible"]
+    with pytest.raises(ValueError, match="right-hand side >= 0"):
+        lp.Tableau(lp.LpProblem([1.0, 0.3], box.A, np.append(box.b[:-1], -0.5)))
+    tableau, _ = grow_against_cold([1.0, 0.3], box.A, box.b, [([0.5, 1.0], 1.0), ([-1.0, -1.0], 0.0)])
+    with pytest.raises(ValueError, match="right-hand side >= 0"):
+        tableau.add_row(np.array([-1.0, 0.0]), -0.5)
 
 
 def test_long_run_outgrows_the_first_room():
@@ -685,20 +683,17 @@ def test_long_run_outgrows_the_first_room():
 
 def test_rows_added_between_solves():
     """Several rows added before a solve, after a row that turned the solve
-    and before any solve at all, and a first LP that needs phase 1."""
+    and before any solve at all."""
     rng = np.random.default_rng(9)
-    for start_b in (1.0, -0.25):
-        p = random_bounded_polytope(rng, 3, 8)
-        b = p.b.copy()
-        b[0] = start_b * abs(b[0])
-        c = rng.normal(0.0, 1.0, 3)
-        next_row = cutter(rng, p.A, b)
-        tableau = lp.Tableau(lp.LpProblem(c, p.A, b))
-        A, sol = p.A, lp.solve(lp.LpProblem(c, p.A, b))
-        for batch in (2, 1, 3, 1):
-            for _ in range(batch):
-                a_k, b_k = next_row(sol)
-                tableau.add_row(a_k, b_k)
-                A, b = np.vstack([A, a_k]), np.append(b, b_k)
-            sol, cold = tableau.solve(), lp.solve(lp.LpProblem(c, A, b))
-            assert (sol.status, sol.point.tobytes()) == (cold.status, cold.point.tobytes())
+    p = random_bounded_polytope(rng, 3, 8)
+    c = rng.normal(0.0, 1.0, 3)
+    next_row = cutter(rng, p.A, p.b)
+    tableau = lp.Tableau(lp.LpProblem(c, p.A, p.b))
+    A, b, sol = p.A, p.b, lp.solve(lp.LpProblem(c, p.A, p.b))
+    for batch in (2, 1, 3, 1):
+        for _ in range(batch):
+            a_k, b_k = next_row(sol)
+            tableau.add_row(a_k, b_k)
+            A, b = np.vstack([A, a_k]), np.append(b, b_k)
+        sol, cold = tableau.solve(), lp.solve(lp.LpProblem(c, A, b))
+        assert (sol.status, sol.point.tobytes()) == (cold.status, cold.point.tobytes())

@@ -1,15 +1,19 @@
 """Estimate-then-optimize baseline: cutting-plane linear minimization over the
 cone-constrained safety set, and the full baseline run."""
 
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from safefw import lp
 from safefw.estimator import ConstraintEstimator
+from safefw.harness import ExperimentConfig, resolve, run_single
 from safefw.oracle import ConstraintOracle, NoiseModel
 from safefw.problem import (
     Objective,
+    Polytope,
     box_geometry_constants,
     box_polytope,
     box_quadratic_lipschitz,
@@ -41,6 +45,20 @@ def estimated_state(sigma, seed, omega0=0.05):
     centers = [np.zeros(2), rng.uniform(-0.4, 0.4, 2)]
     est, _ = cross_fed_estimator(p, sigma, seed, omega0, centers, [40, 40])
     return est
+
+
+SHIFTED_BOX = Path(__file__).resolve().parents[1] / "configs" / "shifted_box_d2_adaptive.json"
+
+
+def shifted_box_state(sigma, seed, omega0=0.05):
+    """The box [2, 4]^2, which excludes the origin, and an estimator fed
+    crosses at its centre x0 = [3, 3] and at a point near it; returns the
+    estimator and x0."""
+    rng = np.random.default_rng(seed)
+    p = Polytope(np.vstack([np.eye(2), -np.eye(2)]), np.array([4.0, 4.0, -2.0, -2.0]))
+    x0 = np.full(2, 3.0)
+    est, _ = cross_fed_estimator(p, sigma, seed, omega0, [x0, x0 + rng.uniform(-0.4, 0.4, 2)], [40, 40])
+    return est, x0
 
 
 def test_zero_radius_reduces_to_lp():
@@ -118,6 +136,49 @@ def test_cut_loop_matches_cold_solves_through_the_cut_budget():
     res = soc_linmin(*args)
     assert res.warning and res.cuts == MAX_CUTS
     assert_same_linmin(res, soc_linmin_cold(*args))
+
+
+def test_cut_loop_anchored_off_the_origin():
+    """On the box [2, 4]^2 the cut LPs, anchored at x0 = [3, 3], give the
+    point, cut count and warning of solving each cut LP cold, bit for bit,
+    and the value of the independent reference."""
+    rng = np.random.default_rng(8)
+    for sigma, seeds in ((0.0, (1,)), (0.1, (30, 31, 32, 33))):
+        scfg = make_safety_config(delta=0.1, T=15, m=4, d=2, sigma=sigma, omega0=0.05)
+        for seed in seeds:
+            est, x0 = shifted_box_state(sigma, seed)
+            for c in rng.normal(0, 1, (3, 2)):
+                args = (est, scfg, c, 14.0, x0)
+                res = soc_linmin(*args)
+                assert not res.warning
+                assert_same_linmin(res, soc_linmin_cold(*args))
+                assert abs(c @ res.point - soc_linmin_reference(est, scfg, c, x0)) <= 1e-4
+
+
+def test_ro_run_off_the_origin_hands_the_tableau_no_negative_rhs(monkeypatch):
+    """RO on the shipped config's box [2, 4]^2, whose rows -s_i <= -2 have a
+    negative right-hand side in raw coordinates: every right-hand side handed
+    to a `lp.Tableau`, of a relaxation or of a cut, is >= 0."""
+    firsts, cuts = [], []
+    real_init, real_add_row = lp.Tableau.__init__, lp.Tableau.add_row
+
+    def recording_init(tableau, p):
+        firsts.extend(p.b.tolist())
+        real_init(tableau, p)
+
+    def recording_add_row(tableau, a, b):
+        cuts.append(b)
+        real_add_row(tableau, a, b)
+
+    monkeypatch.setattr(lp.Tableau, "__init__", recording_init)
+    monkeypatch.setattr(lp.Tableau, "add_row", recording_add_row)
+    res = resolve(ExperimentConfig.from_dict(json.loads(SHIFTED_BOX.read_text())))
+    assert (res.polytope.b < 0).any()
+    for seed in range(3):
+        rec, rep = run_single(res, seed, variant="ro", ro_budget=4000)
+        assert rec.status == "completed" and rep.iterate_violations == 0
+    assert firsts and cuts
+    assert min(firsts) >= 0.0 and min(cuts) >= 0.0
 
 
 def test_agrees_with_independent_reference():
