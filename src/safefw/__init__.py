@@ -28,7 +28,6 @@ from .safety import (
     make_safety_config,
     margins,
     nt_schedule,
-    soc_check,
 )
 from .sfw import (
     ProblemSetup,
@@ -71,7 +70,6 @@ __all__ = [
     "run",
     "run_experiment",
     "run_fw_reference",
-    "soc_check",
     "soc_linmin",
     "solve",
     "surrogate_gap",

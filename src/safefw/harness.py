@@ -87,7 +87,6 @@ class ExperimentConfig:
     epsilon: float = 1e-6
     cn: object = "auto"
     variant: str = "adaptive"
-    ro_total_measurements: int | None = None
     max_total_measurements: int = 10_000_000
     repetitions: int = 20
     base_seed: int = 0
@@ -158,8 +157,6 @@ def _check_types(cfg: ExperimentConfig) -> None:
     reals = {"sigma": cfg.sigma, "omega0": cfg.omega0, "epsilon": cfg.epsilon, "delta": cfg.delta}
     ints = {"T": cfg.T, "repetitions": cfg.repetitions, "base_seed": cfg.base_seed,
             "max_total_measurements": cfg.max_total_measurements}
-    if cfg.ro_total_measurements is not None:
-        ints["ro_total_measurements"] = cfg.ro_total_measurements
     if cfg.cn != "auto":
         reals["cn"] = cfg.cn
     if cfg.problem.get("type") == "box":
@@ -310,13 +307,8 @@ def resolve(cfg: ExperimentConfig, variant: str | None = None) -> ResolvedExperi
         scfg = replace(scfg, cn=cn)
     if not math.isfinite(M):
         raise ConfigError("the gradient bound M is not finite for this problem and objective.x_prime")
-    if variant == "ro" and cfg.ro_total_measurements is None:
-        raise ConfigError("variant 'ro' needs ro_total_measurements")
-    if variant == "ro" and cfg.ro_total_measurements > cfg.max_total_measurements:
-        raise ConfigError(f"ro_total_measurements must be at most max_total_measurements = "
-                          f"{cfg.max_total_measurements}, got {cfg.ro_total_measurements}")
-    if cfg.ro_total_measurements is not None and cfg.ro_total_measurements < 2 * (d + 1):
-        raise ConfigError(f"ro_total_measurements must be at least 2(d+1) = {2 * (d + 1)}")
+    if variant == "ro" and cfg.max_total_measurements < 2 * (d + 1):
+        raise ConfigError(f"variant 'ro' needs max_total_measurements of at least 2(d+1) = {2 * (d + 1)}")
     if cfg.max_total_measurements < 2 * d:
         raise ConfigError(f"max_total_measurements must cover one cross, 2d = {2 * d}")
     if beyond_precision:
@@ -380,8 +372,8 @@ def run_single(
         run_cfg = SfwConfig(epsilon=cfg.epsilon, variant=variant, max_total_measurements=cfg.max_total_measurements)
         rec = sfw_mod.run(res.setup, oracle, est, res.safety, run_cfg)
     elif variant == "ro":
-        budget = ro_budget if ro_budget is not None else cfg.ro_total_measurements
-        rec = ro_mod.ro_run(res.setup, oracle, est, res.safety, int(budget))
+        budget = ro_budget if ro_budget is not None else cfg.max_total_measurements
+        rec = ro_mod.ro_run(res.setup, oracle, est, res.safety, budget)
     elif variant == "fw-oracle":
         rec = sfw_mod.run_fw_reference(res.polytope, res.setup.objective, res.setup.x0, res.safety.T)
     else:

@@ -1,9 +1,10 @@
 """Estimate-then-optimize baseline: one measurement phase around a safe site,
 then Frank-Wolfe over the frozen safety set.
 
-The linear subproblem over the cone-constrained safety set is solved by
-cutting planes: LP relaxations over the estimated polytope, tightened with
-gradient linearizations of the most-violated cone constraint.
+The linear subproblem over the safety set, in its second-order-cone form, is
+solved by cutting planes: LP relaxations over the estimated polytope,
+tightened with gradient linearizations of the most-violated cone constraint.
+The iterates themselves get fact2_check's verdict, as in the other variants.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from . import lp, sfw
 from .estimator import ConstraintEstimator
 from .oracle import ConstraintOracle, cross_pattern
-from .safety import SafetyConfig, cone_terms, fact2_check, margins, soc_check
+from .safety import SafetyConfig, cone_terms, fact2_check, margins
 from .sfw import ProblemSetup, TrajectoryRecord, dfs_problem
 
 
@@ -31,10 +32,11 @@ class SocLinminResult:
     warning: bool
 
 
-def soc_violation(est: ConstraintEstimator, cfg: SafetyConfig, s: np.ndarray) -> float:
-    """Largest cone-constraint violation of s against the current safety set."""
-    verdict = soc_check(est, cfg, s)
-    return verdict.lhs - verdict.min_margin
+def _cone_violations(est: ConstraintEstimator, cfg: SafetyConfig, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Each cone constraint's violation phi ||Sigma^(1/2) [s; -1]|| - margin at s,
+    with P z and its norm, the terms of a cut there."""
+    pz, norm = cone_terms(est, s)
+    return cfg.phi_delta * norm - margins(est, s), pz, norm
 
 
 def soc_linmin(
@@ -66,8 +68,7 @@ def soc_linmin(
     tableau = lp.Tableau(lp.LpProblem(c, relaxation.A, relaxation.b - relaxation.A @ anchor))
     for cut in range(MAX_CUTS + 1):
         point = tableau.solve().point + anchor  # the guard box bounds the LP and y = 0 is feasible
-        pz, norm = cone_terms(est, point)  # P z and its norm, for both the test and the cut
-        violations = cfg.phi_delta * norm - margins(est, point)  # soc_check's lhs - margins
+        violations, pz, norm = _cone_violations(est, cfg, point)
         worst = int(np.argmax(violations))
         if violations[worst] <= LINMIN_TOL:
             return SocLinminResult(point, cut, False)
@@ -84,7 +85,7 @@ def soc_linmin(
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         candidate = anchor + mid * (point - anchor)
-        if soc_violation(est, cfg, candidate) <= LINMIN_TOL:
+        if _cone_violations(est, cfg, candidate)[0].max() <= LINMIN_TOL:
             lo = mid
         else:
             hi = mid

@@ -1,9 +1,11 @@
-"""Safety-set membership tests, margins, and the measurement schedule.
+"""The safety verdict, margins, and the measurement schedule.
 
 Membership of x in the safety set (all constraints satisfied for every
 parameter in the confidence ellipsoids) has two equivalent forms: the scalar
-test through the sample mean and centered-scatter inverse, and the
-second-order-cone form through the full covariance factor.
+Fact-2 test through the sample mean and centered-scatter inverse, which
+fact2_check applies to every iterate, and the second-order-cone form through
+the full covariance factor, which RO's cutting planes linearize through
+cone_terms and unsafe_ahead evaluates over a forecast.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ class SafetyVerdict:
     safe: bool
     lhs: float                   # uncertainty radius at the test point
     min_margin: float
-    margins: np.ndarray
 
 
 def margins(est: ConstraintEstimator, x: np.ndarray) -> np.ndarray:
@@ -56,19 +57,14 @@ def margins(est: ConstraintEstimator, x: np.ndarray) -> np.ndarray:
     return est.b_hat() - x @ est.a_hat()
 
 
-def _verdict(est: ConstraintEstimator, x: np.ndarray, lhs: float) -> SafetyVerdict:
-    """Compare the uncertainty radius lhs with the smallest estimated margin at x; ties count as safe."""
-    eps = margins(est, x)
-    min_margin = float(eps.min())
-    return SafetyVerdict(safe=lhs <= min_margin, lhs=lhs, min_margin=min_margin, margins=eps)
-
-
 def fact2_check(est: ConstraintEstimator, cfg: SafetyConfig, x: np.ndarray) -> SafetyVerdict:
-    """Scalar safety test: phi * sqrt(1/N + (x-xbar)^T R (x-xbar)) <= min margin."""
+    """Scalar safety test: phi * sqrt(1/N + (x-xbar)^T R (x-xbar)) <= min margin; ties count as safe."""
     x = np.asarray(x, dtype=float)
     xbar, R = est.block_quantities()
     diff = x - xbar
-    return _verdict(est, x, cfg.phi_delta * math.sqrt(1.0 / est.N + float(diff @ R @ diff)))
+    lhs = cfg.phi_delta * math.sqrt(1.0 / est.N + float(diff @ R @ diff))
+    min_margin = float(margins(est, x).min())
+    return SafetyVerdict(safe=lhs <= min_margin, lhs=lhs, min_margin=min_margin)
 
 
 def cone_terms(est: ConstraintEstimator, x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -78,14 +74,6 @@ def cone_terms(est: ConstraintEstimator, x: np.ndarray) -> tuple[np.ndarray, flo
     z = np.append(x, -1.0)
     pz = est.P @ z
     return pz, math.sqrt(max(float(z @ pz), 0.0))
-
-
-def soc_check(est: ConstraintEstimator, cfg: SafetyConfig, x: np.ndarray) -> SafetyVerdict:
-    """Cone-form safety test: <a_hat_i, x> - b_hat_i + phi ||Sigma^(1/2) [x; -1]|| <= 0.
-
-    Uses the full covariance factor; must agree with fact2_check.
-    """
-    return _verdict(est, x, cfg.phi_delta * cone_terms(est, x)[1])
 
 
 def unsafe_ahead(ahead: Forecast, cfg: SafetyConfig, X: np.ndarray, band: float) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Shared test utilities: random bounded polytopes, estimator builders, and
 independent references: a vertex enumerator, a finite-difference gradient
-check, covariance norms, a solver for the cone-constrained linear
-subproblem, the adaptive driver that absorbs one cross per pass, the block
-absorb that a committed lookahead block must equal, the oracle that draws
-each point's noise whole and sums it with .sum, the estimator update that
-refactors P at every step, the simplex kernel that reads the tableau one
-numpy scalar at a time, and RO's cut loop with every cut LP solved cold."""
+check, covariance norms, the cone form of the safety test, a solver for the
+cone-constrained linear subproblem, the adaptive driver that absorbs one
+cross per pass, the block absorb that a committed lookahead block must
+equal, the oracle that draws each point's noise whole and sums it with .sum,
+the estimator update that refactors P at every step, the simplex kernel that
+reads the tableau one numpy scalar at a time, and RO's cut loop with every
+cut LP solved cold."""
 
 import math
 
@@ -16,8 +17,8 @@ from safefw import lp
 from safefw.estimator import ConstraintEstimator
 from safefw.oracle import ConstraintOracle, NoiseModel, cross_pattern
 from safefw.problem import EnumerationCapError, Polytope, box_polytope, sweep
-from safefw.ro import LINMIN_TOL, MAX_CUTS, SocLinminResult, soc_violation
-from safefw.safety import cone_terms, fact2_check, margins
+from safefw.ro import LINMIN_TOL, MAX_CUTS, SocLinminResult
+from safefw.safety import SafetyVerdict, cone_terms, fact2_check, margins
 from safefw.sfw import TrajectoryRecord, dfs_problem, et_bound, solve_dfs, surrogate_gap
 
 
@@ -214,6 +215,21 @@ def box_estimator_exact(d):
     return est, p
 
 
+def cone_verdict(est, cfg, x):
+    """The cone form of the safety test: phi ||Sigma^(1/2) [x; -1]|| through the
+    full covariance factor against the smallest estimated margin at x, ties
+    safe; fact2_check's scalar form must agree with it."""
+    lhs = cfg.phi_delta * cone_terms(est, x)[1]
+    min_margin = float(margins(est, x).min())
+    return SafetyVerdict(safe=lhs <= min_margin, lhs=lhs, min_margin=min_margin)
+
+
+def cone_violation(est, cfg, x):
+    """Largest cone-constraint violation at x: the cone verdict's lhs - min margin."""
+    verdict = cone_verdict(est, cfg, x)
+    return verdict.lhs - verdict.min_margin
+
+
 def soc_worst_violation_grid(est, phi_delta, points):
     """Vectorized worst cone-constraint violation for each row of points."""
     Z = np.hstack([points, -np.ones((points.shape[0], 1))])
@@ -269,8 +285,9 @@ def soc_linmin_reference(est, cfg, c, anchor, radius=2.0):
 
 def soc_linmin_cold(est, cfg, c, guard, anchor):
     """`ro.soc_linmin` with each cut LP, anchored at `anchor` as there, stacked
-    and solved cold by `lp.solve`: the reference its growing tableau must
-    follow bit for bit."""
+    and solved cold by `lp.solve`, and its bisection testing the cone
+    verdict's lhs - min margin: the reference its growing tableau and its
+    per-constraint bisection test must follow bit for bit."""
     c = np.asarray(c, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
     d = est.d
@@ -296,7 +313,7 @@ def soc_linmin_cold(est, cfg, c, guard, anchor):
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if soc_violation(est, cfg, anchor + mid * (point - anchor)) <= LINMIN_TOL:
+        if cone_violation(est, cfg, anchor + mid * (point - anchor)) <= LINMIN_TOL:
             lo = mid
         else:
             hi = mid

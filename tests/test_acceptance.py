@@ -20,10 +20,10 @@ from safefw.problem import (
     box_polytope,
     box_quadratic_lipschitz,
 )
-from safefw.safety import SafetyConfig, c_delta_constant, fact2_check, soc_check
+from safefw.safety import SafetyConfig, c_delta_constant, fact2_check
 from safefw.sfw import ProblemSetup, SfwConfig, run
 
-from helpers import enumerate_vertices, random_bounded_polytope, random_estimator, scatter_inverse
+from helpers import cone_verdict, enumerate_vertices, random_bounded_polytope, random_estimator, scatter_inverse
 
 REFERENCE_ADAPTIVE_TOTALS = {2: 519.0, 4: 1135.0, 10: 4275.0}
 
@@ -209,7 +209,7 @@ def test_criterion_8_scalar_test_matches_cone_form():
     def check(est, x):
         nonlocal disagreements, checked
         f2 = fact2_check(est, cfg, x)
-        soc = soc_check(est, cfg, x)
+        soc = cone_verdict(est, cfg, x)
         checked += 1
         if abs(f2.lhs - f2.min_margin) > 1e-9 and f2.safe != soc.safe:
             disagreements += 1

@@ -156,11 +156,12 @@ def test_scaled_configs_keep_their_verdict(config_path, source, k, j):
 # accepted values near the cap (RO takes about 3 ms per iteration at d = 2), and
 # at most 20,000 measurements. The prescribed schedule does not read
 # max_total_measurements, so cn is drawn from values whose runs stay short as
-# well: an auto cn asks for 10^6 to 10^9 measurements on these problems. RO's
-# one-shot estimate past max_total_measurements is a config error. `compare`
+# well: an auto cn asks for 10^6 to 10^9 measurements on these problems. RO
+# spends max_total_measurements on its one-shot estimate, so the same values
+# bound its work (below 2(d+1) they are a config error there). `compare`
 # runs on the d = 2 configs only: at d = 10 its RO half takes about a second
 # per iteration.
-WORK_FIELDS = {"T", "max_total_measurements", "cn", "ro_total_measurements", "repetitions", "variant"}
+WORK_FIELDS = {"T", "max_total_measurements", "cn", "repetitions", "variant"}
 RUN_T = [3, 4, 5, 6, MAX_T + 1, 10**20]
 RUN_SECONDS = 10  # deadline per example; every example ends in well under a second
 D2_CONFIGS = [path for path in CONFIGS if json.loads(path.read_text())["problem"].get("d") == 2]
@@ -187,7 +188,6 @@ work = st.fixed_dictionaries({
     "T": st.sampled_from(RUN_T),
     "max_total_measurements": st.sampled_from([4, 1000, 5000, 20_000]),
     "cn": st.sampled_from([1, 96]),
-    "ro_total_measurements": st.sampled_from([None, 2000, 20_000]),
 })
 
 

@@ -92,7 +92,7 @@ def test_config_validation_errors():
         dict(delta=1.5),
         dict(variant="bogus"),
         dict(x0=[2.0, 0.0]),
-        dict(variant="ro"),  # missing ro_total_measurements
+        dict(variant="ro", max_total_measurements=5),  # below 2(d+1) = 6
         dict(problem={"type": "polytope", "A": [[1.0, 0.0]], "b": [1.0]}),  # unbounded
         dict(cn=-1.0),
         dict(objective={"type": "cubic"}),
@@ -175,10 +175,19 @@ def test_fw_oracle_variant(tmp_path):
 
 
 def test_ro_variant_runs(tmp_path):
-    cfg = d2_config(variant="ro", ro_total_measurements=500, repetitions=2, out_dir=str(tmp_path / "ro"))
+    cfg = d2_config(variant="ro", max_total_measurements=500, repetitions=2, out_dir=str(tmp_path / "ro"))
     summary = run_experiment(cfg)
     assert summary.failed_fraction == 0.0
     assert all(r.n_total >= 500 for r in summary.reps)
+
+
+def test_ro_run_single_spends_the_run_budget():
+    """run_single(..., "ro") on a config resolved for another variant spends
+    max_total_measurements, rounded up to whole crosses, with no separate RO
+    budget to read."""
+    for budget, spent in ((2000, 2000), (2001, 2004)):
+        rec, rep = run_single(resolve(d2_config(max_total_measurements=budget)), 0, "ro")
+        assert rec.status == "completed" and rep.n_total == spent
 
 
 def test_prescribed_variant_runs(tmp_path):
@@ -286,13 +295,12 @@ UNIT_SQUARE = {"type": "polytope", "A": [[1, 0], [0, 1], [-1, 0], [0, -1]], "b":
         pytest.param({"cn": None}, "cn must be a finite number, got None", False, id="null-cn"),
         pytest.param({"noise_kind": "cauchy"}, "unknown noise_kind 'cauchy'", False, id="cauchy-noise"),
         pytest.param({"objective": {"x_prime": [0, 0]}}, "x0 is already optimal", False, id="optimal-x0"),
-        pytest.param({"variant": "ro", "ro_total_measurements": -5}, "ro_total_measurements must be at least",
-                     False, id="negative-ro-budget"),
-        pytest.param({"ro_total_measurements": 5}, "ro_total_measurements must be at least", False,
-                     id="small-ro-budget"),
-        pytest.param({"variant": "ro", "ro_total_measurements": 9007199254740993, "max_total_measurements": 20000},
-                     "ro_total_measurements must be at most max_total_measurements = 20000, got 9007199254740993",
-                     True, id="ro-budget-past-the-run-budget"),
+        pytest.param({"variant": "ro", "max_total_measurements": -5},
+                     "variant 'ro' needs max_total_measurements of at least 2(d+1) = 6", False, id="negative-ro-budget"),
+        pytest.param({"variant": "ro", "max_total_measurements": 5},
+                     "variant 'ro' needs max_total_measurements of at least 2(d+1) = 6", True, id="small-ro-budget"),
+        pytest.param({"ro_total_measurements": 2000}, "unknown config fields: ['ro_total_measurements']", False,
+                     id="removed-ro-budget-field"),
         pytest.param({"out_dir": 5}, "out_dir must be a string", False, id="int-out-dir"),
         pytest.param({"variant": "prescribed", "cn": 0}, "needs a positive cn", True, id="zero-cn-prescribed"),
         pytest.param({"variant": "prescribed", "sigma": 0.0}, "needs a positive cn", True,
@@ -400,17 +408,19 @@ def test_validate_config_accepts_a_config_that_only_compare_runs(tmp_path, capsy
     """validate-config exits 0 when the config resolves for run or for compare,
     names the commands it resolves for and gives run's reason when only compare
     resolves; it exits 1 only when neither does."""
-    raw = {"problem": {"type": "box", "d": 2}, "variant": "ro", "repetitions": 1, "out_dir": str(tmp_path / "out")}
+    raw = {"problem": {"type": "box", "d": 2}, "variant": "ro", "max_total_measurements": 5, "repetitions": 1,
+           "out_dir": str(tmp_path / "out")}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
     assert cli_main(["validate-config", "--config", str(path)]) == 0
     out = capsys.readouterr()
-    assert out.out.startswith("config ok for compare only (run: variant 'ro' needs ro_total_measurements): variant=ro")
+    assert out.out.startswith("config ok for compare only (run: variant 'ro' needs max_total_measurements of at least "
+                              "2(d+1) = 6): variant=ro")
     assert not out.err
     assert cli_main(["compare", "--config", str(path)]) == 0
     assert cli_main(["run", "--config", str(path)]) == 1
     capsys.readouterr()
-    path.write_text(json.dumps({**raw, "ro_total_measurements": 2000}))
+    path.write_text(json.dumps({**raw, "max_total_measurements": 2000}))
     assert cli_main(["validate-config", "--config", str(path)]) == 0
     assert capsys.readouterr().out.startswith("config ok for run and compare: variant=ro")
     path.write_text(json.dumps({**raw, "T": 2}))
@@ -469,7 +479,7 @@ def test_unusable_output_directory_is_a_config_error(tmp_path, capsys, command, 
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
-PIN_OVERRIDES = {"prescribed": {"cn": 96.0}, "ro": {"ro_total_measurements": 2000}}
+PIN_OVERRIDES = {"prescribed": {"cn": 96.0}, "ro": {"max_total_measurements": 2000}}
 
 
 @pytest.mark.parametrize("variant", sorted(PIN))
@@ -499,7 +509,7 @@ def test_each_variant_follows_its_pinned_trajectory(variant):
     (cn 96 for prescribed, 2,000 measurements for ro): every row's n_t, N_t,
     extras, DFS status and safe flag, and the run status, as recorded when each
     variant still ran its own loop; the normalized gaps within 1e-9."""
-    cfg = d2_config(variant=variant, sigma=0.1, max_total_measurements=20_000, cn=96.0, ro_total_measurements=2000)
+    cfg = d2_config(variant=variant, sigma=0.1, max_total_measurements=2000 if variant == "ro" else 20_000, cn=96.0)
     rec, rep = run_single(resolve(cfg), 0)
     pin = PIN_SIGMA01[variant]
     assert rec.status == pin["status"]
@@ -515,10 +525,10 @@ def test_T_past_the_cap_is_a_config_error(tmp_path, capsys, variant):
     stderr line instead of starting a loop that would not end."""
     for T in (MAX_T + 1, 10**20):
         with pytest.raises(ConfigError, match=f"T must be at most {MAX_T}, got {T}"):
-            resolve(d2_config(variant=variant, T=T, ro_total_measurements=2000))
+            resolve(d2_config(variant=variant, T=T))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"problem": {"type": "box", "d": 2}, "T": 10**20, "variant": variant,
-                                "ro_total_measurements": 2000, "repetitions": 1}))
+                                "repetitions": 1}))
     for argv in (["validate-config", "--config", str(path)], ["run", "--config", str(path), "--out", str(tmp_path)]):
         assert cli_main(argv) == 1
         err = capsys.readouterr().err

@@ -13,6 +13,7 @@ from safefw.cli import main as cli_main
 ROOT = Path(__file__).resolve().parents[1]
 # written whole to JSON by asdict, so a field with no reader in the code is still output
 SERIALIZED_CLASSES = {"ExperimentConfig", "RepResult", "ComparisonReport"}
+FIELD = "field"  # tags a field's name: only an attribute read that is not a call reads a field
 
 
 def test_every_export_imports():
@@ -90,7 +91,7 @@ def test_every_private_helper_is_used():
 
 def _class_members(tree):
     """(label, member, node) for each public method, property and annotated
-    field of each public top-level class."""
+    field of each public top-level class; a field's member is (FIELD, name)."""
     for cls in tree.body:
         if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_") or cls.name in SERIALIZED_CLASSES:
             continue
@@ -102,22 +103,32 @@ def _class_members(tree):
             else:
                 continue
             if not name.startswith("_"):
-                yield f"{cls.name}.{name}", name, item
+                yield f"{cls.name}.{name}", name if isinstance(item, ast.FunctionDef) else (FIELD, name), item
 
 
 def _reads(tree):
-    """(name, line) for each attribute read and each string constant."""
+    """(name, line) for each attribute read and each string constant, and
+    (FIELD, name) for each of them that is not the callee of a call: a call
+    `obj.name(...)` reads a method of that name, so `polytope.margins(x)`
+    does not count as a read of a field named `margins`."""
+    callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr, node.lineno
+            name = node.attr
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value, node.lineno
+            name = node.value
+        else:
+            continue
+        yield name, node.lineno
+        if id(node) not in callees:
+            yield (FIELD, name), node.lineno
 
 
 def test_every_class_member_is_read_outside_tests():
     """No class in src/safefw stores a member that only the tests read: each
     public method, property and field is read elsewhere in the package (outside
-    __init__.py and its own definition) or in bench/."""
+    __init__.py and its own definition) or in bench/, a field by a read that
+    is not a call."""
     unread = _unreached(_class_members, _reads)
     assert not unread, f"class members that only tests read: {unread}"
 

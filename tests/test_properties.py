@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 
 from safefw.estimator import LOOP_SUM_MIN, ConstraintEstimator, _running_sums
 from safefw.oracle import NOISE_KINDS, ConstraintOracle, NoiseModel, cross_pattern
-from safefw.safety import SafetyConfig, fact2_check, soc_check
+from safefw.safety import SafetyConfig, fact2_check
 
 from helpers import (
     EXTENDED,
     RecordingEstimator,
     absorb_crosses_reference,
+    cone_verdict,
     extended_least_squares,
     moving_cross_absorbs,
     random_bounded_polytope,
@@ -96,12 +97,16 @@ def test_estimator_matches_extended_precision_at_large_counts(seed):
 @PROPERTY
 @given(absorbed(), st.floats(0.0, 2.0), st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
 def test_fact2_matches_soc_lhs(est, phi, point):
+    """The scalar test's radius equals the cone form's within 1e-9 relative,
+    its smallest margin exactly, and off the boundary so does its verdict."""
     cfg = SafetyConfig(T=15, omega0=0.01, phi_delta=phi, cn=0.0)
     x = np.array(point[: est.d])
     f2 = fact2_check(est, cfg, x)
-    soc = soc_check(est, cfg, x)
+    soc = cone_verdict(est, cfg, x)
     assert abs(f2.lhs - soc.lhs) <= 1e-9 * (1.0 + f2.lhs)
     assert f2.min_margin == soc.min_margin
+    if abs(f2.lhs - f2.min_margin) > 1e-9:
+        assert f2.safe == soc.safe
 
 
 @PROPERTY

@@ -18,11 +18,11 @@ from safefw.problem import (
     box_polytope,
     box_quadratic_lipschitz,
 )
-from safefw.ro import MAX_CUTS, ro_run, soc_linmin, soc_violation
+from safefw.ro import MAX_CUTS, ro_run, soc_linmin
 from safefw.safety import SafetyConfig, make_safety_config
 from safefw.sfw import ProblemSetup, run_fw_reference
 
-from helpers import cross_fed_estimator, soc_linmin_cold, soc_linmin_reference
+from helpers import cone_violation, cross_fed_estimator, soc_linmin_cold, soc_linmin_reference
 
 
 def setup_d2(sigma, seed=0, omega0=0.05, phi_delta=None):
@@ -102,7 +102,7 @@ def test_outputs_pass_cone_test_and_cuts_monotone(monkeypatch):
         lp_values.clear()
         res = soc_linmin(est, scfg, c, guard=14.0, anchor=np.zeros(2))
         assert not res.warning
-        assert soc_violation(est, scfg, res.point) <= 1e-7
+        assert cone_violation(est, scfg, res.point) <= 1e-7
         assert len(lp_values) == res.cuts + 1
         assert np.all(np.diff(lp_values) >= -1e-9)
 
@@ -206,7 +206,7 @@ def test_run_iterates_stay_in_safety_set():
     rec = ro_run(setup, oracle, est, scfg, 4000)
     assert rec.status == "completed"
     for row in rec.rows:
-        assert soc_violation(est, scfg, row.x) <= 1e-6
+        assert cone_violation(est, scfg, row.x) <= 1e-6
     assert all(p.contains(row.x) for row in rec.rows)
     assert rec.total_measurements >= 4000
 
