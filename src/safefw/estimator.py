@@ -72,6 +72,10 @@ class Forecast:
         """z_k^T P_k z_k for each row z_k of the (K, d+1) stack Z."""
         return ((Z @ self.F) ** 2 * self.shrink).sum(axis=1)
 
+    def __getitem__(self, ks: slice) -> Forecast:
+        """The forecast of the counts ks, sharing its arrays."""
+        return Forecast(self.beta[ks], self.F, self.shrink[ks], self.sums[ks])
+
 
 SINGULAR_DESIGN = (
     "probe design became numerically singular: the probe points' magnitude |x| is too large "
@@ -214,6 +218,16 @@ class ConstraintEstimator:
         wsums += a.wsum
         beta, shrink = a.closed_form(k, wsums)
         return Forecast(beta, a.F, shrink, sums)
+
+    def quadratic_ahead(self, points: np.ndarray, z: np.ndarray, K: int) -> np.ndarray:
+        """z^T P_k z for one z (d+1,) after each of k = 1..K more crosses at the
+        points (n, d), as `forecast` would give P_k: the closed form, with no
+        values needed."""
+        if self.P is None:
+            raise ScatterSingularError("centered probe scatter is singular")
+        a = self._anchor_on(np.asarray(points, dtype=float))
+        k = a.k + np.arange(1, K + 1, dtype=float)
+        return ((z @ a.F) ** 2 * (1.0 / (1.0 + k[:, None] * a.mu))).sum(axis=1)
 
     def _anchor_on(self, X: np.ndarray) -> _Anchor:
         """The anchor at the stack X (n, d): the current one if it holds these

@@ -76,6 +76,10 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """One experiment as read from a JSON config: the problem, objective and
+    start, the noise, the safety and stopping parameters, the variant and its
+    budget, and how many seeded repetitions to run where."""
+
     problem: dict
     objective: dict = field(default_factory=dict)
     x0: list | None = None
@@ -118,6 +122,10 @@ class ResolvedExperiment:
 
 @dataclass
 class RepResult:
+    """One repetition of a run: its seed and status, the normalized gap per
+    iterate, the violations counted against ground truth, the measurement
+    total and wall time, and the error of a failed repetition."""
+
     seed: int
     status: str
     normalized: list[float] = field(default_factory=list)
@@ -131,6 +139,10 @@ class RepResult:
 
 @dataclass
 class RunSummary:
+    """A run's repetitions and their aggregates: the mean and spread of the
+    normalized-gap curves, the share of completed repetitions with an
+    iterate violation, the mean measurement total and the failed share."""
+
     config: dict
     seeds: list[int]
     reps: list[RepResult]
@@ -459,6 +471,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunSumm
 
 @dataclass
 class ComparisonReport:
+    """Paired adaptive and RO runs at matched seeds and budgets: the final
+    normalized gap of each side per seed, the budgets, and how often the
+    adaptive side won."""
+
     config: dict
     seeds: list[int]
     sfw_final: list[float | None]  # None for a failed pair

@@ -41,6 +41,8 @@ class PivotLimitError(RuntimeError):
 
 @dataclass
 class LpProblem:
+    """min <c, x> over {x : A x <= b}, x free."""
+
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
@@ -59,6 +61,8 @@ class LpProblem:
 
 @dataclass
 class LpSolution:
+    """An LP's status, its vertex when optimal, and the rows active there."""
+
     point: np.ndarray | None
     status: str  # optimal | infeasible | unbounded
     active_set: list[int] = field(default_factory=list)

@@ -52,6 +52,8 @@ class NoiseModel:
 
 @dataclass
 class CrossPattern:
+    """The probe points of one cross batch and how often each is measured."""
+
     points: np.ndarray      # 2d rows, center +/- omega0 e_i
     multiplicity: int       # measurements per point
 

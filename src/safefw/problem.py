@@ -87,6 +87,8 @@ class Objective:
 
 @dataclass
 class GeometryConstants:
+    """Constants of the polytope and start, read by the schedule, e_t and the DFS guard."""
+
     gamma: float      # diameter of the feasible set
     gamma0: float     # max norm over the feasible set
     eps0: float       # initial margin min_i (b_i - <a_i, x0>)
@@ -114,6 +116,8 @@ def box_quadratic_lipschitz(d: int, half_width: float, x_prime: np.ndarray) -> f
 
 @dataclass
 class Sweep:
+    """The vertices, rho_min and minimizer x* that `sweep` reads in one pass."""
+
     vertices: np.ndarray  # one row per distinct vertex
     rho_min: float        # min over the feasible bases of their smallest singular value
     x_star: np.ndarray    # the exact minimizer of 0.5 ||x - x'||^2

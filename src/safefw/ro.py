@@ -27,6 +27,9 @@ MAX_CUTS = 200
 
 @dataclass
 class SocLinminResult:
+    """A linear step over the safety set: the point, the cutting planes taken,
+    and whether the cut budget ran out before the point met LINMIN_TOL."""
+
     point: np.ndarray
     cuts: int
     warning: bool

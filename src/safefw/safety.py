@@ -21,6 +21,8 @@ from .problem import GeometryConstants
 
 @dataclass(frozen=True)
 class SafetyConfig:
+    """The parameters of the safety test and of the prescribed schedule."""
+
     T: int                # iteration budget
     omega0: float         # probe radius
     phi_delta: float      # sigma * phi_inverse(d, delta / T / m)
@@ -44,6 +46,8 @@ def make_safety_config(delta: float, T: int, m: int, d: int, sigma: float, omega
 
 @dataclass
 class SafetyVerdict:
+    """The scalar safety test at one point: safe when lhs <= min_margin."""
+
     safe: bool
     lhs: float                   # uncertainty radius at the test point
     min_margin: float

@@ -5,7 +5,9 @@ policy measures, refreshes the least-squares constraint estimates and finds
 the linear step s_t; the loop records the row, applies the stop rule and steps
 with gamma_t = 1/(t+2). The prescribed policy takes the scheduled counts and
 asserts safety; the adaptive policy keeps measuring until the stepped
-candidate passes the scalar safety test.
+candidate passes the scalar safety test, committing in one block the passes
+a forecast shows would stay unsafe: a block follows the DFS basis through
+its changes and ends at the pass the radius predicts to certify.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from .safety import SafetyConfig, SafetyVerdict, c_delta_constant, fact2_check, 
 VARIANTS = ("prescribed", "adaptive")
 
 # Lookahead blocks of the adaptive loop, in crosses: the first of an iteration,
-# the least after a short block, the most; at most 2^21 peeked values (16 MB),
-# which also keeps a block's measurement in one noise draw.
+# the least after a short block (and the first window checked after a basis
+# change), the most; at most 2^21 peeked values (16 MB), which also keeps a
+# block's measurement in one noise draw.
 AHEAD_START, AHEAD_MIN, AHEAD_MAX, AHEAD_MAX_VALUES = 8, 4, 4096, 1 << 21
 
 
@@ -185,12 +188,17 @@ def dfs_problem(est: ConstraintEstimator, c: np.ndarray, guard: float) -> lp.LpP
 
 
 def solve_dfs(est: ConstraintEstimator, guard: float, grad: np.ndarray, basis: list[int] | None = None) -> lp.LpSolution:
-    """Linear minimization of <grad, s> over the guarded estimated polytope,
-    by the pivot loop of `lp.solve` from `basis`, when there is one, then from
-    the guard vertex (`_guard_start`), which is dual feasible. The simplex
-    serves only a tied optimum."""
-    guard_start = _guard_start(grad, est.m)
-    return lp.solve(dfs_problem(est, grad, guard), (basis, guard_start) if basis else (guard_start,))
+    """Linear minimization of <grad, s> over the guarded estimated polytope
+    (`_solve_from`)."""
+    return _solve_from(dfs_problem(est, grad, guard), basis)
+
+
+def _solve_from(p: lp.LpProblem, basis: list[int] | None) -> lp.LpSolution:
+    """The DFS LP p by the pivot loop of `lp.solve` from `basis`, when there
+    is one, then from the guard vertex (`_guard_start`), which is dual
+    feasible. The simplex serves only a tied optimum."""
+    guard_start = _guard_start(p.c, p.b.size - 2 * p.c.size)
+    return lp.solve(p, (basis, guard_start) if basis else (guard_start,))
 
 
 def _absorb_cross(
@@ -202,16 +210,43 @@ def _absorb_cross(
     return pattern
 
 
-def _skippable_passes(ahead, scfg, guard, x, grad, gamma, basis) -> int:
-    """How many forecast crosses at x to commit at once: the first k after
-    which a pass might not see `basis` verified and a clearly unsafe
-    candidate, else all K. The passes before it would each absorb one cross.
-    Every predicted test keeps a relative guard band FEAS_TOL: near ties are
-    left to the loop."""
+def _skippable_passes(ahead, scfg, guard, x, grad, gamma, basis) -> tuple[int, list[int]]:
+    """How many forecast crosses at x to commit at once, and the basis in
+    force at the end (the active set of the last DFS LP solved, by the loop
+    or here): the first k after which a pass might not see a verified basis
+    and a clearly unsafe candidate, else all K. The passes before it would
+    each absorb one cross. Where `basis` stops verifying, that state's DFS
+    LP is solved from it as `solve_dfs` would; a different optimal basis is
+    checked on from there, in windows that double from AHEAD_MIN, and the
+    same basis, or no verified optimum, ends the block. Every predicted test
+    keeps a relative guard band FEAS_TOL: near ties are left to the loop."""
     A, b = _guarded_rows(ahead.beta, guard)
-    s_hat, verified = lp.verified_vertices(A, b, grad, basis, FEAS_TOL)
-    skippable = verified & unsafe_ahead(ahead, scfg, x + gamma * (s_hat - x), FEAS_TOL)
-    return skippable.size if skippable.all() else int(np.argmin(skippable)) + 1
+    K, lo, hi, changed = b.shape[0], 0, b.shape[0], -1
+    while True:
+        s_hat, verified = lp.verified_vertices(A[lo:hi], b[lo:hi], grad, basis, FEAS_TOL)
+        skippable = verified & unsafe_ahead(ahead[lo:hi], scfg, x + gamma * (s_hat - x), FEAS_TOL)
+        if skippable.all():
+            if hi == K:
+                return K, basis
+            lo, hi = hi, min(K, 3 * hi - 2 * lo)  # the next window, twice as long
+            continue
+        k = lo + int(np.argmin(skippable))
+        if verified[k - lo] or k == changed:  # not clearly unsafe, or the new basis fails where it was found
+            return k + 1, basis
+        sol = _solve_from(lp.LpProblem(grad, A[k], b[k]), basis)
+        if sol.status != "optimal" or sol.active_set == basis:
+            return k + 1, sol.active_set
+        basis, changed, lo, hi = sol.active_set, k, k, min(K, k + AHEAD_MIN)
+
+
+def _certifying_size(est, cross, scfg, candidate, margin, size) -> int:
+    """The block size that ends at the first count k <= size at which the
+    radius alone, with the margin held at `margin`, would certify the
+    candidate: phi sqrt(z^T P_k z) <= margin for z = [candidate; -1]; at
+    least 2, and size where no k does."""
+    quad = est.quadratic_ahead(cross, np.append(candidate, -1.0), size)
+    certified = scfg.phi_delta * np.sqrt(quad) <= margin
+    return max(2, int(np.argmax(certified)) + 1) if certified.any() else size
 
 
 def _direction(sol: lp.LpSolution, x: np.ndarray) -> tuple[np.ndarray, str]:
@@ -284,11 +319,15 @@ class _Adaptive(_Estimated):
     solve the DFS and ask the stop rule, then keep adding single cross batches
     at x_t, re-estimating and re-solving (warm-started from the previous
     active set), until the stepped candidate passes the scalar safety test.
-    Once a basis has come back twice, the passes a lookahead shows would keep
-    it and stay unsafe are committed as one block, not measured again, and
-    the forecast's running sum of their peeked values absorbed in one call,
-    as a pass absorbs its cross; blocks double after one skipped whole. The
-    row of an iterate after x0 carries the verdict that certified it."""
+    Once a basis has come back twice, the passes a lookahead shows would see
+    a verified basis and stay unsafe are committed as one block, not
+    measured again, and the forecast's running sum of their peeked values
+    absorbed in one call, as a pass absorbs its cross. A block follows the
+    basis through its changes (`_skippable_passes`) and the loop goes on
+    from the basis in force at its end; it peeks no further than the pass
+    the radius predicts to certify (`_certifying_size`), and blocks double
+    after one skipped whole. The row of an iterate after x0 carries the
+    verdict that certified it."""
 
     budget: int
     basis: list[int] | None = None
@@ -312,7 +351,8 @@ class _Adaptive(_Estimated):
             s_hat, status = _direction(sol, x)
             self.repeats = self.repeats + 1 if sol.active_set == self.basis else 0
             self.basis = sol.active_set
-            self.verdict = fact2_check(est, self.scfg, x + gamma * (s_hat - x))
+            candidate = x + gamma * (s_hat - x)
+            self.verdict = fact2_check(est, self.scfg, candidate)
             end = stop(s_hat) if self.extras == 0 else None
             if end is not None or self.verdict.safe:
                 break
@@ -322,8 +362,9 @@ class _Adaptive(_Estimated):
                 break
             count, size = 1, min(block, room, AHEAD_MAX_VALUES // (cross.shape[0] * est.m))
             if self.repeats >= 2 and size > 1:
+                size = _certifying_size(est, cross, self.scfg, candidate, self.verdict.min_margin, size)
                 ahead = est.forecast(cross, self.oracle.lookahead(cross, size))
-                count = _skippable_passes(ahead, self.scfg, guard, x, grad, gamma, self.basis)
+                count, self.basis = _skippable_passes(ahead, self.scfg, guard, x, grad, gamma, self.basis)
                 block = min(2 * block, AHEAD_MAX) if count == size else max(AHEAD_MIN, 2 * count)
                 self.oracle.commit(cross, count)
                 sums = ahead.sums[count - 1].copy()

@@ -13,7 +13,7 @@ import pytest
 from safefw.estimator import ConstraintEstimator, ScatterSingularError, confidence_membership_arrays, phi_inverse
 from safefw import harness
 from safefw.harness import ExperimentConfig, resolve, run_single
-from safefw.oracle import cross_pattern
+from safefw.oracle import NOISE_KINDS, ConstraintOracle, NoiseModel, cross_pattern
 from safefw.problem import box_polytope
 
 from helpers import (
@@ -284,6 +284,27 @@ def test_forecast_matches_one_cross_at_a_time():
     for count in (0, K + 1):  # outside the lookahead
         with pytest.raises(ValueError):
             oracle.commit(points, count)
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+@pytest.mark.parametrize("d", [2, 5, 20])
+def test_quadratic_ahead_is_the_forecast_quadratic(d, kind):
+    """The closed-form read z^T P_k z after k = 1..K more crosses equals the
+    forecast's quadratic for the same z at every k, within 1e-12 relative,
+    at an anchor that already holds absorbed crosses."""
+    rng = np.random.default_rng(d)
+    polytope = box_polytope(d)
+    oracle = ConstraintOracle(polytope, NoiseModel(kind, 0.05, d), 0.01)
+    est = ConstraintEstimator(d, polytope.m)
+    points = cross_pattern(rng.uniform(-0.3, 0.3, d), 0.01, 2 * d).points
+    for count in (1, 3):
+        est.absorb_repeated(points, oracle.measure_repeated(points, count), count)
+    K = 200
+    ahead = est.forecast(points, oracle.lookahead(points, K))
+    for z in (np.append(rng.uniform(-0.5, 0.5, d), -1.0), np.append(points[0], -1.0)):
+        quadratics = est.quadratic_ahead(points, z, K)
+        assert quadratics.shape == (K,)
+        np.testing.assert_allclose(quadratics, ahead.quadratic(np.tile(z, (K, 1))), rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("d", [2, 20])

@@ -7,10 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from safefw import lp
+from safefw import lp, sfw
 from safefw.estimator import ConstraintEstimator
 from safefw.oracle import NOISE_KINDS, ConstraintOracle, NoiseModel
 from safefw.problem import (
+    FEAS_TOL,
     Objective,
     box_geometry_constants,
     box_polytope,
@@ -177,10 +178,27 @@ def test_fast_forward_matches_one_cross_per_pass(monkeypatch):
     one block, gives the totals, per-row extras, status, DFS statuses and
     out-of-reach count of the reference that absorbs one cross per pass, and
     every f within 1e-9, over 50 runs: d = 2 and 5, both noise kinds, and a
-    budget of 3000 measurements that runs out."""
-    peeks = []
-    lookahead = ConstraintOracle.lookahead
+    budget of 3000 measurements that runs out. Some blocks commit passes
+    past a change of the DFS basis (the block's first basis does not verify
+    at every committed count), and the radius cap shortens some."""
+    peeks, followed, capped = [], [], []
+    lookahead, skippable, certifying = ConstraintOracle.lookahead, sfw._skippable_passes, sfw._certifying_size
     monkeypatch.setattr(ConstraintOracle, "lookahead", lambda self, pts, count: peeks.append(count) or lookahead(self, pts, count))
+
+    def traced_skippable(ahead, scfg, guard, x, grad, gamma, basis):
+        count, end = skippable(ahead, scfg, guard, x, grad, gamma, basis)
+        if count > 1:  # the committed passes after the first
+            A, b = sfw._guarded_rows(ahead.beta[: count - 1], guard)
+            followed.append(not lp.verified_vertices(A, b, grad, basis, FEAS_TOL)[1].all())
+        return count, end
+
+    def traced_certifying(*args):
+        size = certifying(*args)
+        capped.append(size < args[-1])
+        return size
+
+    monkeypatch.setattr(sfw, "_skippable_passes", traced_skippable)
+    monkeypatch.setattr(sfw, "_certifying_size", traced_certifying)
     statuses = set()
     for d, sigma, kind, seed, budget in EQUIVALENCE_RUNS:
         cfg = SfwConfig(epsilon=1e-6, variant="adaptive", max_total_measurements=budget)
@@ -198,6 +216,7 @@ def test_fast_forward_matches_one_cross_per_pass(monkeypatch):
         statuses.add(fast.status)
     assert "budget-exhausted" in statuses and "completed" in statuses
     assert sum(peeks) >= 10 * len(peeks) > 0  # blocks were predicted, most of them long
+    assert sum(followed) > 0 and sum(capped) > 0
 
 
 def test_committed_blocks_are_not_measured_again(monkeypatch):
