@@ -10,14 +10,12 @@ by a ray; a start with no verdict hands over to the next. One rule,
 (`verified_vertices`). The DFS LP starts from the active set of a previous
 solve of a nearby LP, then from its guard vertex, which is dual feasible. A
 solve with no start or no verdict (a tied or ill-conditioned optimum) goes
-to the two-phase primal simplex on the split-variable standard form (x = u -
-v plus slacks), whose Bland's rule keeps it from cycling and picks among
-tied optima the vertex that RO's `Tableau` picks and zero-noise runs expect;
-at the optimum it pivots each nonbasic free variable in, so a bounded
-optimum ends at a vertex. A cutting-plane loop grows one LP a row at a time
-in a `Tableau`, whose right-hand sides must be >= 0: its solves start from
-the all-slack basis, replay the recorded pivots of the one before and give
-what that simplex gives on the grown LP, bit for bit.
+to the primal simplex on the split-variable form (y = u - v plus slacks) in
+the frame y = x - anchor of a point known to be feasible, from the
+all-slack basis; its Bland's rule keeps it from cycling and picks among
+tied optima the vertex that RO's `Tableau`, anchored at x0 too, picks. A
+`Tableau` grows one LP a row at a time: its solves replay the recorded
+pivots of the one before and give what the simplex gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -102,7 +100,7 @@ class _Step:
     running best, the tableau and basis before it (kept at every other step,
     from the first; None at the others), the leaving row and the pivot row
     after the division (-1 and None where no row qualified), and the free
-    variable j whose pivot it tries (None in phase 2)."""
+    variable j whose pivot it tries (None for a step of `_simplex`)."""
 
     col: int
     best: float
@@ -129,12 +127,12 @@ def _bland_step(T: np.ndarray, basis: list[int], col: int, a: list[float], steps
     return True
 
 
-def _simplex(T: np.ndarray, basis: list[int], allowed: int, steps: list[_Step] | None = None) -> str:
-    """Minimize the bottom-row objective over the first `allowed` columns.
-    Bland's rule on entering and leaving, scanned over Python floats. Each
-    step already in `steps` counts against MAX_PIVOTS."""
+def _simplex(T: np.ndarray, basis: list[int], steps: list[_Step] | None = None) -> str:
+    """Minimize the bottom-row objective of T from its feasible basis. Bland's
+    rule on entering and leaving, scanned over Python floats. Each step
+    already in `steps` counts against MAX_PIVOTS."""
     for _ in range(len(steps) if steps else 0, MAX_PIVOTS):
-        enter = next((j for j, cost in enumerate(T[-1, :allowed].tolist()) if cost < -COST_TOL), -1)
+        enter = next((j for j, cost in enumerate(T[-1, :-1].tolist()) if cost < -COST_TOL), -1)
         if enter < 0:
             return "optimal"
         if not _bland_step(T, basis, enter, T[:-1, enter].tolist(), steps):
@@ -225,10 +223,12 @@ def _least(values: np.ndarray, basis: list[int]) -> int:
     return int(min(np.flatnonzero(values == values[pos]).tolist(), key=basis.__getitem__))
 
 
-def _pivot_from(p: LpProblem, starts) -> LpSolution | None:
+def _pivot_from(p: LpProblem, starts) -> tuple[LpSolution | None, np.ndarray | None]:
     """The verdict of the pivots from the bases `starts` (d rows each) in
     order: a vertex verified to be the unique optimum, or the status a ray
-    proves; None sends the solve to the simplex.
+    proves; None sends the solve to the simplex. With it, the last vertex
+    where the pivots stopped but that did not verify (a tied or
+    ill-conditioned optimum), or None.
 
     From a feasible vertex with a negative multiplier, the row of the most
     negative one leaves along the edge the others keep active, and the first
@@ -248,7 +248,7 @@ def _pivot_from(p: LpProblem, starts) -> LpSolution | None:
     last start) or stopped at a vertex that does not verify hands over to
     the next; the last one out of pivots raises PivotLimitError.
     """
-    A, b, c = p.A, p.b, p.c
+    A, b, c, tie = p.A, p.b, p.c, None
     for left, start in enumerate(starts, 1 - len(starts)):  # left == 0 at the last start
         basis, abs_A, scale_b = np.sort(np.asarray(start, dtype=np.intp)), np.abs(A), 1.0 + np.abs(b)
         try:
@@ -258,17 +258,19 @@ def _pivot_from(p: LpProblem, starts) -> LpSolution | None:
         _, B_inv, _, lam, resid, scale = terms
         slack, bland = resid / scale, False
         budget = MAX_PIVOTS if left == 0 else A.shape[0]  # before the last start, one pivot per row
+        stopped = False
         for pivots in range(budget + 1):
             enter = int(slack.argmin())
             if slack[enter] >= -ACTIVE_TOL:
-                if lam[lam.argmin()] >= 0.0:
+                stopped = lam[lam.argmin()] >= 0.0
+                if stopped:
                     break
                 leave = _least(lam, basis)
                 closing = A @ -B_inv[:, leave]  # how fast each row's residual falls along the edge
                 closing[basis] = 0.0
                 rows = (closing > PIVOT_TOL).nonzero()[0]
                 if rows.size == 0:
-                    return LpSolution(None, "unbounded")
+                    return LpSolution(None, "unbounded"), None
                 enter = int(rows[(resid[rows] / closing[rows]).argmin()])
                 shift = A[enter] @ B_inv
             else:
@@ -279,7 +281,7 @@ def _pivot_from(p: LpProblem, starts) -> LpSolution | None:
                 np.divide(np.maximum(lam, 0.0), shift, out=ratios, where=shift > PIVOT_TOL)
                 leave = _least(ratios, basis)
                 if ratios[leave] == math.inf:  # the entering row is violated wherever the basis rows hold
-                    return LpSolution(None, "infeasible")
+                    return LpSolution(None, "infeasible"), None
                 bland = ratios[leave] <= 0.0
             if pivots == budget:
                 if left == 0:
@@ -300,8 +302,10 @@ def _pivot_from(p: LpProblem, starts) -> LpSolution | None:
             except np.linalg.LinAlgError:
                 continue
         if _verdicts(terms, basis, c):
-            return LpSolution(terms[2], "optimal", basis.tolist())
-    return None
+            return LpSolution(terms[2], "optimal", basis.tolist()), None
+        if stopped:
+            tie = terms[2]
+    return None, tie
 
 
 def _rows(A: np.ndarray, b: np.ndarray, first: int, width: int) -> np.ndarray:
@@ -316,65 +320,30 @@ def _rows(A: np.ndarray, b: np.ndarray, first: int, width: int) -> np.ndarray:
     return R
 
 
-def _feasible(p: LpProblem) -> tuple[np.ndarray, list[int]] | None:
-    """The tableau of p over x = u - v with a slack per row, at a feasible
-    basis, its bottom row the reduced cost of p; None if p is infeasible.
-    Rows with a negative b are negated and given an artificial column, which
-    phase 1 drives out of the basis."""
+def _feasible(p: LpProblem) -> tuple[np.ndarray, list[int]]:
+    """The tableau of p over x = u - v with a slack per row, at the all-slack
+    basis, its bottom row the cost of p. That basis is feasible only when
+    every right-hand side is >= 0: a negative one raises ValueError."""
+    if (p.b < 0.0).any():
+        i = int(np.argmax(p.b < 0.0))
+        raise ValueError(f"the all-slack basis needs every right-hand side >= 0; row {i} has {float(p.b[i])!r}")
     m, d = p.A.shape
-    A = p.A.copy()
-    b = p.b.copy()
-    flip = b < -0.0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-    art_rows = np.flatnonzero(flip)
-    n_struct = 2 * d
-    n_art = art_rows.size
-    ncols = n_struct + m + n_art
-
-    T = np.zeros((m + 1, ncols + 1))
-    T[:m] = _rows(A, b, 0, ncols + 1)
-    T[art_rows, n_struct + art_rows] = -1.0
-    T[art_rows, n_struct + m + np.arange(n_art)] = 1.0
-
-    start = n_struct + np.arange(m)
-    start[art_rows] = n_struct + m + np.arange(n_art)
-    basic = start.tolist()
-
-    if n_art:
-        T[-1, n_struct + m:ncols] = 1.0
-        for i in art_rows:
-            T[-1] -= T[i]
-        _simplex(T, basic, ncols)
-        if -T[-1, -1] > 1e-7 * (1.0 + float(np.abs(b).sum())):
-            return None
-        # drive surviving artificials out of the basis where possible
-        for i in range(m):
-            if basic[i] >= n_struct + m:
-                piv = np.flatnonzero(np.abs(T[i, : n_struct + m]) > 1e-9)
-                if piv.size:
-                    _pivot(T, basic, i, int(piv[0]))
-
-    T[-1, :] = 0.0
+    T = np.zeros((m + 1, 2 * d + m + 1))
+    T[:m] = _rows(p.A, p.b, 0, T.shape[1])
     T[-1, :d] = p.c
-    T[-1, d:n_struct] = -p.c
-    # the basic columns are unit columns, so each reduction leaves the other basic costs as they are
-    for i, cost in enumerate(T[-1, basic].tolist()):
-        if cost != 0.0:
-            T[-1] -= cost * T[i]
-    return T, basic
+    T[-1, d:2 * d] = -p.c
+    return T, list(range(2 * d, 2 * d + m))
 
 
 def _optimum(T: np.ndarray, basis: list[int], d: int, steps: list[_Step] | None = None, free: int | None = None):
-    """Phase 2 of the simplex from the feasible basis of T, whose bottom row
-    holds the reduced cost, then the pivots that end it at a vertex: the
-    point, or None if unbounded. Records every ratio test into `steps` when
-    given; `free` = j resumes at the pivots of free variable j."""
-    if free is None:
-        if _simplex(T, basis, 2 * d + T.shape[0] - 1, steps) == "unbounded":  # over the structural and slack columns
-            return None
+    """The simplex from the feasible basis of T, whose bottom row holds the
+    reduced cost, then the pivots that end it at a vertex: the point, or None
+    if unbounded. Records every ratio test into `steps` when given; `free` =
+    j resumes at the pivots of free variable j."""
+    if free is None and _simplex(T, basis, steps) == "unbounded":
+        return None
     # pivot in each free variable left nonbasic, u_j before v_j; only rows with a
-    # slack or artificial basic bound the step, as a free variable has no sign, so
+    # slack basic bound the step, as a free variable has no sign, so
     # it slides along the optimal face to the next active row: a vertex if bounded
     for j in range(free or 0, d):
         if j not in basis and d + j not in basis:
@@ -387,24 +356,32 @@ def _optimum(T: np.ndarray, basis: list[int], d: int, steps: list[_Step] | None 
     return vals[:d] - vals[d:2 * d]
 
 
-def solve(p: LpProblem, starts=()) -> LpSolution:
+def solve(p: LpProblem, starts=(), anchor=None) -> LpSolution:
     """Minimize <c, x> over {x : A x <= b}.
 
     Returns a vertex of the optimal face when the feasible set is bounded
     around the optimum. Status reports infeasibility and unboundedness. The
-    pivot loop of `_pivot_from` runs over the bases `starts` (d rows each);
-    with no start, or where it gives no verdict, the simplex solves from the
-    all-slack basis.
+    pivot loop of `_pivot_from` runs over the bases `starts` (d rows each).
+    Where it gives no verdict, the simplex solves b - A anchor in y = x -
+    anchor from the all-slack basis and returns y + anchor; the anchor, the
+    origin by default, must satisfy every row. If it fails a row, a loop
+    that stopped at a vertex it cannot prove unique returns that vertex, and
+    otherwise the simplex's ValueError is raised.
     """
-    sol = _pivot_from(p, starts)
+    sol, tie = _pivot_from(p, starts)
     if sol is not None:
         return sol
-    start = _feasible(p)
-    if start is None:
-        return LpSolution(None, "infeasible")
-    x = _optimum(*start, p.c.size)
-    if x is None:
+    frame = p if anchor is None else LpProblem(p.c, p.A, p.b - p.A @ anchor)
+    try:
+        start = _feasible(frame)
+    except ValueError:
+        if tie is None:
+            raise
+        return LpSolution(tie, "optimal", _active_rows(p, tie))
+    y = _optimum(*start, p.c.size)
+    if y is None:
         return LpSolution(None, "unbounded")
+    x = y if anchor is None else y + anchor
     return LpSolution(x, "optimal", _active_rows(p, x))
 
 
@@ -428,8 +405,8 @@ class Tableau:
     """min <c, x> over A x <= b, grown a row at a time, for a cutting-plane loop.
 
     Every right-hand side must be >= 0, so that the simplex starts from the
-    all-slack basis with no phase 1; a negative one, here or in `add_row`,
-    raises ValueError. `solve` gives what `solve(LpProblem(c, A, b))` gives
+    all-slack basis: a negative one raises ValueError, here as in `solve`,
+    or in `add_row`. `solve` gives what `solve(LpProblem(c, A, b))` gives
     for the rows so far, bit for bit while the entries stay finite, but with
     no active set. Each solve records its ratio tests (`_Step`). `add_row`
     reduces the new row through them by the operations a cold solve applies to
@@ -445,8 +422,6 @@ class Tableau:
     """
 
     def __init__(self, p: LpProblem):
-        if (p.b < 0.0).any():
-            raise ValueError("a Tableau needs every right-hand side >= 0")
         self.c = p.c
         self._rows = p.A.shape[0]
         self._solution: LpSolution | None = None

@@ -187,18 +187,19 @@ def dfs_problem(est: ConstraintEstimator, c: np.ndarray, guard: float) -> lp.LpP
     return lp.LpProblem(np.asarray(c, dtype=float), A, b)
 
 
-def solve_dfs(est: ConstraintEstimator, guard: float, grad: np.ndarray, basis: list[int] | None = None) -> lp.LpSolution:
+def solve_dfs(est: ConstraintEstimator, guard: float, grad: np.ndarray, anchor: np.ndarray,
+              basis: list[int] | None = None) -> lp.LpSolution:
     """Linear minimization of <grad, s> over the guarded estimated polytope
-    (`_solve_from`)."""
-    return _solve_from(dfs_problem(est, grad, guard), basis)
+    (`_solve_from`), anchored at the run's safe start x0."""
+    return _solve_from(dfs_problem(est, grad, guard), basis, anchor)
 
 
-def _solve_from(p: lp.LpProblem, basis: list[int] | None) -> lp.LpSolution:
+def _solve_from(p: lp.LpProblem, basis: list[int] | None, anchor: np.ndarray) -> lp.LpSolution:
     """The DFS LP p by the pivot loop of `lp.solve` from `basis`, when there
     is one, then from the guard vertex (`_guard_start`), which is dual
-    feasible. The simplex serves only a tied optimum."""
+    feasible. The simplex serves only a tied optimum, anchored as RO is."""
     guard_start = _guard_start(p.c, p.b.size - 2 * p.c.size)
-    return lp.solve(p, (basis, guard_start) if basis else (guard_start,))
+    return lp.solve(p, (basis, guard_start) if basis else (guard_start,), anchor)
 
 
 def _absorb_cross(
@@ -210,16 +211,17 @@ def _absorb_cross(
     return pattern
 
 
-def _skippable_passes(ahead, scfg, guard, x, grad, gamma, basis) -> tuple[int, list[int]]:
+def _skippable_passes(ahead, scfg, guard, x, grad, gamma, basis, anchor) -> tuple[int, list[int]]:
     """How many forecast crosses at x to commit at once, and the basis in
     force at the end (the active set of the last DFS LP solved, by the loop
     or here): the first k after which a pass might not see a verified basis
     and a clearly unsafe candidate, else all K. The passes before it would
     each absorb one cross. Where `basis` stops verifying, that state's DFS
-    LP is solved from it as `solve_dfs` would; a different optimal basis is
-    checked on from there, in windows that double from AHEAD_MIN, and the
-    same basis, or no verified optimum, ends the block. Every predicted test
-    keeps a relative guard band FEAS_TOL: near ties are left to the loop."""
+    LP is solved from it at `anchor` as `solve_dfs` would; a different
+    optimal basis is checked on from there, in windows that double from
+    AHEAD_MIN, and the same basis, or no verified optimum, ends the block.
+    Every predicted test keeps a relative guard band FEAS_TOL: near ties
+    are left to the loop."""
     A, b = _guarded_rows(ahead.beta, guard)
     K, lo, hi, changed = b.shape[0], 0, b.shape[0], -1
     while True:
@@ -233,7 +235,7 @@ def _skippable_passes(ahead, scfg, guard, x, grad, gamma, basis) -> tuple[int, l
         k = lo + int(np.argmin(skippable))
         if verified[k - lo] or k == changed:  # not clearly unsafe, or the new basis fails where it was found
             return k + 1, basis
-        sol = _solve_from(lp.LpProblem(grad, A[k], b[k]), basis)
+        sol = _solve_from(lp.LpProblem(grad, A[k], b[k]), basis, anchor)
         if sol.status != "optimal" or sol.active_set == basis:
             return k + 1, sol.active_set
         basis, changed, lo, hi = sol.active_set, k, k, min(K, k + AHEAD_MIN)
@@ -259,9 +261,10 @@ def _direction(sol: lp.LpSolution, x: np.ndarray) -> tuple[np.ndarray, str]:
 
 @dataclass
 class _TruePolytope:
-    """Classical Frank-Wolfe: the LP over the true polytope, with nothing measured."""
+    """Classical Frank-Wolfe: the LP over the true polytope, anchored at x0; nothing measured."""
 
     polytope: Polytope
+    x0: np.ndarray
     N = extras = 0
     et = 0.0
 
@@ -269,7 +272,7 @@ class _TruePolytope:
         pass
 
     def step(self, t, row, grad, gamma, stop):
-        sol = lp.solve(lp.LpProblem(grad, self.polytope.A, self.polytope.b))
+        sol = lp.solve(lp.LpProblem(grad, self.polytope.A, self.polytope.b), anchor=self.x0)
         if sol.status != "optimal":
             raise ValueError(f"linear subproblem over the true polytope is {sol.status}")
         return sol.point, "optimal", None
@@ -302,13 +305,13 @@ class _Prescribed(_Estimated):
     extra cross batch and a re-solve when the DFS is not optimal."""
 
     def step(self, t, row, grad, gamma, stop):
-        x, d, guard = row.x, self.setup.d, self.setup.dfs_guard
+        x, x0, d, guard = row.x, self.setup.x0, self.setup.d, self.setup.dfs_guard
         _absorb_cross(self.oracle, self.est, x, self.scfg.omega0, prescribed_count(self.scfg.cn, t, d))
         self.annotate(row)
-        sol = solve_dfs(self.est, guard, grad)
+        sol = solve_dfs(self.est, guard, grad, x0)
         if sol.status != "optimal":
             _absorb_cross(self.oracle, self.est, x, self.scfg.omega0, 2 * d)
-            sol = solve_dfs(self.est, guard, grad)
+            sol = solve_dfs(self.est, guard, grad, x0)
         s_hat, status = _direction(sol, x)
         return s_hat, status, stop(s_hat)
 
@@ -338,7 +341,7 @@ class _Adaptive(_Estimated):
         row.record_verdict(self.verdict, self.est)
 
     def step(self, t, row, grad, gamma, stop):
-        x, d, est, guard = row.x, self.setup.d, self.est, self.setup.dfs_guard
+        x, x0, d, est, guard = row.x, self.setup.x0, self.setup.d, self.est, self.setup.dfs_guard
         warm_up = 2 * d * max(t, 1)
         if t > 0:
             self.annotate(row)
@@ -347,7 +350,7 @@ class _Adaptive(_Estimated):
         cross = _absorb_cross(self.oracle, est, x, self.scfg.omega0, warm_up).points  # the 2d points of every extra
         self.extras, block = 0, AHEAD_START
         while True:
-            sol = solve_dfs(est, guard, grad, self.basis)
+            sol = solve_dfs(est, guard, grad, x0, self.basis)
             s_hat, status = _direction(sol, x)
             self.repeats = self.repeats + 1 if sol.active_set == self.basis else 0
             self.basis = sol.active_set
@@ -364,7 +367,7 @@ class _Adaptive(_Estimated):
             if self.repeats >= 2 and size > 1:
                 size = _certifying_size(est, cross, self.scfg, candidate, self.verdict.min_margin, size)
                 ahead = est.forecast(cross, self.oracle.lookahead(cross, size))
-                count, self.basis = _skippable_passes(ahead, self.scfg, guard, x, grad, gamma, self.basis)
+                count, self.basis = _skippable_passes(ahead, self.scfg, guard, x, grad, gamma, self.basis, x0)
                 block = min(2 * block, AHEAD_MAX) if count == size else max(AHEAD_MIN, 2 * count)
                 self.oracle.commit(cross, count)
                 sums = ahead.sums[count - 1].copy()
@@ -430,4 +433,4 @@ def run_fw_reference(polytope: Polytope, objective: Objective, x0: np.ndarray, T
 
     Zero-uncertainty reference used for comparisons and envelope checks.
     """
-    return _drive(objective, x0, T, _TruePolytope(polytope))
+    return _drive(objective, x0, T, _TruePolytope(polytope, x0))

@@ -24,7 +24,14 @@ from safefw.sfw import TrajectoryRecord, dfs_problem, et_bound, solve_dfs, surro
 
 def random_bounded_polytope(rng, d, m):
     """Box rows (bounded by construction) plus m - 2d random cuts, interior at a
-    jittered center."""
+    jittered center (`centred_polytope`)."""
+    return centred_polytope(rng, d, m)[0]
+
+
+def centred_polytope(rng, d, m):
+    """The polytope `random_bounded_polytope` draws, and its jittered center,
+    where every row has a slack of at least 0.3: an interior anchor for a
+    simplex solve."""
     assert m >= 2 * d
     A = np.zeros((m, d))
     b = np.empty(m)
@@ -38,7 +45,7 @@ def random_bounded_polytope(rng, d, m):
         v /= np.linalg.norm(v)
         A[j] = v
         b[j] = v @ center + rng.uniform(0.3, 1.2)
-    return Polytope(A, b)
+    return Polytope(A, b), center
 
 
 class RecordingEstimator(ConstraintEstimator):
@@ -415,7 +422,7 @@ def run_adaptive_reference(setup, oracle, est, scfg, cfg):
         extras = 0
         basis = None
         while True:
-            sol = solve_dfs(est, setup.dfs_guard, grad, basis)
+            sol = solve_dfs(est, setup.dfs_guard, grad, setup.x0, basis)
             s_hat, status = (sol.point, "optimal") if sol.status == "optimal" else (x.copy(), f"{sol.status}-fallback")
             basis = sol.active_set
             candidate = x + gamma * (s_hat - x)

@@ -205,6 +205,20 @@ def test_compare_zero_noise_ties(tmp_path):
         assert a == pytest.approx(b, abs=1e-9)
 
 
+def test_zero_noise_tie_off_the_origin_takes_one_vertex_in_every_variant():
+    """On the shifted box [2, 4]^2 (x0 = [3, 3], which excludes the origin)
+    at sigma = 0 with x' = [3, 3.5], the gradient at x0 is [0, -0.5], so the
+    whole top edge minimizes the first linear step. Every variant breaks
+    that tie in x0's frame (the DFS and the true-polytope LP anchored at x0,
+    RO's cut LPs in y = s - x0), so the first step of adaptive, prescribed,
+    ro and fw-oracle is the same vertex, [4, 4], within 1e-8."""
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / "shifted_box_d2_adaptive.json").read_text())
+    raw.update(sigma=0.0, objective={"x_prime": [3.0, 3.5]}, T=3, cn=1.0, repetitions=1)
+    for variant in ("adaptive", "prescribed", "ro", "fw-oracle"):
+        rec, _ = run_single(resolve(ExperimentConfig.from_dict(dict(raw, variant=variant))), 0)
+        assert np.abs(rec.rows[0].s_hat - [4.0, 4.0]).max() <= 1e-8, (variant, rec.rows[0].s_hat)
+
+
 def test_compare_noisy_and_budget_stretch(tmp_path):
     cfg = d2_config(sigma=0.1, repetitions=4, out_dir=str(tmp_path / "cmp"))
     report = compare_sfw_ro(cfg)

@@ -14,7 +14,7 @@ from safefw import lp
 from safefw.problem import EnumerationCapError, box_polytope
 from safefw.sfw import _guard_start, _guarded_rows
 
-from helpers import bland_simplex_reference, enumerate_vertices, neither_feasible, random_bounded_polytope
+from helpers import bland_simplex_reference, centred_polytope, enumerate_vertices, neither_feasible, random_bounded_polytope
 
 
 def box_problem(c):
@@ -41,9 +41,11 @@ def test_zero_objective_returns_a_vertex():
 
 
 def test_infeasible_system(monkeypatch):
-    # x <= -1 and x >= 1 in one dimension
+    # x <= -1 and x >= 1 in one dimension: no anchor satisfies both rows, so
+    # the simplex has no all-slack start, and with no start the solve raises
     prob = lp.LpProblem(np.array([1.0]), np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]))
-    assert lp.solve(prob).status == "infeasible"
+    with pytest.raises(ValueError, match="right-hand side >= 0"):
+        lp.solve(prob)
     # from the dual-feasible vertex x = 1 the violated row has no dual ratio: a dual ray
     simplex_runs = counting_simplex(monkeypatch)
     assert lp.solve(prob, starts=([1],)).status == "infeasible" and not simplex_runs
@@ -57,6 +59,60 @@ def test_unbounded_direction(monkeypatch):
     prob = lp.LpProblem(prob.c, np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([1.0, 0.0]))
     simplex_runs = counting_simplex(monkeypatch)
     assert lp.solve(prob, starts=([0, 1],)).status == "unbounded" and not simplex_runs
+
+
+def test_no_start_with_a_failing_anchor_raises_as_the_tableau_does():
+    """The simplex starts from the all-slack basis in the anchor's frame, so
+    with no start an anchor that fails a row raises the ValueError that a
+    Tableau raises on the same right-hand sides; an anchor inside solves."""
+    box = box_problem([1.0, 0.3])
+    anchor = np.array([3.0, 0.0])  # fails x1 <= 1
+    with pytest.raises(ValueError) as solved:
+        lp.solve(box, anchor=anchor)
+    with pytest.raises(ValueError) as grown:
+        lp.Tableau(lp.LpProblem(box.c, box.A, box.b - box.A @ anchor))
+    assert str(solved.value) == str(grown.value) == (
+        "the all-slack basis needs every right-hand side >= 0; row 0 has -2.0")
+    assert lp.solve(box, anchor=np.array([0.5, -0.5])).point.tolist() == [-1.0, -1.0]
+
+
+def test_tied_optimum_with_a_failing_anchor_returns_the_loop_vertex(monkeypatch):
+    """With c = [-1, 0] the optimal face of the unit box is the edge x1 = 1,
+    so the pivot loop from the corner stops at (1, -1) with a zero
+    multiplier and cannot prove it unique. With an anchor inside, the
+    simplex picks among the tied vertices; with an anchor that fails a row,
+    the solve returns the loop's vertex with its active set and runs no
+    simplex."""
+    prob = box_problem([-1.0, 0.0])
+    simplex_runs = counting_simplex(monkeypatch)
+    sol = lp.solve(prob, (corner(prob.c),))
+    assert len(simplex_runs) == 1 and sol.point.tolist() == [1.0, 1.0]
+    simplex_runs.clear()
+    sol = lp.solve(prob, (corner(prob.c),), np.array([3.0, 0.0]))
+    assert not simplex_runs
+    assert sol.status == "optimal" and sol.point.tolist() == [1.0, -1.0] and sol.active_set == [0, 3]
+
+
+def test_anchored_cold_solves_off_the_origin_match_enumeration():
+    """Polytopes moved away from the origin, which they then exclude, solve
+    cold when anchored at their moved center: the point is a feasible
+    vertex with the enumerated optimal value, and the same solve with no
+    anchor raises, as the origin fails a row."""
+    rng = np.random.default_rng(17)
+    for trial in range(30):
+        d = int(rng.integers(1, 5))
+        p, center = centred_polytope(rng, d, int(rng.integers(2 * d, 13)))
+        shift = rng.choice([-1.0, 1.0], d) * rng.uniform(2.0, 50.0, d)
+        prob = lp.LpProblem(rng.normal(0.0, 1.0, d), p.A, p.b + p.A @ shift)
+        assert (prob.b < 0.0).any()
+        sol = lp.solve(prob, anchor=center + shift)
+        assert sol.status == "optimal"
+        assert np.all(prob.A @ sol.point - prob.b <= 1e-9 * (1.0 + np.abs(prob.b)))
+        assert np.linalg.matrix_rank(prob.A[sol.active_set]) == d
+        best = min(float(prob.c @ v) for v in enumerate_vertices(prob))
+        assert abs(prob.c @ sol.point - best) <= 1e-9 * max(1.0, abs(best))
+        with pytest.raises(ValueError, match="right-hand side >= 0"):
+            lp.solve(prob)
 
 
 def test_enumerate_box_vertices():
@@ -232,10 +288,10 @@ def test_each_start_has_its_own_pivot_budget(monkeypatch):
     PivotLimitError. The LP is a guarded one whose random start needs more
     pivots than rows."""
     rng = np.random.default_rng(13)
-    prob, m = random_guarded_lp(rng, int(rng.integers(8, 30)))
+    prob, m, inside = random_guarded_lp(rng, int(rng.integers(8, 30)))
     rows = prob.A.shape[0]
     start = sorted(rng.choice(rows, size=prob.c.size, replace=False).tolist())
-    cold = lp.solve(prob)
+    cold = lp.solve(prob, anchor=inside)
     events = []  # "terms" per fresh basis, "pivot" per rank-one update
     terms, replace_row = lp._basis_terms, lp._replace_row
     monkeypatch.setattr(lp, "_basis_terms", lambda *args: events.append("terms") or terms(*args))
@@ -258,11 +314,14 @@ def test_each_start_has_its_own_pivot_budget(monkeypatch):
 
 def random_lp(rng, d, extra_rows):
     """A random bounded polytope moved by a random shift, so that some
-    right-hand sides are negative (phase 1), with some rows on a half grid or
-    repeated (ratio ties), a sparse objective now and then (an optimal face),
-    and now and then a row that empties the polytope."""
-    p = random_bounded_polytope(rng, d, 2 * d + extra_rows)
-    A, b = p.A, p.b + p.A @ rng.uniform(-2.0, 2.0, d)
+    right-hand sides are negative, with some rows on a half grid or repeated
+    (ratio ties), a sparse objective now and then (an optimal face), and now
+    and then a row that empties the polytope; and its shifted center, an
+    interior anchor unless the polytope is empty (the half grid moves a row
+    by at most 0.25 of its slack of 0.3 or more there)."""
+    p, center = centred_polytope(rng, d, 2 * d + extra_rows)
+    shift = rng.uniform(-2.0, 2.0, d)
+    A, b = p.A, p.b + p.A @ shift
     if rng.random() < 0.5:
         b = np.round(2.0 * b) / 2.0  # vertices on a half grid: ratio ties
     if rng.random() < 0.5:
@@ -273,19 +332,24 @@ def random_lp(rng, d, extra_rows):
         c[rng.random(d) < 0.5] = 0.0
     if rng.random() < 0.1:
         A, b = np.vstack([A, -A[0]]), np.append(b, -b[0] - 1.0)
-    return lp.LpProblem(c, A, b)
+    return lp.LpProblem(c, A, b), center + shift
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 6), st.integers(0, 8), st.integers(0, 2**32 - 1))
 def test_simplex_kernel_matches_scalar_bland_reference(d, extra_rows, seed):
     """The Python-float kernel pivots exactly as the numpy-scalar one: the same
-    status, point bytes and active set from a cold solve."""
-    prob = random_lp(np.random.default_rng(seed), d, extra_rows)
-    fast = lp.solve(prob)
+    status, point bytes and active set from a cold solve anchored at the
+    shifted center. An empty polytope has no anchor: both raise."""
+    prob, anchor = random_lp(np.random.default_rng(seed), d, extra_rows)
+    if (prob.A @ anchor > prob.b).any():
+        with pytest.raises(ValueError, match="right-hand side >= 0"):
+            lp.solve(prob, anchor=anchor)
+        return
+    fast = lp.solve(prob, anchor=anchor)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, "_simplex", lambda T, basis, allowed, steps=None: bland_simplex_reference(T, basis, range(allowed)))
-        ref = lp.solve(prob)
+        mp.setattr(lp, "_simplex", lambda T, basis, steps=None: bland_simplex_reference(T, basis, range(T.shape[1] - 1)))
+        ref = lp.solve(prob, anchor=anchor)
     assert fast.status == ref.status
     assert (fast.point is None and ref.point is None) or fast.point.tobytes() == ref.point.tobytes()
     assert fast.active_set == ref.active_set
@@ -333,13 +397,15 @@ def test_facet_objective_ends_at_a_vertex(d, extra_rows, seed):
     (or a face of it, if the row is redundant), so the simplex stops with free
     variables nonbasic. The point returned is a feasible vertex, d independent
     active rows, with scipy's optimal value. A random shift puts the origin
-    outside the polytope now and then, so phase 1 runs too."""
+    outside the polytope now and then, so the solve is anchored at the
+    shifted center."""
     optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(seed)
-    p = random_bounded_polytope(rng, d, 2 * d + extra_rows)
-    A, b = p.A, p.b + p.A @ rng.uniform(-2.0, 2.0, d)
+    p, center = centred_polytope(rng, d, 2 * d + extra_rows)
+    shift = rng.uniform(-2.0, 2.0, d)
+    A, b = p.A, p.b + p.A @ shift
     c = -A[rng.integers(0, A.shape[0])]
-    sol = lp.solve(lp.LpProblem(c, A, b))
+    sol = lp.solve(lp.LpProblem(c, A, b), anchor=center + shift)
     ref = optimize.linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * d, method="highs")
     assert sol.status == "optimal" and ref.status == 0
     assert np.all(A @ sol.point - b <= 1e-9 * (1.0 + np.abs(b)))
@@ -402,22 +468,26 @@ def test_guard_band_rejects_narrow_passes(c, extra_row):
 def test_overflowing_multiplier_scale_rejects_the_basis():
     """At band 0 the multiplier rule reads lambda > COST_TOL + 0 |B^-T| |c|,
     which fails where that scale overflows: the stack and the warm start both
-    reject such a basis, so a single LP decides as its stack entry does."""
+    reject such a basis, so a single LP decides as its stack entry does: the
+    loop stops there with no verdict, and hands the vertex on unverified."""
     p = box_polytope(2)
     prob = lp.LpProblem(np.array([-1e308, -1e308]), 0.5 * p.A, p.b)  # B^-1 = 2 I: the scale is 2e308
     with np.errstate(over="ignore", invalid="ignore"):
         assert not lp.verified_vertices(prob.A[None], prob.b[None], prob.c, [0, 2])[1][0]
-        assert lp._pivot_from(prob, ([0, 2],)) is None
+        verdict, tie = lp._pivot_from(prob, ([0, 2],))
+    assert verdict is None and tie.tolist() == [2.0, 2.0]
 
 
 def random_guarded_lp(rng, d):
     """A DFS-shaped LP: rows [a_hat^T; I; -I] as `_guarded_rows` lays them out,
     the estimated rows around a random interior point (some on a half grid,
     some repeated), and now and then a pair of rows that contradict each
-    other, so that the LP is infeasible."""
+    other, so that the LP is infeasible. Also that interior point, an anchor
+    for a cold solve, or None when the LP is infeasible."""
     m = int(rng.integers(1, 2 * d + 5))
     A_hat = rng.normal(0.0, 1.0, (m, d))
-    b_hat = A_hat @ rng.uniform(-1.0, 1.0, d) + rng.uniform(0.05, 2.0, m)
+    inside = rng.uniform(-1.0, 1.0, d)
+    b_hat = A_hat @ inside + rng.uniform(0.05, 2.0, m)
     if rng.random() < 0.3:
         b_hat = np.round(2.0 * b_hat) / 2.0 + 0.5  # ratio ties
     if rng.random() < 0.2:
@@ -426,9 +496,10 @@ def random_guarded_lp(rng, d):
     if rng.random() < 0.2:
         row = rng.normal(0.0, 1.0, d)
         A_hat, b_hat = np.vstack([A_hat, row, -row]), np.append(b_hat, [0.3, -0.3 - rng.uniform(0.01, 1.0)])
+        inside = None
     beta = np.vstack([A_hat.T, b_hat[None, :]])
     A, b = _guarded_rows(beta, float(rng.uniform(2.0, 20.0)))
-    return lp.LpProblem(rng.normal(0.0, 1.0, d), A, b), A_hat.shape[0]
+    return lp.LpProblem(rng.normal(0.0, 1.0, d), A, b), A_hat.shape[0], inside
 
 
 def test_pivot_loop_matches_scipy_on_guarded_lps():
@@ -436,9 +507,10 @@ def test_pivot_loop_matches_scipy_on_guarded_lps():
     the guard start, as a DFS solve starts, and, as a separate solve, from the
     guard start alone, a solve gives HiGHS's status. The loop proves every
     infeasible LP so by a dual ray, with no simplex. On a vertex the loop
-    verified, a solve gives HiGHS's objective within 1e-9 relative
-    and the cold tableau's point and active set, and the loop's rank-one
-    B^-1 matches a fresh inverse of its final basis within 1e-10 relative.
+    verified, a solve gives HiGHS's objective within 1e-9 relative and the
+    point and active set of the cold tableau, anchored at the LP's interior
+    point, and the loop's rank-one B^-1 matches a fresh inverse of its final
+    basis within 1e-10 relative.
     Most random starts that are neither primal nor dual feasible reach a
     verdict on their own, by the clipped dual ratio test. Some random starts
     give none (singular, or stopped at a vertex that does not verify), and
@@ -452,13 +524,13 @@ def test_pivot_loop_matches_scipy_on_guarded_lps():
     @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
     def check(d, seed):
         rng = np.random.default_rng(seed)
-        prob, m = random_guarded_lp(rng, d)
+        prob, m, inside = random_guarded_lp(rng, d)
         ref = optimize.linprog(prob.c, A_ub=prob.A, b_ub=prob.b, bounds=[(None, None)] * d, method="highs")
-        assert ref.status in (0, 2)
-        cold = lp.solve(prob)
+        assert ref.status == (2 if inside is None else 0)
+        cold = lp.LpSolution(None, "infeasible") if inside is None else lp.solve(prob, anchor=inside)
         assert cold.status == ("optimal" if ref.status == 0 else "infeasible")
         random_start, guard = sorted(rng.choice(prob.A.shape[0], size=d, replace=False).tolist()), _guard_start(prob.c, m)
-        alone = lp._pivot_from(prob, (random_start,))
+        alone = lp._pivot_from(prob, (random_start,))[0]
         if neither_feasible(prob, random_start):
             neither.append(alone is not None)
         for starts in ((random_start, guard), (guard,)):
@@ -468,7 +540,7 @@ def test_pivot_loop_matches_scipy_on_guarded_lps():
                 mp.setattr(lp, "_basis_terms", lambda *args: events.append(None) or terms(*args))
                 mp.setattr(lp, "_replace_row", lambda *args: events.append(replace_row(*args)) or events[-1])
                 mp.setattr(lp, "_simplex", lambda *args: simplex_runs.append(1) or simplex(*args))
-                sol = lp.solve(prob, starts)
+                sol = lp.solve(prob, starts, inside)
             assert sol.status == cold.status
             if alone is None and len(starts) == 2:
                 restarts.append(not simplex_runs)
@@ -494,32 +566,36 @@ def test_pivot_loop_matches_scipy_on_guarded_lps():
 def guarded_stack(rng, d, K):
     """K DFS-shaped LPs that share c, as a forecast stacks them: a
     `random_guarded_lp` and K - 1 copies whose estimated rows move by
-    relative steps from 1e-14 to 1e-1."""
-    prob, m = random_guarded_lp(rng, d)
+    relative steps from 1e-14 to 1e-1; and the first LP's interior point,
+    or None when it is infeasible."""
+    prob, m, inside = random_guarded_lp(rng, d)
     A, b = np.repeat(prob.A[None], K, axis=0), np.repeat(prob.b[None], K, axis=0)
     steps = 10.0 ** rng.uniform(-14.0, -1.0, (K - 1, 1))
     A[1:, :m] += steps[:, :, None] * rng.normal(0.0, 1.0, (K - 1, m, d))
     b[1:, :m] += steps * rng.normal(0.0, 1.0, (K - 1, m))
-    return prob.c, A, b, m
+    return prob.c, A, b, m, inside
 
 
 def test_stack_verdicts_match_single_solves():
-    """For each LP k of a guarded stack and each start basis (the cold active
-    set of the first LP, a random d-subset of the rows, the guard start),
-    entry k of `verified_vertices` at band 0 holds exactly when `lp.solve`
-    from that basis returns it with no pivot and no simplex, at the stack's
-    point bit for bit; and every entry verified under the 1e-9 band is
-    verified at band 0. This is what keeps a committed forecast exact."""
+    """For each LP k of a guarded stack and each start basis (the active set
+    of a cold solve of the first LP, anchored at its interior point, a
+    random d-subset of the rows, the guard start), entry k of
+    `verified_vertices` at band 0 holds exactly when `lp.solve` from that
+    basis returns it with no pivot and nothing past the loop (the tableau
+    that the simplex would start from, or the ValueError where the origin
+    fails a row), at the stack's point bit for bit; and every entry verified
+    under the 1e-9 band is verified at band 0. This is what keeps a
+    committed forecast exact."""
     counts = {"verified": 0, "rejected": 0, "band-only": 0}
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
     def check(d, seed):
         rng = np.random.default_rng(seed)
-        c, A, b, m = guarded_stack(rng, d, 6)
-        cold = lp.solve(lp.LpProblem(c, A[0], b[0]))
+        c, A, b, m, inside = guarded_stack(rng, d, 6)
         starts = [sorted(rng.choice(A.shape[1], size=d, replace=False).tolist()), _guard_start(c, m)]
-        if cold.status == "optimal":
+        if inside is not None:
+            cold = lp.solve(lp.LpProblem(c, A[0], b[0]), anchor=inside)
             starts.append(cold.active_set)
             # the last LP: the first with an estimated row off the cold basis moved to
             # about ACTIVE_TOL of its scale from the cold vertex, where the band decides
@@ -534,11 +610,14 @@ def test_stack_verdicts_match_single_solves():
             banded = lp.verified_vertices(A, b, c, basis, band=1e-9)[1]
             assert not np.any(banded & ~verified)
             for k in range(A.shape[0]):
-                calls = []
+                calls, sol = [], None
                 with pytest.MonkeyPatch.context() as mp:
-                    for name in ("_replace_row", "_simplex"):
+                    for name in ("_replace_row", "_feasible"):
                         mp.setattr(lp, name, lambda *args, name=name, run=getattr(lp, name): calls.append(name) or run(*args))
-                    sol = lp.solve(lp.LpProblem(c, A[k], b[k]), (basis,))
+                    try:
+                        sol = lp.solve(lp.LpProblem(c, A[k], b[k]), (basis,))
+                    except ValueError:  # no verdict, and the origin fails a row
+                        pass
                 first_try = (not calls and sol.active_set == sorted(basis)
                              and sol.point.tobytes() == points[k].tobytes())
                 assert first_try == verified[k], (basis, k, calls)

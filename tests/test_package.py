@@ -133,6 +133,34 @@ def test_every_class_member_is_read_outside_tests():
     assert not unread, f"class members that only tests read: {unread}"
 
 
+def _named_constants(tree):
+    """The nodes whose literals have a name: the value of each module-level
+    assignment to UPPER_CASE names only, and each field default of a class
+    whose name ends in Config."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            if names and all(n.id.isupper() for n in names):
+                yield node.value
+        elif isinstance(node, ast.ClassDef) and node.name.endswith("Config"):
+            yield from (item.value for item in node.body if isinstance(item, ast.AnnAssign) and item.value is not None)
+
+
+def test_no_bare_small_float_literal():
+    """Every float literal below 1e-3 in src/safefw is a tolerance or a
+    default, so it has a name: a module-level UPPER_CASE constant or a field
+    default of a config class. A bare one is a tolerance nobody can find."""
+    bare = []
+    for path in sorted((ROOT / "src" / "safefw").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = {id(n) for value in _named_constants(tree) for n in ast.walk(value)}
+        bare += [f"{path.name}:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                 and 0.0 < abs(node.value) < 1e-3 and id(node) not in named]
+    assert not bare, f"bare float literals below 1e-3: {bare}"
+
+
 def test_readme_example_runs_and_shipped_configs_validate(tmp_path, capsys):
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL)
     assert len(blocks) == 1

@@ -185,8 +185,8 @@ def test_fast_forward_matches_one_cross_per_pass(monkeypatch):
     lookahead, skippable, certifying = ConstraintOracle.lookahead, sfw._skippable_passes, sfw._certifying_size
     monkeypatch.setattr(ConstraintOracle, "lookahead", lambda self, pts, count: peeks.append(count) or lookahead(self, pts, count))
 
-    def traced_skippable(ahead, scfg, guard, x, grad, gamma, basis):
-        count, end = skippable(ahead, scfg, guard, x, grad, gamma, basis)
+    def traced_skippable(ahead, scfg, guard, x, grad, gamma, basis, anchor):
+        count, end = skippable(ahead, scfg, guard, x, grad, gamma, basis, anchor)
         if count > 1:  # the committed passes after the first
             A, b = sfw._guarded_rows(ahead.beta[: count - 1], guard)
             followed.append(not lp.verified_vertices(A, b, grad, basis, FEAS_TOL)[1].all())
@@ -260,12 +260,12 @@ def test_dfs_restart_is_invisible_to_the_driver(monkeypatch):
     simplex, solve = lp._simplex, lp.solve
     monkeypatch.setattr(lp, "_simplex", lambda *args: simplex_runs.append(1) or simplex(*args))
 
-    def verified_or_cold(p, starts=()):
+    def verified_or_cold(p, starts=(), anchor=None):
         if starts:
             x, ok = lp.verified_vertices(p.A[None], p.b[None], p.c, starts[0])
             if ok[0]:
                 return lp.LpSolution(x[0], "optimal", sorted(starts[0]))
-        return solve(p)
+        return solve(p, anchor=anchor)
 
     cfg = SfwConfig(epsilon=1e-6, variant="adaptive")
     simplex_in_ref = simplex_in_restarted = 0
@@ -296,17 +296,17 @@ def test_every_warm_dfs_solve_starts_once_from_its_basis(monkeypatch):
     """Each DFS solve enters `lp.solve` once. The first of an adaptive run
     starts from the guard vertex; every later one starts from the previous
     solve's active set and then the guard vertex, which takes over where
-    that basis is neither primal nor dual feasible. No DFS solve reaches the
-    simplex: on d = 5 box seeds and on the adaptive-d20 config (d = 20,
-    sigma = 0.01, 150,000 measurements)."""
+    that basis is neither primal nor dual feasible. Each is anchored at the
+    run's x0. No DFS solve reaches the simplex: on d = 5 box seeds and on
+    the adaptive-d20 config (d = 20, sigma = 0.01, 150,000 measurements)."""
     solves, simplex_runs = [], []
     solve, simplex = lp.solve, lp._simplex
     monkeypatch.setattr(lp, "_simplex", lambda *args: simplex_runs.append(1) or simplex(*args))
 
-    def traced(p, starts=()):
-        sol = solve(p, starts)
+    def traced(p, starts=(), anchor=None):
+        sol = solve(p, starts, anchor)
         solves.append({"guard": _guard_start(p.c, p.A.shape[0] - 2 * p.c.size), "starts": [list(s) for s in starts],
-                       "neither": neither_feasible(p, starts[0]), "active": sol.active_set})
+                       "neither": neither_feasible(p, starts[0]), "active": sol.active_set, "anchor": anchor})
         return sol
 
     monkeypatch.setattr(lp, "solve", traced)
@@ -317,6 +317,7 @@ def test_every_warm_dfs_solve_starts_once_from_its_basis(monkeypatch):
             _, setup, oracle, est, scfg = box_setup(d=d, sigma=sigma, seed=seed)
             run(setup, oracle, est, scfg, SfwConfig(epsilon=1e-6, variant="adaptive", max_total_measurements=budget))
             assert solves[0]["starts"] == [solves[0]["guard"]]
+            assert all(solve["anchor"] is setup.x0 for solve in solves)
             for before, after in zip(solves, solves[1:]):
                 assert after["starts"] == [before["active"], after["guard"]], (d, seed)
             neither += [after["neither"] for after in solves[1:]]
